@@ -37,12 +37,14 @@ from .inner_solvers import (
     LineSearchError,
     LineSearchResult,
     NonConvexityError,
+    SliceResult,
     SubspaceResult,
     SubspaceToleranceError,
     UnboundedBelowError,
     line_search_ray,
     line_search_real,
     minimize_free_relaxation,
+    minimize_on_slice,
     minimize_subspace,
     minimize_unit_interval,
 )
@@ -62,12 +64,7 @@ from .algorithms import (
     StopReason,
     StopRule,
     WeaknessSequence,
-    run_generic,
     run_greedy,
-    run_wcga_co,
-    run_wgafr_co,
-    run_wrga_co,
-    stopping_reason,
 )
 from .theory import (
     EnvelopeKind,

@@ -12,6 +12,11 @@ variant), then move according to the update rule:
   FixedRelaxation  G_m = (1 - r_m) G_{m-1} + c phi, c from line search
   Prescribed       G_m = G_{m-1} + c_m phi with c_m given up front
 
+The four line-search and relaxation rules each name a slice (a segment, a
+ray, a line or the plane span{G_{m-1}, phi}) and hand it to
+`inner_solvers.minimize_on_slice`, which solves it in closed form when the
+objective is quadratic and by the scalar searches otherwise.
+
 Traces record per-iteration energies, selection certificates, step data,
 synthesis l1 mass, and wall time.
 """
@@ -40,11 +45,8 @@ from .inner_solvers import (
     SUBSPACE_TOL,
     LineSearchError,
     SubspaceToleranceError,
-    line_search_ray,
-    line_search_real,
-    minimize_free_relaxation,
+    minimize_on_slice,
     minimize_subspace,
-    minimize_unit_interval,
 )
 from .objectives import Objective
 
@@ -289,10 +291,6 @@ class RunTrace:
         return np.array([r.m for r in self.records], dtype=int)
 
 
-def stopping_reason(trace: RunTrace) -> StopReason:
-    return trace.stop_reason
-
-
 # ---------------------------------------------------------------------------
 # driver
 
@@ -405,58 +403,37 @@ def run_greedy(
                 grad_inf = result.grad_inf
             elif isinstance(rule, ConvexRelaxation):
                 delta = phi - G
-
-                def phi_lam(c, G=G, delta=delta):
-                    return objective.value(G + c * delta)
-
-                def dphi_lam(c, G=G, delta=delta):
-                    return float(
-                        np.dot(objective.gradient(G + c * delta), delta)
-                    )
-
-                res = minimize_unit_interval(phi_lam, rule.tol, dphi_lam)
-                lam = res.argmin
+                (lam,) = minimize_on_slice(
+                    objective, G, (delta,), 0.0, 1.0, rule.tol
+                ).coefficients.tolist()
                 G = G + lam * delta
                 terms = [(a, (1.0 - lam) * c) for a, c in terms]
                 terms.append((atom, lam))
             elif isinstance(rule, FreeRelaxation):
-                res = minimize_free_relaxation(
-                    objective, G, phi, rule.tol, rule.max_sweeps
-                )
-                lam, w_or_r = res.lam, res.w
-                G = (1.0 - res.w) * G + lam * phi
-                terms = [(a, (1.0 - res.w) * c) for a, c in terms]
+                minus_w, lam = minimize_on_slice(
+                    objective, G, (G, phi), tol=rule.tol, max_sweeps=rule.max_sweeps
+                ).coefficients.tolist()
+                w_or_r = -minus_w
+                G = (1.0 - w_or_r) * G + lam * phi
+                terms = [(a, (1.0 - w_or_r) * c) for a, c in terms]
                 terms.append((atom, lam))
             elif isinstance(rule, (BestStep, ReducedStep)):
-
-                def phi_c(c, G=G, phi=phi):
-                    return objective.value(G + c * phi)
-
-                def dphi_c(c, G=G, phi=phi):
-                    return float(np.dot(objective.gradient(G + c * phi), phi))
-
-                res = line_search_ray(phi_c, 0.0, np.inf, rule.tol, dphi_c)
-                applied = res.argmin
+                (lam,) = minimize_on_slice(
+                    objective, G, (phi,), 0.0, np.inf, rule.tol
+                ).coefficients.tolist()
                 if isinstance(rule, ReducedStep):
-                    applied *= rule.b
+                    lam *= rule.b
                     w_or_r = rule.b
-                lam = applied
-                G = G + applied * phi
-                terms.append((atom, applied))
+                G = G + lam * phi
+                terms.append((atom, lam))
             elif isinstance(rule, FixedRelaxation):
                 r_m = _schedule_value(rule.schedule, m)
                 if not (0.0 <= r_m < 1.0):
                     raise ValueError(f"r_m must be in [0, 1), got {r_m}")
                 base = (1.0 - r_m) * G
-
-                def phi_c(c, base=base, phi=phi):
-                    return objective.value(base + c * phi)
-
-                def dphi_c(c, base=base, phi=phi):
-                    return float(np.dot(objective.gradient(base + c * phi), phi))
-
-                res = line_search_real(phi_c, rule.tol, dphi_c)
-                lam = res.argmin
+                (lam,) = minimize_on_slice(
+                    objective, base, (phi,), tol=rule.tol
+                ).coefficients.tolist()
                 w_or_r = r_m
                 G = base + lam * phi
                 terms = [(a, (1.0 - r_m) * c) for a, c in terms]
@@ -533,45 +510,3 @@ def _basis_position(dictionary, atom, basis_atoms) -> int:
             if b.index == atom.index:
                 return i
     return len(basis_atoms) - 1
-
-
-def run_wcga_co(
-    objective: Objective,
-    dictionary: Dictionary,
-    weakness: WeaknessLike = 1.0,
-    stop: StopRule = StopRule(),
-    subspace_tol: float = SUBSPACE_TOL,
-) -> RunTrace:
-    """Weak Chebyshev greedy algorithm for convex objectives."""
-    return run_greedy(objective, dictionary, weakness, Chebyshev(subspace_tol), stop)
-
-
-def run_wrga_co(
-    objective: Objective,
-    dictionary: Dictionary,
-    weakness: WeaknessLike = 1.0,
-    stop: StopRule = StopRule(),
-) -> RunTrace:
-    """Weak relaxed greedy algorithm; iterates stay in the atom hull A1(D)."""
-    return run_greedy(objective, dictionary, weakness, ConvexRelaxation(), stop)
-
-
-def run_wgafr_co(
-    objective: Objective,
-    dictionary: Dictionary,
-    weakness: WeaknessLike = 1.0,
-    stop: StopRule = StopRule(),
-) -> RunTrace:
-    """Weak greedy algorithm with free relaxation."""
-    return run_greedy(objective, dictionary, weakness, FreeRelaxation(), stop)
-
-
-def run_generic(
-    objective: Objective,
-    dictionary: Dictionary,
-    weakness: WeaknessLike,
-    rule: UpdateRule,
-    stop: StopRule = StopRule(),
-) -> RunTrace:
-    """Run any update rule (BestStep, ReducedStep, FixedRelaxation, ...)."""
-    return run_greedy(objective, dictionary, weakness, rule, stop)

@@ -23,7 +23,6 @@ from .algorithms import (
     FixedRelaxation,
     FreeRelaxation,
     GreedyRunError,
-    MonotonicityError,
     Prescribed,
     ReducedStep,
     RunTrace,
@@ -32,7 +31,7 @@ from .algorithms import (
     WeaknessSequence,
     run_greedy,
 )
-from .dictionaries import FiniteDictionary, WeaknessCertificationError
+from .dictionaries import FiniteDictionary
 from .instances import (
     SynthesisCertificate,
     gen_compressed_sensing,
@@ -174,7 +173,8 @@ def config_hash(config: dict) -> str:
 
 
 def build_instance(config: dict) -> tuple:
-    """(objective, dictionary, certificate) for a validated config."""
+    """(objective, dictionary, certificate, target) for a validated config;
+    target is the planted vector the certificate must reproduce."""
     kind = config["instance"]
     seed = config["seed"]
     mass = float(config.get("mass", 1.0))
@@ -187,12 +187,13 @@ def build_instance(config: dict) -> tuple:
             seed=seed,
             min_coef=float(config.get("min_coef", 0.0)),
         )
-        return make_least_squares(target), dictionary, cert
+        return make_least_squares(target), dictionary, cert, target
     if kind == "low_rank":
         dictionary, target, cert = gen_low_rank(
             config["n"], config["rank"], mass=mass, seed=seed
         )
-        return make_norm_power(target.ravel(), 2.0, 2.0), dictionary, cert
+        target = target.ravel()
+        return make_norm_power(target, 2.0, 2.0), dictionary, cert, target
     dictionary, objective, cert = gen_lp_approx(
         config["n"],
         float(config["r"]),
@@ -203,7 +204,7 @@ def build_instance(config: dict) -> tuple:
         dict_size=config.get("dict_size"),
         min_coef=float(config.get("min_coef", 0.0)),
     )
-    return objective, dictionary, cert
+    return objective, dictionary, cert, cert.realize(dictionary)
 
 
 def build_rule(config: dict):
@@ -410,11 +411,9 @@ def _envelope_ratio(
 
 def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
     config = validate_config(dict(config))
-    objective, dictionary, certificate = build_instance(config)
+    objective, dictionary, certificate, target = build_instance(config)
     try:
-        verify_certificate(
-            dictionary, _instance_target(config, objective), certificate
-        )
+        verify_certificate(dictionary, target, certificate)
         target_ok = True
     except ValueError:
         target_ok = False
@@ -428,8 +427,6 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
     except GreedyRunError as exc:
         trace = exc.trace
         failure = str(exc)
-    except (MonotonicityError, WeaknessCertificationError) as exc:
-        raise  # invariant breakage is a hard programming error
 
     reference = stop.reference
     invariants = collect_invariants(
@@ -467,41 +464,6 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
             encoding="utf-8",
         )
     return ExperimentResult(config, summary, trace, trace_path, summary_path)
-
-
-def _instance_target(config: dict, objective: Objective) -> np.ndarray:
-    """The planted target vector the certificate must reproduce."""
-    # all three generators plant exact-fit targets recoverable from the
-    # objective's stored data; rebuild from the generator to stay independent
-    kind = config["instance"]
-    seed = config["seed"]
-    mass = float(config.get("mass", 1.0))
-    if kind == "compressed_sensing":
-        _, target, _ = gen_compressed_sensing(
-            config["k"],
-            config["n"],
-            config["s"],
-            mass=mass,
-            seed=seed,
-            min_coef=float(config.get("min_coef", 0.0)),
-        )
-        return target
-    if kind == "low_rank":
-        _, target, _ = gen_low_rank(
-            config["n"], config["rank"], mass=mass, seed=seed
-        )
-        return target.ravel()
-    dictionary, _, cert = gen_lp_approx(
-        config["n"],
-        float(config["r"]),
-        float(config["q"]),
-        seed=seed,
-        s=int(config.get("s", 2)),
-        mass=mass,
-        dict_size=config.get("dict_size"),
-        min_coef=float(config.get("min_coef", 0.0)),
-    )
-    return cert.realize(dictionary)
 
 
 # ---------------------------------------------------------------------------

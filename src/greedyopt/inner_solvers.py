@@ -1,4 +1,14 @@
-"""Scalar and low-dimensional exact minimizers used inside the greedy drivers.
+"""Exact minimizers of E on the small slices the greedy drivers search.
+
+Every relaxed update rule moves to the minimizer of E over a slice
+base + sum_i c_i d_i with one or two directions; `minimize_on_slice` is the
+single entry point. When the objective declares itself quadratic the slice
+problem is solved in closed form from one gradient per direction, and the
+result must pass the same first-order test the searches stop on, or the
+step falls back to the searches. Other objectives go straight to the
+searches: derivative bisection on a ray, an interval or the whole line, and
+alternating line searches on the free-relaxation plane. The Chebyshev rule's
+span solve (`minimize_subspace`) has its own closed-form hook.
 
 All routines assume convexity along the searched directions and verify it
 opportunistically: bracket/derivative inconsistencies raise instead of
@@ -20,6 +30,10 @@ SUBSPACE_TOL = 1e-8
 BRACKET_CAP = 2.0**60
 MAX_BISECT = 200
 FREE_RELAX_SWEEPS = 100
+# An eigenvalue of a slice's curvature matrix below -INDEFINITE_TOL times its
+# largest magnitude (and below gradient roundoff) is clearly negative.
+INDEFINITE_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 class LineSearchError(RuntimeError):
@@ -166,6 +180,151 @@ def minimize_unit_interval(
 
 
 @dataclass
+class SliceResult:
+    coefficients: np.ndarray  # c: the minimizer is base + sum_i c_i d_i
+    energy: float  # E there (the quadratic model's value on the exact path)
+
+
+def _slice_model(objective, base, directions):
+    """E(base), b and M of E(base + D c) = E(base) + b.c + c.M c / 2 for a
+    quadratic E, and the roundoff bound on the entries of M.
+
+    b = D^T E'(base) and M_ij = <E'(base + d_j) - E'(base), d_i>,
+    symmetrized: one gradient per direction. The gradients die with this
+    frame, so no dim-sized temporary outlives the model.
+    """
+    g = objective.gradient(base)
+    slope = np.array([float(np.dot(g, d)) for d in directions])
+    diffs = [objective.gradient(base + d) - g for d in directions]
+    curvature = np.array([[float(np.dot(h, d)) for h in diffs] for d in directions])
+    grad_scale = max(float(np.linalg.norm(h)) for h in diffs)
+    grad_scale += 2.0 * float(np.linalg.norm(g))
+    roundoff = (
+        64.0 * _EPS * grad_scale * max(float(np.linalg.norm(d)) for d in directions)
+    )
+    return objective.value(base), slope, 0.5 * (curvature + curvature.T), roundoff
+
+
+def _quadratic_step(objective, base, directions, lower, upper, tol):
+    """Closed-form minimizer of a quadratic E on base + span(directions).
+
+    M c = -b (see _slice_model) takes its min-norm solution, so a zero
+    direction or two parallel ones get coefficient mass only where it lowers
+    E, and a one-direction step is clipped to [lower, upper].
+
+    Returns (c, E(base), b, M), or None when the directional derivatives at
+    the result fail the searches' stopping test, tol * (1 + |E(base)|), so
+    that the caller falls back to a search. Raises NonConvexityError when M
+    is clearly indefinite: an eigenvalue below -INDEFINITE_TOL times the
+    largest magnitude and below the gradient roundoff.
+    """
+    e0, slope, curvature, roundoff = _slice_model(objective, base, directions)
+    k = len(directions)
+    eigvals, eigvecs = np.linalg.eigh(curvature)
+    top = max(-eigvals[0], eigvals[-1])
+    if eigvals[0] < -max(INDEFINITE_TOL * top, roundoff):
+        raise NonConvexityError(
+            f"slice curvature has eigenvalue {eigvals[0]:.3e} "
+            f"(largest magnitude {top:.3e})"
+        )
+    keep = eigvals > k * _EPS * top
+    basis = eigvecs[:, keep]
+    c = basis @ ((basis.T @ -slope) / eigvals[keep]) + 0.0  # + 0.0: no -0.0
+    if k == 1:
+        c[0] = min(max(c[0], lower), upper)
+
+    point = base + c[0] * directions[0]
+    for c_i, d_i in zip(c[1:], directions[1:]):
+        point = point + c_i * d_i
+    grad = objective.gradient(point)
+    dtol = tol * (1.0 + abs(e0))
+    for c_i, d_i in zip(c, directions):
+        s = float(np.dot(grad, d_i))
+        if c_i == lower:
+            ok = s >= -dtol
+        elif c_i == upper:
+            ok = s <= dtol
+        else:
+            ok = abs(s) <= dtol
+        if not ok:
+            return None
+    return c, e0, slope, curvature
+
+
+def _model_value(e0: float, slope, curvature, c) -> float:
+    return e0 + float(slope @ c) + 0.5 * float(c @ curvature @ c)
+
+
+def _line_minimum(e0: float, slope: float, curvature: float) -> float:
+    """min over t of e0 + slope * t + curvature * t**2 / 2 (min-norm t when
+    the curvature vanishes)."""
+    if curvature <= 0.0:
+        return e0
+    return e0 - 0.5 * slope * slope / curvature
+
+
+def minimize_on_slice(
+    objective: Objective,
+    base: np.ndarray,
+    directions,
+    lower: float = -math.inf,
+    upper: float = math.inf,
+    tol: float = DERIVATIVE_TOL,
+    max_sweeps: int = FREE_RELAX_SWEEPS,
+) -> SliceResult:
+    """Minimize E(base + sum_i c_i d_i) over the slice an update rule names.
+
+    One direction: c in [lower, upper], with lower finite, or the whole line
+    (lower = -inf, upper = inf). Two directions: the free-relaxation plane,
+    directions = (base, atom) with no bounds; the coefficients (-w, lam)
+    give the point (1 - w) base + lam atom.
+
+    A quadratic objective (`objective.quadratic`) is solved in closed form
+    from one gradient per direction; a result that fails the first-order
+    test falls back to the search below. Other objectives go straight to
+    derivative bisection (`line_search_ray` on [lower, upper],
+    `line_search_real` on the line) or, on the plane, to
+    `minimize_free_relaxation`.
+    """
+    directions = tuple(directions)
+    unbounded = lower == -math.inf and upper == math.inf
+    if len(directions) == 2:
+        if not unbounded or not np.array_equal(directions[0], base):
+            raise ValueError(
+                "a two-direction slice is the free-relaxation plane: "
+                "directions (base, atom) and no bounds"
+            )
+        res = minimize_free_relaxation(
+            objective, base, directions[1], tol, max_sweeps
+        )
+        return SliceResult(np.array([-res.w, res.lam]), res.energy)
+    if len(directions) != 1:
+        raise ValueError(f"slices have one or two directions, got {len(directions)}")
+    if not (unbounded or (math.isfinite(lower) and lower <= upper)):
+        raise ValueError(f"unsupported slice bounds [{lower}, {upper}]")
+
+    if objective.quadratic:
+        step = _quadratic_step(objective, base, directions, lower, upper, tol)
+        if step is not None:
+            c, *model = step
+            return SliceResult(c, _model_value(*model, c))
+
+    (d,) = directions
+
+    def phi(c):
+        return objective.value(base + c * d)
+
+    def dphi(c):
+        return float(np.dot(objective.gradient(base + c * d), d))
+
+    if unbounded:
+        res = line_search_real(phi, tol, dphi)
+    else:
+        res = line_search_ray(phi, lower, upper, tol, dphi)
+    return SliceResult(np.array([res.argmin]), res.value)
+
+
+@dataclass
 class FreeRelaxationResult:
     lam: float
     w: float
@@ -188,7 +347,31 @@ def minimize_free_relaxation(
     absorbed by lam and 1 - w). Starts from the better of the pure single-atom
     step (w = 0) and the restart (w = 1), so the returned energy never exceeds
     either; each sweep must be non-increasing.
+
+    A quadratic objective is solved as the 2x2 system of the plane
+    base + span(base, atom) instead, with no sweeps; the single-atom and
+    restart energies are read from the same quadratic model. A zero base or
+    an atom parallel to it gets the min-norm (w, lam), so w = 0 at base = 0.
     """
+    if objective.quadratic:
+        step = _quadratic_step(
+            objective, base, (base, atom), -math.inf, math.inf, tol
+        )
+        if step is not None:
+            c, e0, b, m = step
+            # the single-atom step sits at w = 0, the restart at w = 1
+            best_step = _line_minimum(e0, b[1], m[1, 1])
+            restart = _line_minimum(
+                e0 - b[0] + 0.5 * m[0, 0], b[1] - m[0, 1], m[1, 1]
+            )
+            return FreeRelaxationResult(
+                float(c[1]),
+                0.0 - float(c[0]),  # 0.0 - c: no -0.0 when c = 0
+                _model_value(e0, b, m, c),
+                0,
+                best_step,
+                restart,
+            )
 
     def energy_at(alpha: float, lam: float) -> float:
         return objective.value(alpha * base + lam * atom)

@@ -79,6 +79,9 @@ class Objective:
     sublevel_radius: Optional[float] = None
     norm: Callable[[np.ndarray], float] = l2_norm
     label: str = ""
+    # E is a quadratic function: the relaxed rules' slice problems are then
+    # solved in closed form (see inner_solvers.minimize_on_slice).
+    quadratic: bool = False
     # Optional closed-form minimizer over span(columns); see minimize_subspace.
     subspace_hook: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False, repr=False
@@ -142,6 +145,7 @@ def make_least_squares(target: np.ndarray) -> Objective:
         sublevel_radius=2.0 * l2_norm(y),
         norm=l2_norm,
         label="least_squares",
+        quadratic=True,
         subspace_hook=subspace_hook,
     )
 
@@ -224,7 +228,8 @@ def make_norm_power(
             gamma = _calibrate_gamma(value, dim, radius, norm, q)
 
     hook = None
-    if r == 2.0 and q == 2.0:
+    quadratic = r == 2.0 and q == 2.0
+    if quadratic:
         # ||f - Bc||_2^2 minimizes at the least-squares solution.
         def hook(basis: np.ndarray) -> np.ndarray:
             coef, *_ = np.linalg.lstsq(basis, f, rcond=None)
@@ -238,6 +243,7 @@ def make_norm_power(
         sublevel_radius=radius,
         norm=norm,
         label=f"norm_power(r={r}, q={q})",
+        quadratic=quadratic,
         subspace_hook=hook,
     )
 

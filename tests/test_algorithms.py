@@ -1,7 +1,10 @@
 """Greedy run loop, update rules, and trace bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedyopt.dictionaries import (
     Atom,
@@ -23,6 +26,7 @@ from greedyopt.algorithms import (
     WeaknessSequence,
     run_greedy,
 )
+from greedyopt.inner_solvers import minimize_on_slice
 from greedyopt.objectives import l2_norm, make_least_squares
 
 from oracles import free_relaxation_joint_minimum, quadratic_ray_minimum
@@ -273,6 +277,69 @@ def test_reduced_step_validates_b():
         ReducedStep(0.0)
     with pytest.raises(ValueError):
         ReducedStep(1.5)
+
+
+# ---------------------------------------------------------------------------
+# closed-form slice steps against the searches they replace
+
+# rule -> the slice it minimizes from the previous point P along the atom,
+# and the point a slice coefficient vector c gives
+_SLICES = {
+    "wrga": (
+        ConvexRelaxation(),
+        lambda P, phi: (P, (phi - P,), 0.0, 1.0),
+        lambda P, phi, c: P + c[0] * (phi - P),
+    ),
+    "wgafr": (
+        FreeRelaxation(),
+        lambda P, phi: (P, (P, phi), -np.inf, np.inf),
+        lambda P, phi, c: (1.0 + c[0]) * P + c[1] * phi,
+    ),
+    "best_step": (
+        BestStep(),
+        lambda P, phi: (P, (phi,), 0.0, np.inf),
+        lambda P, phi, c: P + c[0] * phi,
+    ),
+    "reduced_step": (
+        ReducedStep(0.5),
+        lambda P, phi: (P, (phi,), 0.0, np.inf),
+        lambda P, phi, c: P + c[0] * phi,
+    ),
+    "fixed_relaxation": (
+        FixedRelaxation(0.25),
+        lambda P, phi: (0.75 * P, (phi,), -np.inf, np.inf),
+        lambda P, phi, c: 0.75 * P + c[0] * phi,
+    ),
+}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 8),
+    n=st.integers(2, 12),
+    name=st.sampled_from(sorted(_SLICES)),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_steps_never_worse_than_searches(seed, k, n, name):
+    rng = np.random.default_rng(seed)
+    dic = FiniteDictionary.from_matrix(rng.standard_normal((k, n)))
+    obj = make_least_squares(rng.standard_normal(k))
+    searched = dataclasses.replace(obj, quadratic=False)
+    rule, slice_of, point_of = _SLICES[name]
+    trace = run_greedy(obj, dic, 1.0, rule, StopRule(max_m=6, sup_tol=-1.0))
+    prev = np.zeros(k)
+    for rec in trace.records:
+        phi = dic.realize(rec.atom)
+        base, directions, lower, upper = slice_of(prev, phi)
+        c = minimize_on_slice(searched, base, directions, lower, upper).coefficients
+        e_search = obj.value(point_of(prev, phi, c))
+        if name == "reduced_step":
+            # the trace applies half the step; compare the slice minima
+            e_exact = obj.value(prev + (rec.lam / 0.5) * phi)
+        else:
+            e_exact = rec.energy
+        assert e_exact <= e_search + 1e-12 * (1.0 + abs(e_search))
+        prev = rec.approximant.point
 
 
 # ---------------------------------------------------------------------------

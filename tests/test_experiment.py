@@ -42,7 +42,7 @@ from greedyopt.experiment import (
     signal_coefficients,
     validate_config,
 )
-from greedyopt.instances import gen_compressed_sensing
+from greedyopt.instances import gen_compressed_sensing, verify_certificate
 from greedyopt.objectives import make_least_squares
 from greedyopt.theory import verify_recurrence
 
@@ -164,7 +164,7 @@ def test_build_weakness():
 
 
 def test_build_stop_defaults_and_reference():
-    objective, dictionary, certificate = build_instance(cfg())
+    objective, dictionary, certificate, _ = build_instance(cfg())
     stop = build_stop({"max_m": 7}, certificate)
     assert stop == StopRule(max_m=7, sup_tol=1e-10, gap_tol=None, reference=0.0)
     stop = build_stop({"gap_tol": 1e-9, "reference": 0.25}, certificate)
@@ -172,13 +172,16 @@ def test_build_stop_defaults_and_reference():
 
 
 def test_build_instance_kinds():
-    objective, dictionary, certificate = build_instance(cfg())
+    objective, dictionary, certificate, target = build_instance(cfg())
     assert objective.dimension == 16 and dictionary.size == 64
-    objective, dictionary, certificate = build_instance(
+    verify_certificate(dictionary, target, certificate)
+    objective, dictionary, certificate, target = build_instance(
         {"instance": "low_rank", "algorithm": "wcga", "seed": 0, "n": 6, "rank": 2}
     )
     assert objective.dimension == 36 and dictionary.ambient_dim == 36
-    objective, dictionary, certificate = build_instance(
+    assert target.shape == (36,)
+    verify_certificate(dictionary, target, certificate)
+    objective, dictionary, certificate, target = build_instance(
         {
             "instance": "lp_approx",
             "algorithm": "wcga",
@@ -189,6 +192,7 @@ def test_build_instance_kinds():
         }
     )
     assert objective.dimension == 8 and dictionary.size == 32
+    verify_certificate(dictionary, target, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +323,7 @@ def test_signal_coefficients_merges_repeated_atoms():
 
 
 def test_sample_sublevel_triple_contract():
-    objective, _, _ = build_instance(cfg())
+    objective, _, _, _ = build_instance(cfg())
     rng = np.random.default_rng(0)
     for _ in range(200):
         x, y, u = sample_sublevel_triple(objective, rng)

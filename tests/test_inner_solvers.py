@@ -1,5 +1,7 @@
-"""Line searches, free relaxation, and the Chebyshev subspace solver."""
+"""Line searches, free relaxation, slice solves and the Chebyshev subspace
+solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,16 +10,18 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from greedyopt.inner_solvers import (
+    DERIVATIVE_TOL,
     NonConvexityError,
     SubspaceToleranceError,
     UnboundedBelowError,
     line_search_ray,
     line_search_real,
     minimize_free_relaxation,
+    minimize_on_slice,
     minimize_subspace,
     minimize_unit_interval,
 )
-from greedyopt.objectives import make_least_squares, make_norm_power
+from greedyopt.objectives import Objective, make_least_squares, make_norm_power
 
 from oracles import (
     free_relaxation_joint_minimum,
@@ -201,6 +205,171 @@ def test_free_relaxation_parallel_directions():
     atom = np.array([1.0, 0.0])
     res = minimize_free_relaxation(make_least_squares(y), base, atom)
     assert res.energy == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# slice solves: closed form for quadratic objectives
+
+
+def _ls_slice(seed, dim=6):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(dim)
+    g = rng.standard_normal(dim)
+    phi = rng.standard_normal(dim)
+    return y, g, phi / np.linalg.norm(phi)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_slice_ray_matches_closed_form(seed):
+    y, g, phi = _ls_slice(seed)
+    res = minimize_on_slice(make_least_squares(y), g, (phi,), 0.0, math.inf)
+    c_star, v_star = quadratic_ray_minimum(y, g, phi)
+    assert res.coefficients[0] == pytest.approx(c_star, abs=1e-12 * (1 + abs(c_star)))
+    assert res.energy == pytest.approx(v_star, abs=1e-12 * (1 + v_star))
+    if c_star == 0.0:
+        assert res.coefficients[0] == 0.0  # clipped at the ray's start
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_slice_line_matches_closed_form(seed):
+    y, g, phi = _ls_slice(seed)
+    res = minimize_on_slice(make_least_squares(y), g, (phi,))
+    c_star, v_star = quadratic_line_minimum(y, g, phi)
+    assert res.coefficients[0] == pytest.approx(c_star, abs=1e-12 * (1 + abs(c_star)))
+    assert res.energy == pytest.approx(v_star, abs=1e-12 * (1 + v_star))
+
+
+@pytest.mark.parametrize("vertex", [-0.5, 0.25, 3.0])
+def test_slice_unit_interval_clips_at_each_end(vertex):
+    # E(g + c phi) has its unconstrained vertex at c = vertex
+    y = np.array([1.0, 2.0, -1.0])
+    phi = np.array([0.0, 0.6, 0.8])
+    g = y - vertex * phi
+    res = minimize_on_slice(make_least_squares(y), g, (phi,), 0.0, 1.0)
+    c_line, _ = quadratic_line_minimum(y, g, phi)
+    expected = min(max(c_line, 0.0), 1.0)
+    assert res.coefficients[0] == pytest.approx(expected, abs=1e-12)
+    if vertex < 0.0:
+        assert res.coefficients[0] == 0.0
+    if vertex > 1.0:
+        assert res.coefficients[0] == 1.0
+
+
+def test_slice_plane_zero_base_is_line_search():
+    y, _, phi = _ls_slice(11)
+    zero = np.zeros_like(y)
+    res = minimize_on_slice(make_least_squares(y), zero, (zero, phi))
+    _, lam, v_star = free_relaxation_joint_minimum(y, zero, phi)
+    assert res.coefficients[0] == 0.0  # min-norm: w = 0
+    assert res.coefficients[1] == pytest.approx(lam, abs=1e-12)
+    assert res.energy == pytest.approx(v_star, abs=1e-12)
+
+
+def test_slice_plane_parallel_atom_takes_min_norm_step():
+    y = np.array([3.0, 1.0, 0.0])
+    phi = np.array([0.6, 0.8, 0.0])
+    base = 2.0 * phi
+    res = minimize_on_slice(make_least_squares(y), base, (base, phi))
+    _, _, v_star = free_relaxation_joint_minimum(y, base, phi)
+    minus_w, lam = res.coefficients
+    point = (1.0 + minus_w) * base + lam * phi
+    assert make_least_squares(y).value(point) == pytest.approx(v_star, abs=1e-12)
+    # base + c1 base + c2 phi only depends on 2 c1 + c2; the min-norm c is
+    # the multiple of (2, 1)
+    assert minus_w == pytest.approx(2.0 * lam, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_slice_plane_matches_normal_equations(seed):
+    y, base, phi = _ls_slice(seed)
+    obj = make_least_squares(y)
+    res = minimize_on_slice(obj, base, (base, phi))
+    alpha, lam, v_star = free_relaxation_joint_minimum(y, base, phi)
+    assert 1.0 + res.coefficients[0] == pytest.approx(alpha, abs=1e-10)
+    assert res.coefficients[1] == pytest.approx(lam, abs=1e-10)
+    assert res.energy == pytest.approx(v_star, abs=1e-12)
+    full = minimize_free_relaxation(obj, base, phi)
+    assert full.sweeps == 0
+    assert full.energy <= full.best_step_energy + 1e-12
+    assert full.energy <= full.restart_energy + 1e-12
+    _, v_best = quadratic_line_minimum(y, base, phi)
+    _, v_restart = quadratic_line_minimum(y, np.zeros_like(y), phi)
+    assert full.best_step_energy == pytest.approx(v_best, abs=1e-12)
+    assert full.restart_energy == pytest.approx(v_restart, abs=1e-12)
+
+
+def _quartic(y):
+    """E(x) = ||x - y||^4 / 4: convex, but not the quadratic it claims."""
+    def value(x):
+        d = x - y
+        return 0.25 * float(d @ d) ** 2
+
+    def grad(x):
+        d = x - y
+        return float(d @ d) * d
+
+    return Objective(len(y), value, grad, label="quartic", quadratic=True)
+
+
+@pytest.mark.parametrize(
+    "bounds", [(0.0, math.inf), (-math.inf, math.inf), (0.0, 1.0)]
+)
+def test_slice_misdeclared_quadratic_falls_back(bounds):
+    y = np.array([2.0, -1.0, 0.5])
+    obj = _quartic(y)
+    honest = dataclasses.replace(obj, quadratic=False)
+    base = np.zeros(3)
+    d = np.array([0.3, -0.2, 0.1])
+    res = minimize_on_slice(obj, base, (d,), *bounds)
+    c = res.coefficients[0]
+    assert c == minimize_on_slice(honest, base, (d,), *bounds).coefficients[0]
+    # the returned step passes the first-order test of the searches
+    slope = float(np.dot(obj.gradient(base + c * d), d))
+    dtol = DERIVATIVE_TOL * (1.0 + abs(obj.value(base)))
+    if c == bounds[0]:
+        assert slope >= -dtol
+    elif c == bounds[1]:
+        assert slope <= dtol
+    else:
+        assert abs(slope) <= dtol
+
+
+def test_slice_misdeclared_quadratic_plane_falls_back():
+    y = np.array([2.0, -1.0, 0.5])
+    obj = _quartic(y)
+    base = np.array([0.5, 0.5, 0.0])
+    atom = np.array([0.0, 0.6, 0.8])
+    res = minimize_on_slice(obj, base, (base, atom))
+    searched = minimize_free_relaxation(
+        dataclasses.replace(obj, quadratic=False), base, atom
+    )
+    assert list(res.coefficients) == [-searched.w, searched.lam]
+    assert res.energy == searched.energy
+
+
+def test_slice_indefinite_curvature_raises():
+    concave = Objective(
+        2,
+        lambda x: -0.5 * float(x @ x),
+        lambda x: -x,
+        label="concave",
+        quadratic=True,
+    )
+    with pytest.raises(NonConvexityError):
+        minimize_on_slice(concave, np.ones(2), (np.array([1.0, 0.0]),), 0.0, 1.0)
+
+
+def test_slice_rejects_unsupported_shapes():
+    obj = make_least_squares(np.ones(2))
+    base, d = np.ones(2), np.array([1.0, 0.0])
+    with pytest.raises(ValueError):  # a plane must contain base's own ray
+        minimize_on_slice(obj, base, (d, d))
+    with pytest.raises(ValueError):  # bounded plane
+        minimize_on_slice(obj, base, (base, d), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        minimize_on_slice(obj, base, (d, d, d))
+    with pytest.raises(ValueError):  # half-line bounded above only
+        minimize_on_slice(obj, base, (d,), -math.inf, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -359,3 +359,13 @@ def test_declared_envelope_dominates_samples():
         for k in range(0, 11):
             u = 2.0**-k
             assert empirical_modulus(obj, u, 200) <= gamma * u**q + 1e-9
+
+
+def test_quadratic_flag_marks_exactly_the_quadratic_factories():
+    y = np.array([1.0, -2.0, 0.5])
+    assert make_least_squares(y).quadratic
+    assert make_norm_power(y, 2.0, 2.0).quadratic
+    assert not make_norm_power(y, 3.0, 1.5).quadratic
+    assert not make_norm_power(y, 4.0, 2.0).quadratic
+    assert not make_norm_power(y, 2.0, 1.5).quadratic
+    assert not make_logistic(np.array([1.0, -1.0]), np.eye(2, 3), 0.1).quadratic
