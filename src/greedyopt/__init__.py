@@ -33,7 +33,6 @@ from .dictionaries import (
     synthesis_l1,
 )
 from .inner_solvers import (
-    FreeRelaxationResult,
     LineSearchError,
     LineSearchResult,
     NonConvexityError,
@@ -41,12 +40,9 @@ from .inner_solvers import (
     SubspaceResult,
     SubspaceToleranceError,
     UnboundedBelowError,
-    line_search_ray,
-    line_search_real,
-    minimize_free_relaxation,
+    line_search,
     minimize_on_slice,
     minimize_subspace,
-    minimize_unit_interval,
 )
 from .algorithms import (
     BestStep,

@@ -12,10 +12,13 @@ variant), then move according to the update rule:
   FixedRelaxation  G_m = (1 - r_m) G_{m-1} + c phi, c from line search
   Prescribed       G_m = G_{m-1} + c_m phi with c_m given up front
 
-The four line-search and relaxation rules each name a slice (a segment, a
-ray, a line or the plane span{G_{m-1}, phi}) and hand it to
-`inner_solvers.minimize_on_slice`, which solves it in closed form when the
-objective is quadratic and by the scalar searches otherwise.
+Selection is `select_gradient_greedy` for every gradient rule; the convex
+relaxation certifies the functional shifted by -G, <-E'(G), phi - G>. The
+five line-search and relaxation rules each name a slice (a segment, a ray, a
+line or the plane span{G_{m-1}, phi}) and hand it to
+`inner_solvers.minimize_on_slice`, together with E(G) and E'(G) when the
+slice starts at G. Only the Chebyshev span solve, `minimize_subspace`, is
+separate.
 
 Traces record per-iteration energies, selection certificates, step data,
 synthesis l1 mass, and wall time.
@@ -25,7 +28,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,14 +37,11 @@ from .dictionaries import (
     Dictionary,
     FiniteDictionary,
     SelectionCertificate,
-    WeaknessCertificationError,
     select_e_greedy_fixed,
     select_gradient_greedy,
     synthesis_l1,
 )
 from .inner_solvers import (
-    DERIVATIVE_TOL,
-    FREE_RELAX_SWEEPS,
     SUBSPACE_TOL,
     LineSearchError,
     SubspaceToleranceError,
@@ -139,7 +139,7 @@ class WeaknessSequence:
         raise ValueError(f"unknown weakness kind {self.kind!r}")
 
 
-WeaknessLike = Union[WeaknessSequence, float, Sequence[float], Callable[[int], float]]
+WeaknessLike = Union[WeaknessSequence, float, Sequence[float]]
 
 
 def as_weakness(spec: WeaknessLike) -> WeaknessSequence:
@@ -147,13 +147,6 @@ def as_weakness(spec: WeaknessLike) -> WeaknessSequence:
         return spec
     if isinstance(spec, (int, float)):
         return WeaknessSequence.constant(float(spec))
-    if callable(spec):
-        # wrap arbitrary callables as an unbounded "power"-style accessor
-        class _CallableSeq(WeaknessSequence):
-            def t(self, m: int) -> float:  # type: ignore[override]
-                return float(spec(m))
-
-        return _CallableSeq(kind="constant")
     return WeaknessSequence.from_list(spec)
 
 
@@ -179,24 +172,22 @@ class Chebyshev:
 
 @dataclass(frozen=True)
 class ConvexRelaxation:
-    tol: float = DERIVATIVE_TOL
+    """wrga: G_m = (1 - lam) G_{m-1} + lam phi with the best lam in [0, 1]."""
 
 
 @dataclass(frozen=True)
 class FreeRelaxation:
-    tol: float = DERIVATIVE_TOL
-    max_sweeps: int = FREE_RELAX_SWEEPS
+    """wgafr: G_m = (1 - w) G_{m-1} + lam phi with the best (w, lam)."""
 
 
 @dataclass(frozen=True)
 class BestStep:
-    tol: float = DERIVATIVE_TOL
+    """G_m = G_{m-1} + c phi with the best c >= 0."""
 
 
 @dataclass(frozen=True)
 class ReducedStep:
     b: float = 0.5
-    tol: float = DERIVATIVE_TOL
 
     def __post_init__(self):
         if not (0.0 < self.b < 1.0):
@@ -206,7 +197,6 @@ class ReducedStep:
 @dataclass(frozen=True)
 class FixedRelaxation:
     schedule: object = 0.0  # r_m in [0, 1): scalar, sequence, or callable
-    tol: float = DERIVATIVE_TOL
 
 
 @dataclass(frozen=True)
@@ -338,7 +328,8 @@ def run_greedy(
     for m in range(1, stop.max_m + 1):
         t0 = time.perf_counter_ns()
         t_m = tau.t(m)
-        direction = -objective.gradient(G)
+        gradient = objective.gradient(G)
+        direction = -gradient
 
         try:
             # --- selection -------------------------------------------------
@@ -352,26 +343,15 @@ def run_greedy(
                 cert = SelectionCertificate(
                     atom, score, float("nan"), t_m, float("nan")
                 )
-            elif isinstance(rule, ConvexRelaxation):
-                # selection functional is shifted by -G; the shift is constant
-                # over the dictionary so the argmax atom is the plain one, but
-                # score/reference must include it.
-                value, atom, upper, converged = dictionary.certified_sup(direction)
-                shift = float(np.dot(direction, G))
-                reference = (value if converged else upper) - shift
-                score = float(np.dot(direction, dictionary.realize(atom))) - shift
-                if score < t_m * reference - 1e-10:
-                    raise WeaknessCertificationError(
-                        f"shifted score {score:.6e} < t * reference "
-                        f"= {t_m * reference:.6e}"
-                    )
-                ratio = 1.0 if reference == 0.0 else score / reference
-                cert = SelectionCertificate(
-                    atom, score, reference, t_m, ratio, converged
-                )
-                sup_for_stop = reference
             else:
-                cert = select_gradient_greedy(dictionary, direction, t_m)
+                # wrga's functional is shifted by -G: the same argmax atom,
+                # but score and reference include the shift
+                shift = (
+                    float(np.dot(direction, G))
+                    if isinstance(rule, ConvexRelaxation)
+                    else 0.0
+                )
+                cert = select_gradient_greedy(dictionary, direction, t_m, shift)
                 sup_for_stop = cert.reference
 
             if sup_for_stop is not None and sup_for_stop <= stop.sup_tol:
@@ -404,22 +384,22 @@ def run_greedy(
             elif isinstance(rule, ConvexRelaxation):
                 delta = phi - G
                 (lam,) = minimize_on_slice(
-                    objective, G, (delta,), 0.0, 1.0, rule.tol
+                    objective, G, (delta,), 0.0, 1.0, e_prev, gradient
                 ).coefficients.tolist()
                 G = G + lam * delta
                 terms = [(a, (1.0 - lam) * c) for a, c in terms]
                 terms.append((atom, lam))
             elif isinstance(rule, FreeRelaxation):
                 minus_w, lam = minimize_on_slice(
-                    objective, G, (G, phi), tol=rule.tol, max_sweeps=rule.max_sweeps
+                    objective, G, (G, phi), energy=e_prev, gradient=gradient
                 ).coefficients.tolist()
-                w_or_r = -minus_w
+                w_or_r = 0.0 - minus_w  # 0.0 - c: no -0.0 when c = 0
                 G = (1.0 - w_or_r) * G + lam * phi
                 terms = [(a, (1.0 - w_or_r) * c) for a, c in terms]
                 terms.append((atom, lam))
             elif isinstance(rule, (BestStep, ReducedStep)):
                 (lam,) = minimize_on_slice(
-                    objective, G, (phi,), 0.0, np.inf, rule.tol
+                    objective, G, (phi,), 0.0, np.inf, e_prev, gradient
                 ).coefficients.tolist()
                 if isinstance(rule, ReducedStep):
                     lam *= rule.b
@@ -432,7 +412,7 @@ def run_greedy(
                     raise ValueError(f"r_m must be in [0, 1), got {r_m}")
                 base = (1.0 - r_m) * G
                 (lam,) = minimize_on_slice(
-                    objective, base, (phi,), tol=rule.tol
+                    objective, base, (phi,)
                 ).coefficients.tolist()
                 w_or_r = r_m
                 G = base + lam * phi

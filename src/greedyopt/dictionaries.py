@@ -151,10 +151,6 @@ class FiniteDictionary:
         sign = 1 if scores[j] >= 0.0 else -1
         return value, Atom(j, sign), value, True
 
-    def sup_inner_product(self, w: np.ndarray):
-        value, atom, _, _ = self.certified_sup(w)
-        return value, atom
-
 
 def power_top_singular(
     W: np.ndarray,
@@ -260,30 +256,32 @@ class RankOneDictionary:
         )
         return sigma, Atom(-1, 1, (u, v)), upper, converged
 
-    def sup_inner_product(self, w: np.ndarray):
-        value, atom, _, _ = self.certified_sup(w)
-        return value, atom
-
 
 Dictionary = FiniteDictionary | RankOneDictionary
 
 
 def select_gradient_greedy(
-    dictionary: Dictionary, direction: np.ndarray, weakness: float
+    dictionary: Dictionary,
+    direction: np.ndarray,
+    weakness: float,
+    shift: float = 0.0,
 ) -> SelectionCertificate:
-    """Pick an atom with <direction, g> >= weakness * sup, certified.
+    """Pick an atom with <direction, g> - shift >= weakness * (sup - shift),
+    certified.
 
-    direction is -E'(G) in the greedy drivers. For finite dictionaries the
-    argmax is exact (ratio 1). For rank-one, a converged power iteration
-    certifies against its Rayleigh value; if the cap was hit unconverged, the
-    certificate is checked against the Frobenius upper bound and the selection
-    fails loudly when weakness cannot be certified.
+    direction is -E'(G) in the greedy drivers; the convex relaxation passes
+    shift = <direction, G>, which is constant over the dictionary, so it
+    moves score and reference but not the selected atom. For finite
+    dictionaries the argmax is exact (ratio 1). For rank-one, a converged
+    power iteration certifies against its Rayleigh value; if the cap was hit
+    unconverged, the certificate is checked against the Frobenius upper bound
+    and the selection fails loudly when weakness cannot be certified.
     """
     if not (0.0 < weakness <= 1.0):
         raise ValueError(f"weakness must be in (0, 1], got {weakness}")
     value, atom, upper, converged = dictionary.certified_sup(direction)
-    score = float(np.dot(direction, dictionary.realize(atom)))
-    reference = value if converged else upper
+    score = float(np.dot(direction, dictionary.realize(atom))) - shift
+    reference = (value if converged else upper) - shift
     ratio = 1.0 if reference == 0.0 else score / reference
     if score < weakness * reference - WEAKNESS_SLACK:
         raise WeaknessCertificationError(
@@ -306,7 +304,7 @@ def select_e_greedy(
     its negation reach the same minimum, so the positive-sign atom is always
     reported and c carries the sign; ties break to the lowest index.
     """
-    from .inner_solvers import line_search_real
+    from .inner_solvers import line_search
 
     if not isinstance(dictionary, FiniteDictionary):
         raise UnsupportedDictionaryError(
@@ -324,7 +322,7 @@ def select_e_greedy(
         def dphi_c(c, phi=phi):
             return float(np.dot(objective.gradient(current + c * phi), phi))
 
-        res = line_search_real(phi_c, tol, dphi_c)
+        res = line_search(phi_c, dphi_c, tol=tol)
         if res.value < best_energy:
             best = (atom, res.argmin)
             best_energy = res.value

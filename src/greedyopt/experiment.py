@@ -23,16 +23,19 @@ from .algorithms import (
     FixedRelaxation,
     FreeRelaxation,
     GreedyRunError,
+    MONOTONE_RULES,
     Prescribed,
     ReducedStep,
     RunTrace,
     StopReason,
     StopRule,
+    UpdateRule,
     WeaknessSequence,
     run_greedy,
 )
 from .dictionaries import FiniteDictionary
 from .instances import (
+    CERTIFICATE_TOL,
     SynthesisCertificate,
     gen_compressed_sensing,
     gen_low_rank,
@@ -320,16 +323,28 @@ def collect_invariants(
     objective: Objective,
     dictionary,
     certificate: SynthesisCertificate,
-    target_ok: bool,
+    target: np.ndarray,
     trace: RunTrace,
-    algorithm: str,
+    rule: UpdateRule,
 ) -> dict:
-    invariants = {"certificate": bool(target_ok)}
-    if algorithm in ("wcga", "wrga", "wgafr", "best_step"):
+    # the certificate must synthesize the target and, when the optimum is
+    # known, attain it in the objective: that catches an objective whose own
+    # target is not the planted one
+    try:
+        verify_certificate(dictionary, target, certificate)
+        holds = True
+    except ValueError:
+        holds = False
+    best = certificate.reference_optimum
+    if holds and best is not None:
+        realized = objective.value(certificate.realize(dictionary))
+        holds = realized <= best + CERTIFICATE_TOL
+    invariants = {"certificate": holds}
+    if isinstance(rule, MONOTONE_RULES):
         invariants["monotone"] = monotonicity_defect(trace) <= MONOTONE_TOL
-    if algorithm == "wrga":
+    if isinstance(rule, ConvexRelaxation):
         invariants["l1_confinement"] = l1_defect(trace) <= L1_CONFINEMENT_TOL
-    if algorithm == "wcga":
+    if isinstance(rule, Chebyshev):
         invariants["orthogonality"] = (
             orthogonality_defect(objective, dictionary, trace)
             <= ORTHOGONALITY_TOL
@@ -412,11 +427,6 @@ def _envelope_ratio(
 def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
     config = validate_config(dict(config))
     objective, dictionary, certificate, target = build_instance(config)
-    try:
-        verify_certificate(dictionary, target, certificate)
-        target_ok = True
-    except ValueError:
-        target_ok = False
     rule = build_rule(config)
     stop = build_stop(config, certificate)
     weakness = build_weakness(config)
@@ -430,7 +440,7 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
 
     reference = stop.reference
     invariants = collect_invariants(
-        objective, dictionary, certificate, target_ok, trace, config["algorithm"]
+        objective, dictionary, certificate, target, trace, rule
     )
     if failure is not None:
         invariants["inner_solver"] = False

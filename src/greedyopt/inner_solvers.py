@@ -1,14 +1,13 @@
 """Exact minimizers of E on the small slices the greedy drivers search.
 
 Every relaxed update rule moves to the minimizer of E over a slice
-base + sum_i c_i d_i with one or two directions; `minimize_on_slice` is the
-single entry point. When the objective declares itself quadratic the slice
-problem is solved in closed form from one gradient per direction, and the
-result must pass the same first-order test the searches stop on, or the
-step falls back to the searches. Other objectives go straight to the
-searches: derivative bisection on a ray, an interval or the whole line, and
-alternating line searches on the free-relaxation plane. The Chebyshev rule's
-span solve (`minimize_subspace`) has its own closed-form hook.
+base + sum_i c_i d_i with one or two directions, and `minimize_on_slice` is
+its one solver. A quadratic objective is solved in closed form from one
+gradient per direction; the result must pass the first-order test of the
+searches, or the step falls back to them. Otherwise one direction goes to
+`line_search` (derivative bisection on an interval, a ray or the whole line)
+and the free-relaxation plane to alternating line searches. The Chebyshev
+rule's span solve (`minimize_subspace`) has its own closed-form hook.
 
 All routines assume convexity along the searched directions and verify it
 opportunistically: bracket/derivative inconsistencies raise instead of
@@ -65,28 +64,49 @@ class LineSearchResult:
     evaluations: int
 
 
-def _fd_derivative(phi: Callable[[float], float]) -> Callable[[float], float]:
-    def dphi(c: float) -> float:
-        h = 1e-7 * (1.0 + abs(c))
-        return (phi(c + h) - phi(c - h)) / (2.0 * h)
+def _whole_line(lower: float, upper: float) -> bool:
+    """True for (-inf, inf), False for a finite lower <= upper; raises on
+    any other bounds."""
+    if lower == -math.inf and upper == math.inf:
+        return True
+    if math.isfinite(lower) and lower <= upper:
+        return False
+    raise ValueError(f"unsupported bounds [{lower}, {upper}]")
 
-    return dphi
 
-
-def line_search_ray(
+def line_search(
     phi: Callable[[float], float],
-    lower: float = 0.0,
+    dphi: Callable[[float], float],
+    lower: float = -math.inf,
     upper: float = math.inf,
     tol: float = DERIVATIVE_TOL,
-    dphi: Optional[Callable[[float], float]] = None,
 ) -> LineSearchResult:
-    """Minimize a convex scalar function over [lower, upper].
+    """Minimize a convex scalar function with derivative dphi over
+    [lower, upper]: an interval, a ray (upper = inf) or, with lower = -inf
+    and upper = inf, the whole line.
 
-    Derivative bisection: brackets a sign change by doubling from step 1 (cap
-    2^60), then bisects until either |phi'| <= tol * (1 + |phi(lower)|) or the
+    On the whole line the sign of phi'(0) picks the descent side, and the
+    negative side is searched as the mirrored ray c -> phi(-c). Derivative
+    bisection: brackets a sign change by doubling from step 1 (cap 2^60),
+    then bisects until either |phi'| <= tol * (1 + |phi(lower)|) or the
     bracket width collapses. For quadratics the returned value is within
     O(tol^2) of the true minimum.
     """
+    whole_line = _whole_line(lower, upper)
+    if whole_line:
+        lower = 0.0
+    d_lo = dphi(lower)
+    if whole_line and d_lo > 0.0:
+        mirrored = line_search(
+            lambda c: phi(-c), lambda c: -dphi(-c), 0.0, math.inf, tol
+        )
+        return LineSearchResult(
+            -mirrored.argmin,
+            mirrored.value,
+            -mirrored.derivative,
+            mirrored.evaluations,
+        )
+
     nfev = 0
 
     def f(c):
@@ -94,27 +114,23 @@ def line_search_ray(
         nfev += 1
         return phi(c)
 
-    d = dphi if dphi is not None else _fd_derivative(f)
-    ref = 1.0 + abs(f(lower))
-    dtol = tol * ref
-
-    d_lo = d(lower)
+    v_lo = f(lower)
+    dtol = tol * (1.0 + abs(v_lo))
     if d_lo >= -dtol:
         # convex with nonnegative inward slope: boundary minimum
-        return LineSearchResult(lower, f(lower), d_lo, nfev)
+        return LineSearchResult(lower, v_lo, d_lo, nfev)
 
     if math.isfinite(upper):
-        d_hi = d(upper)
+        d_hi = dphi(upper)
         if d_hi <= dtol:
             return LineSearchResult(upper, f(upper), d_hi, nfev)
         a, b = lower, upper
     else:
         step = 1.0
-        a = lower
-        v_prev = f(lower)
+        a, v_prev = lower, v_lo
         while True:
             b = lower + step
-            d_b = d(b)
+            d_b = dphi(b)
             v_b = f(b)
             if d_b > 0.0:
                 break
@@ -134,7 +150,7 @@ def line_search_ray(
         if b - a <= tol * (1.0 + abs(a) + abs(b)):
             break
         mid = 0.5 * (a + b)
-        d_mid = d(mid)
+        d_mid = dphi(mid)
         if abs(d_mid) <= dtol:
             return LineSearchResult(mid, f(mid), d_mid, nfev)
         if d_mid < 0.0:
@@ -142,83 +158,56 @@ def line_search_ray(
         else:
             b = mid
     c = 0.5 * (a + b)
-    return LineSearchResult(c, f(c), d(c), nfev)
+    return LineSearchResult(c, f(c), dphi(c), nfev)
 
 
-def line_search_real(
-    phi: Callable[[float], float],
-    tol: float = DERIVATIVE_TOL,
-    dphi: Optional[Callable[[float], float]] = None,
-) -> LineSearchResult:
-    """Minimize a convex scalar function over all of R.
+def _along(objective: Objective, point: np.ndarray, d: np.ndarray):
+    """c -> E(point + c d) and its derivative, for `line_search`."""
 
-    Picks the descent side from the sign of phi'(0) and delegates to the ray
-    search (mirrored for the negative side).
-    """
-    d = dphi if dphi is not None else _fd_derivative(phi)
-    if d(0.0) <= 0.0:
-        return line_search_ray(phi, 0.0, math.inf, tol, dphi)
-    mirrored = line_search_ray(
-        lambda c: phi(-c),
-        0.0,
-        math.inf,
-        tol,
-        (lambda c: -d(-c)) if dphi is not None else None,
-    )
-    return LineSearchResult(
-        -mirrored.argmin, mirrored.value, mirrored.derivative, mirrored.evaluations
-    )
+    def phi(c):
+        return objective.value(point + c * d)
 
+    def dphi(c):
+        return float(np.dot(objective.gradient(point + c * d), d))
 
-def minimize_unit_interval(
-    phi: Callable[[float], float],
-    tol: float = DERIVATIVE_TOL,
-    dphi: Optional[Callable[[float], float]] = None,
-) -> LineSearchResult:
-    """Minimize a convex scalar function over [0, 1]."""
-    return line_search_ray(phi, 0.0, 1.0, tol, dphi)
+    return phi, dphi
 
 
 @dataclass
 class SliceResult:
     coefficients: np.ndarray  # c: the minimizer is base + sum_i c_i d_i
     energy: float  # E there (the quadratic model's value on the exact path)
+    sweeps: int = 0  # alternating sweeps on a non-quadratic plane
 
 
-def _slice_model(objective, base, directions):
-    """E(base), b and M of E(base + D c) = E(base) + b.c + c.M c / 2 for a
-    quadratic E, and the roundoff bound on the entries of M.
+def _quadratic_step(objective, base, directions, lower, upper, energy, gradient):
+    """Closed-form minimizer of a quadratic E on base + span(directions).
 
-    b = D^T E'(base) and M_ij = <E'(base + d_j) - E'(base), d_i>,
-    symmetrized: one gradient per direction. The gradients die with this
-    frame, so no dim-sized temporary outlives the model.
+    E(base + D c) = E(base) + b.c + c.M c / 2 with b = D^T E'(base) and
+    M_ij = <E'(base + d_j) - E'(base), d_i>, symmetrized: one gradient per
+    direction, with E(base) and E'(base) evaluated unless given. M c = -b
+    takes its min-norm solution, so a zero direction or two parallel ones
+    get coefficient mass only where it lowers E, and a one-direction step is
+    clipped to [lower, upper].
+
+    Returns None when the directional derivatives at the result fail the
+    searches' stopping test, DERIVATIVE_TOL * (1 + |E(base)|), so that the
+    caller falls back to a search. Raises NonConvexityError when M is
+    clearly indefinite: an eigenvalue below -INDEFINITE_TOL times the
+    largest magnitude and below the gradient roundoff.
     """
-    g = objective.gradient(base)
+    g = objective.gradient(base) if gradient is None else gradient
     slope = np.array([float(np.dot(g, d)) for d in directions])
     diffs = [objective.gradient(base + d) - g for d in directions]
     curvature = np.array([[float(np.dot(h, d)) for h in diffs] for d in directions])
+    curvature = 0.5 * (curvature + curvature.T)
     grad_scale = max(float(np.linalg.norm(h)) for h in diffs)
     grad_scale += 2.0 * float(np.linalg.norm(g))
     roundoff = (
         64.0 * _EPS * grad_scale * max(float(np.linalg.norm(d)) for d in directions)
     )
-    return objective.value(base), slope, 0.5 * (curvature + curvature.T), roundoff
-
-
-def _quadratic_step(objective, base, directions, lower, upper, tol):
-    """Closed-form minimizer of a quadratic E on base + span(directions).
-
-    M c = -b (see _slice_model) takes its min-norm solution, so a zero
-    direction or two parallel ones get coefficient mass only where it lowers
-    E, and a one-direction step is clipped to [lower, upper].
-
-    Returns (c, E(base), b, M), or None when the directional derivatives at
-    the result fail the searches' stopping test, tol * (1 + |E(base)|), so
-    that the caller falls back to a search. Raises NonConvexityError when M
-    is clearly indefinite: an eigenvalue below -INDEFINITE_TOL times the
-    largest magnitude and below the gradient roundoff.
-    """
-    e0, slope, curvature, roundoff = _slice_model(objective, base, directions)
+    del diffs, g  # no dim-sized temporary outlives the model
+    e0 = objective.value(base) if energy is None else energy
     k = len(directions)
     eigvals, eigvecs = np.linalg.eigh(curvature)
     top = max(-eigvals[0], eigvals[-1])
@@ -237,7 +226,7 @@ def _quadratic_step(objective, base, directions, lower, upper, tol):
     for c_i, d_i in zip(c[1:], directions[1:]):
         point = point + c_i * d_i
     grad = objective.gradient(point)
-    dtol = tol * (1.0 + abs(e0))
+    dtol = DERIVATIVE_TOL * (1.0 + abs(e0))
     for c_i, d_i in zip(c, directions):
         s = float(np.dot(grad, d_i))
         if c_i == lower:
@@ -248,19 +237,45 @@ def _quadratic_step(objective, base, directions, lower, upper, tol):
             ok = abs(s) <= dtol
         if not ok:
             return None
-    return c, e0, slope, curvature
+    return SliceResult(
+        c, e0 + float(slope @ c) + 0.5 * float(c @ curvature @ c)
+    )
 
 
-def _model_value(e0: float, slope, curvature, c) -> float:
-    return e0 + float(slope @ c) + 0.5 * float(c @ curvature @ c)
+def _free_relaxation(objective, base, atom) -> SliceResult:
+    """Minimize E(alpha * base + lam * atom) jointly over (alpha, lam) by
+    alternating exact line searches; the coefficients are (alpha - 1, lam).
 
+    Both coordinates are unconstrained. The search starts from the better of
+    the pure single-atom step (alpha = 1) and the restart (alpha = 0), so
+    the returned energy never exceeds either, and each sweep must be
+    non-increasing. A zero base reduces to the line search along the atom.
+    """
+    r_a = line_search(*_along(objective, base, atom))  # alpha = 1
+    if float(np.linalg.norm(base)) == 0.0:
+        return SliceResult(np.array([0.0, r_a.argmin]), r_a.value)
+    r_r = line_search(*_along(objective, 0.0 * base, atom))  # alpha = 0
 
-def _line_minimum(e0: float, slope: float, curvature: float) -> float:
-    """min over t of e0 + slope * t + curvature * t**2 / 2 (min-norm t when
-    the curvature vanishes)."""
-    if curvature <= 0.0:
-        return e0
-    return e0 - 0.5 * slope * slope / curvature
+    if r_a.value <= r_r.value:
+        alpha, lam, energy = 1.0, r_a.argmin, r_a.value
+    else:
+        alpha, lam, energy = 0.0, r_r.argmin, r_r.value
+
+    sweeps = 0
+    for sweeps in range(1, FREE_RELAX_SWEEPS + 1):
+        before = energy
+        alpha = line_search(*_along(objective, lam * atom, base)).argmin
+        res_l = line_search(*_along(objective, alpha * base, atom))
+        lam, energy = res_l.argmin, res_l.value
+
+        if energy > before + 1e-10 * (1.0 + abs(before)):
+            raise NonConvexityError(
+                f"free-relaxation sweep increased energy {before} -> {energy}"
+            )
+        if before - energy <= DERIVATIVE_TOL * (1.0 + abs(before)):
+            break
+
+    return SliceResult(np.array([alpha - 1.0, lam]), energy, sweeps)
 
 
 def minimize_on_slice(
@@ -269,8 +284,8 @@ def minimize_on_slice(
     directions,
     lower: float = -math.inf,
     upper: float = math.inf,
-    tol: float = DERIVATIVE_TOL,
-    max_sweeps: int = FREE_RELAX_SWEEPS,
+    energy: Optional[float] = None,
+    gradient: Optional[np.ndarray] = None,
 ) -> SliceResult:
     """Minimize E(base + sum_i c_i d_i) over the slice an update rule names.
 
@@ -280,154 +295,33 @@ def minimize_on_slice(
     give the point (1 - w) base + lam atom.
 
     A quadratic objective (`objective.quadratic`) is solved in closed form
-    from one gradient per direction; a result that fails the first-order
-    test falls back to the search below. Other objectives go straight to
-    derivative bisection (`line_search_ray` on [lower, upper],
-    `line_search_real` on the line) or, on the plane, to
-    `minimize_free_relaxation`.
+    from one gradient per direction; `energy` and `gradient`, E and E' at
+    base, save two evaluations when the caller has them. A result that fails
+    the first-order test falls back to the search below. Other objectives go
+    straight to `line_search` or, on the plane, to alternating line searches
+    (`SliceResult.sweeps` counts them).
     """
     directions = tuple(directions)
-    unbounded = lower == -math.inf and upper == math.inf
+    whole_line = _whole_line(lower, upper)
     if len(directions) == 2:
-        if not unbounded or not np.array_equal(directions[0], base):
+        if not whole_line or not np.array_equal(directions[0], base):
             raise ValueError(
                 "a two-direction slice is the free-relaxation plane: "
                 "directions (base, atom) and no bounds"
             )
-        res = minimize_free_relaxation(
-            objective, base, directions[1], tol, max_sweeps
-        )
-        return SliceResult(np.array([-res.w, res.lam]), res.energy)
-    if len(directions) != 1:
+    elif len(directions) != 1:
         raise ValueError(f"slices have one or two directions, got {len(directions)}")
-    if not (unbounded or (math.isfinite(lower) and lower <= upper)):
-        raise ValueError(f"unsupported slice bounds [{lower}, {upper}]")
 
-    if objective.quadratic:
-        step = _quadratic_step(objective, base, directions, lower, upper, tol)
-        if step is not None:
-            c, *model = step
-            return SliceResult(c, _model_value(*model, c))
-
-    (d,) = directions
-
-    def phi(c):
-        return objective.value(base + c * d)
-
-    def dphi(c):
-        return float(np.dot(objective.gradient(base + c * d), d))
-
-    if unbounded:
-        res = line_search_real(phi, tol, dphi)
-    else:
-        res = line_search_ray(phi, lower, upper, tol, dphi)
-    return SliceResult(np.array([res.argmin]), res.value)
-
-
-@dataclass
-class FreeRelaxationResult:
-    lam: float
-    w: float
-    energy: float
-    sweeps: int
-    best_step_energy: float  # min over lambda of E(base + lambda * atom), w = 0
-    restart_energy: float  # min over lambda of E(lambda * atom), w = 1
-
-
-def minimize_free_relaxation(
-    objective: Objective,
-    base: np.ndarray,
-    atom: np.ndarray,
-    tol: float = DERIVATIVE_TOL,
-    max_sweeps: int = FREE_RELAX_SWEEPS,
-) -> FreeRelaxationResult:
-    """Minimize E((1 - w) * base + lam * atom) jointly over (lam, w).
-
-    Alternating exact line searches, both coordinates unconstrained (signs are
-    absorbed by lam and 1 - w). Starts from the better of the pure single-atom
-    step (w = 0) and the restart (w = 1), so the returned energy never exceeds
-    either; each sweep must be non-increasing.
-
-    A quadratic objective is solved as the 2x2 system of the plane
-    base + span(base, atom) instead, with no sweeps; the single-atom and
-    restart energies are read from the same quadratic model. A zero base or
-    an atom parallel to it gets the min-norm (w, lam), so w = 0 at base = 0.
-    """
     if objective.quadratic:
         step = _quadratic_step(
-            objective, base, (base, atom), -math.inf, math.inf, tol
+            objective, base, directions, lower, upper, energy, gradient
         )
         if step is not None:
-            c, e0, b, m = step
-            # the single-atom step sits at w = 0, the restart at w = 1
-            best_step = _line_minimum(e0, b[1], m[1, 1])
-            restart = _line_minimum(
-                e0 - b[0] + 0.5 * m[0, 0], b[1] - m[0, 1], m[1, 1]
-            )
-            return FreeRelaxationResult(
-                float(c[1]),
-                0.0 - float(c[0]),  # 0.0 - c: no -0.0 when c = 0
-                _model_value(e0, b, m, c),
-                0,
-                best_step,
-                restart,
-            )
-
-    def energy_at(alpha: float, lam: float) -> float:
-        return objective.value(alpha * base + lam * atom)
-
-    def lam_search(alpha: float) -> LineSearchResult:
-        shifted = alpha * base
-
-        def phi(c):
-            return objective.value(shifted + c * atom)
-
-        def dphi(c):
-            return float(np.dot(objective.gradient(shifted + c * atom), atom))
-
-        return line_search_real(phi, tol, dphi)
-
-    r_a = lam_search(1.0)  # w = 0
-    base_norm = float(np.linalg.norm(base))
-    if base_norm == 0.0:
-        return FreeRelaxationResult(
-            r_a.argmin, 0.0, r_a.value, 0, r_a.value, r_a.value
-        )
-    r_r = lam_search(0.0)  # w = 1
-
-    if r_a.value <= r_r.value:
-        alpha, lam, energy = 1.0, r_a.argmin, r_a.value
-    else:
-        alpha, lam, energy = 0.0, r_r.argmin, r_r.value
-
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        before = energy
-
-        def phi_a(a):
-            return energy_at(a, lam)
-
-        def dphi_a(a):
-            return float(
-                np.dot(objective.gradient(a * base + lam * atom), base)
-            )
-
-        res_a = line_search_real(phi_a, tol, dphi_a)
-        alpha = res_a.argmin
-
-        res_l = lam_search(alpha)
-        lam, energy = res_l.argmin, res_l.value
-
-        if energy > before + 1e-10 * (1.0 + abs(before)):
-            raise NonConvexityError(
-                f"free-relaxation sweep increased energy {before} -> {energy}"
-            )
-        if before - energy <= tol * (1.0 + abs(before)):
-            break
-
-    return FreeRelaxationResult(
-        lam, 1.0 - alpha, energy, sweeps, r_a.value, r_r.value
-    )
+            return step
+    if len(directions) == 2:
+        return _free_relaxation(objective, base, directions[1])
+    res = line_search(*_along(objective, base, directions[0]), lower, upper)
+    return SliceResult(np.array([res.argmin]), res.value)
 
 
 @dataclass
@@ -501,7 +395,7 @@ def minimize_subspace(
                 def dphi(t, col=col):
                     return float(np.dot(objective.gradient(point + t * col), col))
 
-                step = line_search_real(phi, DERIVATIVE_TOL, dphi)
+                step = line_search(phi, dphi)
                 coef[j] += step.argmin
                 point = point + step.argmin * col
                 nit += 1

@@ -116,6 +116,16 @@ class Objective:
         return g
 
 
+def _lstsq_hook(target: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Span solve of ||target - B c||_2: the least-squares coefficients."""
+
+    def hook(basis: np.ndarray) -> np.ndarray:
+        coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
+        return coef
+
+    return hook
+
+
 def make_least_squares(target: np.ndarray) -> Objective:
     """E(x) = 0.5 * ||target - x||_2^2 on R^len(target).
 
@@ -133,10 +143,6 @@ def make_least_squares(target: np.ndarray) -> Objective:
     def grad(x):
         return x - y
 
-    def subspace_hook(basis: np.ndarray) -> np.ndarray:
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        return coef
-
     return Objective(
         dimension=y.shape[0],
         value_fn=value,
@@ -146,7 +152,7 @@ def make_least_squares(target: np.ndarray) -> Objective:
         norm=l2_norm,
         label="least_squares",
         quadratic=True,
-        subspace_hook=subspace_hook,
+        subspace_hook=_lstsq_hook(y),
     )
 
 
@@ -227,14 +233,7 @@ def make_norm_power(
         else:
             gamma = _calibrate_gamma(value, dim, radius, norm, q)
 
-    hook = None
     quadratic = r == 2.0 and q == 2.0
-    if quadratic:
-        # ||f - Bc||_2^2 minimizes at the least-squares solution.
-        def hook(basis: np.ndarray) -> np.ndarray:
-            coef, *_ = np.linalg.lstsq(basis, f, rcond=None)
-            return coef
-
     return Objective(
         dimension=dim,
         value_fn=value,
@@ -244,7 +243,7 @@ def make_norm_power(
         norm=norm,
         label=f"norm_power(r={r}, q={q})",
         quadratic=quadratic,
-        subspace_hook=hook,
+        subspace_hook=_lstsq_hook(f) if quadratic else None,
     )
 
 

@@ -273,32 +273,25 @@ class RateEnvelope:
     def weight_sum(self, m: int) -> float:
         return t_power_sum(self.weakness, self.p, m)
 
-    def value(self, m: int) -> float:
-        s_m = self.weight_sum(m)
+    def _at_sum(self, s_m: float) -> float:
+        """The envelope at weight sum S_m (the formula in the class doc)."""
         if self.kind is EnvelopeKind.WRGA:
             return (1.0 + self.c * s_m) ** (1.0 - self.q)
         kappa = self.q if self.kappa is None else self.kappa
         tail = self.c * self.a_eps**kappa * (self.c_e + s_m) ** (1.0 - self.q)
         return max(2.0 * self.eps, tail)
 
+    def value(self, m: int) -> float:
+        return self._at_sum(self.weight_sum(m))
+
     def values(self, ms: Sequence[int]) -> np.ndarray:
         tau = as_weakness(self.weakness)
         top = int(max(ms))
         sums = np.cumsum([tau.t(m) ** self.p for m in range(1, top + 1)])
-        out = []
-        for m in ms:
-            s_m = sums[int(m) - 1] if m >= 1 else 0.0
-            if self.kind is EnvelopeKind.WRGA:
-                out.append((1.0 + self.c * s_m) ** (1.0 - self.q))
-            else:
-                kappa = self.q if self.kappa is None else self.kappa
-                tail = (
-                    self.c
-                    * self.a_eps**kappa
-                    * (self.c_e + s_m) ** (1.0 - self.q)
-                )
-                out.append(max(2.0 * self.eps, tail))
-        return np.array(out, dtype=float)
+        return np.array(
+            [self._at_sum(sums[int(m) - 1] if m >= 1 else 0.0) for m in ms],
+            dtype=float,
+        )
 
 
 def rate_envelope(

@@ -28,7 +28,7 @@ from greedyopt.experiment import (
     monotonicity_defect,
     orthogonality_defect,
 )
-from greedyopt.inner_solvers import line_search_ray
+from greedyopt.inner_solvers import line_search
 from greedyopt.instances import gen_compressed_sensing, gen_low_rank, gen_lp_approx
 from greedyopt.objectives import make_least_squares, make_norm_power
 from greedyopt.theory import (
@@ -207,7 +207,7 @@ def test_criterion_09_free_relaxation_dominates(grid):
             def slope(c, prev=prev, phi=phi):
                 return float(np.dot(objective.gradient(prev + c * phi), phi))
 
-            res = line_search_ray(value, 0.0, np.inf, 1e-12, slope)
+            res = line_search(value, slope, 0.0, np.inf, 1e-12)
             best = value(res.argmin)
             worst = max(worst, rec.energy - best)
             prev = rec.approximant.point

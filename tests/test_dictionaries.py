@@ -1,5 +1,7 @@
 """Dictionaries, atom selection, and the certified sup machinery."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from greedyopt.dictionaries import (
     FiniteDictionary,
     RankOneDictionary,
     SUP_ITERATION_BUDGET,
+    WEAKNESS_SLACK,
     UnsupportedDictionaryError,
     WeaknessCertificationError,
     power_top_singular,
@@ -133,8 +136,8 @@ def test_sup_symmetry():
     rng = np.random.default_rng(7)
     dic = FiniteDictionary.from_matrix(rng.standard_normal((5, 9)))
     w = rng.standard_normal(5)
-    v_pos, a_pos = dic.sup_inner_product(w)
-    v_neg, a_neg = dic.sup_inner_product(-w)
+    v_pos, a_pos, _, _ = dic.certified_sup(w)
+    v_neg, a_neg, _, _ = dic.certified_sup(-w)
     assert v_pos == v_neg
     assert (a_neg.index, a_neg.sign) == (a_pos.index, -a_pos.sign)
 
@@ -244,6 +247,35 @@ def test_select_gradient_greedy_finite():
     # exact selection dominates any weakness
     weak = select_gradient_greedy(canonical(), np.array([1.0, 2.0]), 0.4)
     assert weak.atom == cert.atom and weak.weakness == 0.4
+
+
+def test_select_gradient_greedy_shift():
+    # the convex relaxation's functional <w, phi - G> has shift = <w, G>
+    cert = select_gradient_greedy(canonical(), np.array([1.0, 2.0]), 0.5, 0.5)
+    assert cert.atom == Atom(1, 1)  # the shift does not move the argmax
+    assert cert.score == 1.5
+    assert cert.reference == 1.5
+    assert cert.ratio == 1.0
+    assert cert.weakness == 0.5
+
+
+@pytest.mark.parametrize("shift", [0.0, -1.0, 0.5])
+def test_select_gradient_greedy_shift_certifies_and_raises(shift):
+    # a capped power iteration certifies against the Frobenius bound: for
+    # the identity, score 1 and reference sqrt(3) before the shift
+    dic = RankOneDictionary(3, max_iter=0)
+    w = np.eye(3).ravel()
+    frob = math.sqrt(3.0)
+    ratio = (1.0 - shift) / (frob - shift)
+    cert = select_gradient_greedy(dic, w, ratio, shift)
+    assert cert.score == pytest.approx(1.0 - shift, abs=1e-12)
+    assert cert.reference == pytest.approx(frob - shift, abs=1e-12)
+    assert cert.ratio == pytest.approx(ratio, abs=1e-12)
+    assert not cert.converged
+    # t * reference - score = 100 * WEAKNESS_SLACK > WEAKNESS_SLACK
+    t = ratio + 100.0 * WEAKNESS_SLACK / (frob - shift)
+    with pytest.raises(WeaknessCertificationError):
+        select_gradient_greedy(dic, w, t, shift)
 
 
 def test_select_gradient_greedy_validates_weakness():

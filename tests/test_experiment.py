@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from greedyopt import experiment
+
 from greedyopt.algorithms import (
     BestStep,
     Chebyshev,
@@ -43,7 +45,7 @@ from greedyopt.experiment import (
     validate_config,
 )
 from greedyopt.instances import gen_compressed_sensing, verify_certificate
-from greedyopt.objectives import make_least_squares
+from greedyopt.objectives import make_least_squares, make_norm_power
 from greedyopt.theory import verify_recurrence
 
 from oracles import omp_normal_equations
@@ -193,6 +195,35 @@ def test_build_instance_kinds():
     )
     assert objective.dimension == 8 and dictionary.size == 32
     verify_certificate(dictionary, target, certificate)
+
+
+LP = {
+    "instance": "lp_approx",
+    "algorithm": "wgafr",
+    "seed": 0,
+    "n": 8,
+    "r": 4.0,
+    "q": 2.0,
+    "max_m": 3,
+}
+
+
+def test_certificate_invariant_checks_the_objectives_target(monkeypatch):
+    assert run_experiment(LP).summary["invariants"]["certificate"]
+    objective, dictionary, certificate, target = build_instance(LP)
+    # the objective's own target moves off the planted one: the certificate
+    # still synthesizes the returned target, but no longer attains E = 0
+    f = target.copy()
+    f[0] += 1e-3
+    perturbed = make_norm_power(f, 4.0, 2.0)
+    monkeypatch.setattr(
+        experiment,
+        "build_instance",
+        lambda config: (perturbed, dictionary, certificate, target),
+    )
+    result = run_experiment(LP)
+    assert result.summary["invariants"]["certificate"] is False
+    assert not result.ok
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Line searches, free relaxation, slice solves and the Chebyshev subspace
-solver."""
+"""Line search, slice solves (free relaxation included) and the Chebyshev
+subspace solver."""
 
 import dataclasses
 import math
@@ -14,12 +14,9 @@ from greedyopt.inner_solvers import (
     NonConvexityError,
     SubspaceToleranceError,
     UnboundedBelowError,
-    line_search_ray,
-    line_search_real,
-    minimize_free_relaxation,
+    line_search,
     minimize_on_slice,
     minimize_subspace,
-    minimize_unit_interval,
 )
 from greedyopt.objectives import Objective, make_least_squares, make_norm_power
 
@@ -38,48 +35,54 @@ def vec(n, lo=-5.0, hi=5.0):
     )
 
 
+def square(center, shift=0.0):
+    """(c - center)^2 + shift and its derivative."""
+    return (lambda c: (c - center) ** 2 + shift), (lambda c: 2.0 * (c - center))
+
+
 # ---------------------------------------------------------------------------
 # ray / interval search
 
 
 def test_ray_quadratic_vertex():
-    res = line_search_ray(lambda c: (c - 3.0) ** 2, 0.0, math.inf)
+    res = line_search(*square(3.0), 0.0, math.inf)
     assert res.argmin == pytest.approx(3.0, abs=1e-8)
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ray_boundary_minimum():
-    res = line_search_ray(lambda c: c * c, 1.0, 2.0)
+    res = line_search(*square(0.0), 1.0, 2.0)
     assert res.argmin == 1.0
     assert res.derivative == pytest.approx(2.0, rel=1e-6)
 
 
 def test_ray_flat_at_origin():
-    res = line_search_ray(lambda c: c * c, 0.0, math.inf)
+    res = line_search(*square(0.0), 0.0, math.inf)
     assert res.argmin == 0.0
     assert res.value == 0.0
 
 
 def test_ray_with_analytic_derivative():
-    res = line_search_ray(
-        lambda c: (c - 7.0) ** 2 + 1.0,
-        0.0,
-        math.inf,
-        dphi=lambda c: 2.0 * (c - 7.0),
-    )
+    res = line_search(*square(7.0, 1.0), 0.0, math.inf)
     assert res.argmin == pytest.approx(7.0, abs=1e-8)
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ray_unbounded_below():
     with pytest.raises(UnboundedBelowError):
-        line_search_ray(lambda c: -c, 0.0, math.inf, dphi=lambda c: -1.0)
+        line_search(lambda c: -c, lambda c: -1.0, 0.0, math.inf)
 
 
 def test_ray_nonconvexity_detected():
     # derivative claims descent while the values rise: inconsistent profile
     with pytest.raises(NonConvexityError):
-        line_search_ray(lambda c: c, 0.0, math.inf, dphi=lambda c: -1.0)
+        line_search(lambda c: c, lambda c: -1.0, 0.0, math.inf)
+
+
+@pytest.mark.parametrize("bounds", [(-math.inf, 0.0), (0.0, -1.0), (math.inf, math.inf)])
+def test_line_search_rejects_unsupported_bounds(bounds):
+    with pytest.raises(ValueError):
+        line_search(*square(1.0), *bounds)
 
 
 @given(y=vec(4), g=vec(4), phi=vec(4))
@@ -97,7 +100,7 @@ def test_ray_matches_quadratic_closed_form(y, g, phi):
     def denergy(c):
         return float(np.dot(phi, g + c * phi - y))
 
-    res = line_search_ray(energy, 0.0, math.inf, dphi=denergy)
+    res = line_search(energy, denergy, 0.0, math.inf)
     assert res.argmin == pytest.approx(c_star, abs=1e-8 * (1.0 + abs(c_star)))
     assert res.value <= v_star + 1e-10 * (1.0 + abs(v_star))
 
@@ -107,17 +110,20 @@ def test_ray_matches_quadratic_closed_form(y, g, phi):
 
 
 def test_real_negative_side():
-    res = line_search_real(lambda c: (c + 2.0) ** 2)
+    phi, dphi = square(-2.0)
+    res = line_search(phi, dphi)
     assert res.argmin == pytest.approx(-2.0, abs=1e-8)
+    # the mirrored search reports phi's own derivative, not the mirror's
+    assert res.derivative == dphi(res.argmin)
 
 
 def test_real_positive_side():
-    res = line_search_real(lambda c: (c - 2.0) ** 2)
+    res = line_search(*square(2.0))
     assert res.argmin == pytest.approx(2.0, abs=1e-8)
 
 
 def test_real_stationary_origin():
-    res = line_search_real(lambda c: c * c)
+    res = line_search(*square(0.0))
     assert res.argmin == 0.0
 
 
@@ -136,7 +142,7 @@ def test_real_matches_quadratic_closed_form(y, g, phi):
     def denergy(c):
         return float(np.dot(phi, g + c * phi - y))
 
-    res = line_search_real(energy, dphi=denergy)
+    res = line_search(energy, denergy)
     assert res.argmin == pytest.approx(c_star, abs=1e-8 * (1.0 + abs(c_star)))
     assert res.value <= v_star + 1e-10 * (1.0 + abs(v_star))
 
@@ -146,20 +152,25 @@ def test_real_matches_quadratic_closed_form(y, g, phi):
 
 
 def test_unit_interval_clipped_vertex():
-    assert minimize_unit_interval(lambda t: (t - 2.0) ** 2).argmin == 1.0
+    assert line_search(*square(2.0), 0.0, 1.0).argmin == 1.0
 
 
 def test_unit_interval_interior_vertex():
-    res = minimize_unit_interval(lambda t: (t - 0.25) ** 2)
+    res = line_search(*square(0.25), 0.0, 1.0)
     assert res.argmin == pytest.approx(0.25, abs=1e-8)
 
 
 def test_unit_interval_monotone():
-    assert minimize_unit_interval(lambda t: t).argmin == 0.0
+    assert line_search(lambda t: t, lambda t: 1.0, 0.0, 1.0).argmin == 0.0
 
 
 # ---------------------------------------------------------------------------
-# free relaxation
+# free relaxation: the plane slice (base, atom), searched and in closed form
+
+
+def both_paths(objective):
+    """The objective as declared, and as one the searches must solve."""
+    return objective, dataclasses.replace(objective, quadratic=False)
 
 
 def test_free_relaxation_matches_normal_equations():
@@ -169,11 +180,11 @@ def test_free_relaxation_matches_normal_equations():
         base = rng.standard_normal(6)
         atom = rng.standard_normal(6)
         atom /= np.linalg.norm(atom)
-        obj = make_least_squares(y)
-        res = minimize_free_relaxation(obj, base, atom)
         _, _, v_star = free_relaxation_joint_minimum(y, base, atom)
-        assert res.energy <= v_star + 1e-8 * (1.0 + abs(v_star))
-        assert res.energy >= v_star - 1e-10  # oracle is the exact minimum
+        for obj in both_paths(make_least_squares(y)):
+            res = minimize_on_slice(obj, base, (base, atom))
+            assert res.energy <= v_star + 1e-8 * (1.0 + abs(v_star))
+            assert res.energy >= v_star - 1e-10  # oracle is the exact minimum
 
 
 def test_free_relaxation_dominates_endpoints():
@@ -182,19 +193,24 @@ def test_free_relaxation_dominates_endpoints():
     base = rng.standard_normal(5)
     atom = rng.standard_normal(5)
     atom /= np.linalg.norm(atom)
-    res = minimize_free_relaxation(make_least_squares(y), base, atom)
-    assert res.energy <= res.best_step_energy + 1e-10
-    assert res.energy <= res.restart_energy + 1e-10
+    for obj in (make_least_squares(y), make_norm_power(y, 4.0, 2.0)):
+        res = minimize_on_slice(obj, base, (base, atom))
+        # the single-atom step (w = 0) and the restart (w = 1) are line slices
+        best_step = minimize_on_slice(obj, base, (atom,)).energy
+        restart = minimize_on_slice(obj, np.zeros_like(base), (atom,)).energy
+        assert res.energy <= best_step + 1e-10
+        assert res.energy <= restart + 1e-10
 
 
 def test_free_relaxation_zero_base_is_line_search():
     y = np.array([2.0, 1.0, 0.0])
     atom = np.array([1.0, 0.0, 0.0])
-    res = minimize_free_relaxation(make_least_squares(y), np.zeros(3), atom)
     c_star, v_star = quadratic_line_minimum(y, np.zeros(3), atom)
-    assert res.lam == pytest.approx(c_star, abs=1e-8)
-    assert res.energy == pytest.approx(v_star, abs=1e-10)
-    assert res.w == 0.0
+    for obj in both_paths(make_least_squares(y)):
+        res = minimize_on_slice(obj, np.zeros(3), (np.zeros(3), atom))
+        assert res.coefficients[1] == pytest.approx(c_star, abs=1e-8)
+        assert res.energy == pytest.approx(v_star, abs=1e-10)
+        assert res.coefficients[0] == 0.0  # w = 0
 
 
 def test_free_relaxation_parallel_directions():
@@ -203,8 +219,9 @@ def test_free_relaxation_parallel_directions():
     y = np.array([3.0, 0.0])
     base = np.array([2.0, 0.0])
     atom = np.array([1.0, 0.0])
-    res = minimize_free_relaxation(make_least_squares(y), base, atom)
-    assert res.energy == pytest.approx(0.0, abs=1e-12)
+    for obj in both_paths(make_least_squares(y)):
+        res = minimize_on_slice(obj, base, (base, atom))
+        assert res.energy == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +305,16 @@ def test_slice_plane_matches_normal_equations(seed):
     assert 1.0 + res.coefficients[0] == pytest.approx(alpha, abs=1e-10)
     assert res.coefficients[1] == pytest.approx(lam, abs=1e-10)
     assert res.energy == pytest.approx(v_star, abs=1e-12)
-    full = minimize_free_relaxation(obj, base, phi)
-    assert full.sweeps == 0
-    assert full.energy <= full.best_step_energy + 1e-12
-    assert full.energy <= full.restart_energy + 1e-12
+    assert res.sweeps == 0
+    # endpoint domination: the line slices at base (w = 0) and at 0 (w = 1)
     _, v_best = quadratic_line_minimum(y, base, phi)
     _, v_restart = quadratic_line_minimum(y, np.zeros_like(y), phi)
-    assert full.best_step_energy == pytest.approx(v_best, abs=1e-12)
-    assert full.restart_energy == pytest.approx(v_restart, abs=1e-12)
+    assert res.energy <= v_best + 1e-12
+    assert res.energy <= v_restart + 1e-12
+    best_step = minimize_on_slice(obj, base, (phi,))
+    restart = minimize_on_slice(obj, np.zeros_like(y), (phi,))
+    assert best_step.energy == pytest.approx(v_best, abs=1e-12)
+    assert restart.energy == pytest.approx(v_restart, abs=1e-12)
 
 
 def _quartic(y):
@@ -340,11 +359,66 @@ def test_slice_misdeclared_quadratic_plane_falls_back():
     base = np.array([0.5, 0.5, 0.0])
     atom = np.array([0.0, 0.6, 0.8])
     res = minimize_on_slice(obj, base, (base, atom))
-    searched = minimize_free_relaxation(
-        dataclasses.replace(obj, quadratic=False), base, atom
+    searched = minimize_on_slice(
+        dataclasses.replace(obj, quadratic=False), base, (base, atom)
     )
-    assert list(res.coefficients) == [-searched.w, searched.lam]
+    assert res.coefficients.tobytes() == searched.coefficients.tobytes()
     assert res.energy == searched.energy
+    assert res.sweeps == searched.sweeps > 0
+
+
+def _slices(base, phi):
+    """(directions, lower, upper) of every slice shape a rule names."""
+    return [
+        ((phi,), 0.0, math.inf),
+        ((phi,), 0.0, 1.0),
+        ((phi,), -math.inf, math.inf),
+        ((base, phi), -math.inf, math.inf),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "make", [make_least_squares, lambda y: make_norm_power(y, 4.0, 2.0)]
+)
+def test_slice_given_energy_and_gradient_is_bit_identical(seed, make):
+    y, base, phi = _ls_slice(seed)
+    obj = make(y)
+    e, g = obj.value(base), obj.gradient(base)
+    for directions, lower, upper in _slices(base, phi):
+        plain = minimize_on_slice(obj, base, directions, lower, upper)
+        given_ = minimize_on_slice(obj, base, directions, lower, upper, e, g)
+        assert given_.coefficients.tobytes() == plain.coefficients.tobytes()
+        assert given_.energy == plain.energy
+        assert given_.sweeps == plain.sweeps
+
+
+def test_slice_given_energy_and_gradient_skips_two_evaluations():
+    y, base, phi = _ls_slice(5)
+    calls = []
+    obj = make_least_squares(y)
+    counted = dataclasses.replace(
+        obj,
+        value_fn=lambda x: calls.append("value") or obj.value_fn(x),
+        gradient_fn=lambda x: calls.append("gradient") or obj.gradient_fn(x),
+    )
+    minimize_on_slice(counted, base, (base, phi))
+    plain = list(calls)
+    calls.clear()
+    minimize_on_slice(
+        counted, base, (base, phi), energy=obj.value(base), gradient=obj.gradient(base)
+    )
+    assert plain.count("value") - calls.count("value") == 1
+    assert plain.count("gradient") - calls.count("gradient") == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_slice_plane_sweeps_counted_only_when_searched(seed):
+    y, base, phi = _ls_slice(seed)
+    searched = minimize_on_slice(make_norm_power(y, 4.0, 2.0), base, (base, phi))
+    assert isinstance(searched.sweeps, int) and searched.sweeps > 0
+    exact = minimize_on_slice(make_least_squares(y), base, (base, phi))
+    assert exact.sweeps == 0
 
 
 def test_slice_indefinite_curvature_raises():
