@@ -26,7 +26,6 @@ from .dictionaries import (
     SelectionCertificate,
     UnsupportedDictionaryError,
     WeaknessCertificationError,
-    power_top_singular,
     select_e_greedy,
     select_e_greedy_fixed,
     select_gradient_greedy,

@@ -17,8 +17,10 @@ relaxation certifies the functional shifted by -G, <-E'(G), phi - G>. The
 five line-search and relaxation rules each name a slice (a segment, a ray, a
 line or the plane span{G_{m-1}, phi}) and hand it to
 `inner_solvers.minimize_on_slice`, together with E(G) and E'(G) when the
-slice starts at G. Only the Chebyshev span solve, `minimize_subspace`, is
-separate.
+slice starts at G. Where the new iterate is bitwise the slice solver's
+point (wrga and best_step), the gradient it evaluated there is the next
+step's selection gradient. Only the Chebyshev span solve,
+`minimize_subspace`, is separate.
 
 Traces record per-iteration energies, selection certificates, step data,
 synthesis l1 mass, and wall time.
@@ -318,6 +320,7 @@ def run_greedy(
     basis_vecs: list = []
     prev_coef = np.zeros(0)
     e_prev = objective.value(G)
+    gradient = None  # E'(G), when the last slice step left it at G bitwise
     trace = RunTrace(
         algorithm=_rule_name(rule),
         objective_label=objective.label,
@@ -328,7 +331,8 @@ def run_greedy(
     for m in range(1, stop.max_m + 1):
         t0 = time.perf_counter_ns()
         t_m = tau.t(m)
-        gradient = objective.gradient(G)
+        if gradient is None:
+            gradient = objective.gradient(G)
         direction = -gradient
 
         try:
@@ -365,6 +369,7 @@ def run_greedy(
             lam = float("nan")
             w_or_r = float("nan")
             grad_inf = float("nan")
+            next_gradient = None
 
             if isinstance(rule, Chebyshev):
                 merged = _merge_into_basis(
@@ -383,10 +388,12 @@ def run_greedy(
                 grad_inf = result.grad_inf
             elif isinstance(rule, ConvexRelaxation):
                 delta = phi - G
-                (lam,) = minimize_on_slice(
+                step = minimize_on_slice(
                     objective, G, (delta,), 0.0, 1.0, e_prev, gradient
-                ).coefficients.tolist()
+                )
+                (lam,) = step.coefficients.tolist()
                 G = G + lam * delta
+                next_gradient = step.gradient
                 terms = [(a, (1.0 - lam) * c) for a, c in terms]
                 terms.append((atom, lam))
             elif isinstance(rule, FreeRelaxation):
@@ -398,12 +405,15 @@ def run_greedy(
                 terms = [(a, (1.0 - w_or_r) * c) for a, c in terms]
                 terms.append((atom, lam))
             elif isinstance(rule, (BestStep, ReducedStep)):
-                (lam,) = minimize_on_slice(
+                step = minimize_on_slice(
                     objective, G, (phi,), 0.0, np.inf, e_prev, gradient
-                ).coefficients.tolist()
+                )
+                (lam,) = step.coefficients.tolist()
                 if isinstance(rule, ReducedStep):
                     lam *= rule.b
                     w_or_r = rule.b
+                else:
+                    next_gradient = step.gradient
                 G = G + lam * phi
                 terms.append((atom, lam))
             elif isinstance(rule, FixedRelaxation):
@@ -429,6 +439,7 @@ def run_greedy(
                 raise TypeError(f"unknown update rule {rule!r}")
 
             energy = objective.value(G)
+            gradient = next_gradient
         except (LineSearchError, SubspaceToleranceError) as exc:
             trace.stop_reason = StopReason.INNER_FAILURE
             raise GreedyRunError(m, trace, exc) from exc

@@ -2,7 +2,12 @@
 
 Two dictionary flavors: an explicit finite set of +-column atoms, and the
 implicit rank-one dictionary {+- u v^T : ||u||_2 = ||v||_2 = 1} over flattened
-n x n matrices (its convex hull is the nuclear-norm ball).
+n x n matrices (its convex hull is the nuclear-norm ball). Each answers
+`certified_sup(w)` with (value, atom, upper): the atom's score, the atom, and
+an upper bound on the sup of <w, g> over the dictionary. A finite dictionary
+is searched exactly (upper == value); the rank-one one takes the top
+singular pair of one dense SVD, with upper its s_1 widened by a
+backward-error margin.
 """
 from __future__ import annotations
 
@@ -14,9 +19,12 @@ import numpy as np
 
 from .objectives import Objective
 
-WEAKNESS_SLACK = 1e-10
-RAYLEIGH_TOL = 1e-10
+WEAKNESS_SLACK = 1e-10  # relative; see select_gradient_greedy
 COLINEAR_TOL = 1e-10
+# backward-error factor c of the dense SVD's top singular value; see
+# RankOneDictionary.certified_sup
+SVD_ERROR_FACTOR = 4.0
+_EPS = float(np.finfo(float).eps)
 
 
 class WeaknessCertificationError(RuntimeError):
@@ -67,13 +75,13 @@ class Atom:
 class SelectionCertificate:
     """Records what a greedy selection achieved.
 
-    score: <w, realize(atom)> for the selected atom.
-    reference: exact sup over the dictionary (finite) or the certified
-        power-iteration Rayleigh value (rank-one, converged); Frobenius upper
-        bound when the iteration cap was hit unconverged.
+    score: <w, realize(atom)> - shift for the selected atom.
+    reference: an upper bound on sup_g <w, g> - shift over the dictionary:
+        the exact sup for finite dictionaries, the dense SVD's s_1 widened
+        by a backward-error margin for rank-one. For wrga (shift = <w, G>)
+        it bounds the Frank-Wolfe duality gap.
     weakness: the t_m the selection claims.
     ratio: score / reference (1.0 when the reference is 0).
-    converged: False only for a capped rank-one power iteration.
     """
 
     atom: Atom
@@ -81,7 +89,6 @@ class SelectionCertificate:
     reference: float
     weakness: float
     ratio: float
-    converged: bool = True
 
 
 class FiniteDictionary:
@@ -139,7 +146,8 @@ class FiniteDictionary:
         return atom.sign * self._columns[:, atom.index]
 
     def certified_sup(self, w: np.ndarray):
-        """(value, atom, upper, converged): exact sup of <w, g> over +-columns.
+        """(value, atom, upper): exact sup of <w, g> over +-columns, so
+        upper == value.
 
         Ties break to the lowest index; a zero (or fully orthogonal) w maps to
         atom(0, +1) with value 0.
@@ -149,88 +157,16 @@ class FiniteDictionary:
         j = int(np.argmax(np.abs(scores)))
         value = float(abs(scores[j]))
         sign = 1 if scores[j] >= 0.0 else -1
-        return value, Atom(j, sign), value, True
-
-
-def power_top_singular(
-    W: np.ndarray,
-    tol: float = RAYLEIGH_TOL,
-    max_iter: Optional[int] = None,
-):
-    """Top singular triple of W by power iteration on W^T W.
-
-    Start vector: W^T W applied to the ones vector (deterministic), with unit
-    basis fallbacks if that lands in the kernel. Stops when the Rayleigh value
-    ||W v|| stabilizes to relative tol or after max_iter (default 10 n)
-    iterations. Returns (u, v, sigma, converged, iterations); sigma is the
-    certified lower bound ||W v|| <= sigma_max.
-    """
-    W = np.asarray(W, dtype=float)
-    n = W.shape[1]
-    cap = max_iter if max_iter is not None else 10 * n
-
-    v = W.T @ (W @ np.ones(n))
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        for j in range(n):
-            cand = W.T @ (W @ np.eye(n)[j])
-            nc = float(np.linalg.norm(cand))
-            if nc > 0.0:
-                v, nv = cand, nc
-                break
-        else:  # W == 0
-            u0 = np.zeros(W.shape[0])
-            u0[0] = 1.0
-            e0 = np.zeros(n)
-            e0[0] = 1.0
-            return u0, e0, 0.0, True, 0
-    v /= nv
-
-    sigma = float(np.linalg.norm(W @ v))
-    converged = False
-    it = 0
-    for it in range(1, cap + 1):
-        z = W.T @ (W @ v)
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            converged = True
-            break
-        v = z / nz
-        new = float(np.linalg.norm(W @ v))
-        if abs(new - sigma) <= tol * max(new, 1e-300):
-            sigma = new
-            converged = True
-            break
-        sigma = new
-
-    Wv = W @ v
-    nu = float(np.linalg.norm(Wv))
-    u = Wv / nu if nu > 0.0 else np.eye(W.shape[0])[0]
-    return u, v, sigma, converged, it
-
-
-SUP_ITERATION_BUDGET = 5000
+        return value, Atom(j, sign), value
 
 
 class RankOneDictionary:
-    """Implicit dictionary {+- u v^T} over flattened n x n matrices.
+    """Implicit dictionary {+- u v^T} over flattened n x n matrices."""
 
-    Selection budget: greedy residuals develop clustered top singular values,
-    where Rayleigh stagnation needs far more than the 10*n sweeps that suffice
-    for generic matrices, so the dictionary defaults to a generous cap. A
-    selection that still fails to stabilize is certified against the Frobenius
-    upper bound and errors out if the weakness cannot be met.
-    """
-
-    def __init__(self, side: int, tol: float = RAYLEIGH_TOL,
-                 max_iter: Optional[int] = None):
+    def __init__(self, side: int):
         if side < 1:
             raise ValueError("side must be >= 1")
         self.side = side
-        self.tol = tol
-        self.max_iter = (
-            max(10 * side, SUP_ITERATION_BUDGET) if max_iter is None else max_iter
-        )
 
     @property
     def ambient_dim(self) -> int:
@@ -243,18 +179,28 @@ class RankOneDictionary:
         return atom.sign * np.outer(u, v).ravel()
 
     def certified_sup(self, w: np.ndarray):
-        """(value, atom, upper, converged) with value = Rayleigh lower bound
-        of sigma_max(W), upper = ||W||_F, W = reshape(w)."""
+        """(value, atom, upper) for W = reshape(w): the top singular pair of
+        one dense SVD (LAPACK gesdd).
+
+        value = ||W v|| <= sigma_max(W), attained by the atom u v^T with
+        u = W v / ||W v||. upper = max(s_1, ||W v||) * (1 + c * side * eps)
+        with c = SVD_ERROR_FACTOR. The margin is a heuristic, not a proven
+        bound: gesdd is backward stable, so its s_1 is within p * eps *
+        sigma_max of the true value, but LAPACK states p only as a "modestly
+        growing function" of the dimensions (Users' Guide, section 4.9);
+        c * side = 4 * side is a guess at it. The tests check upper against
+        sigma_max from eigvalsh(W^T W) and from spectra known by
+        construction. The factors are copies, so an atom holds no view of
+        the SVD output.
+        """
         W = np.asarray(w, dtype=float).reshape(self.side, self.side)
-        upper = float(np.linalg.norm(W))
-        if upper == 0.0:
-            u0 = np.zeros(self.side)
-            u0[0] = 1.0
-            return 0.0, Atom(-1, 1, (u0.copy(), u0.copy())), 0.0, True
-        u, v, sigma, converged, _ = power_top_singular(
-            W, self.tol, self.max_iter
-        )
-        return sigma, Atom(-1, 1, (u, v)), upper, converged
+        U, s, Vt = np.linalg.svd(W)
+        v = Vt[0].copy()
+        Wv = W @ v
+        value = float(np.linalg.norm(Wv))
+        u = Wv / value if value > 0.0 else U[:, 0].copy()
+        upper = max(float(s[0]), value) * (1.0 + SVD_ERROR_FACTOR * self.side * _EPS)
+        return value, Atom(-1, 1, (u, v)), upper
 
 
 Dictionary = FiniteDictionary | RankOneDictionary
@@ -266,29 +212,31 @@ def select_gradient_greedy(
     weakness: float,
     shift: float = 0.0,
 ) -> SelectionCertificate:
-    """Pick an atom with <direction, g> - shift >= weakness * (sup - shift),
-    certified.
+    """Pick an atom with <direction, g> - shift >= weakness * (upper - shift),
+    certified against the dictionary's upper bound on the sup up to
+    WEAKNESS_SLACK * max(1, upper, |shift|).
 
     direction is -E'(G) in the greedy drivers; the convex relaxation passes
     shift = <direction, G>, which is constant over the dictionary, so it
     moves score and reference but not the selected atom. For finite
-    dictionaries the argmax is exact (ratio 1). For rank-one, a converged
-    power iteration certifies against its Rayleigh value; if the cap was hit
-    unconverged, the certificate is checked against the Frobenius upper bound
-    and the selection fails loudly when weakness cannot be certified.
+    dictionaries the argmax is exact (ratio 1); for rank-one the reference
+    is the SVD's widened s_1, and the selection fails loudly when the
+    weakness cannot be certified against it. The slack is relative because
+    the score's roundoff and the rank-one margin, about
+    4 * side * eps * sigma_max, grow with the scale of the sup.
     """
     if not (0.0 < weakness <= 1.0):
         raise ValueError(f"weakness must be in (0, 1], got {weakness}")
-    value, atom, upper, converged = dictionary.certified_sup(direction)
+    _, atom, upper = dictionary.certified_sup(direction)
     score = float(np.dot(direction, dictionary.realize(atom))) - shift
-    reference = (value if converged else upper) - shift
+    reference = upper - shift
     ratio = 1.0 if reference == 0.0 else score / reference
-    if score < weakness * reference - WEAKNESS_SLACK:
+    slack = WEAKNESS_SLACK * max(1.0, upper, abs(shift))
+    if score < weakness * reference - slack:
         raise WeaknessCertificationError(
-            f"achieved {score:.6e} < t * reference = "
-            f"{weakness * reference:.6e} (converged={converged})"
+            f"achieved {score:.6e} < t * reference = {weakness * reference:.6e}"
         )
-    return SelectionCertificate(atom, score, reference, weakness, ratio, converged)
+    return SelectionCertificate(atom, score, reference, weakness, ratio)
 
 
 def select_e_greedy(

@@ -130,6 +130,19 @@ _REQUIRED = {
 }
 
 
+# key -> (predicate on the value, the allowed range in words)
+_RANGES = {
+    "weakness": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "weakness_exponent": (lambda v: v >= 0.0, ">= 0"),
+    "step_b": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "relaxation_r": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "prescribed_step": (lambda v: v > 0.0, "> 0"),
+}
+
+# instance kind -> the key that may not exceed n
+_AT_MOST_N = {"compressed_sensing": "s", "low_rank": "rank"}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -162,6 +175,14 @@ def validate_config(config: dict) -> dict:
             )
     if "weakness" in config and "weakness_exponent" in config:
         raise ConfigError("give weakness or weakness_exponent, not both")
+    for key, (allowed, words) in _RANGES.items():
+        if key in config and not allowed(config[key]):
+            raise ConfigError(f"key {key!r} must be {words}, got {config[key]}")
+    key = _AT_MOST_N.get(config["instance"])
+    if key is not None and config[key] > config["n"]:
+        raise ConfigError(
+            f"key {key!r} = {config[key]} exceeds n = {config['n']}"
+        )
     return config
 
 

@@ -97,8 +97,8 @@ def line_search(
         lower = 0.0
     d_lo = dphi(lower)
     if whole_line and d_lo > 0.0:
-        mirrored = line_search(
-            lambda c: phi(-c), lambda c: -dphi(-c), 0.0, math.inf, tol
+        mirrored = _search(
+            lambda c: phi(-c), lambda c: -dphi(-c), 0.0, math.inf, tol, -d_lo
         )
         return LineSearchResult(
             -mirrored.argmin,
@@ -106,7 +106,12 @@ def line_search(
             -mirrored.derivative,
             mirrored.evaluations,
         )
+    return _search(phi, dphi, lower, upper, tol, d_lo)
 
+
+def _search(phi, dphi, lower, upper, tol, d_lo) -> LineSearchResult:
+    """`line_search` on [lower, upper] with lower finite, given
+    d_lo = phi'(lower)."""
     nfev = 0
 
     def f(c):
@@ -178,6 +183,8 @@ class SliceResult:
     coefficients: np.ndarray  # c: the minimizer is base + sum_i c_i d_i
     energy: float  # E there (the quadratic model's value on the exact path)
     sweeps: int = 0  # alternating sweeps on a non-quadratic plane
+    # E' at base + c_0 d_0 (+ c_1 d_1), summed in that order; exact path only
+    gradient: Optional[np.ndarray] = None
 
 
 def _quadratic_step(objective, base, directions, lower, upper, energy, gradient):
@@ -238,7 +245,7 @@ def _quadratic_step(objective, base, directions, lower, upper, energy, gradient)
         if not ok:
             return None
     return SliceResult(
-        c, e0 + float(slope @ c) + 0.5 * float(c @ curvature @ c)
+        c, e0 + float(slope @ c) + 0.5 * float(c @ curvature @ c), gradient=grad
     )
 
 
@@ -296,10 +303,11 @@ def minimize_on_slice(
 
     A quadratic objective (`objective.quadratic`) is solved in closed form
     from one gradient per direction; `energy` and `gradient`, E and E' at
-    base, save two evaluations when the caller has them. A result that fails
-    the first-order test falls back to the search below. Other objectives go
-    straight to `line_search` or, on the plane, to alternating line searches
-    (`SliceResult.sweeps` counts them).
+    base, save two evaluations when the caller has them, and the result
+    carries the gradient its first-order test evaluated at the new point.
+    A result that fails that test falls back to the search below. Other
+    objectives go straight to `line_search` or, on the plane, to
+    alternating line searches (`SliceResult.sweeps` counts them).
     """
     directions = tuple(directions)
     whole_line = _whole_line(lower, upper)

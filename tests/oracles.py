@@ -130,10 +130,31 @@ def brute_force_sup(columns, w):
     return best
 
 
-def top_singular_svd(w):
-    """Top singular triple via full SVD (reference for power iteration)."""
-    u, s, vt = np.linalg.svd(np.asarray(w, dtype=float))
-    return u[:, 0], vt[0], float(s[0])
+def top_singular_eigh(w):
+    """Top singular triple from the symmetric eigenproblem of W^T W, no SVD:
+    v is the top eigenvector, sigma = ||W v|| and u = W v / sigma."""
+    w = np.asarray(w, dtype=float)
+    _, vecs = np.linalg.eigh(w.T @ w)
+    v = vecs[:, -1]
+    wv = w @ v
+    sigma = float(np.linalg.norm(wv))
+    return wv / sigma, v, sigma
+
+
+def sigma_max_eigvalsh(w):
+    """sigma_max(W) = sqrt(lambda_max(W^T W)), by eigvalsh."""
+    w = np.asarray(w, dtype=float)
+    return float(np.sqrt(max(np.linalg.eigvalsh(w.T @ w)[-1], 0.0)))
+
+
+def known_spectrum(s, seed):
+    """(W, U, V) with W = U diag(s) V^T and U, V orthogonal by QR, so the
+    singular values of W are s by construction."""
+    rng = np.random.default_rng(seed)
+    n = len(s)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * np.asarray(s, dtype=float)) @ v.T, u, v
 
 
 def nuclear_norm(w):

@@ -19,7 +19,7 @@ from greedyopt.algorithms import (
     StopRule,
     run_greedy,
 )
-from greedyopt.dictionaries import power_top_singular
+from greedyopt.dictionaries import RankOneDictionary
 from greedyopt.experiment import (
     check_omp_equivalence,
     check_recurrence,
@@ -38,7 +38,7 @@ from greedyopt.theory import (
     rate_envelope,
 )
 
-from oracles import top_singular_svd
+from oracles import top_singular_eigh
 
 SLOPE_BOUND = -0.40
 GRID_SEEDS = (1, 2)
@@ -229,18 +229,18 @@ def test_criterion_10_l1_confinement(grid):
     assert passed
 
 
-def test_criterion_11_power_iteration():
-    """Power iteration matches dense SVD; rank-2 target solved by m=4."""
+def test_criterion_11_rank_one_selection():
+    """Rank-one selection matches the eigenproblem of W^T W and its bound
+    holds; rank-2 target solved by m=4."""
     rng = np.random.default_rng(0)
     worst_cos, worst_sigma = 0.0, 0.0
     for i in range(50):
         n = 2 + (i % 7)
         w = rng.standard_normal((n, n))
-        u, v, sigma, converged, _ = power_top_singular(
-            w, tol=1e-14, max_iter=200_000
-        )
-        u_ref, v_ref, sigma_ref = top_singular_svd(w)
-        assert converged
+        sigma, atom, upper = RankOneDictionary(n).certified_sup(w.ravel())
+        u, v = atom.factors
+        u_ref, v_ref, sigma_ref = top_singular_eigh(w)
+        assert sigma <= upper and sigma_ref <= upper
         worst_cos = max(
             worst_cos,
             1.0 - abs(float(u @ u_ref)),

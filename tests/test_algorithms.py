@@ -11,6 +11,7 @@ from greedyopt.dictionaries import (
     FiniteDictionary,
     RankOneDictionary,
     UnsupportedDictionaryError,
+    select_gradient_greedy,
 )
 from greedyopt.algorithms import (
     BestStep,
@@ -27,7 +28,8 @@ from greedyopt.algorithms import (
     run_greedy,
 )
 from greedyopt.inner_solvers import minimize_on_slice
-from greedyopt.objectives import l2_norm, make_least_squares
+from greedyopt.instances import gen_compressed_sensing, gen_low_rank
+from greedyopt.objectives import l2_norm, make_least_squares, make_norm_power
 
 from oracles import free_relaxation_joint_minimum, quadratic_ray_minimum
 
@@ -344,6 +346,40 @@ def test_exact_steps_never_worse_than_searches(seed, k, n, name):
 
 # ---------------------------------------------------------------------------
 # fixed relaxation / prescribed steps
+
+
+@pytest.mark.parametrize("rule", [ConvexRelaxation(), BestStep()])
+@pytest.mark.parametrize("kind", ["compressed_sensing", "low_rank"])
+def test_slice_gradient_is_the_next_selection_gradient(rule, kind):
+    # wrga and best_step take the next selection's gradient from the slice
+    # step, one gradient per step fewer; replaying each selection on a fresh
+    # E'(G_{m-1}) gives bitwise the same record
+    if kind == "compressed_sensing":
+        dic, y, _ = gen_compressed_sensing(16, 64, 4, mass=1.0, seed=3)
+        obj = make_least_squares(y)
+    else:
+        dic, target, _ = gen_low_rank(8, 2, mass=1.0, seed=3)
+        obj = make_norm_power(target.ravel(), 2.0, 2.0)
+    calls = []
+    counted = dataclasses.replace(
+        obj, gradient_fn=lambda x: calls.append(1) or obj.gradient_fn(x)
+    )
+    trace = run_greedy(counted, dic, 1.0, rule, StopRule(max_m=20, sup_tol=-1.0))
+    assert trace.iterations == 20
+    assert len(calls) == 1 + 2 * trace.iterations
+    for prev, rec in zip(trace.records, trace.records[1:]):
+        G = prev.approximant.point
+        direction = -obj.gradient(G)
+        shift = (
+            float(np.dot(direction, G)) if isinstance(rule, ConvexRelaxation) else 0.0
+        )
+        cert = select_gradient_greedy(dic, direction, 1.0, shift)
+        assert cert.atom == rec.atom
+        assert (cert.score, cert.reference, cert.ratio) == (
+            rec.score,
+            rec.sup_score,
+            rec.weakness_ratio,
+        )
 
 
 def test_fixed_relaxation_zero_schedule_is_best_step():

@@ -65,6 +65,27 @@ def test_run_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"weakness": 0.0},
+        {"weakness_exponent": -1.0},
+        {"algorithm": "reduced_step", "step_b": 1.0},
+        {"algorithm": "fixed_relaxation", "relaxation_r": 1.0},
+        {"algorithm": "prescribed", "prescribed_step": 0.0},
+        {"s": 80},
+        {"instance": "low_rank", "n": 4, "rank": 5},
+    ],
+)
+def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, overrides):
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps({**QUICK, **overrides}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_missing_parameters(tmp_path, capsys):
     assert main(["gen", "compressed_sensing", "--out", str(tmp_path)]) == 2
     assert "requires" in capsys.readouterr().err

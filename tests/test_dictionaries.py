@@ -11,11 +11,9 @@ from greedyopt.dictionaries import (
     Atom,
     FiniteDictionary,
     RankOneDictionary,
-    SUP_ITERATION_BUDGET,
     WEAKNESS_SLACK,
     UnsupportedDictionaryError,
     WeaknessCertificationError,
-    power_top_singular,
     select_e_greedy,
     select_e_greedy_fixed,
     select_gradient_greedy,
@@ -23,7 +21,12 @@ from greedyopt.dictionaries import (
 )
 from greedyopt.objectives import lr_norm, make_least_squares
 
-from oracles import brute_force_sup, top_singular_svd
+from oracles import (
+    brute_force_sup,
+    known_spectrum,
+    sigma_max_eigvalsh,
+    top_singular_eigh,
+)
 
 
 def canonical(n=2):
@@ -106,14 +109,14 @@ def test_columns_immutable():
 
 def test_certified_sup_examples():
     dic = canonical()
-    value, atom, upper, converged = dic.certified_sup(np.array([3.0, -4.0]))
-    assert (value, atom, upper, converged) == (4.0, Atom(1, -1), 4.0, True)
-    value, atom, _, _ = dic.certified_sup(np.zeros(2))
+    value, atom, upper = dic.certified_sup(np.array([3.0, -4.0]))
+    assert (value, atom, upper) == (4.0, Atom(1, -1), 4.0)
+    value, atom, _ = dic.certified_sup(np.zeros(2))
     assert (value, atom) == (0.0, Atom(0, 1))
 
 
 def test_certified_sup_tie_breaks_low_index():
-    value, atom, _, _ = canonical().certified_sup(np.array([1.0, 1.0]))
+    value, atom, _ = canonical().certified_sup(np.array([1.0, 1.0]))
     assert (value, atom) == (1.0, Atom(0, 1))
 
 
@@ -126,7 +129,8 @@ def test_certified_sup_matches_brute_force(w, seed):
     rng = np.random.default_rng(seed)
     cols = rng.standard_normal((4, 7))
     dic = FiniteDictionary.from_matrix(cols)
-    value, atom, _, _ = dic.certified_sup(w)
+    value, atom, upper = dic.certified_sup(w)
+    assert upper == value
     b_value, b_index, b_sign = brute_force_sup(dic.columns, w)
     assert value == b_value
     assert (atom.index, atom.sign) == (b_index, b_sign)
@@ -136,38 +140,49 @@ def test_sup_symmetry():
     rng = np.random.default_rng(7)
     dic = FiniteDictionary.from_matrix(rng.standard_normal((5, 9)))
     w = rng.standard_normal(5)
-    v_pos, a_pos, _, _ = dic.certified_sup(w)
-    v_neg, a_neg, _, _ = dic.certified_sup(-w)
+    v_pos, a_pos, _ = dic.certified_sup(w)
+    v_neg, a_neg, _ = dic.certified_sup(-w)
     assert v_pos == v_neg
     assert (a_neg.index, a_neg.sign) == (a_pos.index, -a_pos.sign)
 
 
 # ---------------------------------------------------------------------------
-# power iteration
+# rank-one top singular pair
+#
+# certified_sup takes it from one dense SVD; every check compares against an
+# oracle that does not call the SVD: a spectrum known by construction or the
+# eigenproblem of W^T W. (The test_power_* names predate the dense SVD.)
+
+
+def _rank_one_sup(w):
+    w = np.asarray(w, dtype=float)
+    value, atom, upper = RankOneDictionary(w.shape[0]).certified_sup(w.ravel())
+    u, v = atom.factors
+    return u, v, value, upper
 
 
 def test_power_diag_matrix():
-    u, v, sigma, converged, _ = power_top_singular(np.diag([3.0, 1.0]))
-    assert converged
-    assert sigma == pytest.approx(3.0, rel=1e-10)
-    assert abs(v[0]) == pytest.approx(1.0, abs=1e-8)
-    assert abs(u[0]) == pytest.approx(1.0, abs=1e-8)
+    u, v, sigma, upper = _rank_one_sup(np.diag([3.0, 1.0]))
+    assert sigma == pytest.approx(3.0, rel=1e-15)
+    assert 3.0 <= upper <= 3.0 * (1.0 + 1e-12)
+    assert abs(v[0]) == pytest.approx(1.0, abs=1e-15)
+    assert abs(u[0]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_power_two_block_matrix():
     w = np.zeros((3, 3))
     w[0, 1] = 5.0
     w[2, 2] = 1.0
-    u, v, sigma, converged, _ = power_top_singular(w)
-    assert converged
-    assert sigma == pytest.approx(5.0, rel=1e-10)
-    assert abs(u[0]) == pytest.approx(1.0, abs=1e-8)
-    assert abs(v[1]) == pytest.approx(1.0, abs=1e-8)
+    u, v, sigma, upper = _rank_one_sup(w)
+    assert sigma == pytest.approx(5.0, rel=1e-15)
+    assert 5.0 <= upper <= 5.0 * (1.0 + 1e-12)
+    assert abs(u[0]) == pytest.approx(1.0, abs=1e-15)
+    assert abs(v[1]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_power_zero_matrix():
-    u, v, sigma, converged, it = power_top_singular(np.zeros((3, 3)))
-    assert (sigma, converged, it) == (0.0, True, 0)
+    u, v, sigma, upper = _rank_one_sup(np.zeros((3, 3)))
+    assert (sigma, upper) == (0.0, 0.0)
     assert np.linalg.norm(u) == 1.0 and np.linalg.norm(v) == 1.0
 
 
@@ -175,21 +190,93 @@ def test_power_rayleigh_is_lower_bound():
     rng = np.random.default_rng(11)
     for _ in range(30):
         w = rng.standard_normal((6, 6))
-        _, _, sigma_true = top_singular_svd(w)
-        u, v, sigma, _, _ = power_top_singular(w)
+        sigma_true = sigma_max_eigvalsh(w)
+        u, v, sigma, upper = _rank_one_sup(w)
         assert sigma <= sigma_true + 1e-12
-        assert sigma >= 0.999 * sigma_true  # default budget contract
+        assert sigma == pytest.approx(sigma_true, rel=1e-12)
+        assert upper >= sigma_true
         # returned triple is self-consistent: u^T W v == sigma
         assert float(u @ (w @ v)) == pytest.approx(sigma, rel=1e-12)
 
 
-def test_power_unconverged_flag_at_tiny_budget():
-    rng = np.random.default_rng(12)
-    w = rng.standard_normal((8, 8))
-    _, _, sigma, converged, it = power_top_singular(w, max_iter=1)
-    assert not converged
-    assert it == 1
-    assert sigma <= top_singular_svd(w)[2] + 1e-12
+def test_rank_one_sup_known_spectrum():
+    # distinct singular values: the pair is the constructed one, to 1e-8
+    for side, seed in ((5, 1), (64, 2)):
+        s = np.linspace(2.0, 0.1, side)
+        w, u_ref, v_ref = known_spectrum(s, seed)
+        u, v, sigma, upper = _rank_one_sup(w)
+        assert sigma == pytest.approx(2.0, rel=1e-12)
+        assert upper >= 2.0
+        assert 1.0 - abs(float(u @ u_ref[:, 0])) <= 1e-8
+        assert 1.0 - abs(float(v @ v_ref[:, 0])) <= 1e-8
+        assert float(u @ (w @ v)) == pytest.approx(sigma, rel=1e-12)
+
+
+def _spectra(side, seed):
+    rng = np.random.default_rng(seed)
+    top = max(side // 4, 2)
+    clustered = 1.0 - 1e-6 * np.arange(side)
+    clustered[top:] = np.linspace(0.5, 0.01, side - top)
+    rank_one = np.zeros(side)
+    rank_one[0] = 3.0
+    yield "random", rng.standard_normal((side, side)), None
+    yield "clustered", known_spectrum(clustered, seed)[0], 1.0
+    yield "rank-1", known_spectrum(rank_one, seed)[0], 3.0
+    yield "zero", np.zeros((side, side)), 0.0
+
+
+@pytest.mark.parametrize("side", [3, 16, 64])
+def test_rank_one_upper_bounds_sigma_max(side):
+    for name, w, s_max in _spectra(side, seed=side):
+        _, _, value, upper = _rank_one_sup(w)
+        assert upper >= sigma_max_eigvalsh(w), name
+        if s_max is not None:
+            assert upper >= s_max, name
+        assert value <= upper, name
+
+
+def test_rank_one_clustered_spectrum_certifies_at_t_one():
+    # top gap 1e-6 at side 256: the selection certifies against a true
+    # upper bound with ratio 1 - 1e-12 at t = 1
+    side = 256
+    s = 1.0 - 1e-6 * np.arange(side)
+    s[8:] = np.linspace(0.5, 0.01, side - 8)
+    w, _, _ = known_spectrum(s, 5)
+    cert = select_gradient_greedy(RankOneDictionary(side), w.ravel(), 1.0)
+    assert cert.ratio >= 1.0 - 1e-12
+    assert cert.reference >= 1.0
+    assert cert.reference >= sigma_max_eigvalsh(w)
+
+
+@pytest.mark.parametrize("side", [8, 64, 256])
+def test_rank_one_large_scale_certifies_at_t_one(side):
+    # the SVD's margin grows with sigma_max; at sigma_max = 1e6 the
+    # selection still certifies at t = 1 with ratio 1 - 1e-12
+    s = 1e6 * (1.0 - 1e-6 * np.arange(side))
+    w, _, _ = known_spectrum(s, 6)
+    cert = select_gradient_greedy(RankOneDictionary(side), w.ravel(), 1.0)
+    assert cert.ratio >= 1.0 - 1e-12
+    assert cert.reference >= sigma_max_eigvalsh(w)
+
+
+def test_rank_one_atom_owns_its_factors(monkeypatch):
+    # an atom kept in a trace must not hold a view of the SVD's U or Vt
+    outputs = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        out = svd(*args, **kwargs)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    w = np.random.default_rng(3).standard_normal((8, 8))
+    for matrix in (w, np.zeros((8, 8))):
+        _, atom, _ = RankOneDictionary(8).certified_sup(matrix.ravel())
+        U, _, Vt = outputs[-1]
+        for factor in atom.factors:
+            assert not np.shares_memory(factor, U)
+            assert not np.shares_memory(factor, Vt)
 
 
 # ---------------------------------------------------------------------------
@@ -206,35 +293,50 @@ def test_rank_one_realize():
 
 
 def test_rank_one_dimensions_and_budget():
+    # the selection is one dense SVD: there is no iteration budget to set
     dic = RankOneDictionary(4)
     assert dic.ambient_dim == 16
-    assert dic.max_iter == SUP_ITERATION_BUDGET
-    assert RankOneDictionary(4, max_iter=7).max_iter == 7
-    assert RankOneDictionary(1000).max_iter == 10_000
+    with pytest.raises(TypeError):
+        RankOneDictionary(4, max_iter=7)
     with pytest.raises(ValueError):
         RankOneDictionary(0)
 
 
 def test_rank_one_sup_zero():
-    value, atom, upper, converged = RankOneDictionary(3).certified_sup(np.zeros(9))
-    assert (value, upper, converged) == (0.0, 0.0, True)
+    value, atom, upper = RankOneDictionary(3).certified_sup(np.zeros(9))
+    assert (value, upper) == (0.0, 0.0)
     assert atom.factors is not None
 
 
 def test_rank_one_sup_diag():
-    value, atom, upper, converged = RankOneDictionary(2).certified_sup(
+    value, atom, upper = RankOneDictionary(2).certified_sup(
         np.diag([3.0, 1.0]).ravel()
     )
-    assert converged
-    assert value == pytest.approx(3.0, rel=1e-10)
-    assert upper == pytest.approx(np.sqrt(10.0), rel=1e-12)  # Frobenius
+    assert value == pytest.approx(3.0, rel=1e-15)
+    assert 3.0 <= upper <= 3.0 * (1.0 + 1e-12)  # sigma_max, not Frobenius
     u, v = atom.factors
-    assert abs(u[0]) == pytest.approx(1.0, abs=1e-8)
-    assert abs(v[0]) == pytest.approx(1.0, abs=1e-8)
+    assert abs(u[0]) == pytest.approx(1.0, abs=1e-15)
+    assert abs(v[0]) == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # gradient-greedy selection
+
+
+class _LooseBoundDictionary:
+    """A test-only dictionary whose upper bound exceeds its value: the
+    canonical basis of R^n, with a Frobenius-like upper = sqrt(n) * value."""
+
+    def __init__(self, n):
+        self.inner = canonical(n)
+        self.ambient_dim = n
+
+    def realize(self, atom):
+        return self.inner.realize(atom)
+
+    def certified_sup(self, w):
+        value, atom, _ = self.inner.certified_sup(w)
+        return value, atom, math.sqrt(self.ambient_dim) * value
 
 
 def test_select_gradient_greedy_finite():
@@ -243,7 +345,6 @@ def test_select_gradient_greedy_finite():
     assert cert.score == 2.0
     assert cert.reference == 2.0
     assert cert.ratio == 1.0
-    assert cert.converged
     # exact selection dominates any weakness
     weak = select_gradient_greedy(canonical(), np.array([1.0, 2.0]), 0.4)
     assert weak.atom == cert.atom and weak.weakness == 0.4
@@ -261,21 +362,34 @@ def test_select_gradient_greedy_shift():
 
 @pytest.mark.parametrize("shift", [0.0, -1.0, 0.5])
 def test_select_gradient_greedy_shift_certifies_and_raises(shift):
-    # a capped power iteration certifies against the Frobenius bound: for
-    # the identity, score 1 and reference sqrt(3) before the shift
-    dic = RankOneDictionary(3, max_iter=0)
-    w = np.eye(3).ravel()
+    # the certificate is checked against the upper bound, not the value: for
+    # the all-ones vector, score 1 and reference sqrt(3) before the shift
+    dic = _LooseBoundDictionary(3)
+    w = np.ones(3)
     frob = math.sqrt(3.0)
     ratio = (1.0 - shift) / (frob - shift)
     cert = select_gradient_greedy(dic, w, ratio, shift)
     assert cert.score == pytest.approx(1.0 - shift, abs=1e-12)
     assert cert.reference == pytest.approx(frob - shift, abs=1e-12)
     assert cert.ratio == pytest.approx(ratio, abs=1e-12)
-    assert not cert.converged
-    # t * reference - score = 100 * WEAKNESS_SLACK > WEAKNESS_SLACK
+    # t * reference - score = 100 * WEAKNESS_SLACK, above the slack
+    # WEAKNESS_SLACK * max(1, sqrt(3), |shift|)
     t = ratio + 100.0 * WEAKNESS_SLACK / (frob - shift)
     with pytest.raises(WeaknessCertificationError):
         select_gradient_greedy(dic, w, t, shift)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_select_gradient_greedy_slack_scales_with_the_sup(scale):
+    # the slack is WEAKNESS_SLACK * max(1, upper, |shift|): a deficit of half
+    # of it certifies and twice it raises, at every scale of the gradient
+    dic = _LooseBoundDictionary(3)
+    w = scale * np.ones(3)
+    upper = math.sqrt(3.0) * scale
+    slack = WEAKNESS_SLACK * max(1.0, upper)
+    select_gradient_greedy(dic, w, (scale + 0.5 * slack) / upper)
+    with pytest.raises(WeaknessCertificationError):
+        select_gradient_greedy(dic, w, (scale + 2.0 * slack) / upper)
 
 
 def test_select_gradient_greedy_validates_weakness():
@@ -290,18 +404,16 @@ def test_select_gradient_greedy_rank_one_two_block():
     w[2, 2] = 1.0
     cert = select_gradient_greedy(RankOneDictionary(3), w.ravel(), 0.9)
     assert cert.score == pytest.approx(5.0, rel=1e-8)
-    assert cert.converged and cert.ratio >= 0.9
+    assert cert.ratio >= 1.0 - 1e-12
     u, v = cert.atom.factors
     assert abs(u[0]) == pytest.approx(1.0, abs=1e-7)
     assert abs(v[1]) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_select_gradient_greedy_uncertifiable_fails_loudly():
-    # zero power-iteration budget: the certificate falls back to the Frobenius
-    # upper bound, which the identity's Rayleigh score cannot reach at t=1
-    dic = RankOneDictionary(3, max_iter=0)
+    # an upper bound the selected atom's score cannot reach at t=1
     with pytest.raises(WeaknessCertificationError):
-        select_gradient_greedy(dic, np.eye(3).ravel(), 1.0)
+        select_gradient_greedy(_LooseBoundDictionary(3), np.ones(3), 1.0)
 
 
 # ---------------------------------------------------------------------------

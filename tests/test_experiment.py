@@ -16,6 +16,7 @@ from greedyopt.algorithms import (
     FreeRelaxation,
     Prescribed,
     ReducedStep,
+    StopReason,
     StopRule,
     run_greedy,
 )
@@ -121,6 +122,34 @@ def test_validate_weakness_exclusivity():
     validate_config(cfg(weakness_exponent=0.25))
 
 
+@pytest.mark.parametrize(
+    "key, bad, good",
+    [
+        ("weakness", [0.0, -0.5, 1.5], [1e-3, 1.0]),
+        ("weakness_exponent", [-0.25], [0.0, 0.5]),
+        ("step_b", [0.0, 1.0, 2.0], [0.5]),
+        ("relaxation_r", [-0.1, 1.0], [0.0, 0.5]),
+        ("prescribed_step", [0.0, -1.0], [0.05]),
+    ],
+)
+def test_validate_rejects_out_of_range_values(key, bad, good):
+    for value in bad:
+        with pytest.raises(ConfigError, match=key):
+            validate_config(cfg(**{key: value}))
+    for value in good:
+        validate_config(cfg(**{key: value}))
+
+
+def test_validate_rejects_more_planted_atoms_than_n():
+    with pytest.raises(ConfigError, match="'s' = 65 exceeds n = 64"):
+        validate_config(cfg(s=65))
+    validate_config(cfg(s=64))
+    low_rank = {"instance": "low_rank", "algorithm": "wrga", "seed": 0, "n": 8}
+    with pytest.raises(ConfigError, match="'rank' = 9 exceeds n = 8"):
+        validate_config({**low_rank, "rank": 9})
+    validate_config({**low_rank, "rank": 8})
+
+
 def test_config_hash_canonical():
     a = cfg()
     b = dict(reversed(list(cfg().items())))
@@ -171,6 +200,53 @@ def test_build_stop_defaults_and_reference():
     assert stop == StopRule(max_m=7, sup_tol=1e-10, gap_tol=None, reference=0.0)
     stop = build_stop({"gap_tol": 1e-9, "reference": 0.25}, certificate)
     assert stop.gap_tol == 1e-9 and stop.reference == 0.25
+
+
+@pytest.mark.parametrize(
+    "seed", [1004, 1005, 1011, 1013, 1016, 1021, 1023, 1024, 1028]
+)
+def test_low_rank_wrga_runs_to_max_m(seed):
+    # instances on which a capped power iteration could not certify the
+    # selection: the dense SVD's bound certifies every step
+    result = run_experiment(
+        {
+            "instance": "low_rank",
+            "algorithm": "wrga",
+            "seed": seed,
+            "n": 64,
+            "rank": 8,
+            "max_m": 100,
+        }
+    )
+    assert result.ok
+    assert result.trace.iterations == 100
+    assert result.trace.stop_reason is StopReason.MAX_ITERATIONS
+    assert min(r.weakness_ratio for r in result.trace.records) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("mass", [1e4, 1e6])
+def test_low_rank_wrga_certifies_at_large_mass(mass):
+    # the selection gradient scales with the target's mass, and so does the
+    # SVD's margin; the certificate at t = 1 holds at every scale. Far
+    # outside the unit nuclear ball the first step reaches the projection,
+    # so later gaps sit at the roundoff floor, where the ratio means nothing
+    result = run_experiment(
+        {
+            "instance": "low_rank",
+            "algorithm": "wrga",
+            "seed": 1004,
+            "n": 64,
+            "rank": 8,
+            "mass": mass,
+            "weakness": 1.0,
+            "max_m": 100,
+        }
+    )
+    assert result.ok
+    assert result.trace.iterations == 100
+    first, *rest = result.trace.records
+    assert first.weakness_ratio >= 1.0 - 1e-12
+    assert max(r.sup_score for r in rest) <= 1e-12 * mass
 
 
 def test_build_instance_kinds():

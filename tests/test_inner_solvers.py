@@ -122,6 +122,20 @@ def test_real_positive_side():
     assert res.argmin == pytest.approx(2.0, abs=1e-8)
 
 
+def test_real_negative_side_evaluates_origin_slope_once():
+    # the mirrored ray reuses phi'(0): a search on the negative side costs
+    # as many derivative calls as its mirror image on the positive side
+    counts = {}
+    for center in (-2.0, 2.0):
+        phi, dphi = square(center)
+        calls = []
+        res = line_search(phi, lambda c: calls.append(c) or dphi(c))
+        assert res.argmin == pytest.approx(center, abs=1e-8)
+        assert sum(1 for c in calls if c == 0.0) == 1
+        counts[center] = len(calls)
+    assert counts[-2.0] == counts[2.0]
+
+
 def test_real_stationary_origin():
     res = line_search(*square(0.0))
     assert res.argmin == 0.0
@@ -410,6 +424,19 @@ def test_slice_given_energy_and_gradient_skips_two_evaluations():
     )
     assert plain.count("value") - calls.count("value") == 1
     assert plain.count("gradient") - calls.count("gradient") == 1
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.0, math.inf), (-math.inf, math.inf)])
+def test_slice_gradient(bounds):
+    # the exact step returns the gradient its first-order test evaluated at
+    # base + c d, bitwise; a search returns no gradient
+    y, base, phi = _ls_slice(2)
+    d = phi - base
+    exact = minimize_on_slice(make_least_squares(y), base, (d,), *bounds)
+    (c,) = exact.coefficients.tolist()
+    assert np.array_equal(exact.gradient, make_least_squares(y).gradient(base + c * d))
+    searched = minimize_on_slice(make_norm_power(y, 4.0, 2.0), base, (d,), *bounds)
+    assert searched.gradient is None
 
 
 @pytest.mark.parametrize("seed", range(3))
