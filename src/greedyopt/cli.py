@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import (
+    REQUIRED_KEYS,
     ConfigError,
     load_config,
     run_experiment,
@@ -146,37 +147,35 @@ def _require(args, names) -> None:
 
 
 def _cmd_gen(args) -> int:
+    _require(args, REQUIRED_KEYS[args.kind])
+    try:
+        if args.kind == "compressed_sensing":
+            dictionary, target, cert = gen_compressed_sensing(
+                args.k, args.n, args.s, args.mass, args.seed, args.min_coef
+            )
+        elif args.kind == "low_rank":
+            dictionary, target, cert = gen_low_rank(
+                args.n, args.rank, args.mass, args.seed
+            )
+        else:
+            dictionary, _, cert = gen_lp_approx(
+                args.n,
+                args.r,
+                args.q,
+                seed=args.seed,
+                s=args.s if args.s is not None else 2,
+                mass=args.mass,
+                dict_size=args.dict_size,
+                min_coef=args.min_coef,
+            )
+            target = cert.realize(dictionary)
+    except ValueError as exc:  # a generator's range check: a usage error
+        raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.kind == "compressed_sensing":
-        _require(args, ("k", "n", "s"))
-        dictionary, target, cert = gen_compressed_sensing(
-            args.k, args.n, args.s, args.mass, args.seed, args.min_coef
-        )
+    if args.kind != "low_rank":
         np.savetxt(out / "dictionary.csv", dictionary.columns, delimiter=",")
-        np.savetxt(out / "target.csv", target, delimiter=",")
-    elif args.kind == "low_rank":
-        _require(args, ("n", "rank"))
-        dictionary, target, cert = gen_low_rank(
-            args.n, args.rank, args.mass, args.seed
-        )
-        np.savetxt(out / "target.csv", target, delimiter=",")
-    else:
-        _require(args, ("n", "r", "q"))
-        dictionary, objective, cert = gen_lp_approx(
-            args.n,
-            args.r,
-            args.q,
-            seed=args.seed,
-            s=args.s if args.s is not None else 2,
-            mass=args.mass,
-            dict_size=args.dict_size,
-            min_coef=args.min_coef,
-        )
-        np.savetxt(out / "dictionary.csv", dictionary.columns, delimiter=",")
-        np.savetxt(
-            out / "target.csv", cert.realize(dictionary), delimiter=","
-        )
+    np.savetxt(out / "target.csv", target, delimiter=",")
     payload = {
         "mass": cert.mass,
         "reference_optimum": cert.reference_optimum,

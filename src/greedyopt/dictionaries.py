@@ -118,11 +118,6 @@ class FiniteDictionary:
         return cls(raw / norms)
 
     @classmethod
-    def from_gaussian(cls, k: int, n: int, seed: int) -> "FiniteDictionary":
-        rng = np.random.default_rng(seed)
-        return cls.from_matrix(rng.standard_normal((k, n)))
-
-    @classmethod
     def from_csv(cls, path) -> "FiniteDictionary":
         with open(path, newline="") as fh:
             rows = [[float(v) for v in row] for row in csv.reader(fh) if row]

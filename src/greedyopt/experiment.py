@@ -48,6 +48,7 @@ from .objectives import (
     make_least_squares,
     make_logistic,
     make_norm_power,
+    sample_sublevel_pair,
 )
 from .theory import (
     EnvelopeKind,
@@ -123,7 +124,8 @@ _SCHEMA = {
     "summary": (str, "summary JSON filename"),
 }
 
-_REQUIRED = {
+# instance kind -> the keys its generator needs (also the `gen` flags)
+REQUIRED_KEYS = {
     "compressed_sensing": ("k", "n", "s"),
     "low_rank": ("n", "rank"),
     "lp_approx": ("n", "r", "q"),
@@ -137,6 +139,9 @@ _RANGES = {
     "step_b": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "relaxation_r": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "prescribed_step": (lambda v: v > 0.0, "> 0"),
+    "prescribed_selection": (
+        lambda v: v in ("gradient", "energy"), "gradient or energy"
+    ),
 }
 
 # instance kind -> the key that may not exceed n
@@ -168,7 +173,7 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(f"unknown instance kind {config['instance']!r}")
     if config["algorithm"] not in _ALGORITHMS:
         raise ConfigError(f"unknown algorithm {config['algorithm']!r}")
-    for key in _REQUIRED[config["instance"]]:
+    for key in REQUIRED_KEYS[config["instance"]]:
         if key not in config:
             raise ConfigError(
                 f"instance {config['instance']!r} requires key {key!r}"
@@ -183,6 +188,9 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(
             f"key {key!r} = {config[key]} exceeds n = {config['n']}"
         )
+    selection = config.get("prescribed_selection")
+    if config["instance"] == "low_rank" and selection == "energy":
+        raise ConfigError("prescribed_selection 'energy' needs a finite dictionary")
     return config
 
 
@@ -447,7 +455,10 @@ def _envelope_ratio(
 
 def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
     config = validate_config(dict(config))
-    objective, dictionary, certificate, target = build_instance(config)
+    try:
+        objective, dictionary, certificate, target = build_instance(config)
+    except ValueError as exc:  # a generator's range check: a config error
+        raise ConfigError(str(exc)) from exc
     rule = build_rule(config)
     stop = build_stop(config, certificate)
     weakness = build_weakness(config)
@@ -528,16 +539,9 @@ def sample_sublevel_triple(
     """Random (x, y, u): x in the sublevel set {E <= E(0)}, y unit in the
     objective's ambient norm, u in (0, u_max]."""
     e0 = obj.value(np.zeros(obj.dimension))
-    x = rng.standard_normal(obj.dimension)
-    nx = obj.norm(x)
-    if nx > 0.0:
-        x *= obj.sublevel_radius * rng.random() ** (1.0 / obj.dimension) / nx
-    for _ in range(200):
-        if obj.value(x) <= e0:
-            break
-        x *= 0.5
-    y = rng.standard_normal(obj.dimension)
-    y /= obj.norm(y)
+    x, y = sample_sublevel_pair(
+        obj.value, e0, obj.dimension, obj.sublevel_radius, obj.norm, rng
+    )
     return x, y, float(rng.uniform(1e-6, u_max))
 
 

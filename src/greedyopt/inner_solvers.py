@@ -7,7 +7,9 @@ gradient per direction; the result must pass the first-order test of the
 searches, or the step falls back to them. Otherwise one direction goes to
 `line_search` (derivative bisection on an interval, a ray or the whole line)
 and the free-relaxation plane to alternating line searches. The Chebyshev
-rule's span solve (`minimize_subspace`) has its own closed-form hook.
+rule's span solve (`minimize_subspace`) is separate: the objective's
+closed-form hook when it has one, else L-BFGS-B (Byrd, Lu, Nocedal & Zhu
+1995), with one stricter pass when the first misses the span contract.
 
 All routines assume convexity along the searched directions and verify it
 opportunistically: bracket/derivative inconsistencies raise instead of
@@ -338,7 +340,6 @@ class SubspaceResult:
     point: np.ndarray
     energy: float
     grad_inf: float
-    iterations: int
 
 
 def minimize_subspace(
@@ -351,23 +352,23 @@ def minimize_subspace(
 
     Exit condition (the contract): max_j |<E'(x), phi_j>| <= tol at the
     returned point. Method: the objective's closed-form hook when available,
-    else L-BFGS with analytic gradient followed by cyclic exact coordinate
-    line searches; raises SubspaceToleranceError if the residual stalls.
+    else L-BFGS-B with the analytic gradient from the hook's result, x0 or
+    zero, and, if that misses the contract, a stricter L-BFGS-B pass from
+    its result; raises SubspaceToleranceError if both miss it.
     """
     basis = np.asarray(basis, dtype=float)
     k, m = basis.shape
     if m == 0:
         point = np.zeros(k)
-        return SubspaceResult(np.zeros(0), point, objective.value(point), 0.0, 0)
+        return SubspaceResult(np.zeros(0), point, objective.value(point), 0.0)
 
-    nit = 0
     coef = None
     if objective.subspace_hook is not None:
         coef = np.asarray(objective.subspace_hook(basis), dtype=float)
         point = basis @ coef
         ginf = float(np.max(np.abs(basis.T @ objective.gradient(point))))
         if ginf <= tol:
-            return SubspaceResult(coef, point, objective.value(point), ginf, 0)
+            return SubspaceResult(coef, point, objective.value(point), ginf)
         # hook missed the contract (degenerate basis etc.): fall through
 
     def fun(c):
@@ -376,53 +377,17 @@ def minimize_subspace(
     def jac(c):
         return basis.T @ objective.gradient(basis @ c)
 
-    start = coef if coef is not None else (
-        np.asarray(x0, dtype=float) if x0 is not None else np.zeros(m)
+    if coef is None:
+        coef = np.asarray(x0, dtype=float) if x0 is not None else np.zeros(m)
+    passes = (
+        {"maxiter": 4000, "maxfun": 8000, "gtol": tol * 1e-2, "ftol": 1e-18},
+        {"maxiter": 8000, "gtol": tol * 1e-3, "ftol": 0.0},
     )
-    res = _scipy_minimize(
-        fun,
-        start,
-        jac=jac,
-        method="L-BFGS-B",
-        options={"maxiter": 4000, "maxfun": 8000, "gtol": tol * 1e-2, "ftol": 1e-18},
-    )
-    coef = np.asarray(res.x, dtype=float)
-    nit += int(res.nit)
-    point = basis @ coef
-    ginf = float(np.max(np.abs(basis.T @ objective.gradient(point))))
-
-    if ginf > tol:
-        # exact coordinate-descent polish
-        for _ in range(60):
-            for j in range(m):
-                col = basis[:, j]
-
-                def phi(t, col=col):
-                    return objective.value(point + t * col)
-
-                def dphi(t, col=col):
-                    return float(np.dot(objective.gradient(point + t * col), col))
-
-                step = line_search(phi, dphi)
-                coef[j] += step.argmin
-                point = point + step.argmin * col
-                nit += 1
-            ginf = float(np.max(np.abs(basis.T @ objective.gradient(point))))
-            if ginf <= 0.5 * tol:
-                break
-        if ginf > tol:
-            res = _scipy_minimize(
-                fun,
-                coef,
-                jac=jac,
-                method="L-BFGS-B",
-                options={"maxiter": 8000, "gtol": tol * 1e-3, "ftol": 0.0},
-            )
-            coef = np.asarray(res.x, dtype=float)
-            nit += int(res.nit)
-            point = basis @ coef
-            ginf = float(np.max(np.abs(basis.T @ objective.gradient(point))))
-        if ginf > tol:
-            raise SubspaceToleranceError(ginf, tol)
-
-    return SubspaceResult(coef, point, objective.value(point), ginf, nit)
+    for options in passes:
+        res = _scipy_minimize(fun, coef, jac=jac, method="L-BFGS-B", options=options)
+        coef = np.asarray(res.x, dtype=float)
+        point = basis @ coef
+        ginf = float(np.max(np.abs(basis.T @ objective.gradient(point))))
+        if ginf <= tol:
+            return SubspaceResult(coef, point, objective.value(point), ginf)
+    raise SubspaceToleranceError(ginf, tol)

@@ -165,29 +165,42 @@ def _norming_functional(v: np.ndarray, r: float) -> np.ndarray:
     return np.sign(w) * np.abs(w) ** (r - 1.0)
 
 
+def sample_sublevel_pair(value, e0, dim, radius, norm, rng) -> tuple:
+    """Random (x, y) for the smoothness checks of E = `value`: x drawn in
+    the `norm` ball of the given radius and halved toward 0 (always in D)
+    until value(x) <= e0 = E(0), y a unit vector in `norm`."""
+    x = rng.standard_normal(dim)
+    nx = norm(x)
+    if nx > 0.0:
+        x *= radius * rng.random() ** (1.0 / dim) / nx
+    for _ in range(200):
+        if value(x) <= e0:
+            break
+        x *= 0.5
+    y = rng.standard_normal(dim)
+    return x, y / norm(y)
+
+
+def _sampled_modulus(value, e0, dim, radius, norm, u, samples, rng) -> float:
+    """Sampled lower estimate of rho(E, u) from `sample_sublevel_pair`."""
+    best = 0.0
+    for _ in range(samples):
+        x, y = sample_sublevel_pair(value, e0, dim, radius, norm, rng)
+        second = value(x + u * y) + value(x - u * y) - 2.0 * value(x)
+        best = max(best, 0.5 * abs(second))
+    return best
+
+
 def _calibrate_gamma(value_fn, dim, radius, norm, q, seed=2024) -> float:
-    """Sampled lower estimate of sup rho(u)/u^q, doubled as a safety margin."""
+    """Sampled lower estimate of sup rho(u)/u^q over u = 2^-k, k = 0..8,
+    doubled as a safety margin. The raw value_fn keeps set-up fast."""
     rng = np.random.default_rng(seed)
     e0 = value_fn(np.zeros(dim))
     worst = 0.0
-    for k in range(0, 9):
+    for k in range(9):
         u = 2.0 ** (-k)
-        for _ in range(250):
-            x = rng.standard_normal(dim)
-            nx = norm(x)
-            if nx > 0:
-                x *= radius * rng.random() ** (1.0 / dim) / nx
-            for _ in range(80):
-                if value_fn(x) <= e0:
-                    break
-                x *= 0.5
-            y = rng.standard_normal(dim)
-            ny = norm(y)
-            if ny == 0.0:
-                continue
-            y /= ny
-            second = value_fn(x + u * y) + value_fn(x - u * y) - 2.0 * value_fn(x)
-            worst = max(worst, 0.5 * abs(second) / u**q)
+        best = _sampled_modulus(value_fn, e0, dim, radius, norm, u, 250, rng)
+        worst = max(worst, best / u**q)
     return 2.0 * max(worst, 1e-12)
 
 
@@ -329,33 +342,17 @@ def empirical_modulus(
     """Sampled lower estimate of the modulus of smoothness at scale u.
 
     rho(E, u) = 0.5 sup {|E(x+uy) + E(x-uy) - 2E(x)| : x in D, ||y|| = 1}.
-    x is drawn in the ball of the declared sublevel radius and contracted
-    toward 0 (always in D) until E(x) <= E(0); y is uniform on the ambient
-    unit sphere. Returns the max over samples: a certified lower bound on
-    the sup, and <= gamma u^q + tol when the declared envelope is honest.
+    (x, y) come from `sample_sublevel_pair` in the ball of the declared
+    sublevel radius. Returns the max over samples: a certified lower bound
+    on the sup, and <= gamma u^q + tol when the declared envelope is honest.
     """
     if obj.sublevel_radius is None:
         raise ValueError("objective declares no sublevel radius")
     if u == 0.0:
         return 0.0
     rng = np.random.default_rng(rng_seed)
-    dim = obj.dimension
-    e0 = obj.value(np.zeros(dim))
-    best = 0.0
-    for _ in range(sample_count):
-        x = rng.standard_normal(dim)
-        nx = obj.norm(x)
-        if nx > 0:
-            x *= obj.sublevel_radius * rng.random() ** (1.0 / dim) / nx
-        for _ in range(200):
-            if obj.value(x) <= e0:
-                break
-            x *= 0.5
-        y = rng.standard_normal(dim)
-        ny = obj.norm(y)
-        if ny == 0.0:
-            continue
-        y /= ny
-        second = obj.value(x + u * y) + obj.value(x - u * y) - 2.0 * obj.value(x)
-        best = max(best, 0.5 * abs(second))
-    return best
+    e0 = obj.value(np.zeros(obj.dimension))
+    return _sampled_modulus(
+        obj.value, e0, obj.dimension, obj.sublevel_radius, obj.norm, u,
+        sample_count, rng,
+    )

@@ -27,8 +27,9 @@ from greedyopt.algorithms import (
     WeaknessSequence,
     run_greedy,
 )
+from greedyopt import inner_solvers
 from greedyopt.inner_solvers import minimize_on_slice
-from greedyopt.instances import gen_compressed_sensing, gen_low_rank
+from greedyopt.instances import gen_compressed_sensing, gen_low_rank, gen_lp_approx
 from greedyopt.objectives import l2_norm, make_least_squares, make_norm_power
 
 from oracles import free_relaxation_joint_minimum, quadratic_ray_minimum
@@ -143,6 +144,29 @@ def test_chebyshev_inner_failure_is_loud():
     assert err.value.iteration >= 1
     assert err.value.trace.iterations == err.value.iteration - 1
     assert err.value.trace.stop_reason is StopReason.INNER_FAILURE
+
+
+def test_chebyshev_non_quadratic_span_is_lbfgs_only(monkeypatch):
+    # on a non-quadratic objective the span solve is L-BFGS-B alone: no
+    # coordinate line searches, and a few hundred gradients for ten steps
+    # even where the planted target enters the span (E ~ 1e-25 from m = 8)
+    def no_line_search(*args, **kwargs):
+        raise AssertionError("minimize_subspace called line_search")
+
+    monkeypatch.setattr(inner_solvers, "line_search", no_line_search)
+    dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1000)
+    calls = []
+    counted = dataclasses.replace(
+        obj, gradient_fn=lambda x: calls.append(1) or obj.gradient_fn(x)
+    )
+    trace = run_greedy(
+        counted, dic, 1.0, Chebyshev(), StopRule(max_m=10, sup_tol=-1.0)
+    )
+    assert trace.iterations == 10
+    assert len(calls) <= 1000
+    # E at m = 10 from the three-stage solver (L-BFGS-B, coordinate polish,
+    # L-BFGS-B) that this path replaced
+    assert trace.records[-1].energy == pytest.approx(4.911012862748374e-25, abs=1e-20)
 
 
 # ---------------------------------------------------------------------------

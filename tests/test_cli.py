@@ -75,6 +75,21 @@ def test_run_unknown_config_key(tmp_path, capsys):
         {"algorithm": "prescribed", "prescribed_step": 0.0},
         {"s": 80},
         {"instance": "low_rank", "n": 4, "rank": 5},
+        # range checks of the instance generators
+        {"k": 0},
+        {"s": 0},
+        {"mass": 0},
+        {"instance": "lp_approx", "r": 3.0, "q": 1.5, "s": 20, "dict_size": 8},
+        {"instance": "lp_approx", "r": 1.0, "q": 1.5},
+        {"s": 2, "min_coef": 0.9},
+        {
+            "instance": "low_rank",
+            "n": 4,
+            "rank": 2,
+            "algorithm": "prescribed",
+            "prescribed_selection": "energy",
+        },
+        {"algorithm": "prescribed", "prescribed_selection": "random"},
     ],
 )
 def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, overrides):
@@ -84,6 +99,21 @@ def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compressed_sensing", "--k", "0", "--n", "8", "--s", "2"],
+        ["lp_approx", "--n", "8", "--r", "3", "--q", "2.5"],
+    ],
+)
+def test_gen_range_error_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(["gen", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_gen_missing_parameters(tmp_path, capsys):
