@@ -20,7 +20,10 @@ line or the plane span{G_{m-1}, phi}) and hand it to
 slice starts at G. Where the new iterate is bitwise the slice solver's
 point (wrga and best_step), the gradient it evaluated there is the next
 step's selection gradient. Only the Chebyshev span solve,
-`minimize_subspace`, is separate.
+`minimize_subspace`, is separate: the run keeps one `SpanFactor`, the basis
+and its thin QR, and appends a column only for an atom that does not merge
+into the basis. A merged atom leaves the span unchanged, so the previous span
+solution, which met the contract on it, stands without a new solve.
 
 Traces record per-iteration energies, selection certificates, step data,
 synthesis l1 mass, and wall time.
@@ -46,6 +49,7 @@ from .dictionaries import (
 from .inner_solvers import (
     SUBSPACE_TOL,
     LineSearchError,
+    SpanFactor,
     SubspaceToleranceError,
     minimize_on_slice,
     minimize_subspace,
@@ -317,8 +321,8 @@ def run_greedy(
     G = np.zeros(dim)
     terms: list = []
     basis_atoms: list = []
-    basis_vecs: list = []
-    prev_coef = np.zeros(0)
+    span = SpanFactor(dim) if isinstance(rule, Chebyshev) else None
+    span_result = None
     e_prev = objective.value(G)
     gradient = None  # E'(G), when the last slice step left it at G bitwise
     trace = RunTrace(
@@ -372,20 +376,19 @@ def run_greedy(
             next_gradient = None
 
             if isinstance(rule, Chebyshev):
-                merged = _merge_into_basis(
-                    dictionary, atom, phi, basis_atoms, basis_vecs
-                )
-                basis = np.column_stack(basis_vecs)
-                x0 = np.append(prev_coef, 0.0) if not merged else prev_coef
-                result = minimize_subspace(
-                    objective, basis, rule.subspace_tol, x0=x0
-                )
-                prev_coef = result.coefficients
-                G = result.point
-                terms = list(zip(basis_atoms, prev_coef.tolist()))
+                if not _merge_into_basis(dictionary, atom, phi, basis_atoms, span):
+                    x0 = np.zeros(1)
+                    if span_result is not None:
+                        x0 = np.append(span_result.coefficients, 0.0)
+                    span_result = minimize_subspace(
+                        objective, span, rule.subspace_tol, x0=x0
+                    )
+                coef = span_result.coefficients
+                G = span_result.point
+                terms = list(zip(basis_atoms, coef.tolist()))
                 new_idx = _basis_position(dictionary, atom, basis_atoms)
-                lam = float(prev_coef[new_idx])
-                grad_inf = result.grad_inf
+                lam = float(coef[new_idx])
+                grad_inf = span_result.grad_inf
             elif isinstance(rule, ConvexRelaxation):
                 delta = phi - G
                 step = minimize_on_slice(
@@ -478,7 +481,7 @@ def run_greedy(
     return trace
 
 
-def _merge_into_basis(dictionary, atom, vec, basis_atoms, basis_vecs) -> bool:
+def _merge_into_basis(dictionary, atom, vec, basis_atoms, span) -> bool:
     """Add the atom's direction to the Chebyshev basis unless already spanned
     by an existing basis vector (same column index, or colinear rank-one
     factor pair). Returns True when merged (nothing appended)."""
@@ -487,11 +490,11 @@ def _merge_into_basis(dictionary, atom, vec, basis_atoms, basis_vecs) -> bool:
             if b.index == atom.index:
                 return True
     else:
-        for bv in basis_vecs:
+        for bv in span.basis.T:
             if abs(float(np.dot(vec, bv))) >= 1.0 - MERGE_COLINEAR_TOL:
                 return True
     basis_atoms.append(atom)
-    basis_vecs.append(np.asarray(vec, dtype=float))
+    span.append(vec)
     return False
 
 

@@ -324,17 +324,26 @@ def write_trace_csv(path, trace: RunTrace, reference: float, timings: bool):
 
 
 def orthogonality_defect(objective: Objective, dictionary, trace: RunTrace) -> float:
-    """Max |<gradient, selected atom>| over all iterations (Chebyshev runs
-    re-minimize over the selected span, so this should sit at solver tol)."""
-    worst = 0.0
-    cache: dict = {}
-    for rec in trace.records:
-        grad = objective.gradient(rec.approximant.point)
+    """Max |<E'(G_m), phi>| over the iterations m and the atoms phi in G_m's
+    terms (Chebyshev runs re-minimize over the selected span, so this should
+    sit at solver tol).
+
+    An independent replay of the trace: E' at each record's point and each
+    distinct atom realized once, then one product of the two stacks, read
+    where an atom is a term of the record."""
+    columns: dict = {}  # atom -> its row in the atom stack
+    rows, cols = [], []
+    for i, rec in enumerate(trace.records):
         for atom, _ in rec.approximant.terms:
-            if atom not in cache:
-                cache[atom] = dictionary.realize(atom)
-            worst = max(worst, abs(float(np.dot(grad, cache[atom]))))
-    return worst
+            rows.append(i)
+            cols.append(columns.setdefault(atom, len(columns)))
+    if not rows:
+        return 0.0
+    grads = np.array(
+        [objective.gradient(rec.approximant.point) for rec in trace.records]
+    )
+    atoms = np.array([dictionary.realize(atom) for atom in columns])
+    return float(np.max(np.abs((grads @ atoms.T)[rows, cols])))
 
 
 def monotonicity_defect(trace: RunTrace) -> float:

@@ -6,10 +6,14 @@ its one solver. A quadratic objective is solved in closed form from one
 gradient per direction; the result must pass the first-order test of the
 searches, or the step falls back to them. Otherwise one direction goes to
 `line_search` (derivative bisection on an interval, a ray or the whole line)
-and the free-relaxation plane to alternating line searches. The Chebyshev
-rule's span solve (`minimize_subspace`) is separate: the objective's
-closed-form hook when it has one, else L-BFGS-B (Byrd, Lu, Nocedal & Zhu
-1995), with one stricter pass when the first misses the span contract.
+and the free-relaxation plane to alternating line searches.
+
+The Chebyshev rule's span solve (`minimize_subspace`) is separate. Its basis
+lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. When
+E's span minimizer is the l2 projection of a known target, the coefficients
+come from R c = Q^T target, then from a full `lstsq` if those miss the span
+contract; otherwise, or if both miss, L-BFGS-B (Byrd, Lu, Nocedal & Zhu
+1995), with one stricter pass when the first misses it.
 
 All routines assume convexity along the searched directions and verify it
 opportunistically: bracket/derivative inconsistencies raise instead of
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize as _scipy_minimize
 
 from .objectives import Objective
@@ -34,6 +39,9 @@ FREE_RELAX_SWEEPS = 100
 # An eigenvalue of a slice's curvature matrix below -INDEFINITE_TOL times its
 # largest magnitude (and below gradient roundoff) is clearly negative.
 INDEFINITE_TOL = 1e-8
+# A column whose part orthogonal to the factored span, after CGS2, is at most
+# DEPENDENT_TOL times its norm is numerically dependent on that span.
+DEPENDENT_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
@@ -334,6 +342,83 @@ def minimize_on_slice(
     return SliceResult(np.array([res.argmin]), res.value)
 
 
+class SpanFactor:
+    """The Chebyshev basis B = [phi_1 ... phi_k] and its thin QR, B = Q R.
+
+    `append` stores the column in B and extends Q and R by classical
+    Gram-Schmidt with one reorthogonalization pass (CGS2; Giraud et al.
+    2005), which keeps Q orthogonal to working precision in O(dim k). A
+    column that is numerically dependent on the span (DEPENDENT_TOL) turns
+    the factor off for good: `usable` is then False and only B grows. The
+    buffers double when full, so they hold O(dim k), not O(dim max_m).
+    """
+
+    def __init__(self, dim: int):
+        self._bt = np.empty((0, dim))  # row i is column i of B
+        self._qt = np.empty((0, dim))  # row i is column i of Q
+        self._r = np.empty((0, 0))
+        self.size = 0
+        self.usable = True
+
+    @classmethod
+    def of(cls, columns: np.ndarray) -> "SpanFactor":
+        """The factor of a (dim, k) array's columns, appended in order."""
+        columns = np.asarray(columns, dtype=float)
+        factor = cls(columns.shape[0])
+        for vec in columns.T:
+            factor.append(vec)
+        return factor
+
+    @property
+    def basis(self) -> np.ndarray:
+        """B, a (dim, k) view of the stored columns."""
+        return self._bt[: self.size].T
+
+    @property
+    def q(self) -> np.ndarray:
+        """Q, (dim, k), orthonormal columns; meaningful while `usable`."""
+        return self._qt[: self.size].T
+
+    @property
+    def r(self) -> np.ndarray:
+        """R, (k, k), upper triangular; meaningful while `usable`."""
+        return self._r[: self.size, : self.size]
+
+    def append(self, vec: np.ndarray) -> None:
+        k = self.size
+        if k == len(self._bt):
+            cap = max(8, 2 * k)
+            self._bt = _grown(self._bt, (cap, self._bt.shape[1]))
+            self._qt = _grown(self._qt, (cap, self._qt.shape[1]))
+            self._r = _grown(self._r, (cap, cap))
+        self._bt[k] = vec
+        self.size = k + 1
+        if not self.usable:
+            return
+        q = self._qt[:k]
+        h = q @ vec
+        w = vec - h @ q
+        h2 = q @ w
+        w -= h2 @ q
+        rho = float(np.linalg.norm(w))
+        if rho <= DEPENDENT_TOL * float(np.linalg.norm(vec)):
+            self.usable = False
+            return
+        self._qt[k] = w / rho
+        self._r[:k, k] = h + h2
+        self._r[k, k] = rho
+
+    def solve(self, target: np.ndarray) -> np.ndarray:
+        """argmin_c ||target - B c||_2 from R c = Q^T target; needs `usable`."""
+        return solve_triangular(self.r, self.q.T @ target, check_finite=False)
+
+
+def _grown(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    out = np.zeros(shape)
+    out[: buffer.shape[0], : buffer.shape[1]] = buffer
+    return out
+
+
 @dataclass
 class SubspaceResult:
     coefficients: np.ndarray
@@ -342,34 +427,50 @@ class SubspaceResult:
     grad_inf: float
 
 
+def _projections(span: SpanFactor, target: np.ndarray):
+    """argmin_c ||target - B c||_2, computed lazily: from the factor while it
+    is usable, then by a full `lstsq` on B."""
+    if span.usable:
+        yield span.solve(target)
+    yield np.linalg.lstsq(span.basis, target, rcond=None)[0]
+
+
 def minimize_subspace(
     objective: Objective,
-    basis: np.ndarray,
+    basis,
     tol: float = SUBSPACE_TOL,
     x0: Optional[np.ndarray] = None,
 ) -> SubspaceResult:
-    """Minimize E over span of the basis columns.
+    """Minimize E over the span of the basis columns: a `SpanFactor`, or a
+    (dim, k) array, which is factored here.
 
     Exit condition (the contract): max_j |<E'(x), phi_j>| <= tol at the
-    returned point. Method: the objective's closed-form hook when available,
-    else L-BFGS-B with the analytic gradient from the hook's result, x0 or
-    zero, and, if that misses the contract, a stricter L-BFGS-B pass from
-    its result; raises SubspaceToleranceError if both miss it.
+    returned point, checked from B^T E'(x) for every candidate. When E's span
+    minimizer is the l2 projection of `objective.projection_target`, the
+    candidates are the factor's R c = Q^T target (while the factor is
+    usable), then a full `lstsq` on B. Otherwise, or when those miss, L-BFGS-B
+    with the analytic gradient from the last candidate, x0 or zero and, if
+    that misses the contract, a stricter L-BFGS-B pass from its result;
+    raises SubspaceToleranceError if both miss it.
     """
-    basis = np.asarray(basis, dtype=float)
+    span = basis if isinstance(basis, SpanFactor) else SpanFactor.of(basis)
+    basis = span.basis
     k, m = basis.shape
     if m == 0:
         point = np.zeros(k)
         return SubspaceResult(np.zeros(0), point, objective.value(point), 0.0)
 
-    coef = None
-    if objective.subspace_hook is not None:
-        coef = np.asarray(objective.subspace_hook(basis), dtype=float)
+    def checked(coef):
         point = basis @ coef
-        ginf = float(np.max(np.abs(basis.T @ objective.gradient(point))))
-        if ginf <= tol:
-            return SubspaceResult(coef, point, objective.value(point), ginf)
-        # hook missed the contract (degenerate basis etc.): fall through
+        return point, float(np.max(np.abs(basis.T @ objective.gradient(point))))
+
+    coef = None
+    if objective.projection_target is not None:
+        for coef in _projections(span, objective.projection_target):
+            point, ginf = checked(coef)
+            if ginf <= tol:
+                return SubspaceResult(coef, point, objective.value(point), ginf)
+        # both missed the contract (degenerate basis etc.): fall through
 
     def fun(c):
         return objective.value(basis @ c)
@@ -386,8 +487,7 @@ def minimize_subspace(
     for options in passes:
         res = _scipy_minimize(fun, coef, jac=jac, method="L-BFGS-B", options=options)
         coef = np.asarray(res.x, dtype=float)
-        point = basis @ coef
-        ginf = float(np.max(np.abs(basis.T @ objective.gradient(point))))
+        point, ginf = checked(coef)
         if ginf <= tol:
             return SubspaceResult(coef, point, objective.value(point), ginf)
     raise SubspaceToleranceError(ginf, tol)

@@ -82,8 +82,9 @@ class Objective:
     # E is a quadratic function: the relaxed rules' slice problems are then
     # solved in closed form (see inner_solvers.minimize_on_slice).
     quadratic: bool = False
-    # Optional closed-form minimizer over span(columns); see minimize_subspace.
-    subspace_hook: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+    # A t such that E(x) = a ||t - x||_2^2 + b with a > 0: E's minimizer over
+    # a span is then t's l2 projection onto it (see minimize_subspace).
+    projection_target: Optional[np.ndarray] = field(
         default=None, compare=False, repr=False
     )
 
@@ -116,16 +117,6 @@ class Objective:
         return g
 
 
-def _lstsq_hook(target: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Span solve of ||target - B c||_2: the least-squares coefficients."""
-
-    def hook(basis: np.ndarray) -> np.ndarray:
-        coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
-        return coef
-
-    return hook
-
-
 def make_least_squares(target: np.ndarray) -> Objective:
     """E(x) = 0.5 * ||target - x||_2^2 on R^len(target).
 
@@ -152,7 +143,7 @@ def make_least_squares(target: np.ndarray) -> Objective:
         norm=l2_norm,
         label="least_squares",
         quadratic=True,
-        subspace_hook=_lstsq_hook(y),
+        projection_target=y,
     )
 
 
@@ -256,7 +247,7 @@ def make_norm_power(
         norm=norm,
         label=f"norm_power(r={r}, q={q})",
         quadratic=quadratic,
-        subspace_hook=_lstsq_hook(f) if quadratic else None,
+        projection_target=f if quadratic else None,
     )
 
 

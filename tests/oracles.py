@@ -159,3 +159,14 @@ def known_spectrum(s, seed):
 
 def nuclear_norm(w):
     return float(np.linalg.svd(np.asarray(w, dtype=float), compute_uv=False).sum())
+
+
+def orthogonality_defect_loop(objective, dictionary, trace):
+    """Max |<E'(G_m), phi>| over every record and every atom of its terms,
+    one scalar product at a time."""
+    worst = 0.0
+    for rec in trace.records:
+        grad = objective.gradient(rec.approximant.point)
+        for atom, _ in rec.approximant.terms:
+            worst = max(worst, abs(float(np.dot(grad, dictionary.realize(atom)))))
+    return worst

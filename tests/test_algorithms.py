@@ -27,7 +27,7 @@ from greedyopt.algorithms import (
     WeaknessSequence,
     run_greedy,
 )
-from greedyopt import inner_solvers
+from greedyopt import algorithms, inner_solvers
 from greedyopt.inner_solvers import minimize_on_slice
 from greedyopt.instances import gen_compressed_sensing, gen_low_rank, gen_lp_approx
 from greedyopt.objectives import l2_norm, make_least_squares, make_norm_power
@@ -167,6 +167,63 @@ def test_chebyshev_non_quadratic_span_is_lbfgs_only(monkeypatch):
     # E at m = 10 from the three-stage solver (L-BFGS-B, coordinate polish,
     # L-BFGS-B) that this path replaced
     assert trace.records[-1].energy == pytest.approx(4.911012862748374e-25, abs=1e-20)
+
+
+def test_chebyshev_well_conditioned_span_never_calls_lstsq(monkeypatch):
+    # a generic target over a compressed-sensing dictionary: 40 distinct
+    # atoms, and the factor's triangular solve meets the contract at every
+    # step, so the full lstsq fallback never runs
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("the span solve fell back to lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    dic, _, _ = gen_compressed_sensing(64, 256, 8, seed=3)
+    y = np.random.default_rng(3).standard_normal(64)
+    trace = run_ls(y, Chebyshev(), dic=dic, max_m=40, sup_tol=-1.0)
+    assert trace.iterations == 40
+    assert len(trace.final.terms) == 40
+    assert max(r.grad_inf for r in trace.records) <= 1e-8
+
+
+def test_chebyshev_more_atoms_than_dim_meets_the_contract(monkeypatch):
+    # e1, e2, e3 fit the target exactly at m = 3; the zero gradient then
+    # selects atom 0, the fourth column in R^3, which turns the factor off,
+    # and the span solve falls back to one lstsq
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(
+        np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k)
+    )
+    dic = FiniteDictionary.from_matrix(
+        np.column_stack([np.ones(3) / np.sqrt(3.0), np.eye(3)])
+    )
+    trace = run_ls([10.0, 0.1, 0.01], Chebyshev(), dic=dic, max_m=6, sup_tol=-1.0)
+    assert [r.atom.index for r in trace.records[:4]] == [1, 2, 3, 0]
+    assert trace.records[2].energy == 0.0
+    assert len(trace.final.terms) == 4
+    assert calls == [1]
+    assert trace.final.point == pytest.approx([10.0, 0.1, 0.01], abs=1e-14)
+    assert max(r.grad_inf for r in trace.records) <= 1e-8
+
+
+def test_chebyshev_merged_step_skips_the_span_solve(monkeypatch):
+    # from m = 9 every selection merges into the basis of the planted target;
+    # the span is unchanged, so its solve is not repeated
+    solves = []
+    solve = algorithms.minimize_subspace
+    monkeypatch.setattr(
+        algorithms,
+        "minimize_subspace",
+        lambda *a, **k: solves.append(1) or solve(*a, **k),
+    )
+    dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1000)
+    trace = run_greedy(obj, dic, 1.0, Chebyshev(), StopRule(max_m=20, sup_tol=-1.0))
+    assert trace.iterations == 20
+    assert len(solves) == len(trace.final.terms) < 20
+    for prev, rec in zip(trace.records, trace.records[1:]):
+        if len(rec.approximant.terms) == len(prev.approximant.terms):
+            assert np.array_equal(rec.approximant.point, prev.approximant.point)
+            assert rec.grad_inf == prev.grad_inf
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from greedyopt.experiment import (
     make_recurrence_case,
     monotonicity_defect,
     omp_reference,
+    orthogonality_defect,
     run_experiment,
     sample_sublevel_triple,
     signal_coefficients,
@@ -49,7 +50,7 @@ from greedyopt.instances import gen_compressed_sensing, verify_certificate
 from greedyopt.objectives import make_least_squares, make_norm_power
 from greedyopt.theory import verify_recurrence
 
-from oracles import omp_normal_equations
+from oracles import omp_normal_equations, orthogonality_defect_loop
 
 
 BASE = {
@@ -452,6 +453,42 @@ def test_check_gradient_fd():
 def test_check_orthogonality():
     result = check_orthogonality(seed=0)
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(instance="compressed_sensing", algorithm="wcga", k=32, n=64, s=4),
+        dict(instance="compressed_sensing", algorithm="wrga", k=32, n=64, s=4),
+        dict(instance="low_rank", algorithm="wcga", n=8, rank=2),
+        dict(instance="lp_approx", algorithm="wcga", n=16, r=3.0, q=1.5, s=3),
+    ],
+    ids=["cs_wcga", "cs_wrga", "low_rank_wcga", "lp_wcga"],
+)
+def test_orthogonality_defect_matches_the_loop(config):
+    # the batched replay reads the same products as one scalar product per
+    # (record, term) pair
+    config = validate_config(dict(config, seed=5, max_m=30, sup_tol=-1.0))
+    objective, dictionary, certificate, _ = build_instance(config)
+    trace = run_greedy(
+        objective,
+        dictionary,
+        build_weakness(config),
+        build_rule(config),
+        build_stop(config, certificate),
+    )
+    assert trace.iterations == 30
+    batched = orthogonality_defect(objective, dictionary, trace)
+    assert batched == pytest.approx(
+        orthogonality_defect_loop(objective, dictionary, trace), rel=0, abs=1e-15
+    )
+
+
+def test_orthogonality_defect_of_an_empty_trace_is_zero():
+    dic, y, _ = gen_compressed_sensing(8, 16, 2, seed=0)
+    obj = make_least_squares(y)
+    trace = run_greedy(obj, dic, 1.0, Chebyshev(), StopRule(max_m=0))
+    assert orthogonality_defect(obj, dic, trace) == 0.0
 
 
 def test_make_recurrence_case_valid():

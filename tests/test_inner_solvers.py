@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from greedyopt.inner_solvers import (
     DERIVATIVE_TOL,
     NonConvexityError,
+    SpanFactor,
     SubspaceToleranceError,
     UnboundedBelowError,
     line_search,
@@ -537,3 +538,66 @@ def test_subspace_unreachable_tolerance_raises():
     with pytest.raises(SubspaceToleranceError) as err:
         minimize_subspace(obj, basis, tol=1e-30)
     assert err.value.achieved > 1e-30
+
+
+# ---------------------------------------------------------------------------
+# span factor (thin QR of the Chebyshev basis)
+
+
+def test_span_factor_is_orthogonal_at_cs_wcga_size():
+    # 400 unit columns in R^512, as in the cs_wcga workload's basis at m = 400
+    rng = np.random.default_rng(5)
+    cols = rng.standard_normal((512, 400))
+    cols /= np.linalg.norm(cols, axis=0)
+    factor = SpanFactor(512)
+    for col in cols.T:
+        factor.append(col)
+    assert factor.usable and factor.size == 400
+    q, r = factor.q, factor.r
+    assert np.array_equal(factor.basis, cols)
+    assert np.max(np.abs(q.T @ q - np.eye(400))) <= 1e-12
+    assert np.array_equal(r, np.triu(r))
+    assert np.linalg.norm(q @ r - cols) <= 1e-12 * np.linalg.norm(cols)
+    y = rng.standard_normal(512)
+    expected, *_ = np.linalg.lstsq(cols, y, rcond=None)
+    assert np.max(np.abs(factor.solve(y) - expected)) <= 1e-10
+
+
+def test_span_factor_grows_its_buffers_by_doubling():
+    factor = SpanFactor(1000)
+    for i in range(9):
+        factor.append(np.eye(1000)[i])
+    assert factor.size == 9
+    assert factor._bt.shape == factor._qt.shape == (16, 1000)
+    assert factor._r.shape == (16, 16)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        # two equal columns, as two dictionary indices holding one vector
+        np.array([[1.0, 0.0, 1.0], [2.0, 1.0, 2.0], [0.0, 3.0, 0.0], [1.0, 1.0, 1.0]]),
+        # more columns than the dimension
+        np.random.default_rng(6).standard_normal((3, 4)),
+    ],
+    ids=["equal_columns", "more_than_dim"],
+)
+def test_dependent_column_turns_the_factor_off(monkeypatch, columns):
+    factor = SpanFactor.of(columns[:, :-1])
+    assert factor.usable
+    factor.append(columns[:, -1])
+    assert not factor.usable
+    assert np.array_equal(factor.basis, columns)
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(
+        np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k)
+    )
+    y = np.arange(1.0, columns.shape[0] + 1.0)
+    obj = make_least_squares(y)
+    res = minimize_subspace(obj, factor)
+    assert calls == [1]
+    assert res.grad_inf <= 1e-8
+    assert np.max(np.abs(columns.T @ obj.gradient(res.point))) <= 1e-8
+    expected, *_ = lstsq(columns, y, rcond=None)
+    assert np.array_equal(res.coefficients, expected)
