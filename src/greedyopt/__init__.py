@@ -55,7 +55,6 @@ from .algorithms import (
     Prescribed,
     ReducedStep,
     RunTrace,
-    SparseApproximant,
     StopReason,
     StopRule,
     WeaknessSequence,
@@ -73,7 +72,6 @@ from .theory import (
     check_envelope,
     conjugate_exponent,
     fit_power_slope,
-    fit_rate_slope,
     rate_envelope,
     solve_xi,
     solve_xi_flagged,

@@ -25,8 +25,10 @@ and its thin QR, and appends a column only for an atom that does not merge
 into the basis. A merged atom leaves the span unchanged, so the previous span
 solution, which met the contract on it, stands without a new solve.
 
-Traces record per-iteration energies, selection certificates, step data,
-synthesis l1 mass, and wall time.
+A record keeps its coefficients over the run's atoms (`RunTrace.atoms`), not
+a copy of G. A relaxed rule appends its atom every step, with coefficients
+(alpha * previous, lam) for its factor alpha; a Chebyshev run's atoms are its
+basis. An abort raises `GreedyRunError` with the records before it.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ from .dictionaries import (
     Dictionary,
     FiniteDictionary,
     SelectionCertificate,
+    WeaknessCertificationError,
     select_e_greedy_fixed,
     select_gradient_greedy,
     synthesis_l1,
@@ -54,7 +57,7 @@ from .inner_solvers import (
     minimize_on_slice,
     minimize_subspace,
 )
-from .objectives import Objective
+from .objectives import NonFiniteEnergyError, Objective
 
 ENERGY_SLACK = 1e-10
 MERGE_COLINEAR_TOL = 1e-10
@@ -65,6 +68,7 @@ class StopReason(enum.Enum):
     SUP_SCORE_TOL = "SupScoreTol"
     GAP_TOL = "GapTol"
     INNER_FAILURE = "InnerFailure"
+    ABORTED = "Aborted"
 
 
 class MonotonicityError(RuntimeError):
@@ -72,7 +76,7 @@ class MonotonicityError(RuntimeError):
 
 
 class GreedyRunError(RuntimeError):
-    """Inner-solver failure, annotated with the iteration and partial trace."""
+    """A run's abort, annotated with the iteration and the partial trace."""
 
     def __init__(self, iteration: int, trace: "RunTrace", cause: Exception):
         super().__init__(f"iteration {iteration}: {cause}")
@@ -234,18 +238,6 @@ MONOTONE_RULES = (Chebyshev, ConvexRelaxation, FreeRelaxation, BestStep)
 
 
 @dataclass(frozen=True)
-class SparseApproximant:
-    """Signed-atom expansion G = sum_i coef_i * realize(atom_i)."""
-
-    terms: tuple  # ((Atom, float), ...)
-    point: np.ndarray
-
-    @property
-    def l1_mass(self) -> float:
-        return synthesis_l1(c for _, c in self.terms)
-
-
-@dataclass(frozen=True)
 class IterationRecord:
     m: int
     energy: float
@@ -257,7 +249,7 @@ class IterationRecord:
     w_or_r: float
     l1_mass: float
     wall_ns: int
-    approximant: SparseApproximant
+    coefficients: np.ndarray  # read-only, over the first len() of trace.atoms
     grad_inf: float = float("nan")
 
 
@@ -268,14 +260,16 @@ class RunTrace:
     stop_reason: StopReason
     initial_energy: float
     records: list = field(default_factory=list)
+    atoms: list = field(default_factory=list)  # term atoms, in order
+    point: Optional[np.ndarray] = None  # G at the last record
 
     @property
     def iterations(self) -> int:
         return len(self.records)
 
-    @property
-    def final(self) -> Optional[SparseApproximant]:
-        return self.records[-1].approximant if self.records else None
+    def terms(self, i: int = -1) -> list:
+        """Record i's (atom, coefficient) pairs."""
+        return list(zip(self.atoms, self.records[i].coefficients.tolist()))
 
     def energies(self) -> np.ndarray:
         return np.array([r.energy for r in self.records], dtype=float)
@@ -319,8 +313,7 @@ def run_greedy(
         )
 
     G = np.zeros(dim)
-    terms: list = []
-    basis_atoms: list = []
+    coefficients = np.zeros(0)
     span = SpanFactor(dim) if isinstance(rule, Chebyshev) else None
     span_result = None
     e_prev = objective.value(G)
@@ -335,11 +328,12 @@ def run_greedy(
     for m in range(1, stop.max_m + 1):
         t0 = time.perf_counter_ns()
         t_m = tau.t(m)
-        if gradient is None:
-            gradient = objective.gradient(G)
-        direction = -gradient
 
         try:
+            if gradient is None:
+                gradient = objective.gradient(G)
+            direction = -gradient
+
             # --- selection -------------------------------------------------
             sup_for_stop: Optional[float] = None
             if isinstance(rule, Prescribed) and rule.selection == "energy":
@@ -374,20 +368,23 @@ def run_greedy(
             w_or_r = float("nan")
             grad_inf = float("nan")
             next_gradient = None
+            alpha = 1.0  # a relaxed rule's factor on the previous coefficients
 
             if isinstance(rule, Chebyshev):
-                if not _merge_into_basis(dictionary, atom, phi, basis_atoms, span):
+                position = _basis_position(dictionary, atom, phi, trace.atoms, span)
+                if position is None:
+                    trace.atoms.append(atom)
+                    span.append(phi)
+                    position = len(trace.atoms) - 1
                     x0 = np.zeros(1)
                     if span_result is not None:
                         x0 = np.append(span_result.coefficients, 0.0)
                     span_result = minimize_subspace(
                         objective, span, rule.subspace_tol, x0=x0
                     )
-                coef = span_result.coefficients
+                coefficients = span_result.coefficients
                 G = span_result.point
-                terms = list(zip(basis_atoms, coef.tolist()))
-                new_idx = _basis_position(dictionary, atom, basis_atoms)
-                lam = float(coef[new_idx])
+                lam = float(coefficients[position])
                 grad_inf = span_result.grad_inf
             elif isinstance(rule, ConvexRelaxation):
                 delta = phi - G
@@ -397,16 +394,14 @@ def run_greedy(
                 (lam,) = step.coefficients.tolist()
                 G = G + lam * delta
                 next_gradient = step.gradient
-                terms = [(a, (1.0 - lam) * c) for a, c in terms]
-                terms.append((atom, lam))
+                alpha = 1.0 - lam
             elif isinstance(rule, FreeRelaxation):
                 minus_w, lam = minimize_on_slice(
                     objective, G, (G, phi), energy=e_prev, gradient=gradient
                 ).coefficients.tolist()
                 w_or_r = 0.0 - minus_w  # 0.0 - c: no -0.0 when c = 0
-                G = (1.0 - w_or_r) * G + lam * phi
-                terms = [(a, (1.0 - w_or_r) * c) for a, c in terms]
-                terms.append((atom, lam))
+                alpha = 1.0 - w_or_r
+                G = alpha * G + lam * phi
             elif isinstance(rule, (BestStep, ReducedStep)):
                 step = minimize_on_slice(
                     objective, G, (phi,), 0.0, np.inf, e_prev, gradient
@@ -418,42 +413,46 @@ def run_greedy(
                 else:
                     next_gradient = step.gradient
                 G = G + lam * phi
-                terms.append((atom, lam))
             elif isinstance(rule, FixedRelaxation):
                 r_m = _schedule_value(rule.schedule, m)
                 if not (0.0 <= r_m < 1.0):
                     raise ValueError(f"r_m must be in [0, 1), got {r_m}")
-                base = (1.0 - r_m) * G
+                alpha = 1.0 - r_m
+                base = alpha * G
                 (lam,) = minimize_on_slice(
                     objective, base, (phi,)
                 ).coefficients.tolist()
                 w_or_r = r_m
                 G = base + lam * phi
-                terms = [(a, (1.0 - r_m) * c) for a, c in terms]
-                terms.append((atom, lam))
             elif isinstance(rule, Prescribed):
                 c_m = _schedule_value(rule.steps, m)
                 if not (c_m > 0.0):
                     raise ValueError(f"prescribed step must be > 0, got {c_m}")
                 lam = c_m
                 G = G + c_m * phi
-                terms.append((atom, c_m))
             else:
                 raise TypeError(f"unknown update rule {rule!r}")
+            if not isinstance(rule, Chebyshev):
+                trace.atoms.append(atom)
+                coefficients = np.append(alpha * coefficients, lam)
+            coefficients.setflags(write=False)
 
             energy = objective.value(G)
             gradient = next_gradient
+            if isinstance(rule, MONOTONE_RULES) and energy > e_prev + ENERGY_SLACK:
+                raise MonotonicityError(
+                    f"m={m}: energy rose {e_prev:.17g} -> {energy:.17g}"
+                )
         except (LineSearchError, SubspaceToleranceError) as exc:
             trace.stop_reason = StopReason.INNER_FAILURE
             raise GreedyRunError(m, trace, exc) from exc
-
-        if isinstance(rule, MONOTONE_RULES) and energy > e_prev + ENERGY_SLACK:
-            raise MonotonicityError(
-                f"m={m}: energy rose {e_prev:.17g} -> {energy:.17g}"
-            )
+        except (
+            NonFiniteEnergyError, WeaknessCertificationError, MonotonicityError
+        ) as exc:
+            trace.stop_reason = StopReason.ABORTED
+            raise GreedyRunError(m, trace, exc) from exc
         e_prev = energy
 
-        snapshot = SparseApproximant(tuple(terms), G.copy())
         trace.records.append(
             IterationRecord(
                 m=m,
@@ -464,12 +463,13 @@ def run_greedy(
                 weakness_ratio=cert.ratio,
                 lam=lam,
                 w_or_r=w_or_r,
-                l1_mass=snapshot.l1_mass,
+                l1_mass=synthesis_l1(coefficients),
                 wall_ns=time.perf_counter_ns() - t0,
-                approximant=snapshot,
+                coefficients=coefficients,
                 grad_inf=grad_inf,
             )
         )
+        trace.point = G
 
         if (
             stop.gap_tol is not None
@@ -481,26 +481,15 @@ def run_greedy(
     return trace
 
 
-def _merge_into_basis(dictionary, atom, vec, basis_atoms, span) -> bool:
-    """Add the atom's direction to the Chebyshev basis unless already spanned
-    by an existing basis vector (same column index, or colinear rank-one
-    factor pair). Returns True when merged (nothing appended)."""
+def _basis_position(dictionary, atom, vec, atoms, span) -> Optional[int]:
+    """Position of the basis column that already spans the atom (a rank-one
+    merge reports the last column), or None when the atom is new."""
     if isinstance(dictionary, FiniteDictionary):
-        for b in basis_atoms:
+        for i, b in enumerate(atoms):
             if b.index == atom.index:
-                return True
+                return i
     else:
         for bv in span.basis.T:
             if abs(float(np.dot(vec, bv))) >= 1.0 - MERGE_COLINEAR_TOL:
-                return True
-    basis_atoms.append(atom)
-    span.append(vec)
-    return False
-
-
-def _basis_position(dictionary, atom, basis_atoms) -> int:
-    if isinstance(dictionary, FiniteDictionary):
-        for i, b in enumerate(basis_atoms):
-            if b.index == atom.index:
-                return i
-    return len(basis_atoms) - 1
+                return len(atoms) - 1
+    return None

@@ -328,22 +328,22 @@ def orthogonality_defect(objective: Objective, dictionary, trace: RunTrace) -> f
     terms (Chebyshev runs re-minimize over the selected span, so this should
     sit at solver tol).
 
-    An independent replay of the trace: E' at each record's point and each
-    distinct atom realized once, then one product of the two stacks, read
-    where an atom is a term of the record."""
-    columns: dict = {}  # atom -> its row in the atom stack
-    rows, cols = [], []
-    for i, rec in enumerate(trace.records):
-        for atom, _ in rec.approximant.terms:
-            rows.append(i)
-            cols.append(columns.setdefault(atom, len(columns)))
-    if not rows:
+    An independent replay: the atoms realized once, each iterate rebuilt as
+    stack[:k].T @ coefficients (the span solve's product, so bitwise the
+    run's G), then one product of E' at each with the stack, read at the
+    record's terms."""
+    if not trace.records:
         return 0.0
+    stack = np.array([dictionary.realize(atom) for atom in trace.atoms])
+    sizes = np.array([len(rec.coefficients) for rec in trace.records])
     grads = np.array(
-        [objective.gradient(rec.approximant.point) for rec in trace.records]
+        [
+            objective.gradient(stack[:k].T @ rec.coefficients)
+            for k, rec in zip(sizes, trace.records)
+        ]
     )
-    atoms = np.array([dictionary.realize(atom) for atom in columns])
-    return float(np.max(np.abs((grads @ atoms.T)[rows, cols])))
+    terms = np.arange(len(stack)) < sizes[:, None]
+    return float(np.max(np.abs(grads @ stack.T)[terms]))
 
 
 def monotonicity_defect(trace: RunTrace) -> float:
@@ -404,7 +404,8 @@ class ExperimentResult:
 
     @property
     def ok(self) -> bool:
-        if self.summary["stopping_reason"] == StopReason.INNER_FAILURE.value:
+        failed = (StopReason.INNER_FAILURE.value, StopReason.ABORTED.value)
+        if self.summary["stopping_reason"] in failed:
             return False
         return all(self.summary["invariants"].values())
 
@@ -472,18 +473,16 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
     stop = build_stop(config, certificate)
     weakness = build_weakness(config)
 
-    failure: Optional[str] = None
     try:
         trace = run_greedy(objective, dictionary, weakness, rule, stop)
     except GreedyRunError as exc:
         trace = exc.trace
-        failure = str(exc)
 
     reference = stop.reference
     invariants = collect_invariants(
         objective, dictionary, certificate, target, trace, rule
     )
-    if failure is not None:
+    if trace.stop_reason is StopReason.INNER_FAILURE:
         invariants["inner_solver"] = False
 
     summary = {
@@ -676,10 +675,11 @@ def omp_reference(columns: np.ndarray, y: np.ndarray, steps: int) -> list:
     return rows
 
 
-def signal_coefficients(trace_record) -> dict:
-    """Column-index -> signed coefficient map for a finite-dictionary record."""
+def signal_coefficients(trace: RunTrace, i: int = -1) -> dict:
+    """Column-index -> signed coefficient map of record i of a
+    finite-dictionary run."""
     out: dict = {}
-    for atom, coef in trace_record.approximant.terms:
+    for atom, coef in trace.terms(i):
         out[atom.index] = out.get(atom.index, 0.0) + atom.sign * coef
     return out
 
@@ -709,7 +709,7 @@ def check_omp_equivalence(
                     False,
                     f"instance {i} m={rec.m}: atom {rec.atom.index} != {j}",
                 )
-            mine = signal_coefficients(rec)
+            mine = signal_coefficients(trace, rec.m - 1)
             if set(mine) != set(coefs):
                 return CheckResult(False, f"instance {i} m={rec.m}: support")
             for idx, c in coefs.items():

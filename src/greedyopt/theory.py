@@ -413,9 +413,3 @@ def fit_power_slope(
     slope, _ = np.polyfit(x, z, 1)
     return float(slope)
 
-
-def fit_rate_slope(
-    trace: RunTrace, m_min: int = 1, reference: float = 0.0
-) -> float:
-    """Log-log slope of the energy gap along a run."""
-    return fit_power_slope(trace.ms(), trace.gaps(reference), m_min)

@@ -32,7 +32,7 @@ from greedyopt.inner_solvers import minimize_on_slice
 from greedyopt.instances import gen_compressed_sensing, gen_low_rank, gen_lp_approx
 from greedyopt.objectives import l2_norm, make_least_squares, make_norm_power
 
-from oracles import free_relaxation_joint_minimum, quadratic_ray_minimum
+from oracles import free_relaxation_joint_minimum, iterate, quadratic_ray_minimum
 
 
 def canonical(n=2):
@@ -95,7 +95,7 @@ def test_chebyshev_canonical_two_steps():
     assert first.atom == Atom(1, 1)
     assert first.score == 4.0
     assert first.energy == 4.5
-    assert np.allclose(first.approximant.point, [0.0, 4.0], atol=1e-12)
+    assert np.allclose(iterate(trace, canonical(), 0), [0.0, 4.0], atol=1e-12)
     assert second.atom == Atom(0, 1)
     assert second.energy == pytest.approx(0.0, abs=1e-20)
     assert trace.stop_reason is StopReason.SUP_SCORE_TOL
@@ -104,7 +104,7 @@ def test_chebyshev_canonical_two_steps():
 def test_chebyshev_zero_target():
     trace = run_ls([0.0, 0.0], Chebyshev())
     assert trace.iterations == 0
-    assert trace.final is None
+    assert trace.point is None
     assert trace.stop_reason is StopReason.SUP_SCORE_TOL
 
 
@@ -125,7 +125,7 @@ def test_chebyshev_merges_repeated_atoms():
     # forcing extra iterations must re-use entries instead of growing the basis
     trace = run_ls([3.0, 4.0], Chebyshev(), max_m=3, sup_tol=-1.0)
     assert trace.iterations == 3
-    assert len(trace.final.terms) <= 2
+    assert len(trace.terms()) <= 2
 
 
 def test_chebyshev_inner_failure_is_loud():
@@ -181,7 +181,7 @@ def test_chebyshev_well_conditioned_span_never_calls_lstsq(monkeypatch):
     y = np.random.default_rng(3).standard_normal(64)
     trace = run_ls(y, Chebyshev(), dic=dic, max_m=40, sup_tol=-1.0)
     assert trace.iterations == 40
-    assert len(trace.final.terms) == 40
+    assert len(trace.terms()) == 40
     assert max(r.grad_inf for r in trace.records) <= 1e-8
 
 
@@ -200,9 +200,9 @@ def test_chebyshev_more_atoms_than_dim_meets_the_contract(monkeypatch):
     trace = run_ls([10.0, 0.1, 0.01], Chebyshev(), dic=dic, max_m=6, sup_tol=-1.0)
     assert [r.atom.index for r in trace.records[:4]] == [1, 2, 3, 0]
     assert trace.records[2].energy == 0.0
-    assert len(trace.final.terms) == 4
+    assert len(trace.terms()) == 4
     assert calls == [1]
-    assert trace.final.point == pytest.approx([10.0, 0.1, 0.01], abs=1e-14)
+    assert trace.point == pytest.approx([10.0, 0.1, 0.01], abs=1e-14)
     assert max(r.grad_inf for r in trace.records) <= 1e-8
 
 
@@ -219,10 +219,10 @@ def test_chebyshev_merged_step_skips_the_span_solve(monkeypatch):
     dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1000)
     trace = run_greedy(obj, dic, 1.0, Chebyshev(), StopRule(max_m=20, sup_tol=-1.0))
     assert trace.iterations == 20
-    assert len(solves) == len(trace.final.terms) < 20
+    assert len(solves) == len(trace.atoms) < 20
     for prev, rec in zip(trace.records, trace.records[1:]):
-        if len(rec.approximant.terms) == len(prev.approximant.terms):
-            assert np.array_equal(rec.approximant.point, prev.approximant.point)
+        if len(rec.coefficients) == len(prev.coefficients):
+            assert np.array_equal(rec.coefficients, prev.coefficients)
             assert rec.grad_inf == prev.grad_inf
 
 
@@ -285,11 +285,11 @@ def test_free_relaxation_matches_joint_oracle():
         StopRule(max_m=8, sup_tol=-1.0),
     )
     prev = np.zeros(6)
-    for rec in trace.records:
+    for i, rec in enumerate(trace.records):
         phi = dic.realize(rec.atom)
         _, _, best = free_relaxation_joint_minimum(target, prev, phi)
         assert rec.energy <= best + 1e-8 * (1.0 + abs(best))
-        prev = rec.approximant.point
+        prev = iterate(trace, dic, i)
 
 
 def test_free_relaxation_never_worse_than_best_step_per_iteration():
@@ -305,11 +305,11 @@ def test_free_relaxation_never_worse_than_best_step_per_iteration():
         StopRule(max_m=10, sup_tol=-1.0),
     )
     prev = np.zeros(8)
-    for rec in trace.records:
+    for i, rec in enumerate(trace.records):
         phi = dic.realize(rec.atom)
         c_star, best_step = quadratic_ray_minimum(target, prev, phi)
         assert rec.energy <= best_step + 1e-9
-        prev = rec.approximant.point
+        prev = iterate(trace, dic, i)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +411,7 @@ def test_exact_steps_never_worse_than_searches(seed, k, n, name):
     rule, slice_of, point_of = _SLICES[name]
     trace = run_greedy(obj, dic, 1.0, rule, StopRule(max_m=6, sup_tol=-1.0))
     prev = np.zeros(k)
-    for rec in trace.records:
+    for i, rec in enumerate(trace.records):
         phi = dic.realize(rec.atom)
         base, directions, lower, upper = slice_of(prev, phi)
         c = minimize_on_slice(searched, base, directions, lower, upper).coefficients
@@ -422,7 +422,7 @@ def test_exact_steps_never_worse_than_searches(seed, k, n, name):
         else:
             e_exact = rec.energy
         assert e_exact <= e_search + 1e-12 * (1.0 + abs(e_search))
-        prev = rec.approximant.point
+        prev = iterate(trace, dic, i)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +448,9 @@ def test_slice_gradient_is_the_next_selection_gradient(rule, kind):
     trace = run_greedy(counted, dic, 1.0, rule, StopRule(max_m=20, sup_tol=-1.0))
     assert trace.iterations == 20
     assert len(calls) == 1 + 2 * trace.iterations
-    for prev, rec in zip(trace.records, trace.records[1:]):
-        G = prev.approximant.point
+    # G replayed with the run's own update, so it is bitwise the run's G
+    G = np.zeros(obj.dimension)
+    for rec in trace.records:
         direction = -obj.gradient(G)
         shift = (
             float(np.dot(direction, G)) if isinstance(rule, ConvexRelaxation) else 0.0
@@ -461,6 +462,12 @@ def test_slice_gradient_is_the_next_selection_gradient(rule, kind):
             rec.sup_score,
             rec.weakness_ratio,
         )
+        phi = dic.realize(rec.atom)
+        if isinstance(rule, ConvexRelaxation):
+            G = G + rec.lam * (phi - G)
+        else:
+            G = G + rec.lam * phi
+    assert np.array_equal(G, trace.point)
 
 
 def test_fixed_relaxation_zero_schedule_is_best_step():
@@ -530,13 +537,40 @@ def test_approximant_point_matches_terms():
         Chebyshev(),
         StopRule(max_m=6, sup_tol=-1.0),
     )
-    approx = trace.final
     point = np.zeros(6)
     mass = 0.0
-    for atom, coef in approx.terms:
+    for atom, coef in trace.terms():
         point = point + coef * dic.realize(atom)
         mass += abs(coef)
-    assert np.allclose(approx.point, point, atol=1e-10 * (1.0 + mass))
+    assert np.allclose(trace.point, point, atol=1e-10 * (1.0 + mass))
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        Chebyshev(),
+        ConvexRelaxation(),
+        FreeRelaxation(),
+        BestStep(),
+        ReducedStep(),
+        FixedRelaxation(0.1),
+        Prescribed(0.05),
+    ],
+    ids=lambda rule: type(rule).__name__,
+)
+def test_records_hold_coefficients_not_points(rule):
+    # a record keeps its coefficients over the run's atoms, never a copy of G:
+    # no field is a dim-sized array, and the last point is the terms' sum
+    dic, y, _ = gen_compressed_sensing(32, 64, 4, seed=2)
+    trace = run_ls(y, rule, dic=dic, max_m=12, sup_tol=-1.0)
+    assert trace.iterations == 12
+    for rec in trace.records:
+        for f in dataclasses.fields(rec):
+            value = getattr(rec, f.name)
+            assert not (isinstance(value, np.ndarray) and value.size == 32)
+        assert not rec.coefficients.flags.writeable
+        assert len(rec.coefficients) <= len(trace.atoms)
+    assert trace.point == pytest.approx(iterate(trace, dic, -1), abs=1e-12)
 
 
 def test_iterates_stay_in_sublevel_set():
@@ -552,12 +586,12 @@ def test_iterates_stay_in_sublevel_set():
             rule,
             StopRule(max_m=20, sup_tol=-1.0),
         )
-        for rec in trace.records:
+        for i, rec in enumerate(trace.records):
             # energy never exceeds E(0), so iterates stay within the sublevel
             # ball of radius 2*||target|| around the target
             assert rec.energy <= obj.value(np.zeros(5)) + 1e-12
             assert (
-                l2_norm(rec.approximant.point - target)
+                l2_norm(iterate(trace, dic, i) - target)
                 <= obj.sublevel_radius + 1e-9
             )
 
@@ -568,7 +602,10 @@ def test_trace_accessors():
     assert list(trace.energies()) == [rec.energy for rec in trace.records]
     assert np.array_equal(trace.gaps(0.0), trace.energies())
     assert np.array_equal(trace.gaps(-1.0), trace.energies() + 1.0)
-    assert trace.final is trace.records[-1].approximant
+    assert trace.atoms == [Atom(1, 1), Atom(0, 1)]
+    assert [a for a, _ in trace.terms(0)] == [Atom(1, 1)]
+    assert [c for _, c in trace.terms()] == pytest.approx([4.0, 3.0], abs=1e-12)
+    assert trace.point == pytest.approx([3.0, 4.0], abs=1e-12)
     assert trace.initial_energy == 12.5
     assert trace.algorithm == "wcga"
 

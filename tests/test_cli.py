@@ -189,6 +189,33 @@ def test_run_invariant_failure_exit_code(quick_config, tmp_path):
     assert summary["stopping_reason"] == "InnerFailure"
 
 
+def test_run_abort_writes_both_files_and_exits_1(tmp_path, capsys):
+    # a valid config whose first step overflows the energy: the run aborts
+    # with its (empty) partial trace, exit 1, both files and no traceback
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        json.dumps(
+            {
+                "instance": "compressed_sensing",
+                "algorithm": "prescribed",
+                "k": 16,
+                "n": 32,
+                "s": 2,
+                "prescribed_step": 1e300,
+                "seed": 1,
+            }
+        )
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.out + printed.err
+    assert "stopping_reason: Aborted" in printed.out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stopping_reason"] == "Aborted"
+    assert len((out / "trace.csv").read_text().strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # rates
 

@@ -19,6 +19,13 @@ from greedyopt.dictionaries import (
     select_gradient_greedy,
     synthesis_l1,
 )
+from greedyopt.algorithms import (
+    BestStep,
+    GreedyRunError,
+    StopReason,
+    StopRule,
+    run_greedy,
+)
 from greedyopt.objectives import lr_norm, make_least_squares
 
 from oracles import (
@@ -414,6 +421,26 @@ def test_select_gradient_greedy_uncertifiable_fails_loudly():
     # an upper bound the selected atom's score cannot reach at t=1
     with pytest.raises(WeaknessCertificationError):
         select_gradient_greedy(_LooseBoundDictionary(3), np.ones(3), 1.0)
+
+
+def test_uncertified_selection_aborts_with_the_records_before_it():
+    # the loose bound certifies the ratio 1/sqrt(3) ~ 0.577: t = 0.5 passes
+    # at m = 1, 2 and t = 0.9 fails at m = 3, which keeps the first two records
+    with pytest.raises(GreedyRunError) as err:
+        run_greedy(
+            make_least_squares(np.array([3.0, 2.0, 1.0])),
+            _LooseBoundDictionary(3),
+            [0.5, 0.5, 0.9],
+            BestStep(),
+            StopRule(max_m=5, sup_tol=-1.0),
+        )
+    assert err.value.iteration == 3
+    assert isinstance(err.value.cause, WeaknessCertificationError)
+    trace = err.value.trace
+    assert trace.stop_reason is StopReason.ABORTED
+    assert [rec.m for rec in trace.records] == [1, 2]
+    assert [rec.atom for rec in trace.records] == [Atom(0, 1), Atom(1, 1)]
+    assert trace.point == pytest.approx([3.0, 2.0, 0.0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from greedyopt.algorithms import (
     StopRule,
     run_greedy,
 )
-from greedyopt.dictionaries import FiniteDictionary
+from greedyopt.dictionaries import Atom, FiniteDictionary
 from greedyopt.experiment import (
     TRACE_COLUMNS,
     ConfigError,
@@ -419,9 +419,8 @@ def test_signal_coefficients_merges_repeated_atoms():
     dic = FiniteDictionary(np.eye(2)[:, :1])  # single-atom dictionary
     obj = make_least_squares(np.array([1.0, 0.0]))
     trace = run_greedy(obj, dic, 1.0, BestStep(), StopRule(max_m=3, sup_tol=-1.0))
-    last = trace.records[-1]
-    assert len(last.approximant.terms) == 3  # one term per iteration
-    merged = signal_coefficients(last)
+    assert len(trace.terms()) == 3  # one term per iteration
+    merged = signal_coefficients(trace)
     assert set(merged) == {0}
     assert merged[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -482,6 +481,34 @@ def test_orthogonality_defect_matches_the_loop(config):
     assert batched == pytest.approx(
         orthogonality_defect_loop(objective, dictionary, trace), rel=0, abs=1e-15
     )
+
+
+def test_orthogonality_defect_compares_no_atoms(monkeypatch):
+    # the replay reads the run's atoms by position, so it neither hashes nor
+    # compares them: every rank-one atom of one sign hashes alike, so a map
+    # keyed by atoms would compare factor arrays
+    config = validate_config(
+        dict(
+            instance="low_rank", algorithm="wcga", n=32, rank=4, seed=1,
+            max_m=60, sup_tol=-1.0,
+        )
+    )
+    objective, dictionary, certificate, _ = build_instance(config)
+    trace = run_greedy(
+        objective,
+        dictionary,
+        build_weakness(config),
+        build_rule(config),
+        build_stop(config, certificate),
+    )
+    assert trace.iterations == 60
+    calls = []
+    eq = Atom.__eq__
+    monkeypatch.setattr(
+        Atom, "__eq__", lambda self, other: calls.append(1) or eq(self, other)
+    )
+    orthogonality_defect(objective, dictionary, trace)
+    assert len(calls) == 0
 
 
 def test_orthogonality_defect_of_an_empty_trace_is_zero():

@@ -19,7 +19,6 @@ from greedyopt.theory import (
     check_envelope,
     conjugate_exponent,
     fit_power_slope,
-    fit_rate_slope,
     rate_envelope,
     solve_xi,
     solve_xi_flagged,
@@ -444,7 +443,4 @@ def test_fit_rate_slope_on_real_trace():
         ConvexRelaxation(),
         StopRule(max_m=30, sup_tol=-1.0),
     )
-    direct = fit_rate_slope(trace, m_min=2)
-    again = fit_power_slope(trace.ms(), trace.gaps(0.0), m_min=2)
-    assert direct == again
-    assert direct < 0.0
+    assert fit_power_slope(trace.ms(), trace.gaps(0.0), m_min=2) < 0.0
