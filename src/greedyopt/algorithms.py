@@ -16,14 +16,17 @@ Selection is `select_gradient_greedy` for every gradient rule; the convex
 relaxation certifies the functional shifted by -G, <-E'(G), phi - G>. The
 five line-search and relaxation rules each name a slice (a segment, a ray, a
 line or the plane span{G_{m-1}, phi}) and hand it to
-`inner_solvers.minimize_on_slice`, together with E(G) and E'(G) when the
-slice starts at G. Where the new iterate is bitwise the slice solver's
-point (wrga and best_step), the gradient it evaluated there is the next
-step's selection gradient. Only the Chebyshev span solve,
-`minimize_subspace`, is separate: the run keeps one `SpanFactor`, the basis
-and its thin QR, and appends a column only for an atom that does not merge
-into the basis. A merged atom leaves the span unchanged, so the previous span
-solution, which met the contract on it, stands without a new solve.
+`inner_solvers.minimize_on_slice`, together with E(G) when the slice starts
+at G. Only the Chebyshev span solve, `minimize_subspace`, is separate: the
+run keeps one `SpanFactor`, the basis and its thin QR, and appends a column
+only for an atom that does not merge into the basis. A merged atom leaves the
+span unchanged, so the previous span solution, which met the contract on it,
+stands without a new solve.
+
+Every solver hands back its point, E there and, where it evaluated it, E'
+there: the run takes G and E from the result, and E' as the next selection
+gradient. Only reduced_step and prescribed, which do not move to a solver's
+point, evaluate E themselves, and E' at the next step.
 
 A record keeps its coefficients over the run's atoms (`RunTrace.atoms`), not
 a copy of G. A relaxed rule appends its atom every step, with coefficients
@@ -161,11 +164,9 @@ def as_weakness(spec: WeaknessLike) -> WeaknessSequence:
 
 
 def _schedule_value(spec, m: int) -> float:
-    """Value of a per-iteration schedule given as scalar, sequence, or callable."""
+    """Value of a per-iteration schedule given as a scalar or a sequence."""
     if isinstance(spec, (int, float)):
         return float(spec)
-    if callable(spec):
-        return float(spec(m))
     if m > len(spec):
         raise ValueError(f"schedule of length {len(spec)} exhausted at m={m}")
     return float(spec[m - 1])
@@ -204,17 +205,30 @@ class ReducedStep:
             raise ValueError(f"b must be in (0, 1), got {self.b}")
 
 
+def _check_schedule(spec, valid, what: str) -> None:
+    """Raise ValueError unless every value of the schedule is valid."""
+    for value in [spec] if isinstance(spec, (int, float)) else spec:
+        if not valid(float(value)):
+            raise ValueError(f"{what}, got {value}")
+
+
 @dataclass(frozen=True)
 class FixedRelaxation:
-    schedule: object = 0.0  # r_m in [0, 1): scalar, sequence, or callable
+    schedule: object = 0.0  # r_m in [0, 1): scalar or sequence
+
+    def __post_init__(self):
+        _check_schedule(
+            self.schedule, lambda r: 0.0 <= r < 1.0, "r_m must be in [0, 1)"
+        )
 
 
 @dataclass(frozen=True)
 class Prescribed:
-    steps: object = 1.0  # c_m > 0: scalar, sequence, or callable
+    steps: object = 1.0  # c_m > 0: scalar or sequence
     selection: str = "gradient"  # "gradient" | "energy"
 
     def __post_init__(self):
+        _check_schedule(self.steps, lambda c: c > 0.0, "prescribed step must be > 0")
         if self.selection not in ("gradient", "energy"):
             raise ValueError(f"unknown selection {self.selection!r}")
 
@@ -317,7 +331,7 @@ def run_greedy(
     span = SpanFactor(dim) if isinstance(rule, Chebyshev) else None
     span_result = None
     e_prev = objective.value(G)
-    gradient = None  # E'(G), when the last slice step left it at G bitwise
+    gradient = None  # E'(G), when the last solver handed it back
     trace = RunTrace(
         algorithm=_rule_name(rule),
         objective_label=objective.label,
@@ -328,6 +342,8 @@ def run_greedy(
     for m in range(1, stop.max_m + 1):
         t0 = time.perf_counter_ns()
         t_m = tau.t(m)
+        lam = w_or_r = grad_inf = float("nan")
+        alpha = 1.0  # a relaxed rule's factor on the previous coefficients
 
         try:
             if gradient is None:
@@ -337,10 +353,8 @@ def run_greedy(
             # --- selection -------------------------------------------------
             sup_for_stop: Optional[float] = None
             if isinstance(rule, Prescribed) and rule.selection == "energy":
-                c_m = _schedule_value(rule.steps, m)
-                if not (c_m > 0.0):
-                    raise ValueError(f"prescribed step must be > 0, got {c_m}")
-                atom = select_e_greedy_fixed(dictionary, objective, G, c_m)
+                lam = _schedule_value(rule.steps, m)
+                atom = select_e_greedy_fixed(dictionary, objective, G, lam)
                 score = float(np.dot(direction, dictionary.realize(atom)))
                 cert = SelectionCertificate(
                     atom, score, float("nan"), t_m, float("nan")
@@ -363,13 +377,8 @@ def run_greedy(
             atom = cert.atom
             phi = dictionary.realize(atom)
 
-            # --- update ----------------------------------------------------
-            lam = float("nan")
-            w_or_r = float("nan")
-            grad_inf = float("nan")
-            next_gradient = None
-            alpha = 1.0  # a relaxed rule's factor on the previous coefficients
-
+            # --- update: a solver's result, or G + lam * phi ---------------
+            step = None
             if isinstance(rule, Chebyshev):
                 position = _basis_position(dictionary, atom, phi, trace.atoms, span)
                 if position is None:
@@ -382,63 +391,43 @@ def run_greedy(
                     span_result = minimize_subspace(
                         objective, span, rule.subspace_tol, x0=x0
                     )
-                coefficients = span_result.coefficients
-                G = span_result.point
+                step = span_result
+                coefficients = step.coefficients
                 lam = float(coefficients[position])
-                grad_inf = span_result.grad_inf
+                grad_inf = step.grad_inf
             elif isinstance(rule, ConvexRelaxation):
-                delta = phi - G
-                step = minimize_on_slice(
-                    objective, G, (delta,), 0.0, 1.0, e_prev, gradient
-                )
+                step = minimize_on_slice(objective, G, (phi - G,), 0.0, 1.0, e_prev)
                 (lam,) = step.coefficients.tolist()
-                G = G + lam * delta
-                next_gradient = step.gradient
                 alpha = 1.0 - lam
             elif isinstance(rule, FreeRelaxation):
-                minus_w, lam = minimize_on_slice(
-                    objective, G, (G, phi), energy=e_prev, gradient=gradient
-                ).coefficients.tolist()
+                step = minimize_on_slice(objective, G, (G, phi), energy=e_prev)
+                minus_w, lam = step.coefficients.tolist()
                 w_or_r = 0.0 - minus_w  # 0.0 - c: no -0.0 when c = 0
                 alpha = 1.0 - w_or_r
-                G = alpha * G + lam * phi
             elif isinstance(rule, (BestStep, ReducedStep)):
-                step = minimize_on_slice(
-                    objective, G, (phi,), 0.0, np.inf, e_prev, gradient
-                )
+                step = minimize_on_slice(objective, G, (phi,), 0.0, np.inf, e_prev)
                 (lam,) = step.coefficients.tolist()
                 if isinstance(rule, ReducedStep):
                     lam *= rule.b
                     w_or_r = rule.b
-                else:
-                    next_gradient = step.gradient
-                G = G + lam * phi
+                    step = None
             elif isinstance(rule, FixedRelaxation):
-                r_m = _schedule_value(rule.schedule, m)
-                if not (0.0 <= r_m < 1.0):
-                    raise ValueError(f"r_m must be in [0, 1), got {r_m}")
-                alpha = 1.0 - r_m
-                base = alpha * G
-                (lam,) = minimize_on_slice(
-                    objective, base, (phi,)
-                ).coefficients.tolist()
-                w_or_r = r_m
-                G = base + lam * phi
-            elif isinstance(rule, Prescribed):
-                c_m = _schedule_value(rule.steps, m)
-                if not (c_m > 0.0):
-                    raise ValueError(f"prescribed step must be > 0, got {c_m}")
-                lam = c_m
-                G = G + c_m * phi
+                w_or_r = _schedule_value(rule.schedule, m)
+                alpha = 1.0 - w_or_r
+                step = minimize_on_slice(objective, alpha * G, (phi,))
+                (lam,) = step.coefficients.tolist()
+            elif isinstance(rule, Prescribed) and rule.selection == "gradient":
+                lam = _schedule_value(rule.steps, m)
+            if step is None:
+                G = G + lam * phi
+                energy, gradient = objective.value(G), None
             else:
-                raise TypeError(f"unknown update rule {rule!r}")
+                G, energy, gradient = step.point, step.energy, step.gradient
             if not isinstance(rule, Chebyshev):
                 trace.atoms.append(atom)
                 coefficients = np.append(alpha * coefficients, lam)
             coefficients.setflags(write=False)
 
-            energy = objective.value(G)
-            gradient = next_gradient
             if isinstance(rule, MONOTONE_RULES) and energy > e_prev + ENERGY_SLACK:
                 raise MonotonicityError(
                     f"m={m}: energy rose {e_prev:.17g} -> {energy:.17g}"

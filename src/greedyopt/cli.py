@@ -96,9 +96,15 @@ def _load_with_overrides(args) -> dict:
     return validate_config(config)
 
 
+def _report_failure(result) -> None:
+    if "failure" in result.summary:
+        print(f"failure: {result.summary['failure']}", file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     config = _load_with_overrides(args)
     result = run_experiment(config, out_dir=args.out)
+    _report_failure(result)
     if not args.quiet:
         summary = result.summary
         print(f"stopping_reason: {summary['stopping_reason']}")
@@ -128,12 +134,13 @@ def _cmd_verify(args) -> int:
 def _cmd_rates(args) -> int:
     config = _load_with_overrides(args)
     result = run_experiment(config, out_dir=args.out)
+    _report_failure(result)
     slope = result.summary["slope"]
     ratio = result.summary["envelope_ratio"]
     if not args.quiet:
         print(f"slope: {slope}")
         print(f"envelope_ratio: {ratio}")
-    if slope is None or slope > args.slope_max:
+    if not result.ok or slope is None or slope > args.slope_max:
         return 1
     return 0
 

@@ -473,10 +473,11 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
     stop = build_stop(config, certificate)
     weakness = build_weakness(config)
 
+    failure = None
     try:
         trace = run_greedy(objective, dictionary, weakness, rule, stop)
     except GreedyRunError as exc:
-        trace = exc.trace
+        trace, failure = exc.trace, str(exc)
 
     reference = stop.reference
     invariants = collect_invariants(
@@ -499,6 +500,8 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
         ),
         "invariants": invariants,
     }
+    if failure is not None:  # "iteration m: <the error that stopped the run>"
+        summary["failure"] = failure
 
     trace_path = summary_path = None
     if out_dir is not None:

@@ -2,18 +2,20 @@
 
 Every relaxed update rule moves to the minimizer of E over a slice
 base + sum_i c_i d_i with one or two directions, and `minimize_on_slice` is
-its one solver. A quadratic objective is solved in closed form from one
-gradient per direction; the result must pass the first-order test of the
+its one solver. When E's minimizer over any affine set is the l2 projection
+of `Objective.projection_target`, the slice step is that projection, from
+the slice's 1x1 or 2x2 Gram system; it must pass the first-order test of the
 searches, or the step falls back to them. Otherwise one direction goes to
 `line_search` (derivative bisection on an interval, a ray or the whole line)
 and the free-relaxation plane to alternating line searches.
 
 The Chebyshev rule's span solve (`minimize_subspace`) is separate. Its basis
-lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. When
-E's span minimizer is the l2 projection of a known target, the coefficients
-come from R c = Q^T target, then from a full `lstsq` if those miss the span
-contract; otherwise, or if both miss, L-BFGS-B (Byrd, Lu, Nocedal & Zhu
-1995), with one stricter pass when the first misses it.
+lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. With a
+projection target the coefficients come from R c = Q^T target, then from a
+full `lstsq` if those miss the span contract; otherwise, or if both miss,
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995), with one stricter pass when the
+first misses it. Every result carries its point and E there, and the span
+solve's also carries E', which its contract check evaluated.
 
 All routines assume convexity along the searched directions and verify it
 opportunistically: bracket/derivative inconsistencies raise instead of
@@ -36,13 +38,9 @@ SUBSPACE_TOL = 1e-8
 BRACKET_CAP = 2.0**60
 MAX_BISECT = 200
 FREE_RELAX_SWEEPS = 100
-# An eigenvalue of a slice's curvature matrix below -INDEFINITE_TOL times its
-# largest magnitude (and below gradient roundoff) is clearly negative.
-INDEFINITE_TOL = 1e-8
 # A column whose part orthogonal to the factored span, after CGS2, is at most
 # DEPENDENT_TOL times its norm is numerically dependent on that span.
 DEPENDENT_TOL = 1e-10
-_EPS = float(np.finfo(float).eps)
 
 
 class LineSearchError(RuntimeError):
@@ -191,58 +189,35 @@ def _along(objective: Objective, point: np.ndarray, d: np.ndarray):
 @dataclass
 class SliceResult:
     coefficients: np.ndarray  # c: the minimizer is base + sum_i c_i d_i
-    energy: float  # E there (the quadratic model's value on the exact path)
+    point: np.ndarray  # that minimizer, bitwise the point E was evaluated at
+    energy: float  # E(point)
     sweeps: int = 0  # alternating sweeps on a non-quadratic plane
-    # E' at base + c_0 d_0 (+ c_1 d_1), summed in that order; exact path only
-    gradient: Optional[np.ndarray] = None
+    gradient: Optional[np.ndarray] = None  # E'(point); projection path only
 
 
-def _quadratic_step(objective, base, directions, lower, upper, energy, gradient):
-    """Closed-form minimizer of a quadratic E on base + span(directions).
+def _projection_step(objective, base, directions, lower, upper, energy):
+    """The slice's point nearest `objective.projection_target` t.
 
-    E(base + D c) = E(base) + b.c + c.M c / 2 with b = D^T E'(base) and
-    M_ij = <E'(base + d_j) - E'(base), d_i>, symmetrized: one gradient per
-    direction, with E(base) and E'(base) evaluated unless given. M c = -b
-    takes its min-norm solution, so a zero direction or two parallel ones
-    get coefficient mass only where it lowers E, and a one-direction step is
-    clipped to [lower, upper].
-
-    Returns None when the directional derivatives at the result fail the
-    searches' stopping test, DERIVATIVE_TOL * (1 + |E(base)|), so that the
-    caller falls back to a search. Raises NonConvexityError when M is
-    clearly indefinite: an eigenvalue below -INDEFINITE_TOL times the
-    largest magnitude and below the gradient roundoff.
+    c is the min-norm solution of the Gram system D^T D c = D^T (t - base),
+    so a zero direction or two parallel ones get coefficient mass only where
+    it lowers E; a one-direction step is clipped to [lower, upper]. Returns
+    None when the directional derivatives at the point fail the searches'
+    stopping test, DERIVATIVE_TOL * (1 + |E(base)|), with E(base) evaluated
+    unless given, so that the caller falls back to a search.
     """
-    g = objective.gradient(base) if gradient is None else gradient
-    slope = np.array([float(np.dot(g, d)) for d in directions])
-    diffs = [objective.gradient(base + d) - g for d in directions]
-    curvature = np.array([[float(np.dot(h, d)) for h in diffs] for d in directions])
-    curvature = 0.5 * (curvature + curvature.T)
-    grad_scale = max(float(np.linalg.norm(h)) for h in diffs)
-    grad_scale += 2.0 * float(np.linalg.norm(g))
-    roundoff = (
-        64.0 * _EPS * grad_scale * max(float(np.linalg.norm(d)) for d in directions)
-    )
-    del diffs, g  # no dim-sized temporary outlives the model
-    e0 = objective.value(base) if energy is None else energy
-    k = len(directions)
-    eigvals, eigvecs = np.linalg.eigh(curvature)
-    top = max(-eigvals[0], eigvals[-1])
-    if eigvals[0] < -max(INDEFINITE_TOL * top, roundoff):
-        raise NonConvexityError(
-            f"slice curvature has eigenvalue {eigvals[0]:.3e} "
-            f"(largest magnitude {top:.3e})"
-        )
-    keep = eigvals > k * _EPS * top
-    basis = eigvecs[:, keep]
-    c = basis @ ((basis.T @ -slope) / eigvals[keep]) + 0.0  # + 0.0: no -0.0
-    if k == 1:
+    residual = objective.projection_target - base
+    gram = np.array([[float(np.dot(a, b)) for b in directions] for a in directions])
+    rhs = np.array([float(np.dot(d, residual)) for d in directions])
+    del residual  # no dim-sized temporary outlives the solve
+    c = np.linalg.lstsq(gram, rhs, rcond=None)[0] + 0.0  # + 0.0: no -0.0
+    if len(directions) == 1:
         c[0] = min(max(c[0], lower), upper)
 
-    point = base + c[0] * directions[0]
-    for c_i, d_i in zip(c[1:], directions[1:]):
+    point = base
+    for c_i, d_i in zip(c, directions):
         point = point + c_i * d_i
     grad = objective.gradient(point)
+    e0 = objective.value(base) if energy is None else energy
     dtol = DERIVATIVE_TOL * (1.0 + abs(e0))
     for c_i, d_i in zip(c, directions):
         s = float(np.dot(grad, d_i))
@@ -254,9 +229,7 @@ def _quadratic_step(objective, base, directions, lower, upper, energy, gradient)
             ok = abs(s) <= dtol
         if not ok:
             return None
-    return SliceResult(
-        c, e0 + float(slope @ c) + 0.5 * float(c @ curvature @ c), gradient=grad
-    )
+    return SliceResult(c, point, objective.value(point), gradient=grad)
 
 
 def _free_relaxation(objective, base, atom) -> SliceResult:
@@ -270,7 +243,8 @@ def _free_relaxation(objective, base, atom) -> SliceResult:
     """
     r_a = line_search(*_along(objective, base, atom))  # alpha = 1
     if float(np.linalg.norm(base)) == 0.0:
-        return SliceResult(np.array([0.0, r_a.argmin]), r_a.value)
+        point = base + r_a.argmin * atom
+        return SliceResult(np.array([0.0, r_a.argmin]), point, r_a.value)
     r_r = line_search(*_along(objective, 0.0 * base, atom))  # alpha = 0
 
     if r_a.value <= r_r.value:
@@ -282,7 +256,8 @@ def _free_relaxation(objective, base, atom) -> SliceResult:
     for sweeps in range(1, FREE_RELAX_SWEEPS + 1):
         before = energy
         alpha = line_search(*_along(objective, lam * atom, base)).argmin
-        res_l = line_search(*_along(objective, alpha * base, atom))
+        scaled = alpha * base
+        res_l = line_search(*_along(objective, scaled, atom))
         lam, energy = res_l.argmin, res_l.value
 
         if energy > before + 1e-10 * (1.0 + abs(before)):
@@ -292,7 +267,8 @@ def _free_relaxation(objective, base, atom) -> SliceResult:
         if before - energy <= DERIVATIVE_TOL * (1.0 + abs(before)):
             break
 
-    return SliceResult(np.array([alpha - 1.0, lam]), energy, sweeps)
+    point = scaled + lam * atom
+    return SliceResult(np.array([alpha - 1.0, lam]), point, energy, sweeps)
 
 
 def minimize_on_slice(
@@ -302,7 +278,6 @@ def minimize_on_slice(
     lower: float = -math.inf,
     upper: float = math.inf,
     energy: Optional[float] = None,
-    gradient: Optional[np.ndarray] = None,
 ) -> SliceResult:
     """Minimize E(base + sum_i c_i d_i) over the slice an update rule names.
 
@@ -311,13 +286,14 @@ def minimize_on_slice(
     directions = (base, atom) with no bounds; the coefficients (-w, lam)
     give the point (1 - w) base + lam atom.
 
-    A quadratic objective (`objective.quadratic`) is solved in closed form
-    from one gradient per direction; `energy` and `gradient`, E and E' at
-    base, save two evaluations when the caller has them, and the result
-    carries the gradient its first-order test evaluated at the new point.
-    A result that fails that test falls back to the search below. Other
-    objectives go straight to `line_search` or, on the plane, to
-    alternating line searches (`SliceResult.sweeps` counts them).
+    When `objective.projection_target` is set, the minimizer is that
+    target's l2 projection onto the slice (`_projection_step`); `energy`,
+    E(base), saves the evaluation its first-order test needs when the
+    caller has it, and the result carries E' at its point. A point that
+    fails that test falls back to the search below. Other objectives go
+    straight to `line_search` or, on the plane, to alternating line searches
+    (`SliceResult.sweeps` counts them). Every result carries its point and
+    E there.
     """
     directions = tuple(directions)
     whole_line = _whole_line(lower, upper)
@@ -330,16 +306,15 @@ def minimize_on_slice(
     elif len(directions) != 1:
         raise ValueError(f"slices have one or two directions, got {len(directions)}")
 
-    if objective.quadratic:
-        step = _quadratic_step(
-            objective, base, directions, lower, upper, energy, gradient
-        )
+    if objective.projection_target is not None:
+        step = _projection_step(objective, base, directions, lower, upper, energy)
         if step is not None:
             return step
     if len(directions) == 2:
         return _free_relaxation(objective, base, directions[1])
-    res = line_search(*_along(objective, base, directions[0]), lower, upper)
-    return SliceResult(np.array([res.argmin]), res.value)
+    (d,) = directions
+    res = line_search(*_along(objective, base, d), lower, upper)
+    return SliceResult(np.array([res.argmin]), base + res.argmin * d, res.value)
 
 
 class SpanFactor:
@@ -425,6 +400,7 @@ class SubspaceResult:
     point: np.ndarray
     energy: float
     grad_inf: float
+    gradient: np.ndarray  # E'(point), which the contract check evaluated
 
 
 def _projections(span: SpanFactor, target: np.ndarray):
@@ -458,18 +434,21 @@ def minimize_subspace(
     k, m = basis.shape
     if m == 0:
         point = np.zeros(k)
-        return SubspaceResult(np.zeros(0), point, objective.value(point), 0.0)
+        return SubspaceResult(
+            np.zeros(0), point, objective.value(point), 0.0, objective.gradient(point)
+        )
 
     def checked(coef):
         point = basis @ coef
-        return point, float(np.max(np.abs(basis.T @ objective.gradient(point))))
+        grad = objective.gradient(point)
+        return point, grad, float(np.max(np.abs(basis.T @ grad)))
 
     coef = None
     if objective.projection_target is not None:
         for coef in _projections(span, objective.projection_target):
-            point, ginf = checked(coef)
+            point, grad, ginf = checked(coef)
             if ginf <= tol:
-                return SubspaceResult(coef, point, objective.value(point), ginf)
+                return SubspaceResult(coef, point, objective.value(point), ginf, grad)
         # both missed the contract (degenerate basis etc.): fall through
 
     def fun(c):
@@ -487,7 +466,7 @@ def minimize_subspace(
     for options in passes:
         res = _scipy_minimize(fun, coef, jac=jac, method="L-BFGS-B", options=options)
         coef = np.asarray(res.x, dtype=float)
-        point, ginf = checked(coef)
+        point, grad, ginf = checked(coef)
         if ginf <= tol:
-            return SubspaceResult(coef, point, objective.value(point), ginf)
+            return SubspaceResult(coef, point, objective.value(point), ginf, grad)
     raise SubspaceToleranceError(ginf, tol)

@@ -79,11 +79,9 @@ class Objective:
     sublevel_radius: Optional[float] = None
     norm: Callable[[np.ndarray], float] = l2_norm
     label: str = ""
-    # E is a quadratic function: the relaxed rules' slice problems are then
-    # solved in closed form (see inner_solvers.minimize_on_slice).
-    quadratic: bool = False
     # A t such that E(x) = a ||t - x||_2^2 + b with a > 0: E's minimizer over
-    # a span is then t's l2 projection onto it (see minimize_subspace).
+    # an affine set (a rule's slice, the Chebyshev span) is then t's l2
+    # projection onto it (see inner_solvers).
     projection_target: Optional[np.ndarray] = field(
         default=None, compare=False, repr=False
     )
@@ -142,7 +140,6 @@ def make_least_squares(target: np.ndarray) -> Objective:
         sublevel_radius=2.0 * l2_norm(y),
         norm=l2_norm,
         label="least_squares",
-        quadratic=True,
         projection_target=y,
     )
 
@@ -237,7 +234,6 @@ def make_norm_power(
         else:
             gamma = _calibrate_gamma(value, dim, radius, norm, q)
 
-    quadratic = r == 2.0 and q == 2.0
     return Objective(
         dimension=dim,
         value_fn=value,
@@ -246,8 +242,7 @@ def make_norm_power(
         sublevel_radius=radius,
         norm=norm,
         label=f"norm_power(r={r}, q={q})",
-        quadratic=quadratic,
-        projection_target=f if quadratic else None,
+        projection_target=f if r == 2.0 and q == 2.0 else None,
     )
 
 

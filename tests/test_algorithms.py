@@ -407,7 +407,7 @@ def test_exact_steps_never_worse_than_searches(seed, k, n, name):
     rng = np.random.default_rng(seed)
     dic = FiniteDictionary.from_matrix(rng.standard_normal((k, n)))
     obj = make_least_squares(rng.standard_normal(k))
-    searched = dataclasses.replace(obj, quadratic=False)
+    searched = dataclasses.replace(obj, projection_target=None)
     rule, slice_of, point_of = _SLICES[name]
     trace = run_greedy(obj, dic, 1.0, rule, StopRule(max_m=6, sup_tol=-1.0))
     prev = np.zeros(k)
@@ -429,12 +429,22 @@ def test_exact_steps_never_worse_than_searches(seed, k, n, name):
 # fixed relaxation / prescribed steps
 
 
-@pytest.mark.parametrize("rule", [ConvexRelaxation(), BestStep()])
+@pytest.mark.parametrize(
+    "rule",
+    [
+        Chebyshev(),
+        ConvexRelaxation(),
+        FreeRelaxation(),
+        BestStep(),
+        FixedRelaxation(0.25),
+    ],
+)
 @pytest.mark.parametrize("kind", ["compressed_sensing", "low_rank"])
 def test_slice_gradient_is_the_next_selection_gradient(rule, kind):
-    # wrga and best_step take the next selection's gradient from the slice
-    # step, one gradient per step fewer; replaying each selection on a fresh
-    # E'(G_{m-1}) gives bitwise the same record
+    # every rule that moves to a solver's point takes the next selection's
+    # gradient from the solver's result: one gradient per step, where the
+    # first-order test or the span contract evaluated it. Replaying each
+    # selection on a fresh E'(G_{m-1}) gives bitwise the same record
     if kind == "compressed_sensing":
         dic, y, _ = gen_compressed_sensing(16, 64, 4, mass=1.0, seed=3)
         obj = make_least_squares(y)
@@ -447,8 +457,11 @@ def test_slice_gradient_is_the_next_selection_gradient(rule, kind):
     )
     trace = run_greedy(counted, dic, 1.0, rule, StopRule(max_m=20, sup_tol=-1.0))
     assert trace.iterations == 20
-    assert len(calls) == 1 + 2 * trace.iterations
+    # one per new atom: a relaxed rule adds one each step, and a Chebyshev
+    # step whose atom merges into the basis evaluates nothing
+    assert len(calls) == 1 + len(trace.atoms)
     # G replayed with the run's own update, so it is bitwise the run's G
+    stack = np.array([dic.realize(atom) for atom in trace.atoms])
     G = np.zeros(obj.dimension)
     for rec in trace.records:
         direction = -obj.gradient(G)
@@ -463,8 +476,14 @@ def test_slice_gradient_is_the_next_selection_gradient(rule, kind):
             rec.weakness_ratio,
         )
         phi = dic.realize(rec.atom)
-        if isinstance(rule, ConvexRelaxation):
+        if isinstance(rule, Chebyshev):
+            G = stack[: len(rec.coefficients)].T @ rec.coefficients
+        elif isinstance(rule, ConvexRelaxation):
             G = G + rec.lam * (phi - G)
+        elif isinstance(rule, FreeRelaxation):
+            G = G + (-rec.w_or_r) * G + rec.lam * phi
+        elif isinstance(rule, FixedRelaxation):
+            G = (1.0 - rec.w_or_r) * G + rec.lam * phi
         else:
             G = G + rec.lam * phi
     assert np.array_equal(G, trace.point)
@@ -472,7 +491,7 @@ def test_slice_gradient_is_the_next_selection_gradient(rule, kind):
 
 def test_fixed_relaxation_zero_schedule_is_best_step():
     fixed = run_ls(
-        [3.0, 4.0], FixedRelaxation(lambda m: 0.0), max_m=4, sup_tol=-1.0
+        [3.0, 4.0], FixedRelaxation([0.0] * 4), max_m=4, sup_tol=-1.0
     )
     best = run_ls([3.0, 4.0], BestStep(), max_m=4, sup_tol=-1.0)
     assert [r.atom for r in fixed.records] == [r.atom for r in best.records]
@@ -482,13 +501,14 @@ def test_fixed_relaxation_zero_schedule_is_best_step():
 
 def test_fixed_relaxation_rejects_unit_shrink():
     with pytest.raises(ValueError):
-        run_ls([3.0, 4.0], FixedRelaxation(lambda m: 1.0), max_m=2, sup_tol=-1.0)
+        FixedRelaxation([0.5, 1.0])
+    with pytest.raises(ValueError):
+        run_ls([3.0, 4.0], FixedRelaxation(1.0), max_m=2, sup_tol=-1.0)
 
 
 def test_prescribed_steps_run_exactly_and_record_lam():
-    trace = run_ls(
-        [3.0, 4.0], Prescribed(lambda m: 1.0 / m), max_m=5, sup_tol=-1.0
-    )
+    steps = Prescribed([1.0 / m for m in range(1, 6)])
+    trace = run_ls([3.0, 4.0], steps, max_m=5, sup_tol=-1.0)
     assert trace.iterations == 5
     for rec in trace.records:
         assert rec.lam == pytest.approx(1.0 / rec.m, rel=1e-15)
@@ -503,16 +523,18 @@ def test_prescribed_energy_selection_requires_finite_dictionary():
             obj,
             RankOneDictionary(2),
             WeaknessSequence.constant(1.0),
-            Prescribed(lambda m: 0.5, selection="energy"),
+            Prescribed(0.5, selection="energy"),
             StopRule(max_m=2),
         )
 
 
 def test_prescribed_validates_steps_and_selection():
     with pytest.raises(ValueError):
-        run_ls([1.0, 0.0], Prescribed(lambda m: -0.5), max_m=2, sup_tol=-1.0)
+        run_ls([1.0, 0.0], Prescribed(-0.5), max_m=2, sup_tol=-1.0)
     with pytest.raises(ValueError):
-        Prescribed(lambda m: 0.5, selection="other")
+        Prescribed([0.5, 0.0])
+    with pytest.raises(ValueError):
+        Prescribed(0.5, selection="other")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,32 @@ QUICK = {
 }
 
 
+# a valid config whose first step overflows the energy
+OVERFLOW = {
+    "instance": "compressed_sensing",
+    "algorithm": "prescribed",
+    "k": 16,
+    "n": 32,
+    "s": 2,
+    "prescribed_step": 1e300,
+    "seed": 1,
+}
+
+# q = 1.2 puts the span contract out of reach at an exact fit: InnerFailure
+LP_STALL = {
+    "instance": "lp_approx",
+    "algorithm": "wcga",
+    "seed": 1,
+    "n": 16,
+    "r": 3.0,
+    "q": 1.2,
+    "s": 8,
+    "max_m": 30,
+    "fit_m_min": 1,
+    "sup_tol": -1.0,
+}
+
+
 @pytest.fixture
 def quick_config(tmp_path):
     path = tmp_path / "quick.json"
@@ -190,22 +216,10 @@ def test_run_invariant_failure_exit_code(quick_config, tmp_path):
 
 
 def test_run_abort_writes_both_files_and_exits_1(tmp_path, capsys):
-    # a valid config whose first step overflows the energy: the run aborts
-    # with its (empty) partial trace, exit 1, both files and no traceback
+    # the overflow aborts the run with its (empty) partial trace, exit 1,
+    # both files and no traceback
     path = tmp_path / "overflow.json"
-    path.write_text(
-        json.dumps(
-            {
-                "instance": "compressed_sensing",
-                "algorithm": "prescribed",
-                "k": 16,
-                "n": 32,
-                "s": 2,
-                "prescribed_step": 1e300,
-                "seed": 1,
-            }
-        )
-    )
+    path.write_text(json.dumps(OVERFLOW))
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 1
     printed = capsys.readouterr()
@@ -214,6 +228,20 @@ def test_run_abort_writes_both_files_and_exits_1(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stopping_reason"] == "Aborted"
     assert len((out / "trace.csv").read_text().strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "rates"])
+def test_abort_reports_the_failure(tmp_path, capsys, command):
+    # the error and its iteration go to summary.json and to stderr
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 1
+    failure = "iteration 1: E(x) is not finite for 'least_squares'"
+    assert f"failure: {failure}\n" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failure"] == failure
+    assert len(summary) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +253,19 @@ def test_rates_shipped_config_passes(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert rc == 0
     assert "slope:" in printed
+
+
+def test_rates_failed_run_exits_1(tmp_path, capsys):
+    # the slope passes the threshold, but the run ended in InnerFailure
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps(LP_STALL))
+    out = tmp_path / "out"
+    assert main(["rates", str(path), "--slope-max", "0", "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    slope = json.loads((out / "summary.json").read_text())["slope"]
+    assert slope is not None and slope <= 0.0
+    assert "failure: iteration" in printed.err
+    assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
 
 
 def test_rates_strict_threshold_fails(tmp_path):

@@ -373,6 +373,8 @@ def test_run_experiment_inner_failure_reported():
     assert result.summary["stopping_reason"] == "InnerFailure"
     assert result.summary["invariants"]["inner_solver"] is False
     assert not result.ok
+    # the summary says which error stopped the run, and at which step
+    assert result.summary["failure"].startswith("iteration 1: subspace solve stalled")
 
 
 def test_run_experiment_envelope_for_relaxed_run():

@@ -19,7 +19,7 @@ from greedyopt.inner_solvers import (
     minimize_on_slice,
     minimize_subspace,
 )
-from greedyopt.objectives import Objective, make_least_squares, make_norm_power
+from greedyopt.objectives import make_least_squares, make_norm_power
 
 from oracles import (
     free_relaxation_joint_minimum,
@@ -185,7 +185,7 @@ def test_unit_interval_monotone():
 
 def both_paths(objective):
     """The objective as declared, and as one the searches must solve."""
-    return objective, dataclasses.replace(objective, quadratic=False)
+    return objective, dataclasses.replace(objective, projection_target=None)
 
 
 def test_free_relaxation_matches_normal_equations():
@@ -240,7 +240,7 @@ def test_free_relaxation_parallel_directions():
 
 
 # ---------------------------------------------------------------------------
-# slice solves: closed form for quadratic objectives
+# slice solves: projections of the objective's target
 
 
 def _ls_slice(seed, dim=6):
@@ -332,31 +332,29 @@ def test_slice_plane_matches_normal_equations(seed):
     assert restart.energy == pytest.approx(v_restart, abs=1e-12)
 
 
-def _quartic(y):
-    """E(x) = ||x - y||^4 / 4: convex, but not the quadratic it claims."""
-    def value(x):
-        d = x - y
-        return 0.25 * float(d @ d) ** 2
-
-    def grad(x):
-        d = x - y
-        return float(d @ d) * d
-
-    return Objective(len(y), value, grad, label="quartic", quadratic=True)
+def _wrong_target(y):
+    """Least squares for y that names y + 1 as its projection target."""
+    return dataclasses.replace(make_least_squares(y), projection_target=y + 1.0)
 
 
 @pytest.mark.parametrize(
     "bounds", [(0.0, math.inf), (-math.inf, math.inf), (0.0, 1.0)]
 )
 def test_slice_misdeclared_quadratic_falls_back(bounds):
+    # the wrong projection fails the first-order test, and the step is
+    # bitwise the search's (which hands back no gradient)
     y = np.array([2.0, -1.0, 0.5])
-    obj = _quartic(y)
-    honest = dataclasses.replace(obj, quadratic=False)
+    obj = _wrong_target(y)
+    honest = dataclasses.replace(obj, projection_target=None)
     base = np.zeros(3)
-    d = np.array([0.3, -0.2, 0.1])
+    d = np.array([2.0, 1.0, 0.0])  # the true minimizer is at c = 0.6
     res = minimize_on_slice(obj, base, (d,), *bounds)
+    searched = minimize_on_slice(honest, base, (d,), *bounds)
+    assert res.coefficients.tobytes() == searched.coefficients.tobytes()
+    assert res.point.tobytes() == searched.point.tobytes()
+    assert res.energy == searched.energy
+    assert res.gradient is None
     c = res.coefficients[0]
-    assert c == minimize_on_slice(honest, base, (d,), *bounds).coefficients[0]
     # the returned step passes the first-order test of the searches
     slope = float(np.dot(obj.gradient(base + c * d), d))
     dtol = DERIVATIVE_TOL * (1.0 + abs(obj.value(base)))
@@ -370,16 +368,18 @@ def test_slice_misdeclared_quadratic_falls_back(bounds):
 
 def test_slice_misdeclared_quadratic_plane_falls_back():
     y = np.array([2.0, -1.0, 0.5])
-    obj = _quartic(y)
+    obj = _wrong_target(y)
     base = np.array([0.5, 0.5, 0.0])
     atom = np.array([0.0, 0.6, 0.8])
     res = minimize_on_slice(obj, base, (base, atom))
     searched = minimize_on_slice(
-        dataclasses.replace(obj, quadratic=False), base, (base, atom)
+        dataclasses.replace(obj, projection_target=None), base, (base, atom)
     )
     assert res.coefficients.tobytes() == searched.coefficients.tobytes()
+    assert res.point.tobytes() == searched.point.tobytes()
     assert res.energy == searched.energy
     assert res.sweeps == searched.sweeps > 0
+    assert res.gradient is None
 
 
 def _slices(base, phi):
@@ -388,27 +388,37 @@ def _slices(base, phi):
         ((phi,), 0.0, math.inf),
         ((phi,), 0.0, 1.0),
         ((phi,), -math.inf, math.inf),
+        ((-phi,), -math.inf, math.inf),  # the other side of the whole line
         ((base, phi), -math.inf, math.inf),
     ]
 
 
+_BOTH_PATHS = [make_least_squares, lambda y: make_norm_power(y, 4.0, 2.0)]
+
+
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize(
-    "make", [make_least_squares, lambda y: make_norm_power(y, 4.0, 2.0)]
-)
+@pytest.mark.parametrize("make", _BOTH_PATHS)
 def test_slice_given_energy_and_gradient_is_bit_identical(seed, make):
+    # a given E(base) only feeds the first-order test's tolerance: the
+    # result and the E' it carries are bitwise those of a solve that
+    # evaluates E(base) itself
     y, base, phi = _ls_slice(seed)
     obj = make(y)
-    e, g = obj.value(base), obj.gradient(base)
+    e = obj.value(base)
     for directions, lower, upper in _slices(base, phi):
         plain = minimize_on_slice(obj, base, directions, lower, upper)
-        given_ = minimize_on_slice(obj, base, directions, lower, upper, e, g)
+        given_ = minimize_on_slice(obj, base, directions, lower, upper, e)
         assert given_.coefficients.tobytes() == plain.coefficients.tobytes()
+        assert given_.point.tobytes() == plain.point.tobytes()
         assert given_.energy == plain.energy
         assert given_.sweeps == plain.sweeps
+        if plain.gradient is None:
+            assert given_.gradient is None
+        else:
+            assert given_.gradient.tobytes() == plain.gradient.tobytes()
 
 
-def test_slice_given_energy_and_gradient_skips_two_evaluations():
+def test_slice_given_energy_skips_one_evaluation():
     y, base, phi = _ls_slice(5)
     calls = []
     obj = make_least_squares(y)
@@ -418,13 +428,32 @@ def test_slice_given_energy_and_gradient_skips_two_evaluations():
         gradient_fn=lambda x: calls.append("gradient") or obj.gradient_fn(x),
     )
     minimize_on_slice(counted, base, (base, phi))
-    plain = list(calls)
+    assert calls == ["gradient", "value", "value"]
     calls.clear()
-    minimize_on_slice(
-        counted, base, (base, phi), energy=obj.value(base), gradient=obj.gradient(base)
-    )
-    assert plain.count("value") - calls.count("value") == 1
-    assert plain.count("gradient") - calls.count("gradient") == 1
+    minimize_on_slice(counted, base, (base, phi), energy=obj.value(base))
+    # E' at the projection for its test, then E there for the result
+    assert calls == ["gradient", "value"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("make", _BOTH_PATHS)
+def test_slice_result_carries_its_point(seed, make):
+    # on every path the result's point is base + sum_i c_i d_i, E there is
+    # its energy and, on the projection path, E' there its gradient
+    y, base, phi = _ls_slice(seed)
+    obj = make(y)
+    for directions, lower, upper in _slices(base, phi):
+        res = minimize_on_slice(obj, base, directions, lower, upper)
+        assert res.energy == obj.value(res.point)
+        if res.gradient is not None:
+            assert np.array_equal(res.gradient, obj.gradient(res.point))
+        if len(directions) == 1:
+            c = res.coefficients[0]
+            assert np.array_equal(res.point, base + c * directions[0])
+        else:
+            minus_w, lam = res.coefficients
+            expected = (1.0 + minus_w) * base + lam * phi
+            assert np.allclose(res.point, expected, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.0, math.inf), (-math.inf, math.inf)])
@@ -447,18 +476,6 @@ def test_slice_plane_sweeps_counted_only_when_searched(seed):
     assert isinstance(searched.sweeps, int) and searched.sweeps > 0
     exact = minimize_on_slice(make_least_squares(y), base, (base, phi))
     assert exact.sweeps == 0
-
-
-def test_slice_indefinite_curvature_raises():
-    concave = Objective(
-        2,
-        lambda x: -0.5 * float(x @ x),
-        lambda x: -x,
-        label="concave",
-        quadratic=True,
-    )
-    with pytest.raises(NonConvexityError):
-        minimize_on_slice(concave, np.ones(2), (np.array([1.0, 0.0]),), 0.0, 1.0)
 
 
 def test_slice_rejects_unsupported_shapes():
@@ -526,6 +543,21 @@ def test_subspace_without_hook_meets_contract():
     assert res.grad_inf <= 1e-8
     grad = obj.gradient(res.point)
     assert float(np.max(np.abs(basis.T @ grad))) <= 1e-8
+
+
+@pytest.mark.parametrize("make", _BOTH_PATHS)
+def test_subspace_result_carries_the_contract_gradient(make):
+    # E' at the point, which the contract check evaluated, comes back with it
+    rng = np.random.default_rng(6)
+    obj = make(rng.standard_normal(6))
+    basis = rng.standard_normal((6, 2))
+    for cols in (basis, basis[:, :0]):
+        res = minimize_subspace(obj, cols)
+        assert res.energy == obj.value(res.point)
+        assert np.array_equal(res.gradient, obj.gradient(res.point))
+    assert res.grad_inf == 0.0  # the empty basis
+    res = minimize_subspace(obj, basis)
+    assert np.max(np.abs(basis.T @ res.gradient)) <= res.grad_inf + 1e-14 <= 1e-8
 
 
 def test_subspace_unreachable_tolerance_raises():

@@ -361,11 +361,13 @@ def test_declared_envelope_dominates_samples():
             assert empirical_modulus(obj, u, 200) <= gamma * u**q + 1e-9
 
 
-def test_quadratic_flag_marks_exactly_the_quadratic_factories():
+def test_projection_target_marks_exactly_the_quadratic_factories():
+    # E(x) = a ||t - x||_2^2 + b names t; any other objective names none
     y = np.array([1.0, -2.0, 0.5])
-    assert make_least_squares(y).quadratic
-    assert make_norm_power(y, 2.0, 2.0).quadratic
-    assert not make_norm_power(y, 3.0, 1.5).quadratic
-    assert not make_norm_power(y, 4.0, 2.0).quadratic
-    assert not make_norm_power(y, 2.0, 1.5).quadratic
-    assert not make_logistic(np.array([1.0, -1.0]), np.eye(2, 3), 0.1).quadratic
+    assert np.array_equal(make_least_squares(y).projection_target, y)
+    assert np.array_equal(make_norm_power(y, 2.0, 2.0).projection_target, y)
+    assert make_norm_power(y, 3.0, 1.5).projection_target is None
+    assert make_norm_power(y, 4.0, 2.0).projection_target is None
+    assert make_norm_power(y, 2.0, 1.5).projection_target is None
+    logistic = make_logistic(np.array([1.0, -1.0]), np.eye(2, 3), 0.1)
+    assert logistic.projection_target is None
