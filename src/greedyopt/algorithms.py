@@ -1,41 +1,34 @@
 """Greedy approximation drivers over symmetric dictionaries.
 
-Every driver shares the same skeleton: G_0 = 0; at step m select an atom
-(gradient-greedy with weakness t_m, or energy-greedy for the prescribed-step
-variant), then move according to the update rule:
+Every algorithm shares the same skeleton: G_0 = 0; at step m select an atom
+(gradient-greedy with weakness t_m, or energy-greedy for `Prescribed`), then
+move by the update rule. A rule class names itself and its properties
+(`UpdateRule`; `RULES` maps config names to classes), and every rule but the
+Chebyshev one declares its step as a `Step`: a slice (a segment, a ray, a
+line or the plane span{G_{m-1}, phi}) that `inner_solvers.minimize_on_slice`
+minimizes E on, or a fixed step. `run_greedy` takes them on one path.
 
-  Chebyshev        re-minimize E over the span of all selected atoms
-  ConvexRelaxation G_m = (1 - lam) G_{m-1} + lam phi, lam in [0, 1]
-  FreeRelaxation   G_m = (1 - w) G_{m-1} + lam phi, (w, lam) jointly optimal
-  BestStep         G_m = G_{m-1} + c phi with c from exact line search
-  ReducedStep      as BestStep but apply b * c, 0 < b < 1
-  FixedRelaxation  G_m = (1 - r_m) G_{m-1} + c phi, c from line search
-  Prescribed       G_m = G_{m-1} + c_m phi with c_m given up front
-
-Selection is `select_gradient_greedy` for every gradient rule; the convex
-relaxation certifies the functional shifted by -G, <-E'(G), phi - G>. The
-five line-search and relaxation rules each name a slice (a segment, a ray, a
-line or the plane span{G_{m-1}, phi}) and hand it to
-`inner_solvers.minimize_on_slice`, together with E(G) when the slice starts
-at G. Only the Chebyshev span solve, `minimize_subspace`, is separate: the
-run keeps one `SpanFactor`, the basis and its thin QR, and appends a column
-only for an atom that does not merge into the basis. A merged atom leaves the
-span unchanged, so the previous span solution, which met the contract on it,
-stands without a new solve.
+The Chebyshev rule re-minimizes E over the span of all selected atoms with
+`minimize_subspace`. The run keeps one `SpanFactor`, the basis and its thin
+QR, and appends a column only for an atom that does not merge into the
+basis. A merged atom leaves the span unchanged, so the previous span
+solution, which met the contract on it, stands without a new solve.
 
 Every solver hands back its point, E there and, where it evaluated it, E'
 there: the run takes G and E from the result, and E' as the next selection
-gradient. Only reduced_step and prescribed, which do not move to a solver's
-point, evaluate E themselves, and E' at the next step.
+gradient. A step short of the slice's minimizer, or with no slice, evaluates
+E itself, and E' at the next step.
 
 A record keeps its coefficients over the run's atoms (`RunTrace.atoms`), not
-a copy of G. A relaxed rule appends its atom every step, with coefficients
-(alpha * previous, lam) for its factor alpha; a Chebyshev run's atoms are its
-basis. An abort raises `GreedyRunError` with the records before it.
+a copy of G: a relaxed rule appends its atom every step, with coefficients
+(alpha * previous, lam); a Chebyshev run's atoms are its basis. An abort, an
+exhausted weakness list or step schedule included, raises `GreedyRunError`
+with the records before it.
 """
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -88,6 +81,10 @@ class GreedyRunError(RuntimeError):
         self.cause = cause
 
 
+class ScheduleExhaustedError(ValueError):
+    """A weakness list or step schedule has no value for this iteration."""
+
+
 @dataclass(frozen=True)
 class StopRule:
     """Stopping configuration.
@@ -103,53 +100,52 @@ class StopRule:
     reference: float = 0.0
 
 
+def _check(spec, valid, what: str) -> None:
+    """Raise ValueError unless the value, or each value of a sequence, is valid."""
+    for value in [spec] if isinstance(spec, (int, float, np.number)) else spec:
+        if not valid(float(value)):
+            raise ValueError(f"{what}, got {value}")
+
+
+def _schedule_value(spec, m: int, what: str = "schedule") -> float:
+    """Value of a per-iteration schedule given as a scalar or a sequence."""
+    if isinstance(spec, (int, float, np.number)):
+        return float(spec)
+    if m > len(spec):
+        raise ScheduleExhaustedError(f"{what} of length {len(spec)} exhausted at m={m}")
+    return float(spec[m - 1])
+
+
 @dataclass(frozen=True)
 class WeaknessSequence:
-    """Weakness parameters t_m in (0, 1], 1-based.
+    """Weakness parameters t_m in (0, 1], 1-based: a constant, a list
+    (exhausted past its end) or, with exponent > 0, t_m = m^-exponent."""
 
-    kinds: "constant", "list" (errors past the end of the list), or "power"
-    (t_m = m^-exponent with exponent >= 0).
-    """
-
-    kind: str
-    value: float = 1.0
-    values: tuple = ()
+    schedule: object = 1.0  # the constant or the list
     exponent: float = 0.0
 
     @classmethod
     def constant(cls, t: float) -> "WeaknessSequence":
-        if not (0.0 < t <= 1.0):
-            raise ValueError(f"t must be in (0, 1], got {t}")
-        return cls(kind="constant", value=t)
+        _check(t, lambda t: 0.0 < t <= 1.0, "t must be in (0, 1]")
+        return cls(float(t))
 
     @classmethod
     def from_list(cls, ts: Sequence[float]) -> "WeaknessSequence":
         ts = tuple(float(t) for t in ts)
-        for t in ts:
-            if not (0.0 < t <= 1.0):
-                raise ValueError(f"every t must be in (0, 1], got {t}")
-        return cls(kind="list", values=ts)
+        _check(ts, lambda t: 0.0 < t <= 1.0, "every t must be in (0, 1]")
+        return cls(ts)
 
     @classmethod
     def power(cls, exponent: float) -> "WeaknessSequence":
-        if exponent < 0.0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
-        return cls(kind="power", exponent=exponent)
+        _check(exponent, lambda e: e >= 0.0, "exponent must be >= 0")
+        return cls(exponent=exponent)
 
     def t(self, m: int) -> float:
         if m < 1:
             raise ValueError(f"iterations are 1-based, got {m}")
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "list":
-            if m > len(self.values):
-                raise ValueError(
-                    f"weakness list of length {len(self.values)} exhausted at m={m}"
-                )
-            return self.values[m - 1]
-        if self.kind == "power":
+        if self.exponent:
             return float(m) ** (-self.exponent)
-        raise ValueError(f"unknown weakness kind {self.kind!r}")
+        return _schedule_value(self.schedule, m, "weakness list")
 
 
 WeaknessLike = Union[WeaknessSequence, float, Sequence[float]]
@@ -163,88 +159,141 @@ def as_weakness(spec: WeaknessLike) -> WeaknessSequence:
     return WeaknessSequence.from_list(spec)
 
 
-def _schedule_value(spec, m: int) -> float:
-    """Value of a per-iteration schedule given as a scalar or a sequence."""
-    if isinstance(spec, (int, float)):
-        return float(spec)
-    if m > len(spec):
-        raise ValueError(f"schedule of length {len(spec)} exhausted at m={m}")
-    return float(spec[m - 1])
-
-
 # ---------------------------------------------------------------------------
 # update rules
 
 
+@dataclass
+class Step:
+    """Step m of a relaxed rule: G_m = alpha * G_{m-1} + lam * phi.
+
+    With a slice base = alpha * G_{m-1}, lam = b * c[-1] for the minimizer c
+    of E over base + sum_i c_i d_i, c in [lower, upper] for one direction;
+    with shares[i] G_{m-1}'s coefficient in d_i (none: 0), alpha gains and
+    the recorded w_or_r loses sum_i c_i shares[i]. b < 1 steps short of the
+    solver's point, and a step with no slice (base None) has a fixed lam:
+    both move to G_{m-1} + lam * phi.
+    """
+
+    base: Optional[np.ndarray]
+    directions: tuple = ()
+    lower: float = -math.inf
+    upper: float = math.inf
+    shares: tuple = ()
+    alpha: float = 1.0
+    w_or_r: float = math.nan
+    b: float = 1.0
+    lam: float = math.nan
+
+
+class UpdateRule:
+    """An update rule's config name and properties. monotone: E never rises,
+    checked every step. convex: G_m stays in the convex hull of the signed
+    atoms, so selection certifies the functional shifted by -G,
+    <-E'(G), phi - G>, and the l1 mass is checked. orthogonal: E is
+    re-minimized over the span of the selected atoms (the Chebyshev span
+    path), so E'(G_m) is orthogonal to each."""
+
+    name: str
+    monotone = convex = orthogonal = False
+    selection = "gradient"
+
+
 @dataclass(frozen=True)
-class Chebyshev:
+class Chebyshev(UpdateRule):
+    """G_m minimizes E over the span of all selected atoms."""
+
     subspace_tol: float = SUBSPACE_TOL
 
-
-@dataclass(frozen=True)
-class ConvexRelaxation:
-    """wrga: G_m = (1 - lam) G_{m-1} + lam phi with the best lam in [0, 1]."""
+    name = "wcga"
+    monotone = orthogonal = True
 
 
 @dataclass(frozen=True)
-class FreeRelaxation:
-    """wgafr: G_m = (1 - w) G_{m-1} + lam phi with the best (w, lam)."""
+class ConvexRelaxation(UpdateRule):
+    """G_m = (1 - lam) G_{m-1} + lam phi with the best lam in [0, 1]."""
+
+    name = "wrga"
+    monotone = convex = True
+
+    def step(self, G, phi, m) -> Step:
+        return Step(G, (phi - G,), 0.0, 1.0, shares=(-1.0,))
 
 
 @dataclass(frozen=True)
-class BestStep:
+class FreeRelaxation(UpdateRule):
+    """G_m = (1 - w) G_{m-1} + lam phi with the best (w, lam)."""
+
+    name = "wgafr"
+    monotone = True
+
+    def step(self, G, phi, m) -> Step:
+        return Step(G, (G, phi), shares=(1.0, 0.0), w_or_r=0.0)
+
+
+@dataclass(frozen=True)
+class BestStep(UpdateRule):
     """G_m = G_{m-1} + c phi with the best c >= 0."""
 
+    name = "best_step"
+    monotone = True
+
+    def step(self, G, phi, m) -> Step:
+        return Step(G, (phi,), 0.0, math.inf)
+
 
 @dataclass(frozen=True)
-class ReducedStep:
+class ReducedStep(UpdateRule):
+    """G_m = G_{m-1} + b c phi with BestStep's c."""
+
     b: float = 0.5
 
+    name = "reduced_step"
+
     def __post_init__(self):
-        if not (0.0 < self.b < 1.0):
-            raise ValueError(f"b must be in (0, 1), got {self.b}")
+        _check(self.b, lambda b: 0.0 < b < 1.0, "b must be in (0, 1)")
 
-
-def _check_schedule(spec, valid, what: str) -> None:
-    """Raise ValueError unless every value of the schedule is valid."""
-    for value in [spec] if isinstance(spec, (int, float)) else spec:
-        if not valid(float(value)):
-            raise ValueError(f"{what}, got {value}")
+    def step(self, G, phi, m) -> Step:
+        return Step(G, (phi,), 0.0, math.inf, w_or_r=self.b, b=self.b)
 
 
 @dataclass(frozen=True)
-class FixedRelaxation:
+class FixedRelaxation(UpdateRule):
+    """G_m = (1 - r_m) G_{m-1} + c phi with the best c."""
+
     schedule: object = 0.0  # r_m in [0, 1): scalar or sequence
 
+    name = "fixed_relaxation"
+
     def __post_init__(self):
-        _check_schedule(
-            self.schedule, lambda r: 0.0 <= r < 1.0, "r_m must be in [0, 1)"
-        )
+        _check(self.schedule, lambda r: 0.0 <= r < 1.0, "r_m must be in [0, 1)")
+
+    def step(self, G, phi, m) -> Step:
+        r = _schedule_value(self.schedule, m)
+        return Step((1.0 - r) * G, (phi,), alpha=1.0 - r, w_or_r=r)
 
 
 @dataclass(frozen=True)
-class Prescribed:
+class Prescribed(UpdateRule):
+    """G_m = G_{m-1} + c_m phi, with phi selected by E' or, with
+    selection "energy", by E(G_{m-1} + c_m phi)."""
+
     steps: object = 1.0  # c_m > 0: scalar or sequence
     selection: str = "gradient"  # "gradient" | "energy"
 
+    name = "prescribed"
+
     def __post_init__(self):
-        _check_schedule(self.steps, lambda c: c > 0.0, "prescribed step must be > 0")
+        _check(self.steps, lambda c: c > 0.0, "prescribed step must be > 0")
         if self.selection not in ("gradient", "energy"):
             raise ValueError(f"unknown selection {self.selection!r}")
 
+    def step(self, G, phi, m) -> Step:
+        return Step(None, lam=_schedule_value(self.steps, m))
 
-UpdateRule = Union[
-    Chebyshev,
-    ConvexRelaxation,
-    FreeRelaxation,
-    BestStep,
-    ReducedStep,
-    FixedRelaxation,
-    Prescribed,
-]
 
-# rules with a per-step non-increase guarantee, enforced at runtime
-MONOTONE_RULES = (Chebyshev, ConvexRelaxation, FreeRelaxation, BestStep)
+# config name -> rule class, in the order the classes are defined
+RULES = {rule.name: rule for rule in UpdateRule.__subclasses__()}
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +348,6 @@ class RunTrace:
 # driver
 
 
-def _rule_name(rule: UpdateRule) -> str:
-    return {
-        Chebyshev: "wcga",
-        ConvexRelaxation: "wrga",
-        FreeRelaxation: "wgafr",
-        BestStep: "best_step",
-        ReducedStep: "reduced_step",
-        FixedRelaxation: "fixed_relaxation",
-        Prescribed: "prescribed",
-    }[type(rule)]
-
-
 def run_greedy(
     objective: Objective,
     dictionary: Dictionary,
@@ -328,12 +365,12 @@ def run_greedy(
 
     G = np.zeros(dim)
     coefficients = np.zeros(0)
-    span = SpanFactor(dim) if isinstance(rule, Chebyshev) else None
+    span = SpanFactor(dim) if rule.orthogonal else None
     span_result = None
     e_prev = objective.value(G)
     gradient = None  # E'(G), when the last solver handed it back
     trace = RunTrace(
-        algorithm=_rule_name(rule),
+        algorithm=rule.name,
         objective_label=objective.label,
         stop_reason=StopReason.MAX_ITERATIONS,
         initial_energy=e_prev,
@@ -341,45 +378,34 @@ def run_greedy(
 
     for m in range(1, stop.max_m + 1):
         t0 = time.perf_counter_ns()
-        t_m = tau.t(m)
-        lam = w_or_r = grad_inf = float("nan")
-        alpha = 1.0  # a relaxed rule's factor on the previous coefficients
+        lam = w_or_r = grad_inf = math.nan
 
         try:
+            t_m = tau.t(m)
             if gradient is None:
                 gradient = objective.gradient(G)
             direction = -gradient
 
             # --- selection -------------------------------------------------
-            sup_for_stop: Optional[float] = None
-            if isinstance(rule, Prescribed) and rule.selection == "energy":
-                lam = _schedule_value(rule.steps, m)
-                atom = select_e_greedy_fixed(dictionary, objective, G, lam)
+            if rule.selection == "energy":
+                c_m = _schedule_value(rule.steps, m)
+                atom = select_e_greedy_fixed(dictionary, objective, G, c_m)
                 score = float(np.dot(direction, dictionary.realize(atom)))
-                cert = SelectionCertificate(
-                    atom, score, float("nan"), t_m, float("nan")
-                )
+                cert = SelectionCertificate(atom, score, math.nan, t_m, math.nan)
             else:
-                # wrga's functional is shifted by -G: the same argmax atom,
-                # but score and reference include the shift
-                shift = (
-                    float(np.dot(direction, G))
-                    if isinstance(rule, ConvexRelaxation)
-                    else 0.0
-                )
+                # a convex rule's functional is shifted by -G: the same
+                # argmax atom, but score and reference include the shift
+                shift = float(np.dot(direction, G)) if rule.convex else 0.0
                 cert = select_gradient_greedy(dictionary, direction, t_m, shift)
-                sup_for_stop = cert.reference
-
-            if sup_for_stop is not None and sup_for_stop <= stop.sup_tol:
-                trace.stop_reason = StopReason.SUP_SCORE_TOL
-                break
+                if cert.reference <= stop.sup_tol:
+                    trace.stop_reason = StopReason.SUP_SCORE_TOL
+                    break
 
             atom = cert.atom
             phi = dictionary.realize(atom)
 
-            # --- update: a solver's result, or G + lam * phi ---------------
-            step = None
-            if isinstance(rule, Chebyshev):
+            # --- update: the span solve, or the rule's declared step -------
+            if span is not None:
                 position = _basis_position(dictionary, atom, phi, trace.atoms, span)
                 if position is None:
                     trace.atoms.append(atom)
@@ -391,44 +417,33 @@ def run_greedy(
                     span_result = minimize_subspace(
                         objective, span, rule.subspace_tol, x0=x0
                     )
-                step = span_result
-                coefficients = step.coefficients
+                G, energy = span_result.point, span_result.energy
+                gradient = span_result.gradient
+                coefficients = span_result.coefficients
                 lam = float(coefficients[position])
-                grad_inf = step.grad_inf
-            elif isinstance(rule, ConvexRelaxation):
-                step = minimize_on_slice(objective, G, (phi - G,), 0.0, 1.0, e_prev)
-                (lam,) = step.coefficients.tolist()
-                alpha = 1.0 - lam
-            elif isinstance(rule, FreeRelaxation):
-                step = minimize_on_slice(objective, G, (G, phi), energy=e_prev)
-                minus_w, lam = step.coefficients.tolist()
-                w_or_r = 0.0 - minus_w  # 0.0 - c: no -0.0 when c = 0
-                alpha = 1.0 - w_or_r
-            elif isinstance(rule, (BestStep, ReducedStep)):
-                step = minimize_on_slice(objective, G, (phi,), 0.0, np.inf, e_prev)
-                (lam,) = step.coefficients.tolist()
-                if isinstance(rule, ReducedStep):
-                    lam *= rule.b
-                    w_or_r = rule.b
-                    step = None
-            elif isinstance(rule, FixedRelaxation):
-                w_or_r = _schedule_value(rule.schedule, m)
-                alpha = 1.0 - w_or_r
-                step = minimize_on_slice(objective, alpha * G, (phi,))
-                (lam,) = step.coefficients.tolist()
-            elif isinstance(rule, Prescribed) and rule.selection == "gradient":
-                lam = _schedule_value(rule.steps, m)
-            if step is None:
-                G = G + lam * phi
-                energy, gradient = objective.value(G), None
+                grad_inf = span_result.grad_inf
             else:
-                G, energy, gradient = step.point, step.energy, step.gradient
-            if not isinstance(rule, Chebyshev):
+                step = rule.step(G, phi, m)
+                alpha, lam, w_or_r = step.alpha, step.lam, step.w_or_r
+                solved = None
+                if step.base is not None:
+                    solved = minimize_on_slice(
+                        objective, step.base, step.directions, step.lower, step.upper
+                    )
+                    c = solved.coefficients.tolist()
+                    gain = sum(c_i * share for c_i, share in zip(c, step.shares))
+                    alpha, w_or_r = alpha + gain, w_or_r - gain
+                    lam = step.b * c[-1]
+                if solved is None or step.b != 1.0:
+                    G = G + lam * phi
+                    energy, gradient = objective.value(G), None
+                else:
+                    G, energy, gradient = solved.point, solved.energy, solved.gradient
                 trace.atoms.append(atom)
                 coefficients = np.append(alpha * coefficients, lam)
             coefficients.setflags(write=False)
 
-            if isinstance(rule, MONOTONE_RULES) and energy > e_prev + ENERGY_SLACK:
+            if rule.monotone and energy > e_prev + ENERGY_SLACK:
                 raise MonotonicityError(
                     f"m={m}: energy rose {e_prev:.17g} -> {energy:.17g}"
                 )
@@ -436,7 +451,10 @@ def run_greedy(
             trace.stop_reason = StopReason.INNER_FAILURE
             raise GreedyRunError(m, trace, exc) from exc
         except (
-            NonFiniteEnergyError, WeaknessCertificationError, MonotonicityError
+            NonFiniteEnergyError,
+            WeaknessCertificationError,
+            MonotonicityError,
+            ScheduleExhaustedError,
         ) as exc:
             trace.stop_reason = StopReason.ABORTED
             raise GreedyRunError(m, trace, exc) from exc

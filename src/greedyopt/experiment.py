@@ -10,22 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .algorithms import (
-    BestStep,
+    RULES,
     Chebyshev,
-    ConvexRelaxation,
-    FixedRelaxation,
-    FreeRelaxation,
     GreedyRunError,
-    MONOTONE_RULES,
-    Prescribed,
-    ReducedStep,
     RunTrace,
     StopReason,
     StopRule,
@@ -83,20 +77,11 @@ L1_CONFINEMENT_TOL = 1e-12
 MONOTONE_TOL = 1e-10
 
 _INSTANCE_KINDS = ("compressed_sensing", "low_rank", "lp_approx")
-_ALGORITHMS = (
-    "wcga",
-    "wrga",
-    "wgafr",
-    "best_step",
-    "reduced_step",
-    "fixed_relaxation",
-    "prescribed",
-)
 
 # key -> (allowed types, short description)
 _SCHEMA = {
     "instance": (str, "instance kind: " + "|".join(_INSTANCE_KINDS)),
-    "algorithm": (str, "update rule: " + "|".join(_ALGORITHMS)),
+    "algorithm": (str, "update rule: " + "|".join(RULES)),
     "seed": (int, "instance RNG seed"),
     "k": (int, "signal dimension (compressed_sensing)"),
     "n": (int, "dictionary size / matrix side"),
@@ -114,9 +99,9 @@ _SCHEMA = {
     "gap_tol": ((int, float), "stop when gap <= this"),
     "reference": ((int, float), "energy reference for gaps"),
     "subspace_tol": ((int, float), "Chebyshev gradient tolerance"),
-    "step_b": ((int, float), "step shrink factor (reduced_step)"),
-    "relaxation_r": ((int, float), "contraction r_m (fixed_relaxation)"),
-    "prescribed_step": ((int, float), "fixed step c_m (prescribed)"),
+    "step_b": ((int, float), "step shrink factor (ReducedStep)"),
+    "relaxation_r": ((int, float), "contraction r_m (FixedRelaxation)"),
+    "prescribed_step": ((int, float), "fixed step c_m (Prescribed)"),
     "prescribed_selection": (str, "prescribed selection: gradient|energy"),
     "fit_m_min": (int, "first iteration used in slope fits"),
     "timings": (bool, "record real wall_ns instead of zeros"),
@@ -171,7 +156,7 @@ def validate_config(config: dict) -> dict:
             )
     if config["instance"] not in _INSTANCE_KINDS:
         raise ConfigError(f"unknown instance kind {config['instance']!r}")
-    if config["algorithm"] not in _ALGORITHMS:
+    if config["algorithm"] not in RULES:
         raise ConfigError(f"unknown algorithm {config['algorithm']!r}")
     for key in REQUIRED_KEYS[config["instance"]]:
         if key not in config:
@@ -239,26 +224,25 @@ def build_instance(config: dict) -> tuple:
     return objective, dictionary, cert, cert.realize(dictionary)
 
 
-def build_rule(config: dict):
-    name = config["algorithm"]
-    if name == "wcga":
-        if "subspace_tol" in config:
-            return Chebyshev(float(config["subspace_tol"]))
-        return Chebyshev()
-    if name == "wrga":
-        return ConvexRelaxation()
-    if name == "wgafr":
-        return FreeRelaxation()
-    if name == "best_step":
-        return BestStep()
-    if name == "reduced_step":
-        return ReducedStep(float(config.get("step_b", 0.5)))
-    if name == "fixed_relaxation":
-        return FixedRelaxation(float(config.get("relaxation_r", 0.0)))
-    return Prescribed(
-        float(config.get("prescribed_step", 1.0)),
-        config.get("prescribed_selection", "gradient"),
-    )
+# config key -> the rule field it sets, on the rules that have that field
+_RULE_FIELDS = {
+    "subspace_tol": "subspace_tol",
+    "step_b": "b",
+    "relaxation_r": "schedule",
+    "prescribed_step": "steps",
+    "prescribed_selection": "selection",
+}
+
+
+def build_rule(config: dict) -> UpdateRule:
+    rule = RULES[config["algorithm"]]
+    names = {f.name for f in fields(rule)}
+    kwargs = {}
+    for key, name in _RULE_FIELDS.items():
+        if key in config and name in names:
+            value = config[key]
+            kwargs[name] = value if isinstance(value, str) else float(value)
+    return rule(**kwargs)
 
 
 def build_weakness(config: dict) -> WeaknessSequence:
@@ -378,11 +362,11 @@ def collect_invariants(
         realized = objective.value(certificate.realize(dictionary))
         holds = realized <= best + CERTIFICATE_TOL
     invariants = {"certificate": holds}
-    if isinstance(rule, MONOTONE_RULES):
+    if rule.monotone:
         invariants["monotone"] = monotonicity_defect(trace) <= MONOTONE_TOL
-    if isinstance(rule, ConvexRelaxation):
+    if rule.convex:
         invariants["l1_confinement"] = l1_defect(trace) <= L1_CONFINEMENT_TOL
-    if isinstance(rule, Chebyshev):
+    if rule.orthogonal:
         invariants["orthogonality"] = (
             orthogonality_defect(objective, dictionary, trace)
             <= ORTHOGONALITY_TOL
@@ -441,12 +425,8 @@ def _envelope_ratio(
     trace: RunTrace,
     reference: float,
 ):
-    kinds = {
-        "wcga": EnvelopeKind.WCGA,
-        "wrga": EnvelopeKind.WRGA,
-        "wgafr": EnvelopeKind.WGAFR,
-    }
-    kind = kinds.get(config["algorithm"])
+    # the rules with a rate envelope share their config names with its kinds
+    kind = next((k for k in EnvelopeKind if k.value == trace.algorithm), None)
     if kind is None or len(trace.records) < 2:
         return None
     weakness = build_weakness(config)

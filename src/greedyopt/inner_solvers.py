@@ -4,10 +4,10 @@ Every relaxed update rule moves to the minimizer of E over a slice
 base + sum_i c_i d_i with one or two directions, and `minimize_on_slice` is
 its one solver. When E's minimizer over any affine set is the l2 projection
 of `Objective.projection_target`, the slice step is that projection, from
-the slice's 1x1 or 2x2 Gram system; it must pass the first-order test of the
-searches, or the step falls back to them. Otherwise one direction goes to
-`line_search` (derivative bisection on an interval, a ray or the whole line)
-and the free-relaxation plane to alternating line searches.
+the slice's 1x1 or 2x2 Gram system and one E' and one E at its point; it
+must pass the searches' first-order test, or the step falls back to them.
+Otherwise one direction goes to `line_search` (derivative bisection on an
+interval, a ray or the whole line) and the plane to alternating searches.
 
 The Chebyshev rule's span solve (`minimize_subspace`) is separate. Its basis
 lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. With a
@@ -195,15 +195,17 @@ class SliceResult:
     gradient: Optional[np.ndarray] = None  # E'(point); projection path only
 
 
-def _projection_step(objective, base, directions, lower, upper, energy):
+def _projection_step(objective, base, directions, lower, upper):
     """The slice's point nearest `objective.projection_target` t.
 
     c is the min-norm solution of the Gram system D^T D c = D^T (t - base),
     so a zero direction or two parallel ones get coefficient mass only where
     it lowers E; a one-direction step is clipped to [lower, upper]. Returns
     None when the directional derivatives at the point fail the searches'
-    stopping test, DERIVATIVE_TOL * (1 + |E(base)|), with E(base) evaluated
-    unless given, so that the caller falls back to a search.
+    stopping test, scaled by E at the point, DERIVATIVE_TOL * (1 + |E|), so
+    that the caller falls back to a search. The slice holds base (c = 0), so
+    at its minimizer that test is no looser than the searches' own, which is
+    scaled by E(base).
     """
     residual = objective.projection_target - base
     gram = np.array([[float(np.dot(a, b)) for b in directions] for a in directions])
@@ -217,8 +219,8 @@ def _projection_step(objective, base, directions, lower, upper, energy):
     for c_i, d_i in zip(c, directions):
         point = point + c_i * d_i
     grad = objective.gradient(point)
-    e0 = objective.value(base) if energy is None else energy
-    dtol = DERIVATIVE_TOL * (1.0 + abs(e0))
+    energy = objective.value(point)
+    dtol = DERIVATIVE_TOL * (1.0 + abs(energy))
     for c_i, d_i in zip(c, directions):
         s = float(np.dot(grad, d_i))
         if c_i == lower:
@@ -229,7 +231,7 @@ def _projection_step(objective, base, directions, lower, upper, energy):
             ok = abs(s) <= dtol
         if not ok:
             return None
-    return SliceResult(c, point, objective.value(point), gradient=grad)
+    return SliceResult(c, point, energy, gradient=grad)
 
 
 def _free_relaxation(objective, base, atom) -> SliceResult:
@@ -277,7 +279,6 @@ def minimize_on_slice(
     directions,
     lower: float = -math.inf,
     upper: float = math.inf,
-    energy: Optional[float] = None,
 ) -> SliceResult:
     """Minimize E(base + sum_i c_i d_i) over the slice an update rule names.
 
@@ -287,13 +288,12 @@ def minimize_on_slice(
     give the point (1 - w) base + lam atom.
 
     When `objective.projection_target` is set, the minimizer is that
-    target's l2 projection onto the slice (`_projection_step`); `energy`,
-    E(base), saves the evaluation its first-order test needs when the
-    caller has it, and the result carries E' at its point. A point that
-    fails that test falls back to the search below. Other objectives go
-    straight to `line_search` or, on the plane, to alternating line searches
-    (`SliceResult.sweeps` counts them). Every result carries its point and
-    E there.
+    target's l2 projection onto the slice (`_projection_step`), at the cost
+    of one E' and one E at its point, which its first-order test reads and
+    the result carries. A point that fails that test falls back to the
+    search below. Other objectives go straight to `line_search` or, on the
+    plane, to alternating line searches (`SliceResult.sweeps` counts them).
+    Every result carries its point and E there.
     """
     directions = tuple(directions)
     whole_line = _whole_line(lower, upper)
@@ -307,7 +307,7 @@ def minimize_on_slice(
         raise ValueError(f"slices have one or two directions, got {len(directions)}")
 
     if objective.projection_target is not None:
-        step = _projection_step(objective, base, directions, lower, upper, energy)
+        step = _projection_step(objective, base, directions, lower, upper)
         if step is not None:
             return step
     if len(directions) == 2:

@@ -72,9 +72,10 @@ def test_weakness_validation():
 
 
 def test_weakness_list_exhaustion_in_run():
-    # a 1-entry list cannot cover a second iteration
+    # a 1-entry list cannot cover a second iteration: the run aborts there
+    # and keeps its first record
     obj = make_least_squares(np.array([3.0, 4.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(GreedyRunError) as err:
         run_greedy(
             obj,
             canonical(),
@@ -82,6 +83,37 @@ def test_weakness_list_exhaustion_in_run():
             BestStep(),
             StopRule(max_m=5, sup_tol=-1.0),
         )
+    assert isinstance(err.value.cause, ValueError)
+    assert err.value.trace.stop_reason is StopReason.ABORTED
+    assert [rec.m for rec in err.value.trace.records] == [1]
+
+
+@pytest.mark.parametrize(
+    "weakness, rule",
+    [
+        ([0.9, 0.9], BestStep()),
+        (1.0, Prescribed([0.1, 0.1])),
+        (1.0, Prescribed([0.1, 0.1], selection="energy")),
+        (1.0, FixedRelaxation([0.1, 0.1])),
+    ],
+    ids=["weakness", "prescribed", "prescribed_energy", "fixed_relaxation"],
+)
+def test_exhausted_schedule_aborts_with_the_records_before_it(weakness, rule):
+    # a 2-entry weakness list or step schedule has no value at m = 3: the
+    # run aborts there with records 1 and 2, as any other abort does
+    dic, y, _ = gen_compressed_sensing(16, 64, 4, mass=1.0, seed=3)
+    with pytest.raises(GreedyRunError) as err:
+        run_greedy(
+            make_least_squares(y), dic, weakness, rule, StopRule(max_m=5, sup_tol=-1.0)
+        )
+    assert err.value.iteration == 3
+    assert "exhausted at m=3" in str(err.value)
+    assert isinstance(err.value.cause, ValueError)
+    trace = err.value.trace
+    assert trace.stop_reason is StopReason.ABORTED
+    assert [rec.m for rec in trace.records] == [1, 2]
+    assert len(trace.atoms) == 2
+    assert np.allclose(trace.point, iterate(trace, dic, -1), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +461,33 @@ def test_exact_steps_never_worse_than_searches(seed, k, n, name):
 # fixed relaxation / prescribed steps
 
 
+# (values, gradients) over 20 steps: E and E' at G_0, then one E and one E'
+# per new atom, where the first-order test or the span contract evaluated
+# them (6 atoms for wcga on the cs instance, 13 on the low-rank one). A
+# reduced step evaluates E at its own point and E' at the next step, a
+# prescribed one only E
+_CALLS = {
+    "compressed_sensing": {
+        "wcga": (7, 7),
+        "wrga": (21, 21),
+        "wgafr": (21, 21),
+        "best_step": (21, 21),
+        "fixed_relaxation": (21, 21),
+        "reduced_step": (41, 40),
+        "prescribed": (21, 20),
+    },
+    "low_rank": {
+        "wcga": (14, 14),
+        "wrga": (21, 21),
+        "wgafr": (21, 21),
+        "best_step": (21, 21),
+        "fixed_relaxation": (21, 21),
+        "reduced_step": (41, 40),
+        "prescribed": (21, 20),
+    },
+}
+
+
 @pytest.mark.parametrize(
     "rule",
     [
@@ -437,13 +496,14 @@ def test_exact_steps_never_worse_than_searches(seed, k, n, name):
         FreeRelaxation(),
         BestStep(),
         FixedRelaxation(0.25),
+        ReducedStep(0.5),
+        Prescribed(0.05),
     ],
 )
 @pytest.mark.parametrize("kind", ["compressed_sensing", "low_rank"])
 def test_slice_gradient_is_the_next_selection_gradient(rule, kind):
-    # every rule that moves to a solver's point takes the next selection's
-    # gradient from the solver's result: one gradient per step, where the
-    # first-order test or the span contract evaluated it. Replaying each
+    # every rule that moves to a solver's point takes E and the next
+    # selection's gradient from the solver's result. Replaying each
     # selection on a fresh E'(G_{m-1}) gives bitwise the same record
     if kind == "compressed_sensing":
         dic, y, _ = gen_compressed_sensing(16, 64, 4, mass=1.0, seed=3)
@@ -453,21 +513,20 @@ def test_slice_gradient_is_the_next_selection_gradient(rule, kind):
         obj = make_norm_power(target.ravel(), 2.0, 2.0)
     calls = []
     counted = dataclasses.replace(
-        obj, gradient_fn=lambda x: calls.append(1) or obj.gradient_fn(x)
+        obj,
+        value_fn=lambda x: calls.append("value") or obj.value_fn(x),
+        gradient_fn=lambda x: calls.append("gradient") or obj.gradient_fn(x),
     )
     trace = run_greedy(counted, dic, 1.0, rule, StopRule(max_m=20, sup_tol=-1.0))
     assert trace.iterations == 20
-    # one per new atom: a relaxed rule adds one each step, and a Chebyshev
-    # step whose atom merges into the basis evaluates nothing
-    assert len(calls) == 1 + len(trace.atoms)
+    counts = (calls.count("value"), calls.count("gradient"))
+    assert counts == _CALLS[kind][rule.name]
     # G replayed with the run's own update, so it is bitwise the run's G
     stack = np.array([dic.realize(atom) for atom in trace.atoms])
     G = np.zeros(obj.dimension)
     for rec in trace.records:
         direction = -obj.gradient(G)
-        shift = (
-            float(np.dot(direction, G)) if isinstance(rule, ConvexRelaxation) else 0.0
-        )
+        shift = float(np.dot(direction, G)) if rule.convex else 0.0
         cert = select_gradient_greedy(dic, direction, 1.0, shift)
         assert cert.atom == rec.atom
         assert (cert.score, cert.reference, cert.ratio) == (
@@ -535,6 +594,18 @@ def test_prescribed_validates_steps_and_selection():
         Prescribed([0.5, 0.0])
     with pytest.raises(ValueError):
         Prescribed(0.5, selection="other")
+
+
+def test_numpy_scalar_schedules_run_as_python_scalars():
+    # a weakness or step schedule given as a numpy scalar is read as the same
+    # Python float at every iteration
+    for np_rule, rule in [
+        (FixedRelaxation(np.float32(0.25)), FixedRelaxation(0.25)),
+        (Prescribed(np.int64(1)), Prescribed(1.0)),
+    ]:
+        a = run_ls([3.0, 4.0], np_rule, weakness=np.float32(0.5), max_m=3, sup_tol=-1.0)
+        b = run_ls([3.0, 4.0], rule, weakness=0.5, max_m=3, sup_tol=-1.0)
+        assert np.array_equal(a.energies(), b.energies())
 
 
 # ---------------------------------------------------------------------------

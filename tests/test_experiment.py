@@ -187,6 +187,28 @@ def test_build_rule_mapping():
     )
     assert isinstance(pre, Prescribed)
     assert (pre.steps, pre.selection) == (0.3, "energy")
+    # every name the schema accepts builds its rule, runs under that name
+    # and reports the invariants its rule declares; the three rules with a
+    # rate envelope, and only they, report its ratio
+    assert sorted(experiment.RULES) == sorted(_INVARIANTS)
+    for name, keys in _INVARIANTS.items():
+        result = run_experiment(cfg(algorithm=name, max_m=3))
+        assert build_rule(result.config).name == name
+        assert result.trace.algorithm == name
+        assert sorted(result.summary["invariants"]) == sorted(keys)
+        enveloped = name in ("wcga", "wrga", "wgafr")
+        assert (result.summary["envelope_ratio"] is not None) == enveloped
+
+
+_INVARIANTS = {
+    "wcga": ("certificate", "monotone", "orthogonality"),
+    "wrga": ("certificate", "monotone", "l1_confinement"),
+    "wgafr": ("certificate", "monotone"),
+    "best_step": ("certificate", "monotone"),
+    "reduced_step": ("certificate",),
+    "fixed_relaxation": ("certificate",),
+    "prescribed": ("certificate",),
+}
 
 
 def test_build_weakness():

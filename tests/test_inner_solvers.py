@@ -399,40 +399,58 @@ _BOTH_PATHS = [make_least_squares, lambda y: make_norm_power(y, 4.0, 2.0)]
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("make", _BOTH_PATHS)
 def test_slice_given_energy_and_gradient_is_bit_identical(seed, make):
-    # a given E(base) only feeds the first-order test's tolerance: the
-    # result and the E' it carries are bitwise those of a solve that
-    # evaluates E(base) itself
+    # the run takes E, and E' where the solver evaluated it, from the
+    # result instead of evaluating them at its point: both must be bitwise
+    # what that evaluation gives, and a second solve of the same slice must
+    # give bitwise the same result
     y, base, phi = _ls_slice(seed)
     obj = make(y)
-    e = obj.value(base)
     for directions, lower, upper in _slices(base, phi):
-        plain = minimize_on_slice(obj, base, directions, lower, upper)
-        given_ = minimize_on_slice(obj, base, directions, lower, upper, e)
-        assert given_.coefficients.tobytes() == plain.coefficients.tobytes()
-        assert given_.point.tobytes() == plain.point.tobytes()
-        assert given_.energy == plain.energy
-        assert given_.sweeps == plain.sweeps
-        if plain.gradient is None:
-            assert given_.gradient is None
+        res = minimize_on_slice(obj, base, directions, lower, upper)
+        again = minimize_on_slice(obj, base.copy(), directions, lower, upper)
+        assert again.coefficients.tobytes() == res.coefficients.tobytes()
+        assert again.point.tobytes() == res.point.tobytes()
+        assert again.sweeps == res.sweeps
+        assert res.energy == obj.value(res.point)
+        if obj.projection_target is None:
+            assert res.gradient is None
         else:
-            assert given_.gradient.tobytes() == plain.gradient.tobytes()
+            assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
 
 
 def test_slice_given_energy_skips_one_evaluation():
+    # the projection's first-order test is scaled by E at its point, which
+    # the result needs anyway: E' there, then E there, and no E(base)
     y, base, phi = _ls_slice(5)
     calls = []
     obj = make_least_squares(y)
     counted = dataclasses.replace(
         obj,
-        value_fn=lambda x: calls.append("value") or obj.value_fn(x),
-        gradient_fn=lambda x: calls.append("gradient") or obj.gradient_fn(x),
+        value_fn=lambda x: calls.append(("value", x)) or obj.value_fn(x),
+        gradient_fn=lambda x: calls.append(("gradient", x)) or obj.gradient_fn(x),
     )
-    minimize_on_slice(counted, base, (base, phi))
-    assert calls == ["gradient", "value", "value"]
-    calls.clear()
-    minimize_on_slice(counted, base, (base, phi), energy=obj.value(base))
-    # E' at the projection for its test, then E there for the result
-    assert calls == ["gradient", "value"]
+    res = minimize_on_slice(counted, base, (base, phi))
+    assert [name for name, _ in calls] == ["gradient", "value"]
+    assert all(np.array_equal(x, res.point) for _, x in calls)
+
+
+def test_slice_projection_test_is_scaled_by_the_energy_at_its_point():
+    # a target off by 1e-9 along the line leaves a slope of 1e-9 at the
+    # projected point, where E is 5e-19: above the test's 1e-10 * (1 + E),
+    # though under the 1e-10 * (1 + E(base)) = 5.1e-9 of the base, so the
+    # step falls back to the search
+    y = np.zeros(2)
+    base, d = np.array([10.0, 0.0]), np.array([-1.0, 0.0])
+    misdeclared = dataclasses.replace(
+        make_least_squares(y), projection_target=np.array([1e-9, 0.0])
+    )
+    searched = dataclasses.replace(misdeclared, projection_target=None)
+    res = minimize_on_slice(misdeclared, base, (d,))
+    expected = minimize_on_slice(searched, base, (d,))
+    assert res.gradient is None
+    assert res.coefficients.tobytes() == expected.coefficients.tobytes()
+    assert res.point.tobytes() == expected.point.tobytes()
+    assert res.energy == expected.energy
 
 
 @pytest.mark.parametrize("seed", range(3))
