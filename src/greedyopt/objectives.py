@@ -9,7 +9,8 @@ the envelope refers to (l2 unless stated otherwise).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -41,18 +42,33 @@ class SmoothnessParams:
     """Power-type modulus of smoothness envelope rho(u) = gamma * u^q.
 
     Args:
-        gamma: envelope constant, > 0.
+        gamma: envelope constant, > 0, or a zero-argument function that
+            computes it. The function runs on the first read of `gamma` (or
+            `rho`), and its value is checked and cached then; repr and ==
+            see the function, so they never run it.
         q: envelope exponent, in (1, 2]. q = 2 for quadratic-like objectives.
     """
 
-    gamma: float
+    _gamma: Union[float, Callable[[], float]]
     q: float
 
-    def __post_init__(self):
-        if not (self.gamma > 0):
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not (1.0 < self.q <= 2.0):
-            raise ValueError(f"q must be in (1, 2], got {self.q}")
+    def __init__(self, gamma: Union[float, Callable[[], float]], q: float):
+        object.__setattr__(self, "_gamma", gamma)
+        object.__setattr__(self, "q", q)
+        if not callable(gamma):
+            self.gamma  # a constant is checked at once
+        if not (1.0 < q <= 2.0):
+            raise ValueError(f"q must be in (1, 2], got {q}")
+
+    def __repr__(self) -> str:
+        return f"SmoothnessParams(gamma={self._gamma!r}, q={self.q!r})"
+
+    @cached_property
+    def gamma(self) -> float:
+        gamma = float(self._gamma() if callable(self._gamma) else self._gamma)
+        if not (gamma > 0):
+            raise ValueError(f"gamma must be > 0, got {gamma}")
+        return gamma
 
     @property
     def p(self) -> float:
@@ -181,7 +197,7 @@ def _sampled_modulus(value, e0, dim, radius, norm, u, samples, rng) -> float:
 
 def _calibrate_gamma(value_fn, dim, radius, norm, q, seed=2024) -> float:
     """Sampled lower estimate of sup rho(u)/u^q over u = 2^-k, k = 0..8,
-    doubled as a safety margin. The raw value_fn keeps set-up fast."""
+    doubled as a safety margin. The raw value_fn keeps it fast."""
     rng = np.random.default_rng(seed)
     e0 = value_fn(np.zeros(dim))
     worst = 0.0
@@ -202,7 +218,8 @@ def make_norm_power(
     (q > 1 makes E differentiable there).
 
     gamma default: for q = 2 and r >= 2 the sharp two-point constant r - 1;
-    otherwise a seeded empirical calibration (doubled sampled estimate). The
+    otherwise a seeded empirical calibration (doubled sampled estimate), run
+    on the first read of `smoothness.gamma` and cached there. The
     (r, q) compatibility is not enforced; the envelope is validated by
     sampling in the test harness.
     """
@@ -231,14 +248,14 @@ def make_norm_power(
     if gamma is None:
         if q == 2.0 and r >= 2.0:
             gamma = r - 1.0
-        else:
-            gamma = _calibrate_gamma(value, dim, radius, norm, q)
+        else:  # sampled on the first read of gamma; no run reads it
+            gamma = lambda: _calibrate_gamma(value, dim, radius, norm, q)
 
     return Objective(
         dimension=dim,
         value_fn=value,
         gradient_fn=grad,
-        smoothness=SmoothnessParams(gamma=float(gamma), q=q),
+        smoothness=SmoothnessParams(gamma=gamma, q=q),
         sublevel_radius=radius,
         norm=norm,
         label=f"norm_power(r={r}, q={q})",

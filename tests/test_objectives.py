@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from greedyopt import objectives
 from greedyopt.objectives import (
     DimensionMismatchError,
     NonFiniteEnergyError,
@@ -148,6 +149,46 @@ def test_norm_power_gamma_default():
     obj = make_norm_power(np.array([1.0, 1.0]), 4.0, 2.0)
     assert obj.smoothness.gamma == 3.0  # r - 1 for q = 2, r >= 2
     assert obj.smoothness.q == 2.0
+
+
+@pytest.mark.parametrize(
+    "r, q, pinned",
+    [(3.0, 1.5, "0x1.b646258998e8cp+0"), (1.5, 2.0, "0x1.cc20a3bcd0000p+4")],
+)
+def test_calibrated_gamma_is_sampled_on_first_read(monkeypatch, r, q, pinned):
+    # the factory samples nothing; the first read of gamma runs the seeded
+    # calibration once, bitwise the value the factory used to compute eagerly
+    calls = []
+    calibrate = objectives._calibrate_gamma
+    monkeypatch.setattr(
+        objectives,
+        "_calibrate_gamma",
+        lambda *a, **k: calls.append(1) or calibrate(*a, **k),
+    )
+    f = np.random.default_rng(3).standard_normal(6)
+    obj = make_norm_power(f, r, q)
+    repr(obj)
+    assert obj == obj and obj.smoothness == obj.smoothness
+    assert calls == []
+    gamma = obj.smoothness.gamma
+    assert calls == [1]
+    direct = calibrate(obj.value_fn, 6, obj.sublevel_radius, obj.norm, q, seed=2024)
+    assert gamma.hex() == direct.hex() == pinned
+    assert obj.smoothness.rho(0.5) == gamma * 0.5**q
+    assert obj.smoothness.gamma == gamma
+    assert calls == [1]
+
+
+def test_exact_and_explicit_gamma_are_eager(monkeypatch):
+    # least squares, q = 2 with r >= 2 and an explicit gamma never sample,
+    # and an explicit gamma is checked at construction
+    monkeypatch.setattr(objectives, "_calibrate_gamma", None)
+    f = np.ones(3)
+    assert make_least_squares(f).smoothness.gamma == 0.5
+    assert make_norm_power(f, 4.0, 2.0).smoothness.gamma == 3.0
+    assert make_norm_power(f, 3.0, 1.5, gamma=2).smoothness.gamma == 2.0
+    with pytest.raises(ValueError):
+        make_norm_power(f, 3.0, 1.5, gamma=0.0)
 
 
 def test_norm_power_validation():
