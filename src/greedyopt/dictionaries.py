@@ -11,7 +11,6 @@ backward-error margin.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -67,9 +66,6 @@ class Atom:
     def __hash__(self):
         return hash((self.index, self.sign))
 
-    def flipped(self) -> "Atom":
-        return Atom(self.index, -self.sign, self.factors)
-
 
 @dataclass(frozen=True)
 class SelectionCertificate:
@@ -91,6 +87,15 @@ class SelectionCertificate:
     ratio: float
 
 
+def unit_columns(raw: np.ndarray) -> np.ndarray:
+    """Scale raw's columns to unit l2 norm in place; zero columns rejected."""
+    norms = np.linalg.norm(raw, axis=0)
+    if np.any(norms == 0.0):
+        raise ValueError("zero column cannot be normalized")
+    raw /= norms
+    return raw
+
+
 class FiniteDictionary:
     """Explicit dictionary of unit columns, used with both signs."""
 
@@ -98,30 +103,21 @@ class FiniteDictionary:
         cols = np.asarray(columns, dtype=float)
         if cols.ndim != 2 or cols.shape[1] == 0:
             raise ValueError("columns must be a nonempty (k, n) matrix")
-        measure = norm if norm is not None else (
-            lambda c: float(np.linalg.norm(c))
+        # a custom norm (lp_approx's lr) is applied column by column
+        norms = np.linalg.norm(cols, axis=0) if norm is None else np.array(
+            [norm(c) for c in cols.T]
         )
-        for j in range(cols.shape[1]):
-            nj = measure(cols[:, j])
-            if abs(nj - 1.0) > 1e-12:
-                raise ValueError(f"column {j} has norm {nj}, expected 1")
+        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+        if bad.size:
+            raise ValueError(f"column {bad[0]} has norm {norms[bad[0]]}, expected 1")
         self._columns = cols.copy()
         self._columns.setflags(write=False)
+        self._last = (None, None)  # bytes of the last query, and its answer
 
     @classmethod
     def from_matrix(cls, raw: np.ndarray) -> "FiniteDictionary":
-        """Column-normalize (l2) an arbitrary matrix; zero columns rejected."""
-        raw = np.asarray(raw, dtype=float)
-        norms = np.linalg.norm(raw, axis=0)
-        if np.any(norms == 0.0):
-            raise ValueError("zero column cannot be normalized")
-        return cls(raw / norms)
-
-    @classmethod
-    def from_csv(cls, path) -> "FiniteDictionary":
-        with open(path, newline="") as fh:
-            rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-        return cls.from_matrix(np.asarray(rows))
+        """Column-normalize (l2) a copy of raw; zero columns rejected."""
+        return cls(unit_columns(np.array(raw, dtype=float)))
 
     @property
     def ambient_dim(self) -> int:
@@ -145,14 +141,18 @@ class FiniteDictionary:
         upper == value.
 
         Ties break to the lowest index; a zero (or fully orthogonal) w maps to
-        atom(0, +1) with value 0.
+        atom(0, +1) with value 0. A w bitwise equal to the last query (a wcga
+        fixed point) gets the last answer object back without the product.
         """
         w = np.asarray(w, dtype=float)
-        scores = self._columns.T @ w
-        j = int(np.argmax(np.abs(scores)))
-        value = float(abs(scores[j]))
-        sign = 1 if scores[j] >= 0.0 else -1
-        return value, Atom(j, sign), value
+        key = w.tobytes()
+        if key != self._last[0]:
+            scores = self._columns.T @ w
+            j = int(np.argmax(np.abs(scores)))
+            value = float(abs(scores[j]))
+            sign = 1 if scores[j] >= 0.0 else -1
+            self._last = (key, (value, Atom(j, sign), value))
+        return self._last[1]
 
 
 class RankOneDictionary:

@@ -21,6 +21,7 @@ from .dictionaries import (
     FiniteDictionary,
     RankOneDictionary,
     synthesis_l1,
+    unit_columns,
 )
 from .objectives import Objective, lr_norm, make_norm_power
 
@@ -136,7 +137,8 @@ def gen_compressed_sensing(
     if not mass > 0.0:
         raise ValueError(f"mass must be > 0, got {mass}")
     rng = np.random.default_rng(seed)
-    dictionary = FiniteDictionary.from_matrix(rng.standard_normal((k, n)))
+    # normalized in place: the bits of from_matrix without its extra copy
+    dictionary = FiniteDictionary(unit_columns(rng.standard_normal((k, n))))
     terms = _planted_terms(rng, n, s, mass, min_coef)
     y = np.zeros(k)
     for atom, coef in terms:

@@ -160,6 +160,62 @@ def test_chebyshev_merges_repeated_atoms():
     assert len(trace.terms()) <= 2
 
 
+def _fixed_point_run(weakness=1.0, max_m=16):
+    # lp_approx n=64 instance 1001: atoms 1-9 are new, and from m = 10 on
+    # every selection merges into the span, so G and E'(G) stop changing
+    dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1001)
+    stop = StopRule(max_m=max_m, sup_tol=-1.0)
+    return run_greedy(obj, dic, weakness, Chebyshev(), stop)
+
+
+def _same_bits(a, b):
+    if isinstance(a, (float, np.ndarray)):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    return a == b
+
+
+def test_chebyshev_fixed_point_repeats_the_sup_answer(monkeypatch):
+    answers = []
+    certified_sup = FiniteDictionary.certified_sup
+
+    def counted(self, w):
+        answers.append(certified_sup(self, w))
+        return answers[-1]
+
+    monkeypatch.setattr(FiniteDictionary, "certified_sup", counted)
+    trace = _fixed_point_run()
+    assert trace.iterations == 16
+    # certified_sup still runs once per step: the step marker stays
+    assert len(answers) == len(trace.records)
+    indices = [r.atom.index for r in trace.records]
+    merged = next(i for i, j in enumerate(indices) if j in indices[:i])
+    assert merged == 9
+    # from the first merged step on the dictionary answers from its memo
+    assert answers[merged - 1] is not answers[merged]
+    assert all(a is answers[merged] for a in answers[merged:])
+    # and every later record repeats the one before it, bit for bit
+    kept = [f.name for f in dataclasses.fields(trace.records[0])]
+    kept = [name for name in kept if name not in ("m", "wall_ns")]
+    for prev, rec in zip(trace.records[merged:], trace.records[merged + 1 :]):
+        for name in kept:
+            assert _same_bits(getattr(prev, name), getattr(rec, name)), name
+
+
+def test_weakness_list_exhausted_at_fixed_point():
+    # each step still reads its own t_m, so a list that runs out inside the
+    # fixed point aborts at the same m and keeps its partial trace
+    full = _fixed_point_run()
+    with pytest.raises(GreedyRunError) as err:
+        _fixed_point_run(WeaknessSequence.from_list([1.0] * 12))
+    assert err.value.iteration == 13
+    assert isinstance(err.value.cause, algorithms.ScheduleExhaustedError)
+    partial = err.value.trace
+    assert partial.stop_reason is StopReason.ABORTED
+    assert [r.m for r in partial.records] == list(range(1, 13))
+    for got, want in zip(partial.records, full.records):
+        assert got.energy == want.energy and got.atom == want.atom
+
+
 def test_chebyshev_inner_failure_is_loud():
     # correlated basis vectors leave machine-noise projected gradient, which
     # an impossible tolerance turns into a loud failure with a partial trace

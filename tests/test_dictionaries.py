@@ -51,12 +51,6 @@ def test_atom_sign_validation():
         Atom(0, 0)
 
 
-def test_atom_flipped():
-    a = Atom(3, 1)
-    assert a.flipped() == Atom(3, -1)
-    assert a.flipped().flipped() == a
-
-
 def test_atom_equality_with_factors():
     u = np.array([1.0, 0.0])
     v = np.array([0.0, 1.0])
@@ -100,12 +94,20 @@ def test_custom_norm_columns():
     assert dic.size == 1
 
 
-def test_from_csv_roundtrip(tmp_path):
-    path = tmp_path / "dict.csv"
-    path.write_text("3.0,0.0\n4.0,1.0\n")
-    dic = FiniteDictionary.from_csv(path)
-    assert dic.ambient_dim == 2 and dic.size == 2
-    assert np.allclose(dic.columns[:, 0], [0.6, 0.8])
+def test_unit_norm_check_names_first_bad_column():
+    # the default (vectorized l2) and the custom-norm (per-column) paths
+    # reject with the same message, naming the first bad column
+    cols = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^column 1 has norm 2.0, expected 1$"):
+        FiniteDictionary(cols)
+    with pytest.raises(ValueError, match=r"^column 1 has norm 2.0, expected 1$"):
+        FiniteDictionary(cols, norm=lambda v: lr_norm(v, 4.0))
+    # the 1e-12 tolerance is unchanged on both paths
+    near = np.array([[1.0 + 5e-13, 1.0 + 2e-12]])
+    for norm in (None, lambda v: lr_norm(v, 4.0)):
+        with pytest.raises(ValueError, match=r"^column 1 has norm"):
+            FiniteDictionary(near, norm=norm)
+        assert FiniteDictionary(near[:, :1], norm=norm).size == 1
 
 
 def test_columns_immutable():
@@ -141,6 +143,45 @@ def test_certified_sup_matches_brute_force(w, seed):
     b_value, b_index, b_sign = brute_force_sup(dic.columns, w)
     assert value == b_value
     assert (atom.index, atom.sign) == (b_index, b_sign)
+
+
+def test_certified_sup_repeat_returns_last_answer():
+    # a query bitwise equal to the last one (even from another array) gets
+    # the same answer object back; any other query replaces the entry
+    rng = np.random.default_rng(5)
+    dic = FiniteDictionary.from_matrix(rng.standard_normal((5, 9)))
+    w = rng.standard_normal(5)
+    first = dic.certified_sup(w)
+    assert dic.certified_sup(w.copy()) is first
+    other = dic.certified_sup(-w)
+    assert other is not first
+    again = dic.certified_sup(w)
+    assert again is not first and again == first
+
+
+def test_certified_sup_memo_is_keyed_by_value():
+    # mutating the queried array in place must not return the stale answer
+    dic = canonical(3)
+    w = np.array([3.0, -4.0, 1.0])
+    assert dic.certified_sup(w) == (4.0, Atom(1, -1), 4.0)
+    w[2] = 9.0
+    assert dic.certified_sup(w) == (9.0, Atom(2, 1), 9.0)
+    w[:] = 0.0
+    assert dic.certified_sup(w) == (0.0, Atom(0, 1), 0.0)
+
+
+def test_certified_sup_one_ulp_recomputes():
+    # a tie breaks to the lowest index; one ulp more on the second entry
+    # moves the answer, so the nudged query cannot be served from the memo
+    dic = canonical()
+    w = np.array([1.0, 1.0])
+    first = dic.certified_sup(w)
+    assert first == (1.0, Atom(0, 1), 1.0)
+    nudged = w.copy()
+    nudged[1] = np.nextafter(1.0, 2.0)
+    value, atom, upper = dic.certified_sup(nudged)
+    assert (value, atom, upper) == (nudged[1], Atom(1, 1), nudged[1])
+    assert dic.certified_sup(w) is not first
 
 
 def test_sup_symmetry():
@@ -294,7 +335,8 @@ def test_rank_one_realize():
     dic = RankOneDictionary(2)
     atom = Atom(-1, 1, (np.array([1.0, 0.0]), np.array([0.0, 1.0])))
     assert np.array_equal(dic.realize(atom), [0.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(dic.realize(atom.flipped()), [0.0, -1.0, 0.0, 0.0])
+    negated = Atom(-1, -1, atom.factors)
+    assert np.array_equal(dic.realize(negated), [0.0, -1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         dic.realize(Atom(-1, 1))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from greedyopt.algorithms import Chebyshev, StopReason, StopRule, run_greedy
-from greedyopt.dictionaries import Atom
+from greedyopt.dictionaries import Atom, FiniteDictionary
 from greedyopt.instances import (
     SynthesisCertificate,
     _dyadic_fractions,
@@ -16,6 +16,21 @@ from greedyopt.instances import (
 from greedyopt.objectives import lr_norm, make_least_squares
 
 from oracles import nuclear_norm
+
+
+# ---------------------------------------------------------------------------
+# compressed-sensing dictionary
+
+
+@pytest.mark.parametrize("seed", [3, 1001])
+def test_cs_dictionary_bits_match_from_matrix(seed):
+    # the in-place normalization gives the bits of from_matrix on a copy,
+    # and of the out-of-place division the generator used to make
+    dic, _, _ = gen_compressed_sensing(32, 96, 4, seed=seed)
+    draw = np.random.default_rng(seed).standard_normal((32, 96))
+    bits = dic.columns.tobytes()
+    assert bits == FiniteDictionary.from_matrix(draw).columns.tobytes()
+    assert bits == (draw / np.linalg.norm(draw, axis=0)).tobytes()
 
 
 # ---------------------------------------------------------------------------
