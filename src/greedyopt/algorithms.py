@@ -43,7 +43,6 @@ from .dictionaries import (
     WeaknessCertificationError,
     select_e_greedy_fixed,
     select_gradient_greedy,
-    synthesis_l1,
 )
 from .inner_solvers import (
     SUBSPACE_TOL,
@@ -470,7 +469,7 @@ def run_greedy(
                 weakness_ratio=cert.ratio,
                 lam=lam,
                 w_or_r=w_or_r,
-                l1_mass=synthesis_l1(coefficients),
+                l1_mass=float(np.sum(np.abs(coefficients))),
                 wall_ns=time.perf_counter_ns() - t0,
                 coefficients=coefficients,
                 grad_inf=grad_inf,

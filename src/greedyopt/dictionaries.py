@@ -87,36 +87,69 @@ class SelectionCertificate:
     ratio: float
 
 
+def column_norms(a: np.ndarray) -> np.ndarray:
+    """l2 norm of each column of a 2-D array: the bits of
+    np.linalg.norm(a, axis=0) without its k x n array of squares.
+
+    On a C-ordered array of two or more columns both sum each column's
+    squares row by row, so einsum gives the same bits; on any other layout
+    numpy's reduction runs down the column in another order, so that case
+    keeps np.linalg.norm."""
+    if a.flags.c_contiguous and a.shape[1] > 1:
+        return np.sqrt(np.einsum("ij,ij->j", a, a))
+    return np.linalg.norm(a, axis=0)
+
+
 def unit_columns(raw: np.ndarray) -> np.ndarray:
-    """Scale raw's columns to unit l2 norm in place; zero columns rejected."""
-    norms = np.linalg.norm(raw, axis=0)
+    """Scale raw's columns to unit l2 norm in place; zero columns rejected.
+
+    The bits of raw / np.linalg.norm(raw, axis=0), with no array of raw's
+    size allocated. It divides row by row: a broadcast division allocates a
+    64 KB ufunc buffer, an eighth of a 128 x 512 matrix."""
+    norms = column_norms(raw)
     if np.any(norms == 0.0):
         raise ValueError("zero column cannot be normalized")
-    raw /= norms
+    for row in raw:
+        row /= norms
     return raw
 
 
 class FiniteDictionary:
-    """Explicit dictionary of unit columns, used with both signs."""
+    """Explicit dictionary of unit columns, used with both signs.
+
+    The dictionary keeps its columns as one read-only C-ordered float64
+    array. A float64 C-ordered ndarray that owns its data is adopted, not
+    copied: it is frozen in place, so a later write through the caller's
+    reference raises. Views made of it before the call stay writable, so
+    pass a copy if you keep writing to yours. Any other input (a view, a
+    list, another dtype or layout) is copied once.
+    """
 
     def __init__(self, columns: np.ndarray, norm: Optional[Callable] = None):
-        cols = np.asarray(columns, dtype=float)
+        adopt = (
+            type(columns) is np.ndarray
+            and columns.dtype == np.float64
+            and columns.flags.owndata
+            and columns.flags.c_contiguous
+        )
+        cols = columns if adopt else np.array(columns, dtype=float, order="C")
         if cols.ndim != 2 or cols.shape[1] == 0:
             raise ValueError("columns must be a nonempty (k, n) matrix")
         # a custom norm (lp_approx's lr) is applied column by column
-        norms = np.linalg.norm(cols, axis=0) if norm is None else np.array(
+        norms = column_norms(cols) if norm is None else np.array(
             [norm(c) for c in cols.T]
         )
         bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
         if bad.size:
             raise ValueError(f"column {bad[0]} has norm {norms[bad[0]]}, expected 1")
-        self._columns = cols.copy()
-        self._columns.setflags(write=False)
+        cols.setflags(write=False)
+        self._columns = cols
         self._last = (None, None)  # bytes of the last query, and its answer
 
     @classmethod
     def from_matrix(cls, raw: np.ndarray) -> "FiniteDictionary":
-        """Column-normalize (l2) a copy of raw; zero columns rejected."""
+        """Column-normalize (l2) a copy of raw, which the dictionary then
+        adopts; zero columns rejected."""
         return cls(unit_columns(np.array(raw, dtype=float)))
 
     @property

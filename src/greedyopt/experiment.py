@@ -312,19 +312,24 @@ def orthogonality_defect(objective: Objective, dictionary, trace: RunTrace) -> f
     terms (Chebyshev runs re-minimize over the selected span, so this should
     sit at solver tol).
 
-    An independent replay: the atoms realized once, each iterate rebuilt as
-    stack[:k].T @ coefficients (the span solve's product, so bitwise the
-    run's G), then one product of E' at each with the stack, read at the
-    record's terms."""
-    if not trace.records:
+    An independent replay: the atoms realized once, each distinct iterate
+    rebuilt as stack[:k].T @ coefficients (the span solve's product, so
+    bitwise the run's G), then one product of E' at each with the stack,
+    read at the iterate's terms. A record whose coefficient array is the
+    one before it (a Chebyshev fixed point keeps its span solution) is the
+    same iterate, so it adds no gradient."""
+    records = trace.records
+    if not records:
         return 0.0
     stack = np.array([dictionary.realize(atom) for atom in trace.atoms])
-    sizes = np.array([len(rec.coefficients) for rec in trace.records])
+    distinct = [
+        rec.coefficients
+        for i, rec in enumerate(records)
+        if i == 0 or rec.coefficients is not records[i - 1].coefficients
+    ]
+    sizes = np.array([len(c) for c in distinct])
     grads = np.array(
-        [
-            objective.gradient(stack[:k].T @ rec.coefficients)
-            for k, rec in zip(sizes, trace.records)
-        ]
+        [objective.gradient(stack[:k].T @ c) for k, c in zip(sizes, distinct)]
     )
     terms = np.arange(len(stack)) < sizes[:, None]
     return float(np.max(np.abs(grads @ stack.T)[terms]))

@@ -137,7 +137,7 @@ def gen_compressed_sensing(
     if not mass > 0.0:
         raise ValueError(f"mass must be > 0, got {mass}")
     rng = np.random.default_rng(seed)
-    # normalized in place: the bits of from_matrix without its extra copy
+    # normalized in place and adopted: the bits of from_matrix, one matrix
     dictionary = FiniteDictionary(unit_columns(rng.standard_normal((k, n))))
     terms = _planted_terms(rng, n, s, mass, min_coef)
     y = np.zeros(k)
@@ -209,9 +209,9 @@ def gen_lp_approx(
     norms = np.array([lr_norm(raw[:, j], r) for j in range(dict_size)])
     if np.any(norms == 0.0):
         raise ValueError("degenerate zero column")
-    columns = raw / norms
+    raw /= norms
     norm_fn = None if r == 2.0 else (lambda v: lr_norm(v, r))
-    dictionary = FiniteDictionary(columns, norm=norm_fn)
+    dictionary = FiniteDictionary(raw, norm=norm_fn)
     terms = _planted_terms(rng, dict_size, s, mass, min_coef)
     f = np.zeros(n)
     for atom, coef in terms:

@@ -14,10 +14,12 @@ from greedyopt.dictionaries import (
     WEAKNESS_SLACK,
     UnsupportedDictionaryError,
     WeaknessCertificationError,
+    column_norms,
     select_e_greedy,
     select_e_greedy_fixed,
     select_gradient_greedy,
     synthesis_l1,
+    unit_columns,
 )
 from greedyopt.algorithms import (
     BestStep,
@@ -114,6 +116,69 @@ def test_columns_immutable():
     dic = canonical()
     with pytest.raises(ValueError):
         dic.columns[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("shape", [(512, 2048), (256, 1024), (16, 32)])
+def test_unit_columns_bits_match_linalg_norm(shape):
+    # the column norms build no array of squares and still give the bits of
+    # np.linalg.norm, so unit_columns divides exactly as before
+    raw = np.random.default_rng(7).standard_normal(shape)
+    norms = np.linalg.norm(raw, axis=0)
+    assert column_norms(raw).tobytes() == norms.tobytes()
+    assert unit_columns(raw.copy()).tobytes() == (raw / norms).tobytes()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.asfortranarray(np.random.default_rng(0).standard_normal((64, 256))),
+        np.random.default_rng(3).standard_normal((3, 1)),
+    ],
+    ids=["fortran", "one_column"],
+)
+def test_column_norms_keep_linalg_bits_on_other_layouts(a):
+    # on these layouts numpy sums a column in another order than row by row
+    assert column_norms(a).tobytes() == np.linalg.norm(a, axis=0).tobytes()
+
+
+def test_owned_array_is_adopted_and_frozen():
+    cols = np.eye(3)
+    dic = FiniteDictionary(cols)
+    assert np.shares_memory(dic.columns, cols)
+    with pytest.raises(ValueError):
+        cols[0, 0] = 5.0
+    assert dic.columns[0, 0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.eye(4)[:, :3],
+        lambda: np.eye(3)[:],
+        lambda: np.asfortranarray(np.eye(3)),
+        lambda: np.eye(3, dtype=np.float32),
+        lambda: np.eye(3).tolist(),
+    ],
+    ids=["strided_view", "c_ordered_view", "fortran", "float32", "list"],
+)
+def test_other_inputs_are_copied(make):
+    cols = make()
+    dic = FiniteDictionary(cols)
+    assert dic.columns.dtype == np.float64 and dic.columns.flags.c_contiguous
+    assert not dic.columns.flags.writeable
+    if isinstance(cols, np.ndarray):
+        assert not np.shares_memory(dic.columns, cols)
+        assert cols.flags.writeable
+        cols[0, 0] = 5.0
+    assert dic.columns[0, 0] == 1.0
+
+
+def test_rejected_array_stays_writable():
+    cols = np.array([[2.0], [0.0]])
+    with pytest.raises(ValueError):
+        FiniteDictionary(cols)
+    cols[0, 0] = 1.0
+    assert FiniteDictionary(cols).size == 1
 
 
 def test_certified_sup_examples():

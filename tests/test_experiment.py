@@ -530,6 +530,42 @@ def test_orthogonality_defect_matches_the_loop(config):
     )
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(instance="compressed_sensing", algorithm="wcga", k=32, n=64, s=4),
+        dict(instance="lp_approx", algorithm="wcga", n=16, r=3.0, q=1.5, s=3),
+    ],
+    ids=["cs_wcga", "lp_wcga"],
+)
+def test_orthogonality_defect_one_gradient_per_iterate(config, monkeypatch):
+    # past the exact fit every selection merges into the span, so the
+    # records share the last span solution and the replay takes its
+    # gradient once
+    config = validate_config(dict(config, seed=5, max_m=30, sup_tol=-1.0))
+    objective, dictionary, certificate, _ = build_instance(config)
+    trace = run_greedy(
+        objective,
+        dictionary,
+        build_weakness(config),
+        build_rule(config),
+        build_stop(config, certificate),
+    )
+    iterates = len({id(rec.coefficients) for rec in trace.records})
+    assert iterates < trace.iterations == 30
+    expected = orthogonality_defect_loop(objective, dictionary, trace)
+    calls = []
+    gradient = objectives.Objective.gradient
+    monkeypatch.setattr(
+        objectives.Objective,
+        "gradient",
+        lambda self, x: calls.append(1) or gradient(self, x),
+    )
+    defect = orthogonality_defect(objective, dictionary, trace)
+    assert len(calls) == iterates
+    assert defect == pytest.approx(expected, rel=0, abs=1e-15)
+
+
 def test_orthogonality_defect_compares_no_atoms(monkeypatch):
     # the replay reads the run's atoms by position, so it neither hashes nor
     # compares them: every rank-one atom of one sign hashes alike, so a map

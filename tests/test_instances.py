@@ -1,5 +1,7 @@
 """Planted-instance generators and their synthesis certificates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,28 @@ def test_cs_dictionary_bits_match_from_matrix(seed):
     bits = dic.columns.tobytes()
     assert bits == FiniteDictionary.from_matrix(draw).columns.tobytes()
     assert bits == (draw / np.linalg.norm(draw, axis=0)).tobytes()
+
+
+def test_cs_generation_holds_one_matrix():
+    # the draw is normalized in place and adopted by the dictionary, so no
+    # second k x n array (a copy or a k x n array of squares) is ever live
+    tracemalloc.start()
+    try:
+        dic, _, _ = gen_compressed_sensing(128, 512, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * dic.columns.nbytes
+
+
+@pytest.mark.parametrize("r", [2.0, 3.0])
+def test_lp_dictionary_bits_match_the_division(r):
+    # the in-place division gives the bits of dividing the draw by its
+    # columns' lr norms out of place
+    dic, _, _ = gen_lp_approx(16, r, 1.5, seed=4)
+    draw = np.random.default_rng(4).standard_normal((16, 64))
+    norms = np.array([lr_norm(c, r) for c in draw.T])
+    assert dic.columns.tobytes() == (draw / norms).tobytes()
 
 
 # ---------------------------------------------------------------------------
