@@ -12,7 +12,7 @@ backward-error margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -23,6 +23,9 @@ COLINEAR_TOL = 1e-10
 # backward-error factor c of the dense SVD's top singular value; see
 # RankOneDictionary.certified_sup
 SVD_ERROR_FACTOR = 4.0
+# columns per block of lr_column_norms: its temporaries stay this many
+# columns wide whatever the dictionary's size
+LR_NORM_BLOCK = 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -100,6 +103,27 @@ def column_norms(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a, axis=0)
 
 
+def lr_column_norms(a: np.ndarray, r: float) -> np.ndarray:
+    """l_r norm of each column of a 2-D array: the bits of
+    objectives.lr_norm on each column, LR_NORM_BLOCK columns at a time.
+
+    Each block is copied into C-ordered rows, so every column is scaled by
+    its max and summed as a contiguous vector, as lr_norm sums it; a
+    Fortran-ordered sum runs in another order. The root is taken per column
+    on a numpy scalar, as lr_norm takes it: numpy's array power differs
+    from it by one ulp on some columns."""
+    norms = np.empty(a.shape[1])
+    inv = 1.0 / r
+    for j in range(0, a.shape[1], LR_NORM_BLOCK):
+        block = np.abs(a[:, j : j + LR_NORM_BLOCK].T, order="C")
+        top = block.max(axis=1, initial=0.0)
+        block /= np.where(top == 0.0, 1.0, top)[:, None]
+        block **= r
+        roots = [float(s**inv) for s in block.sum(axis=1)]
+        norms[j : j + LR_NORM_BLOCK] = top * np.array(roots)
+    return norms
+
+
 def unit_columns(raw: np.ndarray) -> np.ndarray:
     """Scale raw's columns to unit l2 norm in place; zero columns rejected.
 
@@ -123,9 +147,13 @@ class FiniteDictionary:
     reference raises. Views made of it before the call stay writable, so
     pass a copy if you keep writing to yours. Any other input (a view, a
     list, another dtype or layout) is copied once.
+
+    Columns must have unit norm in l_r, to 1e-12: l2 by default
+    (`column_norms`), any other r > 1 by `lr_column_norms`, the bits of
+    objectives.lr_norm on each column.
     """
 
-    def __init__(self, columns: np.ndarray, norm: Optional[Callable] = None):
+    def __init__(self, columns: np.ndarray, r: float = 2.0):
         adopt = (
             type(columns) is np.ndarray
             and columns.dtype == np.float64
@@ -135,10 +163,7 @@ class FiniteDictionary:
         cols = columns if adopt else np.array(columns, dtype=float, order="C")
         if cols.ndim != 2 or cols.shape[1] == 0:
             raise ValueError("columns must be a nonempty (k, n) matrix")
-        # a custom norm (lp_approx's lr) is applied column by column
-        norms = column_norms(cols) if norm is None else np.array(
-            [norm(c) for c in cols.T]
-        )
+        norms = column_norms(cols) if r == 2.0 else lr_column_norms(cols, r)
         bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
         if bad.size:
             raise ValueError(f"column {bad[0]} has norm {norms[bad[0]]}, expected 1")

@@ -290,17 +290,21 @@ def trace_rows(trace: RunTrace, reference: float, timings: bool) -> list:
     return rows
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# one line of trace_rows: the ints m, atom_id, atom_sign and wall_ns in
+# decimal, the floats in 17 significant digits (nan and inf as words)
+_ROW_FORMAT = ",".join(
+    "%d" if c in ("m", "atom_id", "atom_sign", "wall_ns") else "%.17g"
+    for c in TRACE_COLUMNS
+) + "\n"
 
 
 def write_trace_csv(path, trace: RunTrace, reference: float, timings: bool):
-    lines = [",".join(TRACE_COLUMNS)]
-    for row in trace_rows(trace, reference, timings):
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the header and one line per record to `path`, a line at a
+    time, so the file's text is never held in memory whole."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(",".join(TRACE_COLUMNS) + "\n")
+        for row in trace_rows(trace, reference, timings):
+            out.write(_ROW_FORMAT % row)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +325,18 @@ def orthogonality_defect(objective: Objective, dictionary, trace: RunTrace) -> f
     records = trace.records
     if not records:
         return 0.0
-    stack = np.array([dictionary.realize(atom) for atom in trace.atoms])
+    stack = np.empty((len(trace.atoms), dictionary.ambient_dim))
+    for row, atom in zip(stack, trace.atoms):
+        row[:] = dictionary.realize(atom)
     distinct = [
         rec.coefficients
         for i, rec in enumerate(records)
         if i == 0 or rec.coefficients is not records[i - 1].coefficients
     ]
     sizes = np.array([len(c) for c in distinct])
-    grads = np.array(
-        [objective.gradient(stack[:k].T @ c) for k, c in zip(sizes, distinct)]
-    )
+    grads = np.empty((len(distinct), objective.dimension))
+    for grad, k, c in zip(grads, sizes, distinct):
+        grad[:] = objective.gradient(stack[:k].T @ c)
     terms = np.arange(len(stack)) < sizes[:, None]
     return float(np.max(np.abs(grads @ stack.T)[terms]))
 

@@ -20,10 +20,11 @@ from .dictionaries import (
     Dictionary,
     FiniteDictionary,
     RankOneDictionary,
+    lr_column_norms,
     synthesis_l1,
     unit_columns,
 )
-from .objectives import Objective, lr_norm, make_norm_power
+from .objectives import Objective, make_norm_power
 
 DYADIC_BITS = 30
 CERTIFICATE_TOL = 1e-12
@@ -206,12 +207,11 @@ def gen_lp_approx(
         raise ValueError(f"sparsity {s} exceeds dictionary size {dict_size}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n, dict_size))
-    norms = np.array([lr_norm(raw[:, j], r) for j in range(dict_size)])
+    norms = lr_column_norms(raw, r)
     if np.any(norms == 0.0):
         raise ValueError("degenerate zero column")
     raw /= norms
-    norm_fn = None if r == 2.0 else (lambda v: lr_norm(v, r))
-    dictionary = FiniteDictionary(raw, norm=norm_fn)
+    dictionary = FiniteDictionary(raw, r=r)
     terms = _planted_terms(rng, dict_size, s, mass, min_coef)
     f = np.zeros(n)
     for atom, coef in terms:

@@ -160,11 +160,9 @@ def make_least_squares(target: np.ndarray) -> Objective:
     )
 
 
-def _norming_functional(v: np.ndarray, r: float) -> np.ndarray:
-    """F_v with <F_v, v> = ||v||_r and dual norm 1, for 1 < r < infinity."""
-    nv = lr_norm(v, r)
-    if nv == 0.0:
-        return np.zeros_like(v)
+def _norming_functional(v: np.ndarray, nv: float, r: float) -> np.ndarray:
+    """F_v with <F_v, v> = ||v||_r and dual norm 1, for 1 < r < infinity,
+    given nv = lr_norm(v, r) > 0."""
     w = v / nv
     return np.sign(w) * np.abs(w) ** (r - 1.0)
 
@@ -242,7 +240,7 @@ def make_norm_power(
         nv = norm(v)
         if nv == 0.0:
             return np.zeros(dim)
-        return -q * nv ** (q - 1.0) * _norming_functional(v, r)
+        return -q * nv ** (q - 1.0) * _norming_functional(v, nv, r)
 
     radius = 2.0 * norm(f)
     if gamma is None:

@@ -15,6 +15,7 @@ from greedyopt.dictionaries import (
     UnsupportedDictionaryError,
     WeaknessCertificationError,
     column_norms,
+    lr_column_norms,
     select_e_greedy,
     select_e_greedy_fixed,
     select_gradient_greedy,
@@ -90,26 +91,50 @@ def test_constructor_rejects_unnormalized():
 
 
 def test_custom_norm_columns():
-    # columns unit in l4 (not in l2) are accepted with an explicit norm
+    # columns unit in l4 (not in l2) are accepted with r=4
     col = np.array([1.0, 1.0]) / 2.0**0.25
-    dic = FiniteDictionary(col[:, None], norm=lambda v: lr_norm(v, 4.0))
+    dic = FiniteDictionary(col[:, None], r=4.0)
     assert dic.size == 1
+    with pytest.raises(ValueError):
+        FiniteDictionary(col[:, None])
 
 
 def test_unit_norm_check_names_first_bad_column():
-    # the default (vectorized l2) and the custom-norm (per-column) paths
-    # reject with the same message, naming the first bad column
+    # the l2 and the l_r paths reject with the same message, naming the
+    # first bad column
     cols = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match=r"^column 1 has norm 2.0, expected 1$"):
         FiniteDictionary(cols)
     with pytest.raises(ValueError, match=r"^column 1 has norm 2.0, expected 1$"):
-        FiniteDictionary(cols, norm=lambda v: lr_norm(v, 4.0))
-    # the 1e-12 tolerance is unchanged on both paths
+        FiniteDictionary(cols, r=4.0)
+    # the 1e-12 tolerance is the same on both paths
     near = np.array([[1.0 + 5e-13, 1.0 + 2e-12]])
-    for norm in (None, lambda v: lr_norm(v, 4.0)):
+    for r in (2.0, 4.0):
         with pytest.raises(ValueError, match=r"^column 1 has norm"):
-            FiniteDictionary(near, norm=norm)
-        assert FiniteDictionary(near[:, :1], norm=norm).size == 1
+            FiniteDictionary(near, r=r)
+        assert FiniteDictionary(near[:, :1], r=r).size == 1
+
+
+def _lr_cases():
+    rng = np.random.default_rng(11)
+    for rows in (3, 64, 130):
+        for scale in (1.0, 1e100, 1e-100):
+            a = scale * rng.standard_normal((rows, 40))
+            a[:, 7] = 0.0  # a zero column
+            yield f"{rows}x40_{scale:g}", a
+    a = rng.standard_normal((64, 40))
+    yield "one_column", a[:, :1].copy()
+    yield "fortran", np.asfortranarray(a)
+    yield "strided_view", a[::2, 1::3]
+
+
+@pytest.mark.parametrize("r", [1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("a", [a for _, a in _lr_cases()], ids=[i for i, _ in _lr_cases()])
+def test_lr_column_norms_are_lr_norm_bits(a, r):
+    # the blocked routine gives lr_norm's bits on every column, across
+    # blocks, scales, layouts and a zero column
+    expected = np.array([lr_norm(c, r) for c in a.T])
+    assert lr_column_norms(a, r).tobytes() == expected.tobytes()
 
 
 def test_columns_immutable():

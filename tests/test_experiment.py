@@ -1,7 +1,9 @@
 """Config handling, experiment runs, artifact determinism, and the
 programmatic verification checks."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -44,7 +46,9 @@ from greedyopt.experiment import (
     run_experiment,
     sample_sublevel_triple,
     signal_coefficients,
+    trace_rows,
     validate_config,
+    write_trace_csv,
 )
 from greedyopt.instances import gen_compressed_sensing, verify_certificate
 from greedyopt.objectives import make_least_squares, make_norm_power
@@ -402,6 +406,36 @@ def test_trace_csv_timings_flag(tmp_path):
     lines = result.trace_path.read_text().strip().split("\n")
     walls = [int(line.split(",")[11]) for line in lines[1:]]
     assert any(w > 0 for w in walls)
+
+
+def _joined_trace_csv(trace, reference, timings) -> bytes:
+    # the whole text built in memory and joined, each value formatted alone
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return format(float(value), ".17g")
+
+    lines = [",".join(TRACE_COLUMNS)]
+    for row in trace_rows(trace, reference, timings):
+        lines.append(",".join(fmt(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_streamed_trace_csv_keeps_the_joined_bytes(tmp_path):
+    # one format string per line writes the bytes of formatting each value
+    # alone: nan, inf, -0, large and tiny floats, and the int columns
+    result = run_experiment(cfg(timings=True, max_m=6))
+    trace = result.trace
+    assert any(math.isnan(rec.lam) or math.isnan(rec.w_or_r) for rec in trace.records)
+    odd = (math.inf, -math.inf, -0.0, 1e300, 5e-324, 0.1)
+    trace.records[:3] = [
+        dataclasses.replace(rec, lam=x, w_or_r=y, score=-0.0)
+        for rec, x, y in zip(trace.records, odd, odd[::-1])
+    ]
+    for timings in (True, False):
+        path = tmp_path / f"trace_{timings}.csv"
+        write_trace_csv(path, trace, 0.25, timings)
+        assert path.read_bytes() == _joined_trace_csv(trace, 0.25, timings)
 
 
 def test_run_experiment_zero_iterations():

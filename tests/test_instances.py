@@ -47,6 +47,18 @@ def test_cs_generation_holds_one_matrix():
     assert peak <= 1.1 * dic.columns.nbytes
 
 
+def test_lp_generation_holds_one_matrix():
+    # the lr column norms are computed a bounded block of columns at a
+    # time, so no second k x n array is live while the draw is normalized
+    tracemalloc.start()
+    try:
+        dic, _, _ = gen_lp_approx(256, 3.0, 1.5, s=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * dic.columns.nbytes
+
+
 @pytest.mark.parametrize("r", [2.0, 3.0])
 def test_lp_dictionary_bits_match_the_division(r):
     # the in-place division gives the bits of dividing the draw by its
