@@ -26,7 +26,6 @@ from .dictionaries import (
     SelectionCertificate,
     UnsupportedDictionaryError,
     WeaknessCertificationError,
-    select_e_greedy,
     select_e_greedy_fixed,
     select_gradient_greedy,
     synthesis_l1,
@@ -61,25 +60,20 @@ from .algorithms import (
     run_greedy,
 )
 from .theory import (
-    EnvelopeKind,
     EnvelopeReport,
     InsufficientDataError,
-    ModulusSpec,
     RateEnvelope,
     RecurrenceReport,
-    a_q,
     calibrate_envelope,
     check_envelope,
     conjugate_exponent,
     fit_power_slope,
-    rate_envelope,
     solve_xi,
     solve_xi_flagged,
     t_power_sum,
     theta0,
     verify_recurrence,
     xi_closed_form,
-    xi_weighted_sum,
 )
 from .instances import (
     SynthesisCertificate,

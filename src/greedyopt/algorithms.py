@@ -191,10 +191,11 @@ class UpdateRule:
     atoms, so selection certifies the functional shifted by -G,
     <-E'(G), phi - G>, and the l1 mass is checked. orthogonal: E is
     re-minimized over the span of the selected atoms (the Chebyshev span
-    path), so E'(G_m) is orthogonal to each."""
+    path), so E'(G_m) is orthogonal to each. rated: the paper proves a
+    convergence rate for the rule, and `theory.RateEnvelope` states it."""
 
     name: str
-    monotone = convex = orthogonal = False
+    monotone = convex = orthogonal = rated = False
     selection = "gradient"
 
 
@@ -205,7 +206,7 @@ class Chebyshev(UpdateRule):
     subspace_tol: float = SUBSPACE_TOL
 
     name = "wcga"
-    monotone = orthogonal = True
+    monotone = orthogonal = rated = True
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,7 @@ class ConvexRelaxation(UpdateRule):
     """G_m = (1 - lam) G_{m-1} + lam phi with the best lam in [0, 1]."""
 
     name = "wrga"
-    monotone = convex = True
+    monotone = convex = rated = True
 
     def step(self, G, phi, m) -> Step:
         return Step(G, (phi - G,), 0.0, 1.0, shares=(-1.0,))
@@ -224,7 +225,7 @@ class FreeRelaxation(UpdateRule):
     """G_m = (1 - w) G_{m-1} + lam phi with the best (w, lam)."""
 
     name = "wgafr"
-    monotone = True
+    monotone = rated = True
 
     def step(self, G, phi, m) -> Step:
         return Step(G, (G, phi), shares=(1.0, 0.0), w_or_r=0.0)

@@ -124,13 +124,13 @@ def lr_column_norms(a: np.ndarray, r: float) -> np.ndarray:
     return norms
 
 
-def unit_columns(raw: np.ndarray) -> np.ndarray:
-    """Scale raw's columns to unit l2 norm in place; zero columns rejected.
+def unit_columns(raw: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Divide raw's columns by their norms in place (`column_norms` for l2,
+    `lr_column_norms` for l_r); a zero norm is rejected.
 
-    The bits of raw / np.linalg.norm(raw, axis=0), with no array of raw's
-    size allocated. It divides row by row: a broadcast division allocates a
-    64 KB ufunc buffer, an eighth of a 128 x 512 matrix."""
-    norms = column_norms(raw)
+    The bits of raw / norms, with no array of raw's size allocated. It
+    divides row by row: a broadcast division allocates a 64 KB ufunc
+    buffer, an eighth of a 128 x 512 matrix."""
     if np.any(norms == 0.0):
         raise ValueError("zero column cannot be normalized")
     for row in raw:
@@ -175,7 +175,8 @@ class FiniteDictionary:
     def from_matrix(cls, raw: np.ndarray) -> "FiniteDictionary":
         """Column-normalize (l2) a copy of raw, which the dictionary then
         adopts; zero columns rejected."""
-        return cls(unit_columns(np.array(raw, dtype=float)))
+        a = np.array(raw, dtype=float)
+        return cls(unit_columns(a, column_norms(a)))
 
     @property
     def ambient_dim(self) -> int:
@@ -290,44 +291,6 @@ def select_gradient_greedy(
             f"achieved {score:.6e} < t * reference = {weakness * reference:.6e}"
         )
     return SelectionCertificate(atom, score, reference, weakness, ratio)
-
-
-def select_e_greedy(
-    dictionary: FiniteDictionary,
-    objective: Objective,
-    current: np.ndarray,
-    tol: float = 1e-10,
-) -> tuple[Atom, float]:
-    """Energy-greedy step: the atom whose exactly line-searched energy
-    inf_c E(current + c * atom) is minimal, with its optimal step c.
-
-    Finite dictionaries only. Because c ranges over all reals, an atom and
-    its negation reach the same minimum, so the positive-sign atom is always
-    reported and c carries the sign; ties break to the lowest index.
-    """
-    from .inner_solvers import line_search
-
-    if not isinstance(dictionary, FiniteDictionary):
-        raise UnsupportedDictionaryError(
-            "energy-greedy selection needs an explicit finite dictionary"
-        )
-    best: Optional[tuple[Atom, float]] = None
-    best_energy = np.inf
-    for j in range(dictionary.size):
-        atom = Atom(j, 1)
-        phi = dictionary.realize(atom)
-
-        def phi_c(c, phi=phi):
-            return objective.value(current + c * phi)
-
-        def dphi_c(c, phi=phi):
-            return float(np.dot(objective.gradient(current + c * phi), phi))
-
-        res = line_search(phi_c, dphi_c, tol=tol)
-        if res.value < best_energy:
-            best = (atom, res.argmin)
-            best_energy = res.value
-    return best
 
 
 def select_e_greedy_fixed(

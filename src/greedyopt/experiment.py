@@ -2,9 +2,10 @@
 summary JSON, and the programmatic verification suite behind `verify`.
 
 Configs are flat JSON documents; unknown keys are hard errors so that typos
-cannot silently change an experiment. Two runs of the same config produce
-byte-identical outputs (wall-clock columns are zeroed unless `timings` is
-set, since timings are inherently non-deterministic).
+cannot silently change an experiment, and so is a rule key that the
+config's algorithm does not read (`step_b` on `wcga`). Two runs of the same
+config produce byte-identical outputs (wall-clock columns are zeroed unless
+`timings` is set, since timings are inherently non-deterministic).
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .instances import (
 )
 from .objectives import (
     Objective,
+    SmoothnessParams,
     check_smoothness_inequality,
     make_least_squares,
     make_logistic,
@@ -45,12 +47,10 @@ from .objectives import (
     sample_sublevel_pair,
 )
 from .theory import (
-    EnvelopeKind,
     InsufficientDataError,
-    ModulusSpec,
+    RateEnvelope,
     check_envelope,
     fit_power_slope,
-    rate_envelope,
     solve_xi,
     theta0,
     verify_recurrence,
@@ -116,17 +116,13 @@ REQUIRED_KEYS = {
     "lp_approx": ("n", "r", "q"),
 }
 
-
-# key -> (predicate on the value, the allowed range in words)
-_RANGES = {
-    "weakness": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "weakness_exponent": (lambda v: v >= 0.0, ">= 0"),
-    "step_b": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "relaxation_r": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "prescribed_step": (lambda v: v > 0.0, "> 0"),
-    "prescribed_selection": (
-        lambda v: v in ("gradient", "energy"), "gradient or energy"
-    ),
+# config key -> the rule field it sets; a rule without that field rejects it
+_RULE_FIELDS = {
+    "subspace_tol": "subspace_tol",
+    "step_b": "b",
+    "relaxation_r": "schedule",
+    "prescribed_step": "steps",
+    "prescribed_selection": "selection",
 }
 
 # instance kind -> the key that may not exceed n
@@ -165,9 +161,15 @@ def validate_config(config: dict) -> dict:
             )
     if "weakness" in config and "weakness_exponent" in config:
         raise ConfigError("give weakness or weakness_exponent, not both")
-    for key, (allowed, words) in _RANGES.items():
-        if key in config and not allowed(config[key]):
-            raise ConfigError(f"key {key!r} must be {words}, got {config[key]}")
+    # a range is checked where it is defined: by building the object the
+    # key sets, from that key alone, so the error names the key
+    for key in ("weakness", "weakness_exponent", *_RULE_FIELDS):
+        if key in config:
+            build = build_rule if key in _RULE_FIELDS else build_weakness
+            try:
+                build({"algorithm": config["algorithm"], key: config[key]})
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from exc
     key = _AT_MOST_N.get(config["instance"])
     if key is not None and config[key] > config["n"]:
         raise ConfigError(
@@ -224,22 +226,16 @@ def build_instance(config: dict) -> tuple:
     return objective, dictionary, cert, cert.realize(dictionary)
 
 
-# config key -> the rule field it sets, on the rules that have that field
-_RULE_FIELDS = {
-    "subspace_tol": "subspace_tol",
-    "step_b": "b",
-    "relaxation_r": "schedule",
-    "prescribed_step": "steps",
-    "prescribed_selection": "selection",
-}
-
-
 def build_rule(config: dict) -> UpdateRule:
+    """The config's rule; a ValueError for a rule key out of range or one
+    the rule has no field for."""
     rule = RULES[config["algorithm"]]
     names = {f.name for f in fields(rule)}
     kwargs = {}
     for key, name in _RULE_FIELDS.items():
-        if key in config and name in names:
+        if key in config:
+            if name not in names:
+                raise ValueError(f"algorithm {rule.name!r} does not read it")
             value = config[key]
             kwargs[name] = value if isinstance(value, str) else float(value)
     return rule(**kwargs)
@@ -430,24 +426,19 @@ def _fit_slope(config: dict, trace: RunTrace, reference: float):
 
 
 def _envelope_ratio(
-    config: dict,
+    rule: UpdateRule,
+    weakness: WeaknessSequence,
     objective: Objective,
     certificate: SynthesisCertificate,
     trace: RunTrace,
     reference: float,
 ):
-    # the rules with a rate envelope share their config names with its kinds
-    kind = next((k for k in EnvelopeKind if k.value == trace.algorithm), None)
-    if kind is None or len(trace.records) < 2:
+    if not rule.rated or len(trace.records) < 2:
         return None
-    weakness = build_weakness(config)
-    q = objective.smoothness.q
-    if kind is EnvelopeKind.WRGA:
-        envelope = rate_envelope(kind, q, weakness)
-    else:
-        envelope = rate_envelope(
-            kind, q, weakness, a_eps=max(certificate.mass, 1.0)
-        )
+    a_eps = 1.0 if rule.convex else max(certificate.mass, 1.0)
+    envelope = RateEnvelope(
+        type(rule), objective.smoothness.q, weakness, a_eps=a_eps
+    )
     try:
         return check_envelope(trace, envelope, reference).max_ratio
     except ValueError:
@@ -487,7 +478,7 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
         ),
         "slope": _fit_slope(config, trace, reference),
         "envelope_ratio": _envelope_ratio(
-            config, objective, certificate, trace, reference
+            rule, weakness, objective, certificate, trace, reference
         ),
         "invariants": invariants,
     }
@@ -639,10 +630,10 @@ def check_xi_agreement(
     for _ in range(draws):
         gamma = float(rng.uniform(0.1, 5.0))
         q = float(rng.uniform(1.1, 2.0))
-        modulus = ModulusSpec.power(gamma, q)
-        theta = float(rng.uniform(0.05, 1.0)) * theta0(modulus)
+        smoothness = SmoothnessParams(gamma, q)
+        theta = float(rng.uniform(0.05, 1.0)) * theta0(smoothness)
         t = float(rng.uniform(0.05, 1.0))
-        xi = solve_xi(modulus, t, theta)
+        xi = solve_xi(smoothness, t, theta)
         closed = xi_closed_form(gamma, q, t, theta)
         if xi > 2.0:
             return CheckResult(False, f"xi {xi} exceeds 2")

@@ -20,6 +20,7 @@ from .dictionaries import (
     Dictionary,
     FiniteDictionary,
     RankOneDictionary,
+    column_norms,
     lr_column_norms,
     synthesis_l1,
     unit_columns,
@@ -139,7 +140,8 @@ def gen_compressed_sensing(
         raise ValueError(f"mass must be > 0, got {mass}")
     rng = np.random.default_rng(seed)
     # normalized in place and adopted: the bits of from_matrix, one matrix
-    dictionary = FiniteDictionary(unit_columns(rng.standard_normal((k, n))))
+    raw = rng.standard_normal((k, n))
+    dictionary = FiniteDictionary(unit_columns(raw, column_norms(raw)))
     terms = _planted_terms(rng, n, s, mass, min_coef)
     y = np.zeros(k)
     for atom, coef in terms:
@@ -207,11 +209,7 @@ def gen_lp_approx(
         raise ValueError(f"sparsity {s} exceeds dictionary size {dict_size}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n, dict_size))
-    norms = lr_column_norms(raw, r)
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate zero column")
-    raw /= norms
-    dictionary = FiniteDictionary(raw, r=r)
+    dictionary = FiniteDictionary(unit_columns(raw, lr_column_norms(raw, r)), r=r)
     terms = _planted_terms(rng, dict_size, s, mass, min_coef)
     f = np.zeros(n)
     for atom, coef in terms:

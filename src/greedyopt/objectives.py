@@ -70,14 +70,16 @@ class SmoothnessParams:
             raise ValueError(f"gamma must be > 0, got {gamma}")
         return gamma
 
-    @property
-    def p(self) -> float:
-        """Dual exponent q / (q - 1)."""
-        return self.q / (self.q - 1.0)
-
     def rho(self, u: float) -> float:
         """Envelope value gamma * |u|^q."""
         return self.gamma * abs(u) ** self.q
+
+    def s(self, u: float) -> float:
+        """The ratio rho(u)/u for u > 0, nondecreasing in u (theory's xi
+        solves s(xi) = theta * t_m)."""
+        if u <= 0.0:
+            raise ValueError(f"s(u) needs u > 0, got {u}")
+        return self.rho(u) / u
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,20 @@
 """Quantitative apparatus for greedy convergence analysis.
 
-Provides the smoothness-modulus root solver (the xi quantity driving step-size
-choices in the convergence proofs), the inverse-gap recurrence verifier, decay
-envelopes for the three main algorithms, and empirical log-log slope fitting.
+Provides the root solver for the xi quantity of a power-type smoothness
+modulus (`objectives.SmoothnessParams`; xi drives step-size choices in the
+convergence proofs), the inverse-gap recurrence verifier, decay envelopes for
+the three rules with a proven rate, and empirical log-log slope fitting.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .algorithms import RunTrace, WeaknessLike, as_weakness
+from .algorithms import RunTrace, UpdateRule, WeaknessLike, as_weakness
+from .objectives import SmoothnessParams
 
 XI_LOWER = 1e-300
 XI_UPPER = 2.0
@@ -26,64 +27,9 @@ class InsufficientDataError(ValueError):
     """Too few usable points for a fit."""
 
 
-@dataclass(frozen=True)
-class ModulusSpec:
-    """Even convex modulus rho(u) with rho(0)=0 and rho(u)/u -> 0.
-
-    Either power-type (gamma * |u|**q) or an arbitrary callable. The ratio
-    s(u) = rho(u)/u must be nondecreasing on (0, 2].
-    """
-
-    gamma: Optional[float] = None
-    q: Optional[float] = None
-    rho_fn: Optional[Callable[[float], float]] = None
-
-    @classmethod
-    def power(cls, gamma: float, q: float) -> "ModulusSpec":
-        if gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {gamma}")
-        if not (1.0 < q <= 2.0):
-            raise ValueError(f"q must be in (1, 2], got {q}")
-        return cls(gamma=gamma, q=q)
-
-    @classmethod
-    def from_callable(cls, rho: Callable[[float], float]) -> "ModulusSpec":
-        return cls(rho_fn=rho)
-
-    @property
-    def is_power(self) -> bool:
-        return self.rho_fn is None
-
-    def rho(self, u: float) -> float:
-        if self.is_power:
-            return self.gamma * abs(u) ** self.q
-        return float(self.rho_fn(u))
-
-    def s(self, u: float) -> float:
-        """The ratio rho(u)/u, increasing in u for valid moduli."""
-        if u <= 0.0:
-            raise ValueError(f"s(u) needs u > 0, got {u}")
-        return self.rho(u) / u
-
-    def validate_monotone(self, grid_size: int = 64) -> None:
-        """Check that s is nondecreasing on a log grid over (0, 2]."""
-        grid = np.geomspace(1e-8, XI_UPPER, grid_size)
-        values = [self.s(u) for u in grid]
-        for a, b in zip(values, values[1:]):
-            if b < a - 1e-12 * max(abs(a), 1.0):
-                raise ValueError("rho(u)/u is not nondecreasing on (0, 2]")
-
-
-def theta0(modulus: ModulusSpec) -> float:
+def theta0(smoothness: SmoothnessParams) -> float:
     """Largest admissible theta: s(2) = rho(2)/2."""
-    return modulus.s(XI_UPPER)
-
-
-def a_q(gamma: float, q: float) -> float:
-    """The explicit step-geometry constant 2 * (4*gamma)**(1/(q-1))."""
-    if gamma <= 0.0 or not (1.0 < q <= 2.0):
-        raise ValueError(f"need gamma > 0 and q in (1, 2], got {gamma}, {q}")
-    return 2.0 * (4.0 * gamma) ** (1.0 / (q - 1.0))
+    return smoothness.s(XI_UPPER)
 
 
 def conjugate_exponent(q: float) -> float:
@@ -99,7 +45,7 @@ def xi_closed_form(gamma: float, q: float, t: float, theta: float) -> float:
 
 
 def solve_xi_flagged(
-    modulus: ModulusSpec, t_m: float, theta: float
+    smoothness: SmoothnessParams, t_m: float, theta: float
 ) -> tuple:
     """Solve rho(xi)/xi = theta*t_m by bisection on (1e-300, 2].
 
@@ -109,17 +55,17 @@ def solve_xi_flagged(
     """
     if not (0.0 < t_m <= 1.0):
         raise ValueError(f"t_m must be in (0, 1], got {t_m}")
-    cap = theta0(modulus)
+    cap = theta0(smoothness)
     if not (0.0 < theta <= cap):
         raise ValueError(f"theta must be in (0, {cap:.6g}], got {theta}")
     target = theta * t_m
-    if modulus.s(XI_LOWER) >= target:
+    if smoothness.s(XI_LOWER) >= target:
         return XI_LOWER, True
 
     lo, hi = math.log(XI_LOWER), math.log(XI_UPPER)
     for _ in range(2000):
         mid = 0.5 * (lo + hi)
-        value = modulus.s(math.exp(mid))
+        value = smoothness.s(math.exp(mid))
         if abs(value - target) <= XI_REL_TOL * target:
             return math.exp(mid), False
         if value < target:
@@ -129,24 +75,9 @@ def solve_xi_flagged(
     return math.exp(0.5 * (lo + hi)), False
 
 
-def solve_xi(modulus: ModulusSpec, t_m: float, theta: float) -> float:
-    xi, _ = solve_xi_flagged(modulus, t_m, theta)
+def solve_xi(smoothness: SmoothnessParams, t_m: float, theta: float) -> float:
+    xi, _ = solve_xi_flagged(smoothness, t_m, theta)
     return xi
-
-
-def xi_weighted_sum(
-    modulus: ModulusSpec, weakness: WeaknessLike, theta: float, m_max: int
-) -> float:
-    """Truncated sum of t_m * xi_m(theta); diverges iff greedy converges.
-
-    For power-type moduli this equals (theta/gamma)**(1/(q-1)) * sum t_m**p.
-    """
-    tau = as_weakness(weakness)
-    total = 0.0
-    for m in range(1, m_max + 1):
-        t = tau.t(m)
-        total += t * solve_xi(modulus, t, theta)
-    return total
 
 
 def t_power_sum(weakness: WeaknessLike, p: float, m_max: int) -> float:
@@ -235,25 +166,21 @@ def verify_recurrence(
 # decay envelopes
 
 
-class EnvelopeKind(enum.Enum):
-    WCGA = "wcga"
-    WRGA = "wrga"
-    WGAFR = "wgafr"
-
-
 @dataclass(frozen=True)
 class RateEnvelope:
-    """Decay envelope for the energy gap of a greedy run.
+    """Decay envelope for the energy gap of a run of `rule`, a rule class
+    whose `rated` is set.
 
     WCGA/WGAFR: value(m) = max(2*eps, C * A**kappa * (C_E + S_m)**(1-q))
     WRGA:       value(m) = (1 + C1 * S_m)**(1-q)
-    where S_m = sum_{k<=m} t_k**p and p = q/(q-1). For WRGA the constant C
-    plays the role of C1 and eps/A are unused.
+    where S_m = sum_{k<=m} t_k**p and p = q/(q-1). The WRGA formula is the
+    one of the convex rule; there C plays the role of C1, and eps/A must be
+    left at their defaults.
     """
 
-    kind: EnvelopeKind
+    rule: type[UpdateRule]
     q: float
-    weakness: object  # WeaknessSequence
+    weakness: WeaknessLike  # held as a WeaknessSequence
     c: float = 1.0
     c_e: float = 1.0
     eps: float = 0.0
@@ -261,10 +188,15 @@ class RateEnvelope:
     kappa: Optional[float] = None  # None -> q (exponent on A)
 
     def __post_init__(self):
+        if not self.rule.rated:
+            raise ValueError(f"rule {self.rule.name!r} has no rate envelope")
         if not (1.0 < self.q <= 2.0):
             raise ValueError(f"q must be in (1, 2], got {self.q}")
         if self.kappa is not None and self.kappa not in (1.0, self.q):
             raise ValueError(f"kappa must be 1 or q, got {self.kappa}")
+        if self.rule.convex and (self.eps != 0.0 or self.a_eps != 1.0):
+            raise ValueError("WRGA envelopes take no eps/A parameters")
+        object.__setattr__(self, "weakness", as_weakness(self.weakness))
 
     @property
     def p(self) -> float:
@@ -275,7 +207,7 @@ class RateEnvelope:
 
     def _at_sum(self, s_m: float) -> float:
         """The envelope at weight sum S_m (the formula in the class doc)."""
-        if self.kind is EnvelopeKind.WRGA:
+        if self.rule.convex:
             return (1.0 + self.c * s_m) ** (1.0 - self.q)
         kappa = self.q if self.kappa is None else self.kappa
         tail = self.c * self.a_eps**kappa * (self.c_e + s_m) ** (1.0 - self.q)
@@ -285,37 +217,12 @@ class RateEnvelope:
         return self._at_sum(self.weight_sum(m))
 
     def values(self, ms: Sequence[int]) -> np.ndarray:
-        tau = as_weakness(self.weakness)
-        top = int(max(ms))
-        sums = np.cumsum([tau.t(m) ** self.p for m in range(1, top + 1)])
+        t, top = self.weakness.t, int(max(ms))
+        sums = np.cumsum([t(m) ** self.p for m in range(1, top + 1)])
         return np.array(
             [self._at_sum(sums[int(m) - 1] if m >= 1 else 0.0) for m in ms],
             dtype=float,
         )
-
-
-def rate_envelope(
-    kind: EnvelopeKind,
-    q: float,
-    weakness: WeaknessLike,
-    c: float = 1.0,
-    c_e: float = 1.0,
-    eps: float = 0.0,
-    a_eps: float = 1.0,
-    kappa: Optional[float] = None,
-) -> RateEnvelope:
-    if kind is EnvelopeKind.WRGA and (eps != 0.0 or a_eps != 1.0):
-        raise ValueError("WRGA envelopes take no eps/A parameters")
-    return RateEnvelope(
-        kind=kind,
-        q=q,
-        weakness=as_weakness(weakness),
-        c=c,
-        c_e=c_e,
-        eps=eps,
-        a_eps=a_eps,
-        kappa=kappa,
-    )
 
 
 @dataclass(frozen=True)
@@ -340,7 +247,7 @@ def calibrate_envelope(
     if gap_at_1 <= 0.0:
         raise ValueError(f"gap at m=1 must be > 0 to calibrate, got {gap_at_1}")
     s_1 = envelope.weight_sum(1)
-    if envelope.kind is EnvelopeKind.WRGA:
+    if envelope.rule.convex:
         c1 = (gap_at_1 ** (1.0 / (1.0 - envelope.q)) - 1.0) / s_1
         if c1 <= 0.0:
             raise ValueError(

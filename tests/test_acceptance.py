@@ -31,12 +31,7 @@ from greedyopt.experiment import (
 from greedyopt.inner_solvers import line_search
 from greedyopt.instances import gen_compressed_sensing, gen_low_rank, gen_lp_approx
 from greedyopt.objectives import make_least_squares, make_norm_power
-from greedyopt.theory import (
-    EnvelopeKind,
-    check_envelope,
-    fit_power_slope,
-    rate_envelope,
-)
+from greedyopt.theory import RateEnvelope, check_envelope, fit_power_slope
 
 from oracles import iterate, top_singular_eigh
 
@@ -131,7 +126,7 @@ def test_criterion_02_relaxed_envelope():
         ConvexRelaxation(),
         StopRule(max_m=200, sup_tol=-1.0),
     )
-    report = check_envelope(trace, rate_envelope(EnvelopeKind.WRGA, 2.0, 1.0))
+    report = check_envelope(trace, RateEnvelope(ConvexRelaxation, 2.0, 1.0))
     passed = report.passed and trace.iterations == 200
     _report(
         2,

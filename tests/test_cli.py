@@ -116,6 +116,8 @@ def test_run_unknown_config_key(tmp_path, capsys):
             "prescribed_selection": "energy",
         },
         {"algorithm": "prescribed", "prescribed_selection": "random"},
+        # a rule key the algorithm (wcga) does not read
+        {"step_b": 0.5},
     ],
 )
 def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, overrides):

@@ -138,11 +138,32 @@ def test_validate_weakness_exclusivity():
     ],
 )
 def test_validate_rejects_out_of_range_values(key, bad, good):
+    # each key on an algorithm that reads it (the weakness keys: all do)
+    algorithm = _READER.get(key, "wcga")
     for value in bad:
         with pytest.raises(ConfigError, match=key):
-            validate_config(cfg(**{key: value}))
+            validate_config(cfg(algorithm=algorithm, **{key: value}))
     for value in good:
-        validate_config(cfg(**{key: value}))
+        validate_config(cfg(algorithm=algorithm, **{key: value}))
+
+
+# rule key -> an algorithm whose rule has its field
+_READER = {
+    "subspace_tol": "wcga",
+    "step_b": "reduced_step",
+    "relaxation_r": "fixed_relaxation",
+    "prescribed_step": "prescribed",
+    "prescribed_selection": "prescribed",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_READER))
+def test_validate_rejects_rule_key_its_rule_does_not_read(key):
+    value = "gradient" if key == "prescribed_selection" else 0.5
+    for algorithm in sorted(set(experiment.RULES) - {_READER[key]}):
+        with pytest.raises(ConfigError, match=f"{key}.*{algorithm}"):
+            validate_config(cfg(algorithm=algorithm, **{key: value}))
+    validate_config(cfg(algorithm=_READER[key], **{key: value}))
 
 
 def test_validate_rejects_more_planted_atoms_than_n():

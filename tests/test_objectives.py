@@ -302,7 +302,6 @@ def test_smoothness_params_validation():
     with pytest.raises(ValueError):
         SmoothnessParams(gamma=1.0, q=2.5)
     params = SmoothnessParams(gamma=0.5, q=2.0)
-    assert params.p == 2.0
     assert params.rho(0.2) == pytest.approx(0.02, rel=1e-15)
 
 

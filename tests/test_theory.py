@@ -6,78 +6,55 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greedyopt.algorithms import ConvexRelaxation, StopRule, WeaknessSequence, run_greedy
+from greedyopt.algorithms import (
+    RULES,
+    Chebyshev,
+    ConvexRelaxation,
+    FreeRelaxation,
+    StopRule,
+    WeaknessSequence,
+    run_greedy,
+)
 from greedyopt.dictionaries import FiniteDictionary
-from greedyopt.objectives import make_least_squares
+from greedyopt.objectives import SmoothnessParams, make_least_squares
 from greedyopt.theory import (
-    EnvelopeKind,
     InsufficientDataError,
-    ModulusSpec,
     RateEnvelope,
-    a_q,
     calibrate_envelope,
     check_envelope,
     conjugate_exponent,
     fit_power_slope,
-    rate_envelope,
     solve_xi,
     solve_xi_flagged,
     t_power_sum,
     theta0,
     verify_recurrence,
     xi_closed_form,
-    xi_weighted_sum,
 )
 
 from oracles import loglog_slope
 
 
 # ---------------------------------------------------------------------------
-# modulus specs and constants
+# power-type moduli and constants
 
 
 def test_power_modulus_validation():
-    with pytest.raises(ValueError):
-        ModulusSpec.power(0.0, 2.0)
-    with pytest.raises(ValueError):
-        ModulusSpec.power(1.0, 1.0)
-    with pytest.raises(ValueError):
-        ModulusSpec.power(1.0, 2.5)
-    spec = ModulusSpec.power(0.5, 2.0)
+    for gamma, q in ((0.0, 2.0), (math.nan, 2.0), (1.0, 1.0), (1.0, 2.5)):
+        with pytest.raises(ValueError):
+            SmoothnessParams(gamma, q)
+    spec = SmoothnessParams(0.5, 2.0)
     assert spec.rho(2.0) == 2.0
     assert spec.rho(-2.0) == 2.0  # even
     assert spec.s(1.0) == 0.5
-
-
-def test_callable_modulus():
-    spec = ModulusSpec.from_callable(lambda u: 0.5 * u * u)
-    assert not spec.is_power
-    assert spec.rho(2.0) == 2.0
-    spec.validate_monotone()
     with pytest.raises(ValueError):
         spec.s(0.0)
 
 
-def test_validate_monotone_rejects_concave_ratio():
-    bad = ModulusSpec.from_callable(lambda u: math.sqrt(abs(u)))
-    with pytest.raises(ValueError):
-        bad.validate_monotone()
-
-
 def test_theta0_values():
-    assert theta0(ModulusSpec.power(1.0, 2.0)) == 2.0
-    assert theta0(ModulusSpec.power(0.5, 2.0)) == 1.0
-    assert theta0(ModulusSpec.power(1.0, 1.5)) == math.sqrt(2.0)
-
-
-def test_a_q_values():
-    assert a_q(0.25, 2.0) == 2.0
-    assert a_q(1.0, 2.0) == 8.0
-    assert a_q(4.0, 2.0) == 32.0
-    with pytest.raises(ValueError):
-        a_q(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        a_q(1.0, 1.0)
+    assert theta0(SmoothnessParams(1.0, 2.0)) == 2.0
+    assert theta0(SmoothnessParams(0.5, 2.0)) == 1.0
+    assert theta0(SmoothnessParams(1.0, 1.5)) == math.sqrt(2.0)
 
 
 def test_conjugate_exponent():
@@ -94,19 +71,19 @@ def test_conjugate_exponent():
 
 
 def test_solve_xi_known_roots():
-    assert solve_xi(ModulusSpec.power(0.5, 2.0), 1.0, 0.1) == pytest.approx(
+    assert solve_xi(SmoothnessParams(0.5, 2.0), 1.0, 0.1) == pytest.approx(
         0.2, rel=1e-10
     )
-    assert solve_xi(ModulusSpec.power(1.0, 1.5), 1.0, 0.01) == pytest.approx(
+    assert solve_xi(SmoothnessParams(1.0, 1.5), 1.0, 0.01) == pytest.approx(
         1e-4, rel=1e-10
     )
     # at theta = theta0 the root is the bracket's upper endpoint
-    spec = ModulusSpec.power(1.0, 2.0)
+    spec = SmoothnessParams(1.0, 2.0)
     assert solve_xi(spec, 1.0, theta0(spec)) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_solve_xi_validation():
-    spec = ModulusSpec.power(1.0, 2.0)
+    spec = SmoothnessParams(1.0, 2.0)
     with pytest.raises(ValueError):
         solve_xi(spec, 0.0, 0.1)
     with pytest.raises(ValueError):
@@ -120,11 +97,11 @@ def test_solve_xi_validation():
 def test_solve_xi_underflow_flag():
     # with q near 1 the ratio s(1e-300) ~ 1e-15 stays representable, so a
     # target below it provably sits under the bracket and must be flagged
-    spec = ModulusSpec.power(1.0, 1.05)
+    spec = SmoothnessParams(1.0, 1.05)
     xi, underflowed = solve_xi_flagged(spec, 1.0, 1e-16)
     assert underflowed
     assert xi == 1e-300
-    xi, underflowed = solve_xi_flagged(ModulusSpec.power(1.0, 2.0), 1.0, 0.5)
+    xi, underflowed = solve_xi_flagged(SmoothnessParams(1.0, 2.0), 1.0, 0.5)
     assert not underflowed
     assert xi == pytest.approx(0.5, rel=1e-10)
 
@@ -137,21 +114,10 @@ def test_solve_xi_underflow_flag():
 )
 @settings(max_examples=100, deadline=None)
 def test_solve_xi_matches_closed_form(gamma, q, t, frac):
-    spec = ModulusSpec.power(gamma, q)
+    spec = SmoothnessParams(gamma, q)
     theta = frac * theta0(spec)
     xi = solve_xi(spec, t, theta)
     assert xi == pytest.approx(xi_closed_form(gamma, q, t, theta), rel=1e-10)
-
-
-def test_xi_weighted_sum_power_identity():
-    gamma, q, theta = 0.7, 1.8, 0.3
-    spec = ModulusSpec.power(gamma, q)
-    tau = WeaknessSequence.power(0.25)
-    m_max = 10_000
-    total = xi_weighted_sum(spec, tau, theta, m_max)
-    p = conjugate_exponent(q)
-    expected = (theta / gamma) ** (1.0 / (q - 1.0)) * t_power_sum(tau, p, m_max)
-    assert total == pytest.approx(expected, rel=1e-9)
 
 
 def test_t_power_sum_constant():
@@ -277,51 +243,54 @@ def test_recurrence_closes_on_real_relaxed_run():
 
 
 def test_wrga_envelope_shape():
-    env = rate_envelope(EnvelopeKind.WRGA, 2.0, 1.0, c=1.0)
+    env = RateEnvelope(ConvexRelaxation, 2.0, 1.0, c=1.0)
     assert env.value(1) == 0.5
     assert env.value(3) == 0.25
     assert np.allclose(env.values([1, 3]), [0.5, 0.25])
 
 
 def test_wcga_envelope_shape_and_floor():
-    env = rate_envelope(EnvelopeKind.WCGA, 2.0, 1.0, c=1.0, c_e=1.0)
+    env = RateEnvelope(Chebyshev, 2.0, 1.0, c=1.0, c_e=1.0)
     assert env.value(1) == 0.5  # 1 * (1 + 1)^-1
     assert env.value(3) == 0.25
-    floored = rate_envelope(EnvelopeKind.WCGA, 2.0, 1.0, c=1.0, eps=0.4)
+    floored = RateEnvelope(Chebyshev, 2.0, 1.0, c=1.0, eps=0.4)
     assert floored.value(100) == 0.8  # 2 * eps beats the decaying tail
 
 
 def test_envelope_a_eps_exponent():
-    kap_q = rate_envelope(EnvelopeKind.WGAFR, 2.0, 1.0, c=1.0, a_eps=3.0)
-    kap_1 = rate_envelope(
-        EnvelopeKind.WGAFR, 2.0, 1.0, c=1.0, a_eps=3.0, kappa=1.0
-    )
+    kap_q = RateEnvelope(FreeRelaxation, 2.0, 1.0, c=1.0, a_eps=3.0)
+    kap_1 = RateEnvelope(FreeRelaxation, 2.0, 1.0, c=1.0, a_eps=3.0, kappa=1.0)
     assert kap_q.value(1) == pytest.approx(9.0 / 2.0)
     assert kap_1.value(1) == pytest.approx(3.0 / 2.0)
 
 
 def test_envelope_validation():
     with pytest.raises(ValueError):
-        rate_envelope(EnvelopeKind.WCGA, 1.0, 1.0)
+        RateEnvelope(Chebyshev, 1.0, 1.0)
     with pytest.raises(ValueError):
-        rate_envelope(EnvelopeKind.WCGA, 2.0, 1.0, kappa=1.5)
+        RateEnvelope(Chebyshev, 2.0, 1.0, kappa=1.5)
     with pytest.raises(ValueError):
-        rate_envelope(EnvelopeKind.WRGA, 2.0, 1.0, eps=0.1)
+        RateEnvelope(ConvexRelaxation, 2.0, 1.0, eps=0.1)
     with pytest.raises(ValueError):
-        rate_envelope(EnvelopeKind.WRGA, 2.0, 1.0, a_eps=2.0)
+        RateEnvelope(ConvexRelaxation, 2.0, 1.0, a_eps=2.0)
+    # only the three rules the paper gives a rate have an envelope
+    for rule in RULES.values():
+        if rule not in (Chebyshev, ConvexRelaxation, FreeRelaxation):
+            with pytest.raises(ValueError, match="no rate envelope"):
+                RateEnvelope(rule, 2.0, 1.0)
 
 
 def test_envelope_power_weakness_slope():
     # t_k = k^{-1/4} with q=2 gives S_m ~ 2 sqrt(m), so the envelope decays
     # like m^{-1/2} for large m
-    env = rate_envelope(EnvelopeKind.WRGA, 2.0, WeaknessSequence.power(0.25))
+    env = RateEnvelope(ConvexRelaxation, 2.0, WeaknessSequence.power(0.25))
     ms = np.arange(100, 10_001, 100)
     slope = fit_power_slope(ms, env.values(ms), m_min=100)
     assert slope == pytest.approx(-0.5, abs=0.02)
 
 
 def test_calibrate_wrga():
-    env = rate_envelope(EnvelopeKind.WRGA, 2.0, 1.0)
+    env = RateEnvelope(ConvexRelaxation, 2.0, 1.0)
     fitted = calibrate_envelope(env, 0.5)
     assert fitted.c == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
@@ -331,7 +300,7 @@ def test_calibrate_wrga():
 
 
 def test_calibrate_wcga():
-    env = rate_envelope(EnvelopeKind.WCGA, 2.0, 1.0)
+    env = RateEnvelope(Chebyshev, 2.0, 1.0)
     fitted = calibrate_envelope(env, 0.3)
     assert fitted.c == pytest.approx(0.6, rel=1e-12)
 
@@ -339,7 +308,7 @@ def test_calibrate_wcga():
 @given(gap=st.floats(1e-6, 100.0))
 @settings(max_examples=50, deadline=None)
 def test_calibration_pins_first_value(gap):
-    env = rate_envelope(EnvelopeKind.WGAFR, 1.7, 0.9, c_e=2.0, a_eps=1.5)
+    env = RateEnvelope(FreeRelaxation, 1.7, 0.9, c_e=2.0, a_eps=1.5)
     fitted = calibrate_envelope(env, gap)
     assert fitted.value(1) == pytest.approx(gap, rel=1e-12)
 
@@ -362,7 +331,7 @@ def test_check_envelope_exact_trace_passes():
     ms = np.arange(1, 11)
     gaps = 1.0 / (1.0 + ms)
     report = check_envelope(
-        FakeTrace(ms, gaps), rate_envelope(EnvelopeKind.WRGA, 2.0, 1.0)
+        FakeTrace(ms, gaps), RateEnvelope(ConvexRelaxation, 2.0, 1.0)
     )
     assert report.passed
     assert report.max_ratio == pytest.approx(1.0, rel=1e-12)
@@ -374,7 +343,7 @@ def test_check_envelope_catches_slow_trace():
     gaps = 1.0 / (1.0 + ms)
     gaps[1:] *= 1.01
     report = check_envelope(
-        FakeTrace(ms, gaps), rate_envelope(EnvelopeKind.WRGA, 2.0, 1.0)
+        FakeTrace(ms, gaps), RateEnvelope(ConvexRelaxation, 2.0, 1.0)
     )
     assert not report.passed
     assert report.max_ratio == pytest.approx(1.01, rel=1e-12)
@@ -385,17 +354,17 @@ def test_check_envelope_requires_first_iteration():
     with pytest.raises(ValueError):
         check_envelope(
             FakeTrace([2, 3], [0.5, 0.3]),
-            rate_envelope(EnvelopeKind.WRGA, 2.0, 1.0),
+            RateEnvelope(ConvexRelaxation, 2.0, 1.0),
         )
     with pytest.raises(ValueError):
         check_envelope(
-            FakeTrace([], []), rate_envelope(EnvelopeKind.WRGA, 2.0, 1.0)
+            FakeTrace([], []), RateEnvelope(ConvexRelaxation, 2.0, 1.0)
         )
 
 
 def test_check_envelope_single_record():
     report = check_envelope(
-        FakeTrace([1], [0.5]), rate_envelope(EnvelopeKind.WRGA, 2.0, 1.0)
+        FakeTrace([1], [0.5]), RateEnvelope(ConvexRelaxation, 2.0, 1.0)
     )
     assert report.passed and report.max_ratio == 1.0
 
