@@ -4,10 +4,11 @@ Every relaxed update rule moves to the minimizer of E over a slice
 base + sum_i c_i d_i with one or two directions, and `minimize_on_slice` is
 its one solver. When E's minimizer over any affine set is the l2 projection
 of `Objective.projection_target`, the slice step is that projection, from
-the slice's 1x1 or 2x2 Gram system and one E' and one E at its point; it
-must pass the searches' first-order test, or the step falls back to them.
-Otherwise one direction goes to `line_search` (derivative bisection on an
-interval, a ray or the whole line) and the plane to alternating searches.
+the slice's 1x1 or 2x2 Gram system in closed form with lstsq's min-norm
+cutoff and one E' and one E at its point; it must pass the searches'
+first-order test, or the step falls back to them. Otherwise one direction
+goes to `line_search` (derivative bisection on an interval, a ray or the
+whole line) and the plane to alternating searches.
 
 The Chebyshev rule's span solve (`minimize_subspace`) is separate. Its basis
 lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. With a
@@ -41,6 +42,9 @@ FREE_RELAX_SWEEPS = 100
 # A column whose part orthogonal to the factored span, after CGS2, is at most
 # DEPENDENT_TOL times its norm is numerically dependent on that span.
 DEPENDENT_TOL = 1e-10
+# lstsq's default cutoff for a 2x2 system: eigenvalues of the Gram matrix at
+# most this times its largest are dropped.
+GRAM_CUTOFF = 2.0 * np.finfo(float).eps
 
 
 class LineSearchError(RuntimeError):
@@ -195,23 +199,40 @@ class SliceResult:
     gradient: Optional[np.ndarray] = None  # E'(point); projection path only
 
 
+def _min_norm_solve(directions, residual) -> np.ndarray:
+    """`lstsq(D^T D, D^T residual, rcond=None)[0]` in closed form for D's one
+    or two columns: min-norm, Gram eigenvalues <= GRAM_CUTOFF * the largest
+    dropped. One column keeps lstsq's bits: dgelsd scales by 1 / g (dlascl),
+    so not r / g. Two: one Jacobi rotation (Golub & Van Loan 8.5), any rank."""
+    d0, d1 = directions[0], directions[-1]
+    a, r0 = float(np.dot(d0, d0)), float(np.dot(d0, residual))
+    if len(directions) == 1:
+        return np.array([r0 * (1.0 / a) if a > 0.0 else 0.0]) + 0.0  # no -0.0
+    b, c, r1 = float(np.dot(d0, d1)), float(np.dot(d1, d1)), float(np.dot(d1, residual))
+    theta = (c - a) / (2.0 * b) if b != 0.0 else math.inf  # b = 0: t = 0
+    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    sn = t * cs
+    lam = (a - t * b, c + t * b)
+    cutoff = GRAM_CUTOFF * max(abs(lam[0]), abs(lam[1]))
+    z = (cs * r0 - sn * r1, sn * r0 + cs * r1)
+    y0, y1 = (z_i / l if abs(l) > cutoff else 0.0 for z_i, l in zip(z, lam))
+    return np.array([cs * y0 + sn * y1, cs * y1 - sn * y0]) + 0.0
+
+
 def _projection_step(objective, base, directions, lower, upper):
     """The slice's point nearest `objective.projection_target` t.
 
-    c is the min-norm solution of the Gram system D^T D c = D^T (t - base),
-    so a zero direction or two parallel ones get coefficient mass only where
-    it lowers E; a one-direction step is clipped to [lower, upper]. Returns
-    None when the directional derivatives at the point fail the searches'
-    stopping test, scaled by E at the point, DERIVATIVE_TOL * (1 + |E|), so
-    that the caller falls back to a search. The slice holds base (c = 0), so
-    at its minimizer that test is no looser than the searches' own, which is
-    scaled by E(base).
+    c is the min-norm solution of the Gram system D^T D c = D^T (t - base)
+    (`_min_norm_solve`), so a zero direction or two parallel ones get
+    coefficient mass only where it lowers E; a one-direction step is clipped
+    to [lower, upper]. Returns None when the directional derivatives at the
+    point fail the searches' stopping test, scaled by E at the point,
+    DERIVATIVE_TOL * (1 + |E|), so that the caller falls back to a search.
+    The slice holds base (c = 0), so at its minimizer that test is no looser
+    than the searches' own, which is scaled by E(base).
     """
-    residual = objective.projection_target - base
-    gram = np.array([[float(np.dot(a, b)) for b in directions] for a in directions])
-    rhs = np.array([float(np.dot(d, residual)) for d in directions])
-    del residual  # no dim-sized temporary outlives the solve
-    c = np.linalg.lstsq(gram, rhs, rcond=None)[0] + 0.0  # + 0.0: no -0.0
+    c = _min_norm_solve(directions, objective.projection_target - base)
     if len(directions) == 1:
         c[0] = min(max(c[0], lower), upper)
 
@@ -298,7 +319,8 @@ def minimize_on_slice(
     directions = tuple(directions)
     whole_line = _whole_line(lower, upper)
     if len(directions) == 2:
-        if not whole_line or not np.array_equal(directions[0], base):
+        d0 = directions[0]
+        if not whole_line or not (d0 is base or np.array_equal(d0, base)):
             raise ValueError(
                 "a two-direction slice is the free-relaxation plane: "
                 "directions (base, atom) and no bounds"

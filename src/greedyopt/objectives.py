@@ -8,6 +8,7 @@ the envelope refers to (l2 unless stated otherwise).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -110,14 +111,14 @@ class Objective:
             raise DimensionMismatchError(
                 f"expected shape ({self.dimension},), got {x.shape}"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NonFiniteEnergyError(f"non-finite input point for {self.label!r}")
         return x
 
     def value(self, x: np.ndarray) -> float:
         x = self._check(x)
         v = float(self.value_fn(x))
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise NonFiniteEnergyError(f"E(x) is not finite for {self.label!r}")
         return v
 
@@ -128,7 +129,7 @@ class Objective:
             raise DimensionMismatchError(
                 f"gradient shape {g.shape} != ({self.dimension},)"
             )
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteEnergyError(f"E'(x) is not finite for {self.label!r}")
         return g
 

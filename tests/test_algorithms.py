@@ -273,6 +273,21 @@ def test_chebyshev_well_conditioned_span_never_calls_lstsq(monkeypatch):
     assert max(r.grad_inf for r in trace.records) <= 1e-8
 
 
+@pytest.mark.parametrize("rule", [FreeRelaxation(), ConvexRelaxation()])
+def test_relaxed_projection_steps_never_call_lstsq_or_search(monkeypatch, rule):
+    # every slice step of a least-squares run is the closed-form projection:
+    # no lstsq, and no step falls back to the line searches
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the slice step left the closed form")
+
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    monkeypatch.setattr(inner_solvers, "line_search", forbidden)
+    dic, y, _ = gen_compressed_sensing(64, 256, 8, seed=3)
+    trace = run_ls(y, rule, dic=dic, max_m=60, sup_tol=-1.0)
+    assert trace.iterations == 60
+    assert trace.records[-1].energy < 0.05 * trace.initial_energy
+
+
 def test_chebyshev_more_atoms_than_dim_meets_the_contract(monkeypatch):
     # e1, e2, e3 fit the target exactly at m = 3; the zero gradient then
     # selects atom 0, the fourth column in R^3, which turns the factor off,

@@ -3,6 +3,7 @@ subspace solver."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from greedyopt.inner_solvers import (
     SpanFactor,
     SubspaceToleranceError,
     UnboundedBelowError,
+    _min_norm_solve,
     line_search,
     minimize_on_slice,
     minimize_subspace,
@@ -330,6 +332,150 @@ def test_slice_plane_matches_normal_equations(seed):
     restart = minimize_on_slice(obj, np.zeros_like(y), (phi,))
     assert best_step.energy == pytest.approx(v_best, abs=1e-12)
     assert restart.energy == pytest.approx(v_restart, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form Gram solve against np.linalg.lstsq
+
+EPS = np.finfo(float).eps
+
+
+def _lstsq(directions, residual):
+    """What the projection step solved before: lstsq on the Gram system."""
+    gram = np.array([[float(np.dot(a, b)) for b in directions] for a in directions])
+    rhs = np.array([float(np.dot(d, residual)) for d in directions])
+    return np.linalg.lstsq(gram, rhs, rcond=None)[0] + 0.0
+
+
+def _one_direction(g, r):
+    """(d,), residual in R^1 with d . d = g and d . residual = r, to rounding."""
+    d = np.array([math.sqrt(g)])
+    return (d,), np.array([r / d[0]]) if g > 0.0 else np.array([r])
+
+
+def test_line_solve_is_lstsq_bit_for_bit():
+    rng = np.random.default_rng(0)
+    gs = 10.0 ** rng.uniform(-150.0, 150.0, 20000)
+    rs = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-150.0, 150.0, 20000)
+    for g, r in zip(gs, rs):
+        directions, residual = _one_direction(g, r)
+        got = _min_norm_solve(directions, residual)
+        assert got.tobytes() == _lstsq(directions, residual).tobytes(), (g, r)
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("r", [0.0, -0.0])
+def test_line_solve_zero_gives_no_negative_zero(g, r):
+    directions, residual = _one_direction(g, r)
+    got = _min_norm_solve(directions, residual)
+    assert got[0] == 0.0 and not np.signbit(got[0])
+    assert got.tobytes() == _lstsq(directions, residual).tobytes()
+
+
+def _gram_ratio(directions):
+    """lambda_min / lambda_max of the rounded Gram matrix, its determinant in
+    exact rational arithmetic: (ratio, (a, b, c))."""
+    d0, d1 = directions
+    a, b, c = (float(np.dot(x, y)) for x, y in ((d0, d0), (d0, d1), (d1, d1)))
+    lam_max = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+    if lam_max == 0.0:
+        return 0.0, (a, b, c)
+    det = Fraction(a) * Fraction(c) - Fraction(b) ** 2
+    return float(det / Fraction(lam_max) ** 2), (a, b, c)
+
+
+def _slice_energy(directions, residual, c):
+    r = residual - c[0] * directions[0] - c[1] * directions[1]
+    return 0.5 * float(np.dot(r, r))
+
+
+def _pair(rng, sin, spread=3.0, dim=8):
+    """d0 and d1 at angle asin(sin), their norms log-uniform over
+    10^[-spread, spread]."""
+    d0 = rng.standard_normal(dim)
+    u = rng.standard_normal(dim)
+    u -= np.dot(u, d0) / np.dot(d0, d0) * d0
+    d0 /= np.linalg.norm(d0)
+    d1 = math.sqrt(1.0 - sin * sin) * d0 + sin * u / np.linalg.norm(u)
+    return tuple(d * 10.0 ** rng.uniform(-spread, spread) for d in (d0, d1))
+
+
+def test_plane_solve_matches_lstsq_when_well_conditioned():
+    # both are backward stable on the same rounded Gram system, so each
+    # coefficient vector is within about eps * cond of its exact solution;
+    # the closed form agrees with lstsq to 1e-12 up to cond ~ 1e3 and to
+    # 4 eps cond above, and is within 2 eps cond of the exact solution
+    rng = np.random.default_rng(1)
+    solved = 0
+    for _ in range(2000):
+        directions = _pair(rng, 10.0 ** rng.uniform(-3.5, 0.0), spread=1.0)
+        residual = rng.standard_normal(8) * 10.0 ** rng.uniform(-3, 3)
+        ratio, (a, b, c) = _gram_ratio(directions)
+        cond = 1.0 / ratio
+        if cond > 1e8:
+            continue
+        solved += 1
+        got = _min_norm_solve(directions, residual)
+        ref = _lstsq(directions, residual)
+        scale = np.linalg.norm(ref)
+        assert np.linalg.norm(got - ref) <= max(1e-12, 4.0 * EPS * cond) * scale
+        r0, r1 = (Fraction(float(np.dot(d, residual))) for d in directions)
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        det = a * c - b * b
+        num = (c * r0 - b * r1, a * r1 - b * r0)
+        exact = np.array([float(n / det) for n in num])
+        assert np.linalg.norm(got - exact) <= 2.0 * EPS * cond * np.linalg.norm(exact)
+    assert solved >= 1500
+
+
+def _degenerate_planes(rng):
+    """(directions, residual, exactly singular) for the degenerate set."""
+    for _ in range(400):
+        residual = rng.standard_normal(8) * 10.0 ** rng.uniform(-3, 3)
+        d = rng.standard_normal(8) * 10.0 ** rng.uniform(-3, 3)
+        yield (np.zeros(8), d), residual, True  # zero base: G = 0 at m = 1
+        s = rng.choice([-1.0, 1.0]) * 2.0 ** int(rng.integers(-6, 7))
+        yield (d, s * d), residual, True  # exact multiple: exactly singular
+        s = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+        yield (d, s * d), residual, False  # singular up to rounding
+        # nearly parallel, Gram cond up to ~1e15 and past it
+        directions = _pair(rng, 10.0 ** rng.uniform(-8.5, -4.0))
+        yield directions, residual, False
+        scale = 10.0 ** rng.choice([-150.0, 150.0])
+        directions = _pair(rng, 10.0 ** rng.uniform(-8.5, 0.0))
+        yield tuple(scale * d for d in directions), scale * residual, False
+
+
+def test_plane_solve_on_degenerate_gram_systems():
+    # The cutoff drops eigenvalues at most 2 eps lambda_max. Near that band
+    # the rounding of lambda_min decides, in lstsq as here, so coefficients
+    # and energies are compared only where the exact ratio is clear of it:
+    # both drop (ratio <= eps / 4) or both keep. Kept, each solve is within
+    # about eps cond of the exact one, and E within (eps cond)^2 relative, so
+    # energies are compared up to cond 1e8 and coefficients to 4 eps cond.
+    rng = np.random.default_rng(2)
+    compared = dropped = 0
+    for directions, residual, singular in _degenerate_planes(rng):
+        ratio, _ = _gram_ratio(directions)
+        got = _min_norm_solve(directions, residual)
+        ref = _lstsq(directions, residual)
+        e_got = _slice_energy(directions, residual, got)
+        e_ref = _slice_energy(directions, residual, ref)
+        if singular:
+            assert ratio == 0.0
+            assert np.linalg.norm(got) <= np.linalg.norm(ref) * (1.0 + 1e-12)
+        if ratio <= EPS / 4.0:
+            dropped += 1
+            assert e_got <= e_ref + 1e-12 * (1.0 + abs(e_ref))
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.linalg.norm(ref))
+        elif ratio >= 16.0 * EPS:
+            compared += 1
+            cond = 1.0 / ratio
+            scale = np.linalg.norm(ref)
+            assert np.linalg.norm(got - ref) <= max(1e-12, 4.0 * EPS * cond) * scale
+            if cond <= 1e8:
+                assert e_got <= e_ref + 1e-12 * (1.0 + abs(e_ref))
+    assert dropped >= 1000 and compared >= 250
 
 
 def _wrong_target(y):

@@ -1,0 +1,80 @@
+"""Digests of the outputs of a fixed run matrix, for byte-identity checks.
+
+    python3 tools/output_digests.py [--root CHECKOUT] [--keep DIR] > digests.txt
+
+Runs greedyopt from CHECKOUT/src (default: this checkout) on small instances
+times every update rule (`max_m` 60, seeds 1-2), the shipped configs and every
+benchmark workload instance of workload seeds 0-12, and prints per run its
+name, stop reason and the sha256 of trace.csv and summary.json. Equal
+listings mean byte-identical outputs. --keep DIR keeps the files in DIR/<name>/.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+INSTANCES = {
+    "cs32": dict(instance="compressed_sensing", k=32, n=64, s=4),
+    "cs64": dict(instance="compressed_sensing", k=64, n=256, s=8),
+    "lr8": dict(instance="low_rank", n=8, rank=2),
+    "lp3": dict(instance="lp_approx", n=16, r=3.0, q=1.5),
+    "lp4": dict(instance="lp_approx", n=16, r=4.0, q=2.0),
+}
+RULES = {
+    "wcga": dict(algorithm="wcga"),
+    "wrga": dict(algorithm="wrga"),
+    "wgafr": dict(algorithm="wgafr"),
+    "best": dict(algorithm="best_step"),
+    "reduced": dict(algorithm="reduced_step", step_b=0.5),
+    "fixed": dict(algorithm="fixed_relaxation", relaxation_r=0.1),
+    "prescribed": dict(algorithm="prescribed", prescribed_step=0.05),
+    "energy": dict(algorithm="prescribed", prescribed_step=0.05,
+                   prescribed_selection="energy"),
+}
+
+
+def matrix(root: Path):
+    """(name, config) for every run, in a fixed order."""
+    for iname, instance in INSTANCES.items():
+        for rname, rule in RULES.items():
+            if rname == "energy" and instance["instance"] == "low_rank":
+                continue  # energy selection needs a finite dictionary
+            for seed in (1, 2):
+                config = dict(instance, **rule, seed=seed, max_m=60)
+                yield f"{iname}_{rname}_{seed}", config
+    for path in sorted((root / "configs").glob("*.json")):
+        yield path.stem, json.loads(path.read_text(encoding="utf-8"))
+    sys.path.insert(0, str(HERE / "benchmarks"))
+    from workloads import WORKLOADS, instance_seeds
+
+    for wname, workload in WORKLOADS.items():
+        for wseed in range(13):
+            for seed in instance_seeds(workload, wseed):
+                yield f"{wname}_{seed}", dict(workload.config, seed=seed)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=HERE)
+    parser.add_argument("--keep", type=Path)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.root.resolve() / "src"))
+    from greedyopt.experiment import run_experiment
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = args.keep or Path(tmp)
+        for name, config in matrix(args.root):
+            result = run_experiment(config, out / name)
+            paths = (result.trace_path, result.summary_path)
+            digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+            print(name, result.summary["stopping_reason"], *digests, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
