@@ -35,7 +35,6 @@ from .inner_solvers import (
     LineSearchResult,
     NonConvexityError,
     SliceResult,
-    SubspaceResult,
     SubspaceToleranceError,
     UnboundedBelowError,
     line_search,

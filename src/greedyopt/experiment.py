@@ -76,11 +76,22 @@ ORTHOGONALITY_TOL = 1e-8
 L1_CONFINEMENT_TOL = 1e-12
 MONOTONE_TOL = 1e-10
 
-_INSTANCE_KINDS = ("compressed_sensing", "low_rank", "lp_approx")
+# instance kind -> (the keys its generator needs, the others it reads); an
+# instance key that the config's kind does not read is an error
+_INSTANCE_KEYS = {
+    "compressed_sensing": (("k", "n", "s"), ("mass", "min_coef")),
+    "low_rank": (("n", "rank"), ("mass",)),
+    "lp_approx": (("n", "r", "q"), ("s", "dict_size", "mass", "min_coef")),
+}
+# the keys each kind needs (also the `gen` flags)
+REQUIRED_KEYS = {kind: needed for kind, (needed, _) in _INSTANCE_KEYS.items()}
+_INSTANCE_SPECIFIC = {
+    key for needed, others in _INSTANCE_KEYS.values() for key in needed + others
+}
 
 # key -> (allowed types, short description)
 _SCHEMA = {
-    "instance": (str, "instance kind: " + "|".join(_INSTANCE_KINDS)),
+    "instance": (str, "instance kind: " + "|".join(_INSTANCE_KEYS)),
     "algorithm": (str, "update rule: " + "|".join(RULES)),
     "seed": (int, "instance RNG seed"),
     "k": (int, "signal dimension (compressed_sensing)"),
@@ -107,13 +118,6 @@ _SCHEMA = {
     "timings": (bool, "record real wall_ns instead of zeros"),
     "trace": (str, "trace CSV filename"),
     "summary": (str, "summary JSON filename"),
-}
-
-# instance kind -> the keys its generator needs (also the `gen` flags)
-REQUIRED_KEYS = {
-    "compressed_sensing": ("k", "n", "s"),
-    "low_rank": ("n", "rank"),
-    "lp_approx": ("n", "r", "q"),
 }
 
 # config key -> the rule field it sets; a rule without that field rejects it
@@ -150,15 +154,18 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(
                 f"key {key!r}: expected {want}, got {type(value).__name__}"
             )
-    if config["instance"] not in _INSTANCE_KINDS:
-        raise ConfigError(f"unknown instance kind {config['instance']!r}")
+    kind = config["instance"]
+    if kind not in _INSTANCE_KEYS:
+        raise ConfigError(f"unknown instance kind {kind!r}")
     if config["algorithm"] not in RULES:
         raise ConfigError(f"unknown algorithm {config['algorithm']!r}")
-    for key in REQUIRED_KEYS[config["instance"]]:
+    needed, others = _INSTANCE_KEYS[kind]
+    for key in needed:
         if key not in config:
-            raise ConfigError(
-                f"instance {config['instance']!r} requires key {key!r}"
-            )
+            raise ConfigError(f"instance {kind!r} requires key {key!r}")
+    unread = sorted(_INSTANCE_SPECIFIC.intersection(config) - {*needed, *others})
+    if unread:
+        raise ConfigError(f"key {unread[0]!r}: instance {kind!r} does not read it")
     if "weakness" in config and "weakness_exponent" in config:
         raise ConfigError("give weakness or weakness_exponent, not both")
     # a range is checked where it is defined: by building the object the
@@ -401,18 +408,9 @@ class ExperimentResult:
         return all(self.summary["invariants"].values())
 
 
-def _gap_exponent(config: dict) -> float:
-    """Exponent e such that residual-norm ~ gap**e for exact-fit instances."""
-    kind = config["instance"]
-    if kind == "compressed_sensing":
-        return 0.5  # E = 0.5 * ||r||^2
-    if kind == "low_rank":
-        return 0.5  # E = ||r||^2
-    return 1.0 / float(config["q"])  # E = ||r||^q
-
-
-def _fit_slope(config: dict, trace: RunTrace, reference: float):
-    expo = _gap_exponent(config)
+def _fit_slope(config: dict, objective: Objective, trace: RunTrace, reference: float):
+    # E ~ ||residual||^q on an exact fit, so the residual norm ~ gap^(1/q)
+    expo = 1.0 / objective.smoothness.q
     gaps = np.maximum(trace.gaps(reference), 0.0)
     try:
         return fit_power_slope(
@@ -476,7 +474,7 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
             if trace.records
             else float(trace.initial_energy - reference)
         ),
-        "slope": _fit_slope(config, trace, reference),
+        "slope": _fit_slope(config, objective, trace, reference),
         "envelope_ratio": _envelope_ratio(
             rule, weakness, objective, certificate, trace, reference
         ),

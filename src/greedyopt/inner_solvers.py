@@ -6,17 +6,19 @@ its one solver. When E's minimizer over any affine set is the l2 projection
 of `Objective.projection_target`, the slice step is that projection, from
 the slice's 1x1 or 2x2 Gram system in closed form with lstsq's min-norm
 cutoff and one E' and one E at its point; it must pass the searches'
-first-order test, or the step falls back to them. Otherwise one direction
-goes to `line_search` (derivative bisection on an interval, a ray or the
-whole line) and the plane to alternating searches.
+first-order test, or the step falls back to the search. Otherwise one
+direction goes to `line_search` (derivative bisection on an interval, a ray
+or the whole line), and the plane, E over span{base, atom}, to one L-BFGS-B
+pass (Byrd, Lu, Nocedal & Zhu 1995) on those two columns.
 
 The Chebyshev rule's span solve (`minimize_subspace`) is separate. Its basis
 lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. With a
 projection target the coefficients come from R c = Q^T target, then from a
 full `lstsq` if those miss the span contract; otherwise, or if both miss,
-L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995), with one stricter pass when the
-first misses it. Every result carries its point and E there, and the span
-solve's also carries E', which its contract check evaluated.
+L-BFGS-B through the plane's helper (`_lbfgs`), with one stricter pass when
+the first misses it. Every solve returns a `SliceResult`: its point and E
+there, and E' where the solver evaluated it (the projection step's and the
+span contract's check).
 
 All routines assume convexity along the searched directions and verify it
 opportunistically: bracket/derivative inconsistencies raise instead of
@@ -38,7 +40,9 @@ DERIVATIVE_TOL = 1e-10
 SUBSPACE_TOL = 1e-8
 BRACKET_CAP = 2.0**60
 MAX_BISECT = 200
-FREE_RELAX_SWEEPS = 100
+# The plane's one L-BFGS-B pass: the span's first pass at its default
+# tolerance, with no contract to meet afterwards.
+PLANE_OPTIONS = {"maxiter": 4000, "maxfun": 8000, "gtol": DERIVATIVE_TOL, "ftol": 1e-18}
 # A column whose part orthogonal to the factored span, after CGS2, is at most
 # DEPENDENT_TOL times its norm is numerically dependent on that span.
 DEPENDENT_TOL = 1e-10
@@ -73,7 +77,6 @@ class LineSearchResult:
     argmin: float
     value: float
     derivative: float
-    evaluations: int
 
 
 def _whole_line(lower: float, upper: float) -> bool:
@@ -112,35 +115,23 @@ def line_search(
         mirrored = _search(
             lambda c: phi(-c), lambda c: -dphi(-c), 0.0, math.inf, tol, -d_lo
         )
-        return LineSearchResult(
-            -mirrored.argmin,
-            mirrored.value,
-            -mirrored.derivative,
-            mirrored.evaluations,
-        )
+        return LineSearchResult(-mirrored.argmin, mirrored.value, -mirrored.derivative)
     return _search(phi, dphi, lower, upper, tol, d_lo)
 
 
 def _search(phi, dphi, lower, upper, tol, d_lo) -> LineSearchResult:
     """`line_search` on [lower, upper] with lower finite, given
     d_lo = phi'(lower)."""
-    nfev = 0
-
-    def f(c):
-        nonlocal nfev
-        nfev += 1
-        return phi(c)
-
-    v_lo = f(lower)
+    v_lo = phi(lower)
     dtol = tol * (1.0 + abs(v_lo))
     if d_lo >= -dtol:
         # convex with nonnegative inward slope: boundary minimum
-        return LineSearchResult(lower, v_lo, d_lo, nfev)
+        return LineSearchResult(lower, v_lo, d_lo)
 
     if math.isfinite(upper):
         d_hi = dphi(upper)
         if d_hi <= dtol:
-            return LineSearchResult(upper, f(upper), d_hi, nfev)
+            return LineSearchResult(upper, phi(upper), d_hi)
         a, b = lower, upper
     else:
         step = 1.0
@@ -148,7 +139,7 @@ def _search(phi, dphi, lower, upper, tol, d_lo) -> LineSearchResult:
         while True:
             b = lower + step
             d_b = dphi(b)
-            v_b = f(b)
+            v_b = phi(b)
             if d_b > 0.0:
                 break
             if v_b > v_prev + dtol * (1.0 + abs(v_prev)):
@@ -169,13 +160,13 @@ def _search(phi, dphi, lower, upper, tol, d_lo) -> LineSearchResult:
         mid = 0.5 * (a + b)
         d_mid = dphi(mid)
         if abs(d_mid) <= dtol:
-            return LineSearchResult(mid, f(mid), d_mid, nfev)
+            return LineSearchResult(mid, phi(mid), d_mid)
         if d_mid < 0.0:
             a = mid
         else:
             b = mid
     c = 0.5 * (a + b)
-    return LineSearchResult(c, f(c), dphi(c), nfev)
+    return LineSearchResult(c, phi(c), dphi(c))
 
 
 def _along(objective: Objective, point: np.ndarray, d: np.ndarray):
@@ -192,11 +183,13 @@ def _along(objective: Objective, point: np.ndarray, d: np.ndarray):
 
 @dataclass
 class SliceResult:
-    coefficients: np.ndarray  # c: the minimizer is base + sum_i c_i d_i
+    """The result of every inner solve: a slice's or a span's."""
+
+    coefficients: np.ndarray  # slice: base + sum_i c_i d_i; span: B c
     point: np.ndarray  # that minimizer, bitwise the point E was evaluated at
     energy: float  # E(point)
-    sweeps: int = 0  # alternating sweeps on a non-quadratic plane
-    gradient: Optional[np.ndarray] = None  # E'(point); projection path only
+    gradient: Optional[np.ndarray] = None  # E'(point), where the solver evaluated it
+    grad_inf: float = math.nan  # span only: max_j |<E'(point), phi_j>|
 
 
 def _min_norm_solve(directions, residual) -> np.ndarray:
@@ -255,43 +248,30 @@ def _projection_step(objective, base, directions, lower, upper):
     return SliceResult(c, point, energy, gradient=grad)
 
 
+def _lbfgs(objective, basis, coef, options) -> np.ndarray:
+    """L-BFGS-B on c -> E(basis @ c) with the analytic gradient, from coef."""
+
+    def fun(c):
+        return objective.value(basis @ c)
+
+    def jac(c):
+        return basis.T @ objective.gradient(basis @ c)
+
+    res = _scipy_minimize(fun, coef, jac=jac, method="L-BFGS-B", options=options)
+    return np.asarray(res.x, dtype=float)
+
+
 def _free_relaxation(objective, base, atom) -> SliceResult:
-    """Minimize E(alpha * base + lam * atom) jointly over (alpha, lam) by
-    alternating exact line searches; the coefficients are (alpha - 1, lam).
-
-    Both coordinates are unconstrained. The search starts from the better of
-    the pure single-atom step (alpha = 1) and the restart (alpha = 0), so
-    the returned energy never exceeds either, and each sweep must be
-    non-increasing. A zero base reduces to the line search along the atom.
-    """
-    r_a = line_search(*_along(objective, base, atom))  # alpha = 1
-    if float(np.linalg.norm(base)) == 0.0:
-        point = base + r_a.argmin * atom
-        return SliceResult(np.array([0.0, r_a.argmin]), point, r_a.value)
-    r_r = line_search(*_along(objective, 0.0 * base, atom))  # alpha = 0
-
-    if r_a.value <= r_r.value:
-        alpha, lam, energy = 1.0, r_a.argmin, r_a.value
-    else:
-        alpha, lam, energy = 0.0, r_r.argmin, r_r.value
-
-    sweeps = 0
-    for sweeps in range(1, FREE_RELAX_SWEEPS + 1):
-        before = energy
-        alpha = line_search(*_along(objective, lam * atom, base)).argmin
-        scaled = alpha * base
-        res_l = line_search(*_along(objective, scaled, atom))
-        lam, energy = res_l.argmin, res_l.value
-
-        if energy > before + 1e-10 * (1.0 + abs(before)):
-            raise NonConvexityError(
-                f"free-relaxation sweep increased energy {before} -> {energy}"
-            )
-        if before - energy <= DERIVATIVE_TOL * (1.0 + abs(before)):
-            break
-
-    point = scaled + lam * atom
-    return SliceResult(np.array([alpha - 1.0, lam]), point, energy, sweeps)
+    """Minimize E(alpha * base + lam * atom) over the plane, from
+    (alpha, lam) = (1, 0), that is from base, by one L-BFGS-B pass
+    (PLANE_OPTIONS); the coefficients are (alpha - 1, lam). L-BFGS-B only
+    accepts points that lower E, so E(point) <= E(base); the run's monotone
+    check guards it all the same."""
+    basis = np.column_stack((base, atom))
+    coef = _lbfgs(objective, basis, np.array([1.0, 0.0]), PLANE_OPTIONS)
+    point = basis @ coef
+    coef[0] -= 1.0
+    return SliceResult(coef, point, objective.value(point))
 
 
 def minimize_on_slice(
@@ -313,8 +293,8 @@ def minimize_on_slice(
     of one E' and one E at its point, which its first-order test reads and
     the result carries. A point that fails that test falls back to the
     search below. Other objectives go straight to `line_search` or, on the
-    plane, to alternating line searches (`SliceResult.sweeps` counts them).
-    Every result carries its point and E there.
+    plane, to one L-BFGS-B pass (`_free_relaxation`). Every result carries
+    its point and E there.
     """
     directions = tuple(directions)
     whole_line = _whole_line(lower, upper)
@@ -416,15 +396,6 @@ def _grown(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-@dataclass
-class SubspaceResult:
-    coefficients: np.ndarray
-    point: np.ndarray
-    energy: float
-    grad_inf: float
-    gradient: np.ndarray  # E'(point), which the contract check evaluated
-
-
 def _projections(span: SpanFactor, target: np.ndarray):
     """argmin_c ||target - B c||_2, computed lazily: from the factor while it
     is usable, then by a full `lstsq` on B."""
@@ -438,7 +409,7 @@ def minimize_subspace(
     basis,
     tol: float = SUBSPACE_TOL,
     x0: Optional[np.ndarray] = None,
-) -> SubspaceResult:
+) -> SliceResult:
     """Minimize E over the span of the basis columns: a `SpanFactor`, or a
     (dim, k) array, which is factored here.
 
@@ -456,8 +427,8 @@ def minimize_subspace(
     k, m = basis.shape
     if m == 0:
         point = np.zeros(k)
-        return SubspaceResult(
-            np.zeros(0), point, objective.value(point), 0.0, objective.gradient(point)
+        return SliceResult(
+            np.zeros(0), point, objective.value(point), objective.gradient(point), 0.0
         )
 
     def checked(coef):
@@ -470,14 +441,8 @@ def minimize_subspace(
         for coef in _projections(span, objective.projection_target):
             point, grad, ginf = checked(coef)
             if ginf <= tol:
-                return SubspaceResult(coef, point, objective.value(point), ginf, grad)
+                return SliceResult(coef, point, objective.value(point), grad, ginf)
         # both missed the contract (degenerate basis etc.): fall through
-
-    def fun(c):
-        return objective.value(basis @ c)
-
-    def jac(c):
-        return basis.T @ objective.gradient(basis @ c)
 
     if coef is None:
         coef = np.asarray(x0, dtype=float) if x0 is not None else np.zeros(m)
@@ -486,9 +451,8 @@ def minimize_subspace(
         {"maxiter": 8000, "gtol": tol * 1e-3, "ftol": 0.0},
     )
     for options in passes:
-        res = _scipy_minimize(fun, coef, jac=jac, method="L-BFGS-B", options=options)
-        coef = np.asarray(res.x, dtype=float)
+        coef = _lbfgs(objective, basis, coef, options)
         point, grad, ginf = checked(coef)
         if ginf <= tol:
-            return SubspaceResult(coef, point, objective.value(point), ginf, grad)
+            return SliceResult(coef, point, objective.value(point), grad, ginf)
     raise SubspaceToleranceError(ginf, tol)

@@ -276,12 +276,14 @@ def test_chebyshev_well_conditioned_span_never_calls_lstsq(monkeypatch):
 @pytest.mark.parametrize("rule", [FreeRelaxation(), ConvexRelaxation()])
 def test_relaxed_projection_steps_never_call_lstsq_or_search(monkeypatch, rule):
     # every slice step of a least-squares run is the closed-form projection:
-    # no lstsq, and no step falls back to the line searches
+    # no lstsq, and no step falls back to a search (a line search, or the
+    # plane's L-BFGS-B pass)
     def forbidden(*args, **kwargs):
         raise AssertionError("the slice step left the closed form")
 
     monkeypatch.setattr(np.linalg, "lstsq", forbidden)
     monkeypatch.setattr(inner_solvers, "line_search", forbidden)
+    monkeypatch.setattr(inner_solvers, "_scipy_minimize", forbidden)
     dic, y, _ = gen_compressed_sensing(64, 256, 8, seed=3)
     trace = run_ls(y, rule, dic=dic, max_m=60, sup_tol=-1.0)
     assert trace.iterations == 60
@@ -393,6 +395,22 @@ def test_free_relaxation_matches_joint_oracle():
         _, _, best = free_relaxation_joint_minimum(target, prev, phi)
         assert rec.energy <= best + 1e-8 * (1.0 + abs(best))
         prev = iterate(trace, dic, i)
+
+
+@pytest.mark.parametrize("seed", [1001, 1002])
+def test_free_relaxation_non_quadratic_plane_calls_per_step(seed):
+    # lp n=64, r=3, q=1.5, s=8: the plane is one L-BFGS-B pass, about 29
+    # E/E' calls per step, where alternating line searches took about 300
+    dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=seed)
+    calls = []
+    counted = dataclasses.replace(
+        obj,
+        value_fn=lambda x: calls.append(1) or obj.value_fn(x),
+        gradient_fn=lambda x: calls.append(1) or obj.gradient_fn(x),
+    )
+    trace = run_greedy(counted, dic, 1.0, FreeRelaxation(), StopRule(max_m=40))
+    assert trace.iterations == 40
+    assert len(calls) <= 40 * trace.iterations
 
 
 def test_free_relaxation_never_worse_than_best_step_per_iteration():

@@ -100,29 +100,36 @@ def test_run_unknown_config_key(tmp_path, capsys):
         {"algorithm": "fixed_relaxation", "relaxation_r": 1.0},
         {"algorithm": "prescribed", "prescribed_step": 0.0},
         {"s": 80},
-        {"instance": "low_rank", "n": 4, "rank": 5},
+        {"instance": "low_rank", "n": 4, "rank": 5, "k": None, "s": None},
         # range checks of the instance generators
         {"k": 0},
         {"s": 0},
         {"mass": 0},
-        {"instance": "lp_approx", "r": 3.0, "q": 1.5, "s": 20, "dict_size": 8},
-        {"instance": "lp_approx", "r": 1.0, "q": 1.5},
+        {"instance": "lp_approx", "k": None, "r": 3.0, "q": 1.5, "s": 20,
+         "dict_size": 8},
+        {"instance": "lp_approx", "r": 1.0, "q": 1.5, "k": None},
         {"s": 2, "min_coef": 0.9},
         {
             "instance": "low_rank",
             "n": 4,
             "rank": 2,
+            "k": None,
+            "s": None,
             "algorithm": "prescribed",
             "prescribed_selection": "energy",
         },
         {"algorithm": "prescribed", "prescribed_selection": "random"},
         # a rule key the algorithm (wcga) does not read
         {"step_b": 0.5},
+        # an instance key the kind (compressed_sensing) does not read
+        {"rank": 2},
     ],
 )
 def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, overrides):
+    # an override of None drops that key of QUICK
+    config = {k: v for k, v in {**QUICK, **overrides}.items() if v is not None}
     path = tmp_path / "range.json"
-    path.write_text(json.dumps({**QUICK, **overrides}))
+    path.write_text(json.dumps(config))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

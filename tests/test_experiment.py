@@ -166,6 +166,35 @@ def test_validate_rejects_rule_key_its_rule_does_not_read(key):
     validate_config(cfg(algorithm=_READER[key], **{key: value}))
 
 
+# instance kind -> a config of it; instance key -> (a value, the kinds that read it)
+_KINDS = {
+    "compressed_sensing": dict(instance="compressed_sensing", k=32, n=64, s=4),
+    "low_rank": dict(instance="low_rank", n=8, rank=2),
+    "lp_approx": dict(instance="lp_approx", n=16, r=3.0, q=1.5),
+}
+_INSTANCE_READERS = {
+    "k": (32, {"compressed_sensing"}),
+    "s": (4, {"compressed_sensing", "lp_approx"}),
+    "rank": (2, {"low_rank"}),
+    "r": (3.0, {"lp_approx"}),
+    "q": (1.5, {"lp_approx"}),
+    "dict_size": (64, {"lp_approx"}),
+    "min_coef": (0.01, {"compressed_sensing", "lp_approx"}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_INSTANCE_READERS))
+def test_validate_rejects_instance_key_its_kind_does_not_read(key):
+    value, readers = _INSTANCE_READERS[key]
+    for kind, instance in _KINDS.items():
+        config = dict(instance, algorithm="wcga", seed=0, **{key: value})
+        if kind in readers:
+            validate_config(config)
+        else:
+            with pytest.raises(ConfigError, match=f"{key}.*{kind}"):
+                validate_config(config)
+
+
 def test_validate_rejects_more_planted_atoms_than_n():
     with pytest.raises(ConfigError, match="'s' = 65 exceeds n = 64"):
         validate_config(cfg(s=65))
