@@ -367,14 +367,18 @@ def run_greedy(
     coefficients = np.zeros(0)
     span = SpanFactor(dim) if rule.orthogonal else None
     span_result = None
-    e_prev = objective.value(G)
     gradient = None  # E'(G), when the last solver handed it back
     trace = RunTrace(
         algorithm=rule.name,
         objective_label=objective.label,
         stop_reason=StopReason.MAX_ITERATIONS,
-        initial_energy=e_prev,
+        initial_energy=math.nan,
     )
+    try:
+        e_prev = trace.initial_energy = objective.value(G)
+    except NonFiniteEnergyError as exc:  # E(G_0) overflows: no record at all
+        trace.stop_reason = StopReason.ABORTED
+        raise GreedyRunError(0, trace, exc) from exc
 
     for m in range(1, stop.max_m + 1):
         t0 = time.perf_counter_ns()

@@ -5,23 +5,25 @@ implicit rank-one dictionary {+- u v^T : ||u||_2 = ||v||_2 = 1} over flattened
 n x n matrices (its convex hull is the nuclear-norm ball). Each answers
 `certified_sup(w)` with (value, atom, upper): the atom's score, the atom, and
 an upper bound on the sup of <w, g> over the dictionary. A finite dictionary
-is searched exactly (upper == value); the rank-one one takes the top
-singular pair of one dense SVD, with upper its s_1 widened by a
-backward-error margin.
+is searched exactly (upper == value). The rank-one one takes s_1 from a
+values-only SVD, widened by a backward-error margin, as upper, and its atom
+from one shifted inverse-iteration solve on (W / s_1)^T (W / s_1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgesv, dgetrs
 
 from .objectives import Objective
 
 WEAKNESS_SLACK = 1e-10  # relative; see select_gradient_greedy
 COLINEAR_TOL = 1e-10
-# backward-error factor c of the dense SVD's top singular value; see
-# RankOneDictionary.certified_sup
+# backward-error factor c of the SVD's top singular value, also the shift's;
+# see RankOneDictionary.certified_sup
 SVD_ERROR_FACTOR = 4.0
 # columns per block of lr_column_norms: its temporaries stay this many
 # columns wide whatever the dictionary's size
@@ -76,7 +78,7 @@ class SelectionCertificate:
 
     score: <w, realize(atom)> - shift for the selected atom.
     reference: an upper bound on sup_g <w, g> - shift over the dictionary:
-        the exact sup for finite dictionaries, the dense SVD's s_1 widened
+        the exact sup for finite dictionaries, the SVD's s_1 widened
         by a backward-error margin for rank-one. For wrga (shift = <w, G>)
         it bounds the Frank-Wolfe duality gap.
     weakness: the t_m the selection claims.
@@ -233,28 +235,54 @@ class RankOneDictionary:
         return atom.sign * np.outer(u, v).ravel()
 
     def certified_sup(self, w: np.ndarray):
-        """(value, atom, upper) for W = reshape(w): the top singular pair of
-        one dense SVD (LAPACK gesdd).
+        """(value, atom, upper) for W = reshape(w): s_1 from a values-only
+        SVD (LAPACK gesdd), v from inverse iteration.
 
-        value = ||W v|| <= sigma_max(W), attained by the atom u v^T with
-        u = W v / ||W v||. upper = max(s_1, ||W v||) * (1 + c * side * eps)
-        with c = SVD_ERROR_FACTOR. The margin is a heuristic, not a proven
-        bound: gesdd is backward stable, so its s_1 is within p * eps *
-        sigma_max of the true value, but LAPACK states p only as a "modestly
-        growing function" of the dimensions (Users' Guide, section 4.9);
-        c * side = 4 * side is a guess at it. The tests check upper against
-        sigma_max from eigvalsh(W^T W) and from spectra known by
-        construction. The factors are copies, so an atom holds no view of
-        the SVD output.
+        upper = max(s_1, ||W v||) * (1 + c * side * eps) with
+        c = SVD_ERROR_FACTOR. The margin is a heuristic, not a proven bound:
+        gesdd is backward stable, so its s_1 is within p * eps * sigma_max
+        of the true value, but LAPACK states p only as a "modestly growing
+        function" of the dimensions (Users' Guide, section 4.9); c * side =
+        4 * side is a guess at it. The tests check upper against sigma_max
+        from eigvalsh(W^T W) and from spectra known by construction.
+
+        v is two inverse-iteration steps (Ipsen 1997) on one LU factorization
+        (dgesv, then dgetrs): with A = W / s_1, which makes them scale-free,
+        and M = A^T A - mu I for mu = 1 + c * side * eps, just above A^T A's
+        top eigenvalue, M y = start, M x = y / ||y|| and v = x / ||x||. Each
+        step scales the components off v_1 by about
+        (mu - lambda_1) / (mu - lambda_i). The start, sin(1..side), is dense
+        and no integer stencil is orthogonal to it, as (1, -2, 1) is to an
+        affine ramp. Only v comes from A^T A, and its error enters the score
+        at second order. value = ||W v|| <= sigma_max(W) is attained by the
+        atom u v^T, u = W v / ||W v||, and `select_gradient_greedy` checks it
+        against upper. A W = 0, or an s_1 that overflows, gets unit factors,
+        value 0 and upper s_1; an exactly singular M raises
+        WeaknessCertificationError.
         """
-        W = np.asarray(w, dtype=float).reshape(self.side, self.side)
-        U, s, Vt = np.linalg.svd(W)
-        v = Vt[0].copy()
-        Wv = W @ v
-        value = float(np.linalg.norm(Wv))
-        u = Wv / value if value > 0.0 else U[:, 0].copy()
-        upper = max(float(s[0]), value) * (1.0 + SVD_ERROR_FACTOR * self.side * _EPS)
-        return value, Atom(-1, 1, (u, v)), upper
+        n = self.side
+        W = np.asarray(w, dtype=float).reshape(n, n)
+        s1 = float(np.linalg.svd(W, compute_uv=False)[0])
+        if s1 == 0.0 or not math.isfinite(s1):
+            e1 = np.zeros(n)
+            e1[0] = 1.0
+            return 0.0, Atom(-1, 1, (e1, e1.copy())), s1
+        A = W / s1
+        M = A.T @ A
+        M.flat[:: n + 1] -= 1.0 + SVD_ERROR_FACTOR * n * _EPS
+        start = np.sin(np.arange(1.0, n + 1.0))
+        # A.T @ A is exactly symmetric (syrk), so M.T is M in Fortran order,
+        # which dgesv factors in place
+        lu, piv, x, info = dgesv(M.T, start, overwrite_a=True)
+        if info != 0:
+            raise WeaknessCertificationError(f"shifted system is singular (dgesv {info})")
+        x, _ = dgetrs(lu, piv, x / np.linalg.norm(x))
+        v = x / np.linalg.norm(x)
+        Av = A @ v
+        norm = float(np.linalg.norm(Av))
+        value = s1 * norm
+        upper = max(s1, value) * (1.0 + SVD_ERROR_FACTOR * n * _EPS)
+        return value, Atom(-1, 1, (Av / norm, v)), upper
 
 
 Dictionary = FiniteDictionary | RankOneDictionary
@@ -282,11 +310,13 @@ def select_gradient_greedy(
     if not (0.0 < weakness <= 1.0):
         raise ValueError(f"weakness must be in (0, 1], got {weakness}")
     _, atom, upper = dictionary.certified_sup(direction)
+    if not math.isfinite(upper):  # a slack of 1e-10 * inf certifies anything
+        raise WeaknessCertificationError(f"reference sup is not finite: {upper}")
     score = float(np.dot(direction, dictionary.realize(atom))) - shift
     reference = upper - shift
     ratio = 1.0 if reference == 0.0 else score / reference
     slack = WEAKNESS_SLACK * max(1.0, upper, abs(shift))
-    if score < weakness * reference - slack:
+    if not score >= weakness * reference - slack:  # a NaN score fails too
         raise WeaknessCertificationError(
             f"achieved {score:.6e} < t * reference = {weakness * reference:.6e}"
         )

@@ -17,8 +17,9 @@ projection target the coefficients come from R c = Q^T target, then from a
 full `lstsq` if those miss the span contract; otherwise, or if both miss,
 L-BFGS-B through the plane's helper (`_lbfgs`), with one stricter pass when
 the first misses it. Every solve returns a `SliceResult`: its point and E
-there, and E' where the solver evaluated it (the projection step's and the
-span contract's check).
+there, and E' but after a line search: the projection step's and the span
+contract's checks read it, and an L-BFGS-B pass that ends on its last trial
+point hands back its own evaluations there.
 
 All routines assume convexity along the searched directions and verify it
 opportunistically: bracket/derivative inconsistencies raise instead of
@@ -188,7 +189,7 @@ class SliceResult:
     coefficients: np.ndarray  # slice: base + sum_i c_i d_i; span: B c
     point: np.ndarray  # that minimizer, bitwise the point E was evaluated at
     energy: float  # E(point)
-    gradient: Optional[np.ndarray] = None  # E'(point), where the solver evaluated it
+    gradient: Optional[np.ndarray] = None  # E'(point); None after a line search
     grad_inf: float = math.nan  # span only: max_j |<E'(point), phi_j>|
 
 
@@ -248,30 +249,52 @@ def _projection_step(objective, base, directions, lower, upper):
     return SliceResult(c, point, energy, gradient=grad)
 
 
-def _lbfgs(objective, basis, coef, options) -> np.ndarray:
-    """L-BFGS-B on c -> E(basis @ c) with the analytic gradient, from coef."""
+def _lbfgs(objective, basis, coef, options) -> SliceResult:
+    """L-BFGS-B on c -> E(basis @ c) with the analytic gradient, from coef.
+
+    The result carries the point, E and E' there. The pass keeps basis @ c
+    for its last c, and E and E' there once evaluated: E and E' at one c
+    share one product, and a pass that ends on its last trial point (most
+    do) hands back its own evaluations, so only what it lacks at the
+    returned c is evaluated after it."""
+    last = [None, None, None, None]  # bytes of c, basis @ c, E and E' there
+
+    def at(c):
+        key = c.tobytes()
+        if key != last[0]:
+            last[:] = key, basis @ c, None, None
+        return last
 
     def fun(c):
-        return objective.value(basis @ c)
+        rec = at(c)
+        if rec[2] is None:
+            rec[2] = objective.value(rec[1])
+        return rec[2]
 
-    def jac(c):
-        return basis.T @ objective.gradient(basis @ c)
+    def grad(c):
+        rec = at(c)
+        if rec[3] is None:
+            rec[3] = objective.gradient(rec[1])
+        return rec[3]
 
-    res = _scipy_minimize(fun, coef, jac=jac, method="L-BFGS-B", options=options)
-    return np.asarray(res.x, dtype=float)
+    res = _scipy_minimize(
+        fun, coef, jac=lambda c: basis.T @ grad(c), method="L-BFGS-B", options=options
+    )
+    c = np.asarray(res.x, dtype=float)
+    return SliceResult(c, at(c)[1], fun(c), grad(c))
 
 
 def _free_relaxation(objective, base, atom) -> SliceResult:
     """Minimize E(alpha * base + lam * atom) over the plane, from
     (alpha, lam) = (1, 0), that is from base, by one L-BFGS-B pass
-    (PLANE_OPTIONS); the coefficients are (alpha - 1, lam). L-BFGS-B only
-    accepts points that lower E, so E(point) <= E(base); the run's monotone
-    check guards it all the same."""
+    (PLANE_OPTIONS); the coefficients are (alpha - 1, lam), and the result
+    carries E' at its point for the next selection. L-BFGS-B only accepts
+    points that lower E, so E(point) <= E(base); the run's monotone check
+    guards it all the same."""
     basis = np.column_stack((base, atom))
-    coef = _lbfgs(objective, basis, np.array([1.0, 0.0]), PLANE_OPTIONS)
-    point = basis @ coef
-    coef[0] -= 1.0
-    return SliceResult(coef, point, objective.value(point))
+    res = _lbfgs(objective, basis, np.array([1.0, 0.0]), PLANE_OPTIONS)
+    res.coefficients[0] -= 1.0
+    return res
 
 
 def minimize_on_slice(
@@ -294,7 +317,7 @@ def minimize_on_slice(
     the result carries. A point that fails that test falls back to the
     search below. Other objectives go straight to `line_search` or, on the
     plane, to one L-BFGS-B pass (`_free_relaxation`). Every result carries
-    its point and E there.
+    its point and E there, and E' but after a line search.
     """
     directions = tuple(directions)
     whole_line = _whole_line(lower, upper)
@@ -431,15 +454,15 @@ def minimize_subspace(
             np.zeros(0), point, objective.value(point), objective.gradient(point), 0.0
         )
 
-    def checked(coef):
-        point = basis @ coef
-        grad = objective.gradient(point)
-        return point, grad, float(np.max(np.abs(basis.T @ grad)))
+    def grad_inf(grad):
+        return float(np.max(np.abs(basis.T @ grad)))
 
     coef = None
     if objective.projection_target is not None:
         for coef in _projections(span, objective.projection_target):
-            point, grad, ginf = checked(coef)
+            point = basis @ coef
+            grad = objective.gradient(point)
+            ginf = grad_inf(grad)
             if ginf <= tol:
                 return SliceResult(coef, point, objective.value(point), grad, ginf)
         # both missed the contract (degenerate basis etc.): fall through
@@ -451,8 +474,9 @@ def minimize_subspace(
         {"maxiter": 8000, "gtol": tol * 1e-3, "ftol": 0.0},
     )
     for options in passes:
-        coef = _lbfgs(objective, basis, coef, options)
-        point, grad, ginf = checked(coef)
-        if ginf <= tol:
-            return SliceResult(coef, point, objective.value(point), grad, ginf)
-    raise SubspaceToleranceError(ginf, tol)
+        res = _lbfgs(objective, basis, coef, options)
+        res.grad_inf = grad_inf(res.gradient)
+        if res.grad_inf <= tol:
+            return res
+        coef = res.coefficients
+    raise SubspaceToleranceError(res.grad_inf, tol)

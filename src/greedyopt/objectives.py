@@ -30,12 +30,15 @@ def l2_norm(v: np.ndarray) -> float:
 
 def lr_norm(v: np.ndarray, r: float) -> float:
     # np.linalg.norm(v, ord=r) underflows for tiny entries raised to large r;
-    # factoring out the max keeps the computation scaled.
+    # factoring out the max keeps the computation scaled. In place: one
+    # temporary of v's size, with the bits of (|v| / top) ** r.
     a = np.abs(np.asarray(v, dtype=float))
     top = float(a.max()) if a.size else 0.0
     if top == 0.0:
         return 0.0
-    return top * float(np.sum((a / top) ** r) ** (1.0 / r))
+    a /= top
+    a **= r
+    return top * float(np.sum(a) ** (1.0 / r))
 
 
 @dataclass(frozen=True)
@@ -117,14 +120,20 @@ class Objective:
 
     def value(self, x: np.ndarray) -> float:
         x = self._check(x)
-        v = float(self.value_fn(x))
+        try:
+            v = float(self.value_fn(x))
+        except OverflowError as exc:  # a Python float's ** raises, not inf
+            raise NonFiniteEnergyError(f"E(x) overflows for {self.label!r}") from exc
         if not math.isfinite(v):
             raise NonFiniteEnergyError(f"E(x) is not finite for {self.label!r}")
         return v
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = self._check(x)
-        g = np.asarray(self.gradient_fn(x), dtype=float)
+        try:
+            g = np.asarray(self.gradient_fn(x), dtype=float)
+        except OverflowError as exc:
+            raise NonFiniteEnergyError(f"E'(x) overflows for {self.label!r}") from exc
         if g.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"gradient shape {g.shape} != ({self.dimension},)"
@@ -165,9 +174,13 @@ def make_least_squares(target: np.ndarray) -> Objective:
 
 def _norming_functional(v: np.ndarray, nv: float, r: float) -> np.ndarray:
     """F_v with <F_v, v> = ||v||_r and dual norm 1, for 1 < r < infinity,
-    given nv = lr_norm(v, r) > 0."""
+    given nv = lr_norm(v, r) > 0. In place, with the bits of
+    sign(w) * |w| ** (r - 1) for w = v / nv."""
     w = v / nv
-    return np.sign(w) * np.abs(w) ** (r - 1.0)
+    f = np.abs(w)
+    f **= r - 1.0
+    f *= np.sign(w)
+    return f
 
 
 def sample_sublevel_pair(value, e0, dim, radius, norm, rng) -> tuple:
@@ -243,7 +256,9 @@ def make_norm_power(
         nv = norm(v)
         if nv == 0.0:
             return np.zeros(dim)
-        return -q * nv ** (q - 1.0) * _norming_functional(v, nv, r)
+        g = _norming_functional(v, nv, r)
+        g *= -q * nv ** (q - 1.0)
+        return g
 
     radius = 2.0 * norm(f)
     if gamma is None:

@@ -552,7 +552,7 @@ def test_exact_steps_never_worse_than_searches(seed, k, n, name):
 
 # (values, gradients) over 20 steps: E and E' at G_0, then one E and one E'
 # per new atom, where the first-order test or the span contract evaluated
-# them (6 atoms for wcga on the cs instance, 13 on the low-rank one). A
+# them (6 atoms for wcga on the cs instance, 15 on the low-rank one). A
 # reduced step evaluates E at its own point and E' at the next step, a
 # prescribed one only E
 _CALLS = {
@@ -566,7 +566,7 @@ _CALLS = {
         "prescribed": (21, 20),
     },
     "low_rank": {
-        "wcga": (14, 14),
+        "wcga": (16, 16),
         "wrga": (21, 21),
         "wgafr": (21, 21),
         "best_step": (21, 21),

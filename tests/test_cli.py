@@ -239,6 +239,42 @@ def test_run_abort_writes_both_files_and_exits_1(tmp_path, capsys):
     assert len((out / "trace.csv").read_text().strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "config, error",
+    [
+        (
+            {"instance": "compressed_sensing", "k": 16, "n": 32, "s": 4,
+             "mass": 1e160, "algorithm": "wcga"},
+            "E(x) is not finite for 'least_squares'",
+        ),
+        (
+            {"instance": "low_rank", "n": 8, "rank": 2, "mass": 1e160,
+             "algorithm": "wrga"},
+            "E(x) overflows for 'norm_power(r=2.0, q=2.0)'",
+        ),
+        (
+            {"instance": "lp_approx", "n": 16, "r": 3.0, "q": 1.5,
+             "mass": 1e250, "algorithm": "wcga"},
+            "E(x) overflows for 'norm_power(r=3.0, q=1.5)'",
+        ),
+    ],
+)
+def test_run_energy_overflowing_at_zero_aborts(tmp_path, capsys, config, error):
+    # E(G_0) itself is not finite: the run aborts at iteration 0 with no
+    # record, exit 1, both files and no traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**config, "seed": 1, "max_m": 20}))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.out + printed.err
+    assert f"failure: iteration 0: {error}\n" in printed.err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stopping_reason"] == "Aborted"
+    assert summary["failure"] == f"iteration 0: {error}"
+    assert len((out / "trace.csv").read_text().strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("command", ["run", "rates"])
 def test_abort_reports_the_failure(tmp_path, capsys, command):
     # the error and its iteration go to summary.json and to stderr

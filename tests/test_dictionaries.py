@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from greedyopt import dictionaries
 from greedyopt.dictionaries import (
     Atom,
     FiniteDictionary,
@@ -287,9 +288,11 @@ def test_sup_symmetry():
 # ---------------------------------------------------------------------------
 # rank-one top singular pair
 #
-# certified_sup takes it from one dense SVD; every check compares against an
-# oracle that does not call the SVD: a spectrum known by construction or the
-# eigenproblem of W^T W. (The test_power_* names predate the dense SVD.)
+# certified_sup takes s_1 from a values-only SVD and v from one shifted
+# inverse-iteration solve on (W / s_1)^T (W / s_1); every check compares
+# against an oracle that does not call the SVD: a spectrum known by
+# construction or the eigenproblem of W^T W. (The test_power_* names predate
+# the SVD.)
 
 
 def _rank_one_sup(w):
@@ -397,24 +400,85 @@ def test_rank_one_large_scale_certifies_at_t_one(side):
     assert cert.reference >= sigma_max_eigvalsh(w)
 
 
-def test_rank_one_atom_owns_its_factors(monkeypatch):
-    # an atom kept in a trace must not hold a view of the SVD's U or Vt
-    outputs = []
-    svd = np.linalg.svd
-
-    def spy(*args, **kwargs):
-        out = svd(*args, **kwargs)
-        outputs.append(out)
-        return out
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
+def test_rank_one_atom_owns_its_factors():
+    # an atom kept in a trace must not hold a view of the query or share
+    # one factor's memory with the other
     w = np.random.default_rng(3).standard_normal((8, 8))
     for matrix in (w, np.zeros((8, 8))):
-        _, atom, _ = RankOneDictionary(8).certified_sup(matrix.ravel())
-        U, _, Vt = outputs[-1]
-        for factor in atom.factors:
-            assert not np.shares_memory(factor, U)
-            assert not np.shares_memory(factor, Vt)
+        query = matrix.ravel()
+        _, atom, _ = RankOneDictionary(8).certified_sup(query)
+        u, v = atom.factors
+        assert not np.shares_memory(u, query)
+        assert not np.shares_memory(v, query)
+        assert not np.shares_memory(u, v)
+
+
+def _row_orthogonal_to_v1():
+    # columns of norm 3 and 2.5: v_1 = e_0, and the largest row, (0, 2.5, 0),
+    # is orthogonal to it, so a start taken from that row would miss v_1
+    r = 3.0 / math.sqrt(2.0)
+    return np.array([[r, 0.0, 0.0], [r, 0.0, 0.0], [0.0, 2.5, 0.0]]), 3.0
+
+
+def _structured(seed):
+    yield "row orthogonal to v_1", *_row_orthogonal_to_v1()
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((16, 16)))
+    yield "repeated top (2 Q)", 2.0 * q, 2.0
+    yield "identity", np.eye(16), 1.0
+    rank_one = np.zeros(16)
+    rank_one[0] = 3.0
+    yield "rank one", known_spectrum(rank_one, seed)[0], 3.0
+    for stencil in ((1.0, -1.0), (1.0, -2.0, 1.0), (2.0, 0.0, 0.0, -1.0)):
+        # v_1 orthogonal to every affine ramp (the last also to sqrt(1..4)),
+        # beside a lower diagonal block
+        v1 = np.zeros(8)
+        v1[: len(stencil)] = stencil
+        w = 3.0 * np.outer(np.eye(8)[0], v1 / np.linalg.norm(v1))
+        w[len(stencil) :, len(stencil) :] = 0.5 * np.eye(8 - len(stencil))
+        yield f"stencil {stencil}", w, 3.0
+    s = np.linspace(1.0, 0.1, 16)
+    for scale in (1e-300, 1e300):
+        yield f"sigma_max {scale:g}", known_spectrum(scale * s, seed)[0], scale
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rank_one_structured_matrices_certify_at_t_one(seed):
+    for name, w, s_max in _structured(seed):
+        side = w.shape[0]
+        cert = select_gradient_greedy(RankOneDictionary(side), w.ravel(), 1.0)
+        assert cert.ratio >= 1.0 - 1e-12, name
+        assert cert.reference >= s_max, name
+        if s_max < 1e150:  # W^T W would overflow above
+            assert cert.reference >= sigma_max_eigvalsh(w), name
+
+
+def test_rank_one_row_orthogonal_to_v1_finds_v1():
+    w, _ = _row_orthogonal_to_v1()
+    u, v, sigma, _ = _rank_one_sup(w)
+    u_ref, v_ref, sigma_ref = top_singular_eigh(w)
+    assert sigma == pytest.approx(sigma_ref, rel=1e-14)
+    assert 1.0 - abs(float(v @ v_ref)) <= 1e-14
+    assert 1.0 - abs(float(u @ u_ref)) <= 1e-14
+
+
+def test_rank_one_overflowing_sup_raises():
+    # entries near 1e308: s_1 overflows, and a reference of inf would make
+    # the slack 1e-10 * inf certify any atom
+    w = np.full((4, 4), 1e308)
+    _, _, upper = RankOneDictionary(4).certified_sup(w.ravel())
+    assert upper == math.inf
+    with pytest.raises(WeaknessCertificationError):
+        select_gradient_greedy(RankOneDictionary(4), w.ravel(), 1.0)
+
+
+def test_rank_one_singular_shifted_system_raises(monkeypatch):
+    def singular(a, b, **kwargs):  # dgesv's report of a zero pivot U[0, 0]
+        return a, np.zeros(len(b), dtype=np.int32), b, 1
+
+    monkeypatch.setattr(dictionaries, "dgesv", singular)
+    w = np.random.default_rng(4).standard_normal(16)
+    with pytest.raises(WeaknessCertificationError):
+        RankOneDictionary(4).certified_sup(w)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +496,7 @@ def test_rank_one_realize():
 
 
 def test_rank_one_dimensions_and_budget():
-    # the selection is one dense SVD: there is no iteration budget to set
+    # the selection is a fixed number of LAPACK calls: no iteration budget
     dic = RankOneDictionary(4)
     assert dic.ambient_dim == 16
     with pytest.raises(TypeError):

@@ -284,7 +284,7 @@ def test_build_stop_defaults_and_reference():
 )
 def test_low_rank_wrga_runs_to_max_m(seed):
     # instances on which a capped power iteration could not certify the
-    # selection: the dense SVD's bound certifies every step
+    # selection: the SVD's bound certifies every step
     result = run_experiment(
         {
             "instance": "low_rank",

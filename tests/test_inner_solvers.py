@@ -524,7 +524,9 @@ def test_slice_misdeclared_quadratic_plane_falls_back():
     assert res.coefficients.tobytes() == searched.coefficients.tobytes()
     assert res.point.tobytes() == searched.point.tobytes()
     assert res.energy == searched.energy
-    assert res.gradient is None
+    # the plane's L-BFGS-B pass hands back E' at its point
+    assert res.gradient.tobytes() == searched.gradient.tobytes()
+    assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
 
 
 def _slices(base, phi):
@@ -556,8 +558,8 @@ def test_slice_given_energy_and_gradient_is_bit_identical(seed, make):
         assert again.coefficients.tobytes() == res.coefficients.tobytes()
         assert again.point.tobytes() == res.point.tobytes()
         assert res.energy == obj.value(res.point)
-        if obj.projection_target is None:
-            assert res.gradient is None
+        if obj.projection_target is None and len(directions) == 1:
+            assert res.gradient is None  # a line search hands back no E'
         else:
             assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
 
@@ -652,6 +654,28 @@ def test_slice_plane_is_one_lbfgs_pass(monkeypatch, seed):
     assert len(passes) == 1
     minimize_on_slice(make_least_squares(y), base, (base, phi))
     assert len(passes) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lbfgs_pass_evaluates_no_point_twice(seed):
+    # an L-BFGS-B pass hands back E and E' at its point from its own last
+    # evaluations: on the plane and on a non-quadratic span no point gets a
+    # second E or E'
+    y, base, phi = _ls_slice(seed)
+    obj = make_norm_power(y, 4.0, 2.0)
+    calls = []
+    counted = dataclasses.replace(
+        obj,
+        value_fn=lambda x: calls.append(("value", x.tobytes())) or obj.value_fn(x),
+        gradient_fn=lambda x: calls.append(("gradient", x.tobytes()))
+        or obj.gradient_fn(x),
+    )
+    plane = minimize_on_slice(counted, base, (base, phi))
+    span = minimize_subspace(counted, np.column_stack((base, phi)))
+    assert len(calls) == len(set(calls)) > 0
+    for res in (plane, span):
+        assert res.energy == obj.value(res.point)
+        assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
 
 
 def test_slice_rejects_unsupported_shapes():
