@@ -61,15 +61,11 @@ from .algorithms import (
 from .theory import (
     EnvelopeReport,
     InsufficientDataError,
-    RateEnvelope,
     RecurrenceReport,
-    calibrate_envelope,
     check_envelope,
-    conjugate_exponent,
     fit_power_slope,
     solve_xi,
     solve_xi_flagged,
-    t_power_sum,
     theta0,
     verify_recurrence,
     xi_closed_form,

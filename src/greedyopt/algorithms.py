@@ -192,7 +192,7 @@ class UpdateRule:
     <-E'(G), phi - G>, and the l1 mass is checked. orthogonal: E is
     re-minimized over the span of the selected atoms (the Chebyshev span
     path), so E'(G_m) is orthogonal to each. rated: the paper proves a
-    convergence rate for the rule, and `theory.RateEnvelope` states it."""
+    convergence rate for the rule, and `theory.check_envelope` checks it."""
 
     name: str
     monotone = convex = orthogonal = rated = False

@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import (
-    REQUIRED_KEYS,
+    INSTANCE_KEYS,
     ConfigError,
+    build_instance,
     load_config,
     run_experiment,
     run_verification_suite,
     validate_config,
 )
-from .instances import gen_compressed_sensing, gen_low_rank, gen_lp_approx
 
 SLOPE_MAX_DEFAULT = -0.4
 
@@ -77,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--rank", type=int)
     gen_p.add_argument("--r", type=float)
     gen_p.add_argument("--q", type=float)
-    gen_p.add_argument("--mass", type=float, default=1.0)
-    gen_p.add_argument("--min-coef", type=float, default=0.0)
+    gen_p.add_argument("--mass", type=float)
+    gen_p.add_argument("--min-coef", type=float)
     gen_p.add_argument("--dict-size", type=int)
     gen_p.add_argument("--quiet", action="store_true")
 
@@ -108,7 +108,8 @@ def _cmd_run(args) -> int:
     if not args.quiet:
         summary = result.summary
         print(f"stopping_reason: {summary['stopping_reason']}")
-        print(f"final_gap: {summary['final_gap']:.6e}")
+        gap = summary["final_gap"]  # None when E(G_0) is not finite
+        print(f"final_gap: {gap if gap is None else format(gap, '.6e')}")
         print(f"slope: {summary['slope']}")
         print(f"envelope_ratio: {summary['envelope_ratio']}")
         for name, passed in sorted(summary["invariants"].items()):
@@ -154,33 +155,21 @@ def _require(args, names) -> None:
 
 
 def _cmd_gen(args) -> int:
-    _require(args, REQUIRED_KEYS[args.kind])
+    needed, others = INSTANCE_KEYS[args.kind]
+    _require(args, needed)
+    config = {"instance": args.kind, "seed": args.seed}
+    for key in needed + others:
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     try:
-        if args.kind == "compressed_sensing":
-            dictionary, target, cert = gen_compressed_sensing(
-                args.k, args.n, args.s, args.mass, args.seed, args.min_coef
-            )
-        elif args.kind == "low_rank":
-            dictionary, target, cert = gen_low_rank(
-                args.n, args.rank, args.mass, args.seed
-            )
-        else:
-            dictionary, _, cert = gen_lp_approx(
-                args.n,
-                args.r,
-                args.q,
-                seed=args.seed,
-                s=args.s if args.s is not None else 2,
-                mass=args.mass,
-                dict_size=args.dict_size,
-                min_coef=args.min_coef,
-            )
-            target = cert.realize(dictionary)
+        _, dictionary, cert, target = build_instance(config)
     except ValueError as exc:  # a generator's range check: a usage error
         raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.kind != "low_rank":
+    if args.kind == "low_rank":
+        target = target.reshape(args.n, args.n)
+    else:
         np.savetxt(out / "dictionary.csv", dictionary.columns, delimiter=",")
     np.savetxt(out / "target.csv", target, delimiter=",")
     payload = {
@@ -227,7 +216,10 @@ def main(argv=None) -> int:
         "gen": _cmd_gen,
     }
     try:
-        return handlers[args.command](args)
+        # an overflow surfaces as NonFiniteEnergyError (exit 1), so numpy's
+        # own overflow warning would only repeat it on stderr
+        with np.errstate(over="ignore"):
+            return handlers[args.command](args)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -48,7 +50,6 @@ from .objectives import (
 )
 from .theory import (
     InsufficientDataError,
-    RateEnvelope,
     check_envelope,
     fit_power_slope,
     solve_xi,
@@ -77,21 +78,20 @@ L1_CONFINEMENT_TOL = 1e-12
 MONOTONE_TOL = 1e-10
 
 # instance kind -> (the keys its generator needs, the others it reads); an
-# instance key that the config's kind does not read is an error
-_INSTANCE_KEYS = {
+# instance key that the config's kind does not read is an error. These are
+# also the `gen` flags, and the needed ones the flags `gen` requires.
+INSTANCE_KEYS = {
     "compressed_sensing": (("k", "n", "s"), ("mass", "min_coef")),
     "low_rank": (("n", "rank"), ("mass",)),
     "lp_approx": (("n", "r", "q"), ("s", "dict_size", "mass", "min_coef")),
 }
-# the keys each kind needs (also the `gen` flags)
-REQUIRED_KEYS = {kind: needed for kind, (needed, _) in _INSTANCE_KEYS.items()}
 _INSTANCE_SPECIFIC = {
-    key for needed, others in _INSTANCE_KEYS.values() for key in needed + others
+    key for needed, others in INSTANCE_KEYS.values() for key in needed + others
 }
 
 # key -> (allowed types, short description)
 _SCHEMA = {
-    "instance": (str, "instance kind: " + "|".join(_INSTANCE_KEYS)),
+    "instance": (str, "instance kind: " + "|".join(INSTANCE_KEYS)),
     "algorithm": (str, "update rule: " + "|".join(RULES)),
     "seed": (int, "instance RNG seed"),
     "k": (int, "signal dimension (compressed_sensing)"),
@@ -154,12 +154,14 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(
                 f"key {key!r}: expected {want}, got {type(value).__name__}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"key {key!r}: {value} is not finite")
     kind = config["instance"]
-    if kind not in _INSTANCE_KEYS:
+    if kind not in INSTANCE_KEYS:
         raise ConfigError(f"unknown instance kind {kind!r}")
     if config["algorithm"] not in RULES:
         raise ConfigError(f"unknown algorithm {config['algorithm']!r}")
-    needed, others = _INSTANCE_KEYS[kind]
+    needed, others = INSTANCE_KEYS[kind]
     for key in needed:
         if key not in config:
             raise ConfigError(f"instance {kind!r} requires key {key!r}")
@@ -185,6 +187,13 @@ def validate_config(config: dict) -> dict:
     selection = config.get("prescribed_selection")
     if config["instance"] == "low_rank" and selection == "energy":
         raise ConfigError("prescribed_selection 'energy' needs a finite dictionary")
+    trace = config.get("trace", "trace.csv")
+    summary = config.get("summary", "summary.json")
+    for key, name in (("trace", trace), ("summary", summary)):
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ConfigError(f"key {key!r}: {name!r} is not a plain file name")
+    if trace == summary:
+        raise ConfigError("keys 'trace' and 'summary' name the same file")
     return config
 
 
@@ -427,20 +436,24 @@ def _envelope_ratio(
     rule: UpdateRule,
     weakness: WeaknessSequence,
     objective: Objective,
-    certificate: SynthesisCertificate,
     trace: RunTrace,
     reference: float,
 ):
     if not rule.rated or len(trace.records) < 2:
         return None
-    a_eps = 1.0 if rule.convex else max(certificate.mass, 1.0)
-    envelope = RateEnvelope(
-        type(rule), objective.smoothness.q, weakness, a_eps=a_eps
-    )
+    q = objective.smoothness.q
     try:
-        return check_envelope(trace, envelope, reference).max_ratio
+        return check_envelope(trace, type(rule), q, weakness, reference).max_ratio
     except ValueError:
         return None
+
+
+def _final_gap(trace: RunTrace, reference: float):
+    # None (JSON null, where json.dumps would write NaN) when the gap is not
+    # finite: E(G_0) overflowed, and the run aborted with no record
+    energy = trace.records[-1].energy if trace.records else trace.initial_energy
+    gap = float(energy - reference)
+    return gap if math.isfinite(gap) else None
 
 
 def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
@@ -469,14 +482,10 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
     summary = {
         "config_hash": config_hash(config),
         "stopping_reason": trace.stop_reason.value,
-        "final_gap": (
-            float(trace.records[-1].energy - reference)
-            if trace.records
-            else float(trace.initial_energy - reference)
-        ),
+        "final_gap": _final_gap(trace, reference),
         "slope": _fit_slope(config, objective, trace, reference),
         "envelope_ratio": _envelope_ratio(
-            rule, weakness, objective, certificate, trace, reference
+            rule, weakness, objective, trace, reference
         ),
         "invariants": invariants,
     }
@@ -602,7 +611,7 @@ def check_recurrence(trials: int = 1000, seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     for i in range(trials):
         y, w = make_recurrence_case(rng)
-        report = verify_recurrence(y, w, 0)
+        report = verify_recurrence(y, w)
         if not report:
             return CheckResult(
                 False, f"trial {i}: flagged at {report.first_violation}"
@@ -611,7 +620,7 @@ def check_recurrence(trials: int = 1000, seed: int = 0) -> CheckResult:
     bad = y.copy()
     k = len(y) // 2
     bad[k] = 1.5 * bad[k - 1]  # an increase violates the step in any form
-    report = verify_recurrence(bad, w, 0)
+    report = verify_recurrence(bad, w)
     if report or report.first_violation != k:
         return CheckResult(
             False,

@@ -1,12 +1,21 @@
 """End-to-end CLI behavior: exit codes, artifacts, and overrides."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
+from greedyopt.algorithms import RULES
 from greedyopt.cli import main
+from greedyopt.experiment import _SCHEMA, INSTANCE_KEYS
+
+# a numpy warning that reaches the CLI's stderr is a failure
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -46,6 +55,10 @@ LP_STALL = {
     "fit_m_min": 1,
     "sup_tol": -1.0,
 }
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.fixture
@@ -123,6 +136,13 @@ def test_run_unknown_config_key(tmp_path, capsys):
         {"step_b": 0.5},
         # an instance key the kind (compressed_sensing) does not read
         {"rank": 2},
+        # output names that are not a plain file name, or name one file
+        {"summary": ""},
+        {"trace": "sub/trace.csv"},
+        {"trace": "summary.json"},
+        # a number that is not finite
+        {"reference": float("nan")},
+        {"sup_tol": float("inf")},
     ],
 )
 def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, overrides):
@@ -273,6 +293,12 @@ def test_run_energy_overflowing_at_zero_aborts(tmp_path, capsys, config, error):
     assert summary["stopping_reason"] == "Aborted"
     assert summary["failure"] == f"iteration 0: {error}"
     assert len((out / "trace.csv").read_text().strip().splitlines()) == 1
+    # strict JSON: no NaN or Infinity; an unknown gap is null
+    strict = json.loads(
+        (out / "summary.json").read_text(), parse_constant=_reject_constant
+    )
+    assert strict["final_gap"] is None
+    assert "final_gap: None\n" in printed.out
 
 
 @pytest.mark.parametrize("command", ["run", "rates"])
@@ -287,6 +313,113 @@ def test_abort_reports_the_failure(tmp_path, capsys, command):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["failure"] == failure
     assert len(summary) == 7
+
+
+# ---------------------------------------------------------------------------
+# any config: a documented exit code, never a traceback
+
+# per schema key, (values in range, values out of range) at tiny sizes; NaN
+# and infinity are out of range (json writes and reads them)
+_NAN, _INF = float("nan"), float("inf")
+_SIZES = (st.integers(1, 16), st.sampled_from([-1, 0]))
+_CONFIG_VALUES = {
+    "instance": (st.sampled_from(list(INSTANCE_KEYS)), st.just("sparse")),
+    "algorithm": (st.sampled_from(list(RULES)), st.just("omp")),
+    "seed": (st.integers(0, 5), st.just(-1)),
+    "k": _SIZES,
+    "n": _SIZES,
+    "s": _SIZES,
+    "rank": _SIZES,
+    "dict_size": _SIZES,
+    "r": (st.sampled_from([1.5, 2, 3.0, 4.0]), st.sampled_from([0.5, 1, _NAN])),
+    "q": (st.sampled_from([1.05, 1.2, 1.5, 2]), st.sampled_from([1, 2.5, _NAN])),
+    "mass": (
+        st.sampled_from([0.5, 1, 3.0, 1e160]),
+        st.sampled_from([-1.0, 0, _NAN, _INF]),
+    ),
+    "min_coef": (st.sampled_from([0, 0.1, 0.3]), st.sampled_from([-0.1, 1.5, _NAN])),
+    "weakness": (st.sampled_from([0.3, 1]), st.sampled_from([0, 1.5, _NAN])),
+    "weakness_exponent": (
+        st.sampled_from([0, 0.25, 1.0]),
+        st.sampled_from([-1.0, _NAN, _INF]),
+    ),
+    "max_m": (st.integers(0, 8), st.just(-1)),
+    "sup_tol": (st.sampled_from([-1, 0, 1e-10, 0.3]), st.sampled_from([_NAN, _INF])),
+    "gap_tol": (st.sampled_from([0, 1e-6, 0.3]), st.sampled_from([-1.0, _NAN])),
+    "reference": (st.sampled_from([-1.0, 0, 1.0]), st.sampled_from([_NAN, _INF])),
+    "subspace_tol": (st.sampled_from([1e-10, 1e-3]), st.sampled_from([-1.0, 0, _NAN])),
+    "step_b": (st.sampled_from([0.3, 1]), st.sampled_from([0, 2.0, _NAN])),
+    "relaxation_r": (st.sampled_from([0.3, 1]), st.sampled_from([-0.5, 2.0, _NAN])),
+    "prescribed_step": (
+        st.sampled_from([0.5, 1, 1e300]),
+        st.sampled_from([-1.0, 0, _NAN, _INF]),
+    ),
+    "prescribed_selection": (
+        st.sampled_from(["gradient", "energy"]),
+        st.just("random"),
+    ),
+    "fit_m_min": (st.integers(1, 8), st.just(-1)),
+    "timings": (st.booleans(), st.just("yes")),
+    "trace": (
+        st.just("t.csv"),
+        st.sampled_from(["", "..", "no/such/dir.csv", "summary.json"]),
+    ),
+    "summary": (
+        st.just("s.json"),
+        st.sampled_from(["", ".", "no/such/dir.json", "trace.csv"]),
+    ),
+}
+_WRONG_TYPE = st.sampled_from([None, "1", [1]])
+
+
+@st.composite
+def _configs(draw):
+    """A kind, an algorithm, a seed, `max_m`, the keys the kind needs and up
+    to three other keys of the schema; about half of the configs have one
+    key out of range or of the wrong type."""
+    kind = draw(_CONFIG_VALUES["instance"][0])
+    keys = ["instance", "algorithm", "seed", "max_m", *INSTANCE_KEYS[kind][0]]
+    extra = st.sampled_from(sorted(set(_SCHEMA) - set(keys)))
+    keys += draw(st.lists(extra, max_size=3, unique=True))
+    bad = draw(st.sampled_from(keys)) if draw(st.booleans()) else None
+    config = {"instance": kind}
+    for key in keys:
+        good, out_of_range = _CONFIG_VALUES[key]
+        if key == bad:
+            config[key] = draw(out_of_range | _WRONG_TYPE)
+        elif key != "instance":
+            config[key] = draw(good)
+    return config
+
+
+def test_config_values_cover_the_schema():
+    assert set(_CONFIG_VALUES) == set(_SCHEMA)
+
+
+@given(config=_configs())
+@example(  # an empty name made the summary path the output directory
+    config={**QUICK, "max_m": 0, "summary": ""}
+)
+@example(  # a NaN reference made every gap NaN, and NaN is not JSON
+    config={**QUICK, "max_m": 2, "reference": float("nan")}
+)
+@settings(max_examples=150, deadline=None)
+def test_run_any_config_exits_cleanly(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["run", str(path), "--out", str(out), "--quiet"])
+        event(f"exit {rc}")
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc in (0, 1):
+            summary = out / config.get("summary", "summary.json")
+            json.loads(summary.read_text(), parse_constant=_reject_constant)
+        if rc == 1:
+            assert (out / config.get("trace", "trace.csv")).is_file()
+            assert summary.is_file()
 
 
 # ---------------------------------------------------------------------------

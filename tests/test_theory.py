@@ -19,14 +19,10 @@ from greedyopt.dictionaries import FiniteDictionary
 from greedyopt.objectives import SmoothnessParams, make_least_squares
 from greedyopt.theory import (
     InsufficientDataError,
-    RateEnvelope,
-    calibrate_envelope,
     check_envelope,
-    conjugate_exponent,
     fit_power_slope,
     solve_xi,
     solve_xi_flagged,
-    t_power_sum,
     theta0,
     verify_recurrence,
     xi_closed_form,
@@ -55,15 +51,6 @@ def test_theta0_values():
     assert theta0(SmoothnessParams(1.0, 2.0)) == 2.0
     assert theta0(SmoothnessParams(0.5, 2.0)) == 1.0
     assert theta0(SmoothnessParams(1.0, 1.5)) == math.sqrt(2.0)
-
-
-def test_conjugate_exponent():
-    assert conjugate_exponent(2.0) == 2.0
-    assert conjugate_exponent(1.5) == 3.0
-    with pytest.raises(ValueError):
-        conjugate_exponent(1.0)
-    with pytest.raises(ValueError):
-        conjugate_exponent(2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +107,6 @@ def test_solve_xi_matches_closed_form(gamma, q, t, frac):
     assert xi == pytest.approx(xi_closed_form(gamma, q, t, theta), rel=1e-10)
 
 
-def test_t_power_sum_constant():
-    assert t_power_sum(WeaknessSequence.constant(1.0), 2.0, 7) == 7.0
-    assert t_power_sum(WeaknessSequence.constant(0.5), 2.0, 4) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # recurrence verifier
 
@@ -135,18 +117,11 @@ def harmonic(m_top):
     return y, w
 
 
-def test_recurrence_harmonic_increment_form_is_tight():
-    y, w = harmonic(50)
-    report = verify_recurrence(y, w, hypothesis_form="increment")
-    assert report.passed
-    assert report.min_slack == pytest.approx(0.0, abs=1e-9)
-
-
 def test_recurrence_harmonic_fails_product_form():
     # the harmonic exemplar saturates the telescoped form but violates the
-    # stricter per-step product inequality immediately
+    # per-step product inequality immediately
     y, w = harmonic(10)
-    report = verify_recurrence(y, w, hypothesis_form="product")
+    report = verify_recurrence(y, w)
     assert not report.passed
     assert report.first_violation == 1
     assert report.kind == "hypothesis"
@@ -165,19 +140,13 @@ def test_recurrence_validation():
         verify_recurrence([1.0, -0.5], [1.0])
     with pytest.raises(ValueError):
         verify_recurrence([1.0, 0.5], [-1.0])
-    with pytest.raises(ValueError):
-        verify_recurrence([1.0, 0.5], [1.0], hypothesis_form="other")
-    with pytest.raises(ValueError):
-        verify_recurrence([1.0, 0.5], [1.0], n=2)
 
 
 def test_recurrence_zero_handling():
     # reaching zero is fine (1/y is +inf from then on) ...
-    assert verify_recurrence(
-        [0.5, 0.0, 0.0], [1.0, 1.0], hypothesis_form="increment"
-    ).passed
+    assert verify_recurrence([0.5, 0.0, 0.0], [1.0, 1.0]).passed
     # ... but leaving zero for a positive value is flagged
-    report = verify_recurrence([0.0, 0.5], [1.0], hypothesis_form="increment")
+    report = verify_recurrence([0.0, 0.5], [1.0])
     assert not report.passed
     assert (report.first_violation, report.kind) == (1, "hypothesis")
 
@@ -190,19 +159,10 @@ def test_recurrence_conclusion_only_violation():
         inv.append(inv[-1] - 0.9e-10)
     y = [1.0 / v for v in inv]
     w = [0.0] * 50
-    for form in ("product", "increment"):
-        report = verify_recurrence(y, w, hypothesis_form=form)
-        assert not report.passed
-        assert report.kind == "conclusion"
-        assert report.first_violation == 2
-
-
-def test_recurrence_start_index_skips_prefix():
-    # a violation before n is ignored when verification starts at n
-    y = [1.0, 2.0, 1.0, 0.5]
-    w = [0.0, 0.5, 1.0]
-    assert not verify_recurrence(y, w, n=0, hypothesis_form="increment").passed
-    assert verify_recurrence(y, w, n=1, hypothesis_form="increment").passed
+    report = verify_recurrence(y, w)
+    assert not report.passed
+    assert report.kind == "conclusion"
+    assert report.first_violation == 2
 
 
 def test_recurrence_generated_cases_pass():
@@ -215,8 +175,7 @@ def test_recurrence_generated_cases_pass():
             shrink = float(rng.uniform(0.5, 1.0))
             y.append(max(y[-1] * (1.0 - wk * y[-1]), 0.0) * shrink)
             w.append(wk)
-        for form in ("product", "increment"):
-            assert verify_recurrence(y, w, hypothesis_form=form).passed
+        assert verify_recurrence(y, w).passed
 
 
 def test_recurrence_closes_on_real_relaxed_run():
@@ -234,83 +193,11 @@ def test_recurrence_closes_on_real_relaxed_run():
     w = []
     for prev, cur in zip(y, y[1:]):
         w.append(max((prev - cur) / (prev * prev), 0.0))
-    for form in ("product", "increment"):
-        assert verify_recurrence(y, w, hypothesis_form=form).passed
+    assert verify_recurrence(y, w).passed
 
 
 # ---------------------------------------------------------------------------
 # envelopes
-
-
-def test_wrga_envelope_shape():
-    env = RateEnvelope(ConvexRelaxation, 2.0, 1.0, c=1.0)
-    assert env.value(1) == 0.5
-    assert env.value(3) == 0.25
-    assert np.allclose(env.values([1, 3]), [0.5, 0.25])
-
-
-def test_wcga_envelope_shape_and_floor():
-    env = RateEnvelope(Chebyshev, 2.0, 1.0, c=1.0, c_e=1.0)
-    assert env.value(1) == 0.5  # 1 * (1 + 1)^-1
-    assert env.value(3) == 0.25
-    floored = RateEnvelope(Chebyshev, 2.0, 1.0, c=1.0, eps=0.4)
-    assert floored.value(100) == 0.8  # 2 * eps beats the decaying tail
-
-
-def test_envelope_a_eps_exponent():
-    kap_q = RateEnvelope(FreeRelaxation, 2.0, 1.0, c=1.0, a_eps=3.0)
-    kap_1 = RateEnvelope(FreeRelaxation, 2.0, 1.0, c=1.0, a_eps=3.0, kappa=1.0)
-    assert kap_q.value(1) == pytest.approx(9.0 / 2.0)
-    assert kap_1.value(1) == pytest.approx(3.0 / 2.0)
-
-
-def test_envelope_validation():
-    with pytest.raises(ValueError):
-        RateEnvelope(Chebyshev, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        RateEnvelope(Chebyshev, 2.0, 1.0, kappa=1.5)
-    with pytest.raises(ValueError):
-        RateEnvelope(ConvexRelaxation, 2.0, 1.0, eps=0.1)
-    with pytest.raises(ValueError):
-        RateEnvelope(ConvexRelaxation, 2.0, 1.0, a_eps=2.0)
-    # only the three rules the paper gives a rate have an envelope
-    for rule in RULES.values():
-        if rule not in (Chebyshev, ConvexRelaxation, FreeRelaxation):
-            with pytest.raises(ValueError, match="no rate envelope"):
-                RateEnvelope(rule, 2.0, 1.0)
-
-
-def test_envelope_power_weakness_slope():
-    # t_k = k^{-1/4} with q=2 gives S_m ~ 2 sqrt(m), so the envelope decays
-    # like m^{-1/2} for large m
-    env = RateEnvelope(ConvexRelaxation, 2.0, WeaknessSequence.power(0.25))
-    ms = np.arange(100, 10_001, 100)
-    slope = fit_power_slope(ms, env.values(ms), m_min=100)
-    assert slope == pytest.approx(-0.5, abs=0.02)
-
-
-def test_calibrate_wrga():
-    env = RateEnvelope(ConvexRelaxation, 2.0, 1.0)
-    fitted = calibrate_envelope(env, 0.5)
-    assert fitted.c == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        calibrate_envelope(env, 1.0)  # too large for a positive constant
-    with pytest.raises(ValueError):
-        calibrate_envelope(env, 0.0)
-
-
-def test_calibrate_wcga():
-    env = RateEnvelope(Chebyshev, 2.0, 1.0)
-    fitted = calibrate_envelope(env, 0.3)
-    assert fitted.c == pytest.approx(0.6, rel=1e-12)
-
-
-@given(gap=st.floats(1e-6, 100.0))
-@settings(max_examples=50, deadline=None)
-def test_calibration_pins_first_value(gap):
-    env = RateEnvelope(FreeRelaxation, 1.7, 0.9, c_e=2.0, a_eps=1.5)
-    fitted = calibrate_envelope(env, gap)
-    assert fitted.value(1) == pytest.approx(gap, rel=1e-12)
 
 
 class FakeTrace:
@@ -327,24 +214,90 @@ class FakeTrace:
         return self._gaps - reference
 
 
+def test_wrga_envelope_shape():
+    # (1 + c*S_m)**(1-q) with t = 1, q = 2: S_m = m, and c = 1 at gap 0.5
+    trace = FakeTrace([1, 3], [0.5, 0.25])
+    report = check_envelope(trace, ConvexRelaxation, 2.0, 1.0)
+    assert report.c == 1.0
+    assert report.max_ratio == 1.0 and report.argmax_m == 3
+
+
+def test_wcga_envelope_shape():
+    # c*(1 + S_m)**(1-q) with t = 1, q = 2: c = 1 at gap 0.5
+    trace = FakeTrace([1, 3], [0.5, 0.25])
+    for rule in (Chebyshev, FreeRelaxation):
+        report = check_envelope(trace, rule, 2.0, 1.0)
+        assert report.c == 1.0
+        assert report.max_ratio == 1.0 and report.argmax_m == 3
+
+
+def test_envelope_validation():
+    trace = FakeTrace([1, 2], [0.5, 0.3])
+    with pytest.raises(ValueError):
+        check_envelope(trace, Chebyshev, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        check_envelope(trace, Chebyshev, 2.5, 1.0)
+    # only the three rules the paper gives a rate have an envelope
+    for rule in RULES.values():
+        if rule not in (Chebyshev, ConvexRelaxation, FreeRelaxation):
+            with pytest.raises(ValueError, match="no rate envelope"):
+                check_envelope(trace, rule, 2.0, 1.0)
+
+
+def test_envelope_power_weakness_slope():
+    # t_k = k^{-1/4} with q=2 gives S_m ~ 2 sqrt(m), so the envelope decays
+    # like m^{-1/2}: gaps 0.5 m^{-1/2} stay under it, with a ratio tending
+    # to 1 (1 - 0.23/sqrt(m)); gaps decaying slower cross it
+    tau = WeaknessSequence.power(0.25)
+    ms = np.arange(1, 10_001)
+    fast, slow = FakeTrace(ms, 0.5 * ms**-0.5), FakeTrace(ms, 0.5 * ms**-0.4)
+    report = check_envelope(fast, ConvexRelaxation, 2.0, tau)
+    assert report.passed and report.argmax_m == 10_000
+    assert report.max_ratio == pytest.approx(1.0, abs=0.003)
+    assert not check_envelope(slow, ConvexRelaxation, 2.0, tau).passed
+
+
+def test_calibrate_wrga():
+    report = check_envelope(FakeTrace([1], [0.5]), ConvexRelaxation, 2.0, 1.0)
+    assert report.c == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError):  # too large for a positive constant
+        check_envelope(FakeTrace([1], [1.0]), ConvexRelaxation, 2.0, 1.0)
+    with pytest.raises(ValueError):
+        check_envelope(FakeTrace([1], [0.0]), ConvexRelaxation, 2.0, 1.0)
+
+
+def test_calibrate_wcga():
+    report = check_envelope(FakeTrace([1], [0.3]), Chebyshev, 2.0, 1.0)
+    assert report.c == pytest.approx(0.6, rel=1e-12)
+
+
+@given(gap=st.floats(1e-6, 100.0))
+@settings(max_examples=50, deadline=None)
+def test_calibration_pins_first_value(gap):
+    # with gap(2) = gap(1) the ratio is envelope(1)/envelope(2), whatever
+    # gap(1) is, only if the calibration makes envelope(1) = gap(1)
+    q, p = 1.7, 1.7 / 0.7
+    s_1, s_2 = 0.9**p, 2.0 * 0.9**p
+    expected = ((1.0 + s_2) / (1.0 + s_1)) ** (q - 1.0)
+    trace = FakeTrace([1, 2], [gap, gap])
+    report = check_envelope(trace, FreeRelaxation, q, 0.9)
+    assert report.max_ratio == pytest.approx(expected, rel=1e-12)
+
+
 def test_check_envelope_exact_trace_passes():
     ms = np.arange(1, 11)
     gaps = 1.0 / (1.0 + ms)
-    report = check_envelope(
-        FakeTrace(ms, gaps), RateEnvelope(ConvexRelaxation, 2.0, 1.0)
-    )
+    report = check_envelope(FakeTrace(ms, gaps), ConvexRelaxation, 2.0, 1.0)
     assert report.passed
     assert report.max_ratio == pytest.approx(1.0, rel=1e-12)
-    assert report.calibrated.c == pytest.approx(1.0, rel=1e-12)
+    assert report.c == pytest.approx(1.0, rel=1e-12)
 
 
 def test_check_envelope_catches_slow_trace():
     ms = np.arange(1, 11)
     gaps = 1.0 / (1.0 + ms)
     gaps[1:] *= 1.01
-    report = check_envelope(
-        FakeTrace(ms, gaps), RateEnvelope(ConvexRelaxation, 2.0, 1.0)
-    )
+    report = check_envelope(FakeTrace(ms, gaps), ConvexRelaxation, 2.0, 1.0)
     assert not report.passed
     assert report.max_ratio == pytest.approx(1.01, rel=1e-12)
     assert report.argmax_m == 2
@@ -353,19 +306,14 @@ def test_check_envelope_catches_slow_trace():
 def test_check_envelope_requires_first_iteration():
     with pytest.raises(ValueError):
         check_envelope(
-            FakeTrace([2, 3], [0.5, 0.3]),
-            RateEnvelope(ConvexRelaxation, 2.0, 1.0),
+            FakeTrace([2, 3], [0.5, 0.3]), ConvexRelaxation, 2.0, 1.0
         )
     with pytest.raises(ValueError):
-        check_envelope(
-            FakeTrace([], []), RateEnvelope(ConvexRelaxation, 2.0, 1.0)
-        )
+        check_envelope(FakeTrace([], []), ConvexRelaxation, 2.0, 1.0)
 
 
 def test_check_envelope_single_record():
-    report = check_envelope(
-        FakeTrace([1], [0.5]), RateEnvelope(ConvexRelaxation, 2.0, 1.0)
-    )
+    report = check_envelope(FakeTrace([1], [0.5]), ConvexRelaxation, 2.0, 1.0)
     assert report.passed and report.max_ratio == 1.0
 
 
