@@ -438,8 +438,13 @@ def _envelope_ratio(
     objective: Objective,
     trace: RunTrace,
     reference: float,
+    mass: float,
 ):
     if not rule.rated or len(trace.records) < 2:
+        return None
+    if rule.convex and mass > 1.0 + L1_CONFINEMENT_TOL:
+        # a convex rule stays in the unit l1 hull, and a target of planted
+        # mass > 1 lies outside it: its gap need not go to 0
         return None
     q = objective.smoothness.q
     try:
@@ -485,7 +490,7 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
         "final_gap": _final_gap(trace, reference),
         "slope": _fit_slope(config, objective, trace, reference),
         "envelope_ratio": _envelope_ratio(
-            rule, weakness, objective, trace, reference
+            rule, weakness, objective, trace, reference, certificate.mass
         ),
         "invariants": invariants,
     }

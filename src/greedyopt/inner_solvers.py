@@ -14,9 +14,12 @@ pass (Byrd, Lu, Nocedal & Zhu 1995) on those two columns.
 The Chebyshev rule's span solve (`minimize_subspace`) is separate. Its basis
 lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. With a
 projection target the coefficients come from R c = Q^T target, then from a
-full `lstsq` if those miss the span contract; otherwise, or if both miss,
-L-BFGS-B through the plane's helper (`_lbfgs`), with one stricter pass when
-the first misses it. Every solve returns a `SliceResult`: its point and E
+full `lstsq` if those miss the span contract. Otherwise it runs L-BFGS-B
+through the plane's helper (`_lbfgs`): first from the l2 projection of
+`Objective.minimizer`, E's global minimizer, when one is known (at an exact
+fit that projection is the fit), then, if that misses the contract or
+there is none, from the previous solution, with one stricter pass when
+that misses it. Every solve returns a `SliceResult`: its point and E
 there, and E' but after a line search: the projection step's and the span
 contract's checks read it, and an L-BFGS-B pass that ends on its last trial
 point hands back its own evaluations there.
@@ -440,10 +443,14 @@ def minimize_subspace(
     returned point, checked from B^T E'(x) for every candidate. When E's span
     minimizer is the l2 projection of `objective.projection_target`, the
     candidates are the factor's R c = Q^T target (while the factor is
-    usable), then a full `lstsq` on B. Otherwise, or when those miss, L-BFGS-B
-    with the analytic gradient from the last candidate, x0 or zero and, if
-    that misses the contract, a stricter L-BFGS-B pass from its result;
-    raises SubspaceToleranceError if both miss it.
+    usable), then a full `lstsq` on B. Otherwise, when `objective.minimizer`
+    is set, the first candidate is one L-BFGS-B pass from that point's l2
+    projection onto the span (the same factor solve, or `lstsq`): once the
+    span holds E's minimizer, the pass starts there. When those miss, or
+    there are none, L-BFGS-B with the analytic gradient from the last
+    `projection_target` candidate, x0 or zero and, if that misses the contract, a
+    stricter L-BFGS-B pass from its result; raises SubspaceToleranceError if
+    both miss it.
     """
     span = basis if isinstance(basis, SpanFactor) else SpanFactor.of(basis)
     basis = span.basis
@@ -457,6 +464,15 @@ def minimize_subspace(
     def grad_inf(grad):
         return float(np.max(np.abs(basis.T @ grad)))
 
+    def lbfgs(coef, options):
+        res = _lbfgs(objective, basis, coef, options)
+        res.grad_inf = grad_inf(res.gradient)
+        return res
+
+    passes = (
+        {"maxiter": 4000, "maxfun": 8000, "gtol": tol * 1e-2, "ftol": 1e-18},
+        {"maxiter": 8000, "gtol": tol * 1e-3, "ftol": 0.0},
+    )
     coef = None
     if objective.projection_target is not None:
         for coef in _projections(span, objective.projection_target):
@@ -466,16 +482,16 @@ def minimize_subspace(
             if ginf <= tol:
                 return SliceResult(coef, point, objective.value(point), grad, ginf)
         # both missed the contract (degenerate basis etc.): fall through
+    elif objective.minimizer is not None:
+        res = lbfgs(next(_projections(span, objective.minimizer)), passes[0])
+        if res.grad_inf <= tol:
+            return res
+        # missed the contract: the passes from x0 below
 
     if coef is None:
         coef = np.asarray(x0, dtype=float) if x0 is not None else np.zeros(m)
-    passes = (
-        {"maxiter": 4000, "maxfun": 8000, "gtol": tol * 1e-2, "ftol": 1e-18},
-        {"maxiter": 8000, "gtol": tol * 1e-3, "ftol": 0.0},
-    )
     for options in passes:
-        res = _lbfgs(objective, basis, coef, options)
-        res.grad_inf = grad_inf(res.gradient)
+        res = lbfgs(coef, options)
         if res.grad_inf <= tol:
             return res
         coef = res.coefficients

@@ -83,7 +83,7 @@ def _dyadic_fractions(
     the equal split)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if min_frac < 0.0:
+    if not min_frac >= 0.0:  # NaN too
         raise ValueError(f"min_frac must be >= 0, got {min_frac}")
     scale = 1 << DYADIC_BITS
     if count == 1:
@@ -105,6 +105,11 @@ def _dyadic_fractions(
     return ks.astype(float) / float(scale)
 
 
+def _check_mass(mass: float) -> None:
+    if not 0.0 < mass < np.inf:
+        raise ValueError(f"mass must be finite and > 0, got {mass}")
+
+
 def _planted_terms(
     rng: np.random.Generator,
     population: int,
@@ -112,6 +117,7 @@ def _planted_terms(
     mass: float,
     min_coef: float,
 ) -> tuple:
+    _check_mass(mass)
     support = rng.choice(population, size=s, replace=False)
     signs = rng.choice(np.array([-1.0, 1.0]), size=s)
     fractions = _dyadic_fractions(s, rng, min_coef)
@@ -136,8 +142,6 @@ def gen_compressed_sensing(
         raise ValueError(f"sparsity {s} exceeds dictionary size {n}")
     if s < 1 or k < 1:
         raise ValueError(f"need s >= 1 and k >= 1, got s={s}, k={k}")
-    if not mass > 0.0:
-        raise ValueError(f"mass must be > 0, got {mass}")
     rng = np.random.default_rng(seed)
     # normalized in place and adopted: the bits of from_matrix, one matrix
     raw = rng.standard_normal((k, n))
@@ -162,8 +166,7 @@ def gen_low_rank(
         raise ValueError(f"rank {rank} exceeds side {n}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    if not mass > 0.0:
-        raise ValueError(f"mass must be > 0, got {mass}")
+    _check_mass(mass)
     rng = np.random.default_rng(seed)
     u_cols, _ = np.linalg.qr(rng.standard_normal((n, rank)))
     v_cols, _ = np.linalg.qr(rng.standard_normal((n, rank)))

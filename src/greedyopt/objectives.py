@@ -91,7 +91,11 @@ class Objective:
     """Differentiable convex objective with optional smoothness metadata.
 
     value/gradient validate dimensions and reject non-finite results instead
-    of letting NaN propagate into a greedy run.
+    of letting NaN propagate into a greedy run. Two optional points guide
+    the inner solvers: `projection_target` t, when E is a quadratic around
+    t, and `minimizer`, a point where E attains its minimum over R^dim (the
+    target of least squares and of every norm power; None for logistic),
+    whose l2 projection onto the span starts the non-quadratic span solve.
     """
 
     dimension: int
@@ -107,6 +111,7 @@ class Objective:
     projection_target: Optional[np.ndarray] = field(
         default=None, compare=False, repr=False
     )
+    minimizer: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -169,6 +174,7 @@ def make_least_squares(target: np.ndarray) -> Objective:
         norm=l2_norm,
         label="least_squares",
         projection_target=y,
+        minimizer=y,
     )
 
 
@@ -185,14 +191,21 @@ def _norming_functional(v: np.ndarray, nv: float, r: float) -> np.ndarray:
 
 def sample_sublevel_pair(value, e0, dim, radius, norm, rng) -> tuple:
     """Random (x, y) for the smoothness checks of E = `value`: x drawn in
-    the `norm` ball of the given radius and halved toward 0 (always in D)
-    until value(x) <= e0 = E(0), y a unit vector in `norm`."""
+    the `norm` ball of the given radius and halved toward 0 until x or -x
+    is in D = {value <= e0 = E(0)}, y a unit vector in `norm`.
+
+    D is convex with 0 on its boundary, so halving x alone never enters D
+    when <E'(0), x> > 0: it would end at x ~ 0, where E rounds to E(0).
+    Then -x is the side that enters D."""
     x = rng.standard_normal(dim)
     nx = norm(x)
     if nx > 0.0:
         x *= radius * rng.random() ** (1.0 / dim) / nx
     for _ in range(200):
         if value(x) <= e0:
+            break
+        if value(-x) <= e0:
+            x = -x
             break
         x *= 0.5
     y = rng.standard_normal(dim)
@@ -276,6 +289,7 @@ def make_norm_power(
         norm=norm,
         label=f"norm_power(r={r}, q={q})",
         projection_target=f if r == 2.0 and q == 2.0 else None,
+        minimizer=f,
     )
 
 

@@ -160,8 +160,8 @@ def test_chebyshev_merges_repeated_atoms():
     assert len(trace.terms()) <= 2
 
 
-def _fixed_point_run(weakness=1.0, max_m=16):
-    # lp_approx n=64 instance 1001: atoms 1-9 are new, and from m = 10 on
+def _fixed_point_run(weakness=1.0, max_m=24):
+    # lp_approx n=64 instance 1001: atoms 1-16 are new, and from m = 17 on
     # every selection merges into the span, so G and E'(G) stop changing
     dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1001)
     stop = StopRule(max_m=max_m, sup_tol=-1.0)
@@ -184,12 +184,12 @@ def test_chebyshev_fixed_point_repeats_the_sup_answer(monkeypatch):
 
     monkeypatch.setattr(FiniteDictionary, "certified_sup", counted)
     trace = _fixed_point_run()
-    assert trace.iterations == 16
+    assert trace.iterations == 24
     # certified_sup still runs once per step: the step marker stays
     assert len(answers) == len(trace.records)
     indices = [r.atom.index for r in trace.records]
     merged = next(i for i, j in enumerate(indices) if j in indices[:i])
-    assert merged == 9
+    assert merged == 16
     # from the first merged step on the dictionary answers from its memo
     assert answers[merged - 1] is not answers[merged]
     assert all(a is answers[merged] for a in answers[merged:])
@@ -206,12 +206,12 @@ def test_weakness_list_exhausted_at_fixed_point():
     # fixed point aborts at the same m and keeps its partial trace
     full = _fixed_point_run()
     with pytest.raises(GreedyRunError) as err:
-        _fixed_point_run(WeaknessSequence.from_list([1.0] * 12))
-    assert err.value.iteration == 13
+        _fixed_point_run(WeaknessSequence.from_list([1.0] * 20))
+    assert err.value.iteration == 21
     assert isinstance(err.value.cause, algorithms.ScheduleExhaustedError)
     partial = err.value.trace
     assert partial.stop_reason is StopReason.ABORTED
-    assert [r.m for r in partial.records] == list(range(1, 13))
+    assert [r.m for r in partial.records] == list(range(1, 21))
     for got, want in zip(partial.records, full.records):
         assert got.energy == want.energy and got.atom == want.atom
 
@@ -255,6 +255,39 @@ def test_chebyshev_non_quadratic_span_is_lbfgs_only(monkeypatch):
     # E at m = 10 from the three-stage solver (L-BFGS-B, coordinate polish,
     # L-BFGS-B) that this path replaced
     assert trace.records[-1].energy == pytest.approx(4.911012862748374e-25, abs=1e-20)
+
+
+def test_chebyshev_exact_fit_span_solve_is_one_lbfgs_pass(monkeypatch):
+    # lp_approx n=64 instance 1001: at m = 8 the span holds the planted
+    # target, E's minimizer, so the pass started at its projection meets the
+    # contract alone. The solver before that start, from the previous
+    # solution with a 0 appended, made 231 E and 231 E' calls in these 8
+    # steps; this one makes 80 of each.
+    widths = []
+    lbfgs = inner_solvers._lbfgs
+
+    def counted_pass(objective, basis, coef, options):
+        widths.append(basis.shape[1])
+        return lbfgs(objective, basis, coef, options)
+
+    monkeypatch.setattr(inner_solvers, "_lbfgs", counted_pass)
+    dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1001)
+    calls = {"value": 0, "gradient": 0}
+
+    def counting(name, fn):
+        return lambda x: calls.__setitem__(name, calls[name] + 1) or fn(x)
+
+    counted = dataclasses.replace(
+        obj,
+        value_fn=counting("value", obj.value_fn),
+        gradient_fn=counting("gradient", obj.gradient_fn),
+    )
+    trace = run_greedy(counted, dic, 1.0, Chebyshev(), StopRule(max_m=8, sup_tol=-1.0))
+    assert len(trace.terms()) == 8
+    assert widths.count(8) == 1
+    assert trace.records[-1].grad_inf <= 1e-8
+    assert trace.records[-1].energy <= 1e-20
+    assert calls["value"] <= 120 and calls["gradient"] <= 120
 
 
 def test_chebyshev_well_conditioned_span_never_calls_lstsq(monkeypatch):

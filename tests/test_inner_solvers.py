@@ -656,26 +656,81 @@ def test_slice_plane_is_one_lbfgs_pass(monkeypatch, seed):
     assert len(passes) == 1
 
 
+def _counted_passes(monkeypatch):
+    """Patches `_lbfgs` to log each pass: (its start, its result)."""
+    passes = []
+    lbfgs = inner_solvers._lbfgs
+
+    def counted(objective, basis, coef, options):
+        res = lbfgs(objective, basis, coef, options)
+        passes.append((coef, res))
+        return res
+
+    monkeypatch.setattr(inner_solvers, "_lbfgs", counted)
+    return passes
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_lbfgs_pass_evaluates_no_point_twice(seed):
+def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
     # an L-BFGS-B pass hands back E and E' at its point from its own last
-    # evaluations: on the plane and on a non-quadratic span no point gets a
-    # second E or E'
+    # evaluations: in the pass that the plane or a non-quadratic span solve
+    # returns, no point gets a second E or E'. Points may repeat across the
+    # passes of one span solve, and inside a pass that stalls at the
+    # roundoff floor, which revisits points (seed 2's first span pass)
     y, base, phi = _ls_slice(seed)
     obj = make_norm_power(y, 4.0, 2.0)
-    calls = []
+    evaluations = []  # one list per pass
+    lbfgs = inner_solvers._lbfgs
+
+    def per_pass(*args):
+        evaluations.append([])
+        return lbfgs(*args)
+
+    monkeypatch.setattr(inner_solvers, "_lbfgs", per_pass)
     counted = dataclasses.replace(
         obj,
-        value_fn=lambda x: calls.append(("value", x.tobytes())) or obj.value_fn(x),
-        gradient_fn=lambda x: calls.append(("gradient", x.tobytes()))
+        value_fn=lambda x: evaluations[-1].append(("value", x.tobytes()))
+        or obj.value_fn(x),
+        gradient_fn=lambda x: evaluations[-1].append(("gradient", x.tobytes()))
         or obj.gradient_fn(x),
     )
     plane = minimize_on_slice(counted, base, (base, phi))
+    plane_calls = evaluations[-1]
     span = minimize_subspace(counted, np.column_stack((base, phi)))
-    assert len(calls) == len(set(calls)) > 0
-    for res in (plane, span):
+    for res, calls in ((plane, plane_calls), (span, evaluations[-1])):
+        assert len(calls) == len(set(calls)) > 0
+        assert ("value", res.point.tobytes()) in calls
+        assert ("gradient", res.point.tobytes()) in calls
         assert res.energy == obj.value(res.point)
         assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
+
+
+def test_span_solve_starts_at_the_minimizers_projection(monkeypatch):
+    # E = ||y - x||_4^2 has its minimizer at y: the first pass starts at y's
+    # l2 projection onto the span and, here, meets the contract alone
+    passes = _counted_passes(monkeypatch)
+    y, base, phi = _ls_slice(0)
+    basis = np.column_stack((base, phi))
+    res = minimize_subspace(make_norm_power(y, 4.0, 2.0), basis)
+    assert len(passes) == 1
+    expected, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    assert np.allclose(passes[0][0], expected, rtol=1e-12, atol=1e-14)
+    assert res.grad_inf <= 1e-8
+
+
+def test_span_solve_falls_through_when_the_projection_pass_misses(monkeypatch):
+    # here the pass from y's projection stops on its relative-decrease test
+    # at max_j |<E', phi_j>| ~ 4e-8: the two passes from x0 follow, as
+    # without that start, and the result still meets the contract
+    passes = _counted_passes(monkeypatch)
+    y, base, phi = _ls_slice(2)
+    obj = make_norm_power(y, 4.0, 2.0)
+    basis = np.column_stack((base, phi))
+    res = minimize_subspace(obj, basis)
+    assert len(passes) >= 2
+    assert passes[0][1].grad_inf > 1e-8
+    assert res.grad_inf <= 1e-8
+    assert float(np.max(np.abs(basis.T @ obj.gradient(res.point)))) <= 1e-8
 
 
 def test_slice_rejects_unsupported_shapes():

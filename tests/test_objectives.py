@@ -179,6 +179,37 @@ def test_calibrated_gamma_is_sampled_on_first_read(monkeypatch, r, q, pinned):
     assert calls == [1]
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda f, rng: make_least_squares(f),
+        lambda f, rng: make_norm_power(f, 3.0, 1.5, gamma=1.0),
+        lambda f, rng: make_logistic(
+            np.where(rng.standard_normal(40) > 0.0, 1.0, -1.0),
+            rng.standard_normal((40, f.size)),
+            0.1,
+        ),
+    ],
+    ids=["least_squares", "norm_power", "logistic"],
+)
+def test_sublevel_sampler_draws_away_from_zero(make):
+    # D = {E <= E(0)} has 0 on its boundary: halving a draw toward 0 alone
+    # ends at x ~ 0 for about half the draws, where E rounds to E(0)
+    rng = np.random.default_rng(7)
+    obj = make(rng.standard_normal(12), rng)
+    e0 = obj.value(np.zeros(12))
+    radius = obj.sublevel_radius
+    near_zero = 0
+    for _ in range(500):
+        x, y = objectives.sample_sublevel_pair(
+            obj.value, e0, 12, radius, obj.norm, rng
+        )
+        assert obj.value(x) <= e0
+        assert obj.norm(y) == pytest.approx(1.0, rel=1e-12)
+        near_zero += obj.norm(x) < 1e-9 * radius
+    assert near_zero < 5  # fewer than 1 % of the draws
+
+
 def test_exact_and_explicit_gamma_are_eager(monkeypatch):
     # least squares, q = 2 with r >= 2 and an explicit gamma never sample,
     # and an explicit gamma is checked at construction
