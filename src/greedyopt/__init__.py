@@ -31,13 +31,8 @@ from .dictionaries import (
     synthesis_l1,
 )
 from .inner_solvers import (
-    LineSearchError,
-    LineSearchResult,
-    NonConvexityError,
     SliceResult,
     SubspaceToleranceError,
-    UnboundedBelowError,
-    line_search,
     minimize_on_slice,
     minimize_subspace,
 )

@@ -14,10 +14,10 @@ QR, and appends a column only for an atom that does not merge into the
 basis. A merged atom leaves the span unchanged, so the previous span
 solution, which met the contract on it, stands without a new solve.
 
-Every solver hands back its point, E there and, where it evaluated it, E'
-there: the run takes G and E from the result, and E' as the next selection
-gradient. A step short of the slice's minimizer, or with no slice, evaluates
-E itself, and E' at the next step.
+Every solver hands back its point, and E and E' there: the run takes G and
+E from the result, and E' as the next selection gradient. A step short of
+the slice's minimizer, or with no slice, evaluates E itself, and E' at the
+next step.
 
 A record keeps its coefficients over the run's atoms (`RunTrace.atoms`), not
 a copy of G: a relaxed rule appends its atom every step, with coefficients
@@ -46,7 +46,6 @@ from .dictionaries import (
 )
 from .inner_solvers import (
     SUBSPACE_TOL,
-    LineSearchError,
     SpanFactor,
     SubspaceToleranceError,
     minimize_on_slice,
@@ -451,7 +450,7 @@ def run_greedy(
                 raise MonotonicityError(
                     f"m={m}: energy rose {e_prev:.17g} -> {energy:.17g}"
                 )
-        except (LineSearchError, SubspaceToleranceError) as exc:
+        except SubspaceToleranceError as exc:
             trace.stop_reason = StopReason.INNER_FAILURE
             raise GreedyRunError(m, trace, exc) from exc
         except (

@@ -5,34 +5,31 @@ base + sum_i c_i d_i with one or two directions, and `minimize_on_slice` is
 its one solver. When E's minimizer over any affine set is the l2 projection
 of `Objective.projection_target`, the slice step is that projection, from
 the slice's 1x1 or 2x2 Gram system in closed form with lstsq's min-norm
-cutoff and one E' and one E at its point; it must pass the searches'
-first-order test, or the step falls back to the search. Otherwise one
-direction goes to `line_search` (derivative bisection on an interval, a ray
-or the whole line), and the plane, E over span{base, atom}, to one L-BFGS-B
-pass (Byrd, Lu, Nocedal & Zhu 1995) on those two columns.
+cutoff and one E' and one E at its point; it must pass a first-order test,
+or the step falls back to L-BFGS-B. Every other slice is one L-BFGS-B pass
+(Byrd, Lu, Nocedal & Zhu 1995) on the two columns [base, d]: the plane,
+E over span{base, atom}, with both coefficients free, and one direction
+with base's coefficient fixed at 1 and d's bounded to its interval, ray or
+line.
 
 The Chebyshev rule's span solve (`minimize_subspace`) is separate. Its basis
 lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. With a
 projection target the coefficients come from R c = Q^T target, then from a
 full `lstsq` if those miss the span contract. Otherwise it runs L-BFGS-B
-through the plane's helper (`_lbfgs`): first from the l2 projection of
+through the slices' helper (`_lbfgs`): first from the l2 projection of
 `Objective.minimizer`, E's global minimizer, when one is known (at an exact
 fit that projection is the fit), then, if that misses the contract or
 there is none, from the previous solution, with one stricter pass when
-that misses it. Every solve returns a `SliceResult`: its point and E
-there, and E' but after a line search: the projection step's and the span
-contract's checks read it, and an L-BFGS-B pass that ends on its last trial
-point hands back its own evaluations there.
-
-All routines assume convexity along the searched directions and verify it
-opportunistically: bracket/derivative inconsistencies raise instead of
-returning a silently wrong step.
+that misses it. Every solve returns a `SliceResult`: its point, and E and
+E' there: the projection step's and the span contract's checks read E',
+and an L-BFGS-B pass that ends on its last trial point hands back its own
+evaluations there.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -42,29 +39,15 @@ from .objectives import Objective
 
 DERIVATIVE_TOL = 1e-10
 SUBSPACE_TOL = 1e-8
-BRACKET_CAP = 2.0**60
-MAX_BISECT = 200
-# The plane's one L-BFGS-B pass: the span's first pass at its default
+# A slice's one L-BFGS-B pass: the span's first pass at its default
 # tolerance, with no contract to meet afterwards.
-PLANE_OPTIONS = {"maxiter": 4000, "maxfun": 8000, "gtol": DERIVATIVE_TOL, "ftol": 1e-18}
+SLICE_OPTIONS = {"maxiter": 4000, "maxfun": 8000, "gtol": DERIVATIVE_TOL, "ftol": 1e-18}
 # A column whose part orthogonal to the factored span, after CGS2, is at most
 # DEPENDENT_TOL times its norm is numerically dependent on that span.
 DEPENDENT_TOL = 1e-10
 # lstsq's default cutoff for a 2x2 system: eigenvalues of the Gram matrix at
 # most this times its largest are dropped.
 GRAM_CUTOFF = 2.0 * np.finfo(float).eps
-
-
-class LineSearchError(RuntimeError):
-    pass
-
-
-class UnboundedBelowError(LineSearchError):
-    """Bracketing exceeded the doubling cap without a derivative sign change."""
-
-
-class NonConvexityError(LineSearchError):
-    """Observed values/derivatives inconsistent with a convex profile."""
 
 
 class SubspaceToleranceError(RuntimeError):
@@ -77,122 +60,13 @@ class SubspaceToleranceError(RuntimeError):
 
 
 @dataclass
-class LineSearchResult:
-    argmin: float
-    value: float
-    derivative: float
-
-
-def _whole_line(lower: float, upper: float) -> bool:
-    """True for (-inf, inf), False for a finite lower <= upper; raises on
-    any other bounds."""
-    if lower == -math.inf and upper == math.inf:
-        return True
-    if math.isfinite(lower) and lower <= upper:
-        return False
-    raise ValueError(f"unsupported bounds [{lower}, {upper}]")
-
-
-def line_search(
-    phi: Callable[[float], float],
-    dphi: Callable[[float], float],
-    lower: float = -math.inf,
-    upper: float = math.inf,
-    tol: float = DERIVATIVE_TOL,
-) -> LineSearchResult:
-    """Minimize a convex scalar function with derivative dphi over
-    [lower, upper]: an interval, a ray (upper = inf) or, with lower = -inf
-    and upper = inf, the whole line.
-
-    On the whole line the sign of phi'(0) picks the descent side, and the
-    negative side is searched as the mirrored ray c -> phi(-c). Derivative
-    bisection: brackets a sign change by doubling from step 1 (cap 2^60),
-    then bisects until either |phi'| <= tol * (1 + |phi(lower)|) or the
-    bracket width collapses. For quadratics the returned value is within
-    O(tol^2) of the true minimum.
-    """
-    whole_line = _whole_line(lower, upper)
-    if whole_line:
-        lower = 0.0
-    d_lo = dphi(lower)
-    if whole_line and d_lo > 0.0:
-        mirrored = _search(
-            lambda c: phi(-c), lambda c: -dphi(-c), 0.0, math.inf, tol, -d_lo
-        )
-        return LineSearchResult(-mirrored.argmin, mirrored.value, -mirrored.derivative)
-    return _search(phi, dphi, lower, upper, tol, d_lo)
-
-
-def _search(phi, dphi, lower, upper, tol, d_lo) -> LineSearchResult:
-    """`line_search` on [lower, upper] with lower finite, given
-    d_lo = phi'(lower)."""
-    v_lo = phi(lower)
-    dtol = tol * (1.0 + abs(v_lo))
-    if d_lo >= -dtol:
-        # convex with nonnegative inward slope: boundary minimum
-        return LineSearchResult(lower, v_lo, d_lo)
-
-    if math.isfinite(upper):
-        d_hi = dphi(upper)
-        if d_hi <= dtol:
-            return LineSearchResult(upper, phi(upper), d_hi)
-        a, b = lower, upper
-    else:
-        step = 1.0
-        a, v_prev = lower, v_lo
-        while True:
-            b = lower + step
-            d_b = dphi(b)
-            v_b = phi(b)
-            if d_b > 0.0:
-                break
-            if v_b > v_prev + dtol * (1.0 + abs(v_prev)):
-                raise NonConvexityError(
-                    f"value rose ({v_prev} -> {v_b}) while derivative stayed <= 0"
-                )
-            a, v_prev = b, v_b
-            step *= 2.0
-            if step > BRACKET_CAP:
-                raise UnboundedBelowError(
-                    f"no derivative sign change within step {BRACKET_CAP:g}"
-                )
-
-    mid, d_mid = a, d_lo
-    for _ in range(MAX_BISECT):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        d_mid = dphi(mid)
-        if abs(d_mid) <= dtol:
-            return LineSearchResult(mid, phi(mid), d_mid)
-        if d_mid < 0.0:
-            a = mid
-        else:
-            b = mid
-    c = 0.5 * (a + b)
-    return LineSearchResult(c, phi(c), dphi(c))
-
-
-def _along(objective: Objective, point: np.ndarray, d: np.ndarray):
-    """c -> E(point + c d) and its derivative, for `line_search`."""
-
-    def phi(c):
-        return objective.value(point + c * d)
-
-    def dphi(c):
-        return float(np.dot(objective.gradient(point + c * d), d))
-
-    return phi, dphi
-
-
-@dataclass
 class SliceResult:
     """The result of every inner solve: a slice's or a span's."""
 
     coefficients: np.ndarray  # slice: base + sum_i c_i d_i; span: B c
     point: np.ndarray  # that minimizer, bitwise the point E was evaluated at
     energy: float  # E(point)
-    gradient: Optional[np.ndarray] = None  # E'(point); None after a line search
+    gradient: np.ndarray  # E'(point)
     grad_inf: float = math.nan  # span only: max_j |<E'(point), phi_j>|
 
 
@@ -224,10 +98,9 @@ def _projection_step(objective, base, directions, lower, upper):
     (`_min_norm_solve`), so a zero direction or two parallel ones get
     coefficient mass only where it lowers E; a one-direction step is clipped
     to [lower, upper]. Returns None when the directional derivatives at the
-    point fail the searches' stopping test, scaled by E at the point,
-    DERIVATIVE_TOL * (1 + |E|), so that the caller falls back to a search.
-    The slice holds base (c = 0), so at its minimizer that test is no looser
-    than the searches' own, which is scaled by E(base).
+    point fail the first-order test DERIVATIVE_TOL * (1 + |E|), scaled by E
+    at the point and one-sided at a bound, so that the caller falls back to
+    L-BFGS-B.
     """
     c = _min_norm_solve(directions, objective.projection_target - base)
     if len(directions) == 1:
@@ -252,8 +125,10 @@ def _projection_step(objective, base, directions, lower, upper):
     return SliceResult(c, point, energy, gradient=grad)
 
 
-def _lbfgs(objective, basis, coef, options) -> SliceResult:
-    """L-BFGS-B on c -> E(basis @ c) with the analytic gradient, from coef.
+def _lbfgs(objective, basis, coef, options, bounds=None) -> SliceResult:
+    """L-BFGS-B on c -> E(basis @ c) with the analytic gradient, from coef,
+    with c_i in [bounds[i][0], bounds[i][1]] (ends may be infinite) or, with
+    no bounds, c free; L-BFGS-B clips a start outside them.
 
     The result carries the point, E and E' there. The pass keeps basis @ c
     for its last c, and E and E' there once evaluated: E and E' at one c
@@ -281,23 +156,15 @@ def _lbfgs(objective, basis, coef, options) -> SliceResult:
         return rec[3]
 
     res = _scipy_minimize(
-        fun, coef, jac=lambda c: basis.T @ grad(c), method="L-BFGS-B", options=options
+        fun,
+        coef,
+        jac=lambda c: basis.T @ grad(c),
+        method="L-BFGS-B",
+        bounds=bounds,
+        options=options,
     )
     c = np.asarray(res.x, dtype=float)
     return SliceResult(c, at(c)[1], fun(c), grad(c))
-
-
-def _free_relaxation(objective, base, atom) -> SliceResult:
-    """Minimize E(alpha * base + lam * atom) over the plane, from
-    (alpha, lam) = (1, 0), that is from base, by one L-BFGS-B pass
-    (PLANE_OPTIONS); the coefficients are (alpha - 1, lam), and the result
-    carries E' at its point for the next selection. L-BFGS-B only accepts
-    points that lower E, so E(point) <= E(base); the run's monotone check
-    guards it all the same."""
-    basis = np.column_stack((base, atom))
-    res = _lbfgs(objective, basis, np.array([1.0, 0.0]), PLANE_OPTIONS)
-    res.coefficients[0] -= 1.0
-    return res
 
 
 def minimize_on_slice(
@@ -309,24 +176,31 @@ def minimize_on_slice(
 ) -> SliceResult:
     """Minimize E(base + sum_i c_i d_i) over the slice an update rule names.
 
-    One direction: c in [lower, upper], with lower finite, or the whole line
-    (lower = -inf, upper = inf). Two directions: the free-relaxation plane,
+    One direction d: c in [lower, upper], which must hold a finite c; either
+    end may be infinite. Two directions: the free-relaxation plane,
     directions = (base, atom) with no bounds; the coefficients (-w, lam)
     give the point (1 - w) base + lam atom.
 
     When `objective.projection_target` is set, the minimizer is that
     target's l2 projection onto the slice (`_projection_step`), at the cost
     of one E' and one E at its point, which its first-order test reads and
-    the result carries. A point that fails that test falls back to the
-    search below. Other objectives go straight to `line_search` or, on the
-    plane, to one L-BFGS-B pass (`_free_relaxation`). Every result carries
-    its point and E there, and E' but after a line search.
+    the result carries. A point that fails that test falls back to L-BFGS-B.
+    Other objectives go straight to it: one pass (SLICE_OPTIONS) on the
+    columns [base, d] from (1, 0), that is from base. On the plane both
+    coefficients are free, and the result's are (alpha - 1, lam). On one
+    direction base's is fixed at 1 and d's, the result's one coefficient,
+    is bounded by [lower, upper]. L-BFGS-B accepts only points that lower
+    E, so E(point) <= E(base) when the slice holds base; the run's monotone
+    check guards it all the same. Every result carries its point, and E and
+    E' there.
     """
     directions = tuple(directions)
-    whole_line = _whole_line(lower, upper)
+    if not (lower <= upper and lower < math.inf and upper > -math.inf):  # NaN too
+        raise ValueError(f"slice bounds [{lower}, {upper}] hold no finite c")
     if len(directions) == 2:
         d0 = directions[0]
-        if not whole_line or not (d0 is base or np.array_equal(d0, base)):
+        unbounded = (lower, upper) == (-math.inf, math.inf)
+        if not unbounded or not (d0 is base or np.array_equal(d0, base)):
             raise ValueError(
                 "a two-direction slice is the free-relaxation plane: "
                 "directions (base, atom) and no bounds"
@@ -338,11 +212,14 @@ def minimize_on_slice(
         step = _projection_step(objective, base, directions, lower, upper)
         if step is not None:
             return step
-    if len(directions) == 2:
-        return _free_relaxation(objective, base, directions[1])
-    (d,) = directions
-    res = line_search(*_along(objective, base, d), lower, upper)
-    return SliceResult(np.array([res.argmin]), base + res.argmin * d, res.value)
+    basis = np.column_stack((base, directions[-1]))
+    bounds = None if len(directions) == 2 else [(1.0, 1.0), (lower, upper)]
+    res = _lbfgs(objective, basis, np.array([1.0, 0.0]), SLICE_OPTIONS, bounds)
+    if bounds is None:
+        res.coefficients[0] -= 1.0
+    else:
+        res.coefficients = res.coefficients[1:]
+    return res
 
 
 class SpanFactor:

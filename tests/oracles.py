@@ -2,8 +2,8 @@
 
 Everything here is deliberately written against plain numpy primitives that
 differ from the package's code paths (normal equations instead of lstsq,
-closed forms instead of bisection), so agreement is evidence rather than a
-tautology.
+closed forms or bisection instead of L-BFGS-B), so agreement is evidence
+rather than a tautology.
 """
 
 import numpy as np
@@ -33,6 +33,32 @@ def quadratic_ray_minimum(y, g, phi):
     c = max(float(r @ phi) / denom, 0.0)
     diff = r - c * phi
     return c, 0.5 * float(diff @ diff)
+
+
+def convex_ray_minimum(value, slope, tol):
+    """Minimizer of a convex c -> value(c) over c >= 0, given its derivative
+    slope, by a doubling bracket and derivative bisection.
+
+    The bracket [a, b] doubles from [0, 1] until slope(b) >= 0, then halves
+    on the sign of slope at its midpoint until b - a <= tol * (1 + b).
+    Returns (c, value(c)) at the bracket's midpoint, or at 0 when
+    slope(0) >= 0.
+    """
+    if slope(0.0) >= 0.0:
+        return 0.0, value(0.0)
+    a, b = 0.0, 1.0
+    while slope(b) < 0.0:
+        if b > 2.0**60:
+            raise ValueError("no minimizer on the ray")
+        a, b = b, 2.0 * b
+    while b - a > tol * (1.0 + b):
+        mid = 0.5 * (a + b)
+        if slope(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    c = 0.5 * (a + b)
+    return c, value(c)
 
 
 def quadratic_line_minimum(y, g, phi):

@@ -28,12 +28,11 @@ from greedyopt.experiment import (
     monotonicity_defect,
     orthogonality_defect,
 )
-from greedyopt.inner_solvers import line_search
 from greedyopt.instances import gen_compressed_sensing, gen_low_rank, gen_lp_approx
 from greedyopt.objectives import make_least_squares, make_norm_power
 from greedyopt.theory import check_envelope, fit_power_slope
 
-from oracles import iterate, top_singular_eigh
+from oracles import convex_ray_minimum, iterate, top_singular_eigh
 
 SLOPE_BOUND = -0.40
 GRID_SEEDS = (1, 2)
@@ -202,8 +201,7 @@ def test_criterion_09_free_relaxation_dominates(grid):
             def slope(c, prev=prev, phi=phi):
                 return float(np.dot(objective.gradient(prev + c * phi), phi))
 
-            res = line_search(value, slope, 0.0, np.inf, 1e-12)
-            best = value(res.argmin)
+            _, best = convex_ray_minimum(value, slope, 1e-12)
             worst = max(worst, rec.energy - best)
             prev = iterate(entry.trace, dictionary, i)
     passed = worst <= 1e-9

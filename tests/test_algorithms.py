@@ -235,13 +235,17 @@ def test_chebyshev_inner_failure_is_loud():
 
 
 def test_chebyshev_non_quadratic_span_is_lbfgs_only(monkeypatch):
-    # on a non-quadratic objective the span solve is L-BFGS-B alone: no
-    # coordinate line searches, and a few hundred gradients for ten steps
-    # even where the planted target enters the span (E ~ 1e-25 from m = 8)
-    def no_line_search(*args, **kwargs):
-        raise AssertionError("minimize_subspace called line_search")
-
-    monkeypatch.setattr(inner_solvers, "line_search", no_line_search)
+    # on a non-quadratic objective the span solve is L-BFGS-B alone, one to
+    # three passes for each atom that enters the span, and a few hundred
+    # gradients for ten steps even where the planted target enters the span
+    # (E ~ 1e-25 from m = 8)
+    passes = []
+    scipy_minimize = inner_solvers._scipy_minimize
+    monkeypatch.setattr(
+        inner_solvers,
+        "_scipy_minimize",
+        lambda *a, **k: passes.append(1) or scipy_minimize(*a, **k),
+    )
     dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1000)
     calls = []
     counted = dataclasses.replace(
@@ -251,6 +255,8 @@ def test_chebyshev_non_quadratic_span_is_lbfgs_only(monkeypatch):
         counted, dic, 1.0, Chebyshev(), StopRule(max_m=10, sup_tol=-1.0)
     )
     assert trace.iterations == 10
+    atoms = len(trace.terms())
+    assert atoms <= len(passes) <= 3 * atoms
     assert len(calls) <= 1000
     # E at m = 10 from the three-stage solver (L-BFGS-B, coordinate polish,
     # L-BFGS-B) that this path replaced
@@ -309,13 +315,11 @@ def test_chebyshev_well_conditioned_span_never_calls_lstsq(monkeypatch):
 @pytest.mark.parametrize("rule", [FreeRelaxation(), ConvexRelaxation()])
 def test_relaxed_projection_steps_never_call_lstsq_or_search(monkeypatch, rule):
     # every slice step of a least-squares run is the closed-form projection:
-    # no lstsq, and no step falls back to a search (a line search, or the
-    # plane's L-BFGS-B pass)
+    # no lstsq, and no step falls back to the slices' L-BFGS-B pass
     def forbidden(*args, **kwargs):
         raise AssertionError("the slice step left the closed form")
 
     monkeypatch.setattr(np.linalg, "lstsq", forbidden)
-    monkeypatch.setattr(inner_solvers, "line_search", forbidden)
     monkeypatch.setattr(inner_solvers, "_scipy_minimize", forbidden)
     dic, y, _ = gen_compressed_sensing(64, 256, 8, seed=3)
     trace = run_ls(y, rule, dic=dic, max_m=60, sup_tol=-1.0)
@@ -444,6 +448,31 @@ def test_free_relaxation_non_quadratic_plane_calls_per_step(seed):
     trace = run_greedy(counted, dic, 1.0, FreeRelaxation(), StopRule(max_m=40))
     assert trace.iterations == 40
     assert len(calls) <= 40 * trace.iterations
+
+
+@pytest.mark.parametrize(
+    "rule", [ConvexRelaxation(), BestStep(), FixedRelaxation(0.1)], ids=lambda r: r.name
+)
+@pytest.mark.parametrize("seed", [1001, 1002, 1003])
+def test_non_quadratic_line_slice_calls_per_step(rule, seed):
+    # lp n=64, r=3, q=1.5, s=8: a one-direction slice is one L-BFGS-B pass,
+    # 6.5-11 E and as many E' calls per step, where the derivative bisection
+    # it replaced made 2-3 E and 36-38 E'
+    dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=seed)
+    calls = {"value": 0, "gradient": 0}
+
+    def counting(name, fn):
+        return lambda x: calls.__setitem__(name, calls[name] + 1) or fn(x)
+
+    counted = dataclasses.replace(
+        obj,
+        value_fn=counting("value", obj.value_fn),
+        gradient_fn=counting("gradient", obj.gradient_fn),
+    )
+    trace = run_greedy(counted, dic, 1.0, rule, StopRule(max_m=40))
+    assert trace.iterations >= 1
+    assert calls["value"] <= 12 * trace.iterations
+    assert calls["gradient"] <= 12 * trace.iterations
 
 
 def test_free_relaxation_never_worse_than_best_step_per_iteration():

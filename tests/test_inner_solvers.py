@@ -1,5 +1,5 @@
-"""Line search, slice solves (free relaxation included) and the Chebyshev
-subspace solver."""
+"""Slice solves (free relaxation included) and the Chebyshev subspace
+solver."""
 
 import dataclasses
 import math
@@ -13,12 +13,9 @@ from hypothesis.extra.numpy import arrays
 from greedyopt import inner_solvers
 from greedyopt.inner_solvers import (
     DERIVATIVE_TOL,
-    NonConvexityError,
     SpanFactor,
     SubspaceToleranceError,
-    UnboundedBelowError,
     _min_norm_solve,
-    line_search,
     minimize_on_slice,
     minimize_subspace,
 )
@@ -39,54 +36,18 @@ def vec(n, lo=-5.0, hi=5.0):
     )
 
 
-def square(center, shift=0.0):
-    """(c - center)^2 + shift and its derivative."""
-    return (lambda c: (c - center) ** 2 + shift), (lambda c: 2.0 * (c - center))
+def both_paths(objective):
+    """The objective as declared, and as one whose slices go to L-BFGS-B."""
+    return objective, dataclasses.replace(objective, projection_target=None)
+
+
+def searched_least_squares(y):
+    """0.5 ||y - x||^2 on the search path: its slices go to L-BFGS-B."""
+    return both_paths(make_least_squares(y))[1]
 
 
 # ---------------------------------------------------------------------------
-# ray / interval search
-
-
-def test_ray_quadratic_vertex():
-    res = line_search(*square(3.0), 0.0, math.inf)
-    assert res.argmin == pytest.approx(3.0, abs=1e-8)
-    assert res.value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_ray_boundary_minimum():
-    res = line_search(*square(0.0), 1.0, 2.0)
-    assert res.argmin == 1.0
-    assert res.derivative == pytest.approx(2.0, rel=1e-6)
-
-
-def test_ray_flat_at_origin():
-    res = line_search(*square(0.0), 0.0, math.inf)
-    assert res.argmin == 0.0
-    assert res.value == 0.0
-
-
-def test_ray_with_analytic_derivative():
-    res = line_search(*square(7.0, 1.0), 0.0, math.inf)
-    assert res.argmin == pytest.approx(7.0, abs=1e-8)
-    assert res.value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ray_unbounded_below():
-    with pytest.raises(UnboundedBelowError):
-        line_search(lambda c: -c, lambda c: -1.0, 0.0, math.inf)
-
-
-def test_ray_nonconvexity_detected():
-    # derivative claims descent while the values rise: inconsistent profile
-    with pytest.raises(NonConvexityError):
-        line_search(lambda c: c, lambda c: -1.0, 0.0, math.inf)
-
-
-@pytest.mark.parametrize("bounds", [(-math.inf, 0.0), (0.0, -1.0), (math.inf, math.inf)])
-def test_line_search_rejects_unsupported_bounds(bounds):
-    with pytest.raises(ValueError):
-        line_search(*square(1.0), *bounds)
+# one-direction slices on the search path: a ray, the whole line, [0, 1]
 
 
 @given(y=vec(4), g=vec(4), phi=vec(4))
@@ -96,53 +57,9 @@ def test_ray_matches_quadratic_closed_form(y, g, phi):
         return
     phi = phi / np.linalg.norm(phi)
     c_star, v_star = quadratic_ray_minimum(y, g, phi)
-
-    def energy(c):
-        d = y - g - c * phi
-        return 0.5 * float(d @ d)
-
-    def denergy(c):
-        return float(np.dot(phi, g + c * phi - y))
-
-    res = line_search(energy, denergy, 0.0, math.inf)
-    assert res.argmin == pytest.approx(c_star, abs=1e-8 * (1.0 + abs(c_star)))
-    assert res.value <= v_star + 1e-10 * (1.0 + abs(v_star))
-
-
-# ---------------------------------------------------------------------------
-# full-line search
-
-
-def test_real_negative_side():
-    phi, dphi = square(-2.0)
-    res = line_search(phi, dphi)
-    assert res.argmin == pytest.approx(-2.0, abs=1e-8)
-    # the mirrored search reports phi's own derivative, not the mirror's
-    assert res.derivative == dphi(res.argmin)
-
-
-def test_real_positive_side():
-    res = line_search(*square(2.0))
-    assert res.argmin == pytest.approx(2.0, abs=1e-8)
-
-
-def test_real_negative_side_evaluates_origin_slope_once():
-    # the mirrored ray reuses phi'(0): a search on the negative side costs
-    # as many derivative calls as its mirror image on the positive side
-    counts = {}
-    for center in (-2.0, 2.0):
-        phi, dphi = square(center)
-        calls = []
-        res = line_search(phi, lambda c: calls.append(c) or dphi(c))
-        assert res.argmin == pytest.approx(center, abs=1e-8)
-        assert sum(1 for c in calls if c == 0.0) == 1
-        counts[center] = len(calls)
-    assert counts[-2.0] == counts[2.0]
-
-
-def test_real_stationary_origin():
-    res = line_search(*square(0.0))
-    assert res.argmin == 0.0
+    res = minimize_on_slice(searched_least_squares(y), g, (phi,), 0.0, math.inf)
+    assert res.coefficients[0] == pytest.approx(c_star, abs=1e-8 * (1.0 + abs(c_star)))
+    assert res.energy <= v_star + 1e-10 * (1.0 + abs(v_star))
 
 
 @given(y=vec(3), g=vec(3), phi=vec(3))
@@ -152,43 +69,60 @@ def test_real_matches_quadratic_closed_form(y, g, phi):
         return
     phi = phi / np.linalg.norm(phi)  # atoms are unit-norm in the library
     c_star, v_star = quadratic_line_minimum(y, g, phi)
-
-    def energy(c):
-        d = y - g - c * phi
-        return 0.5 * float(d @ d)
-
-    def denergy(c):
-        return float(np.dot(phi, g + c * phi - y))
-
-    res = line_search(energy, denergy)
-    assert res.argmin == pytest.approx(c_star, abs=1e-8 * (1.0 + abs(c_star)))
-    assert res.value <= v_star + 1e-10 * (1.0 + abs(v_star))
+    res = minimize_on_slice(searched_least_squares(y), g, (phi,))
+    assert res.coefficients[0] == pytest.approx(c_star, abs=1e-8 * (1.0 + abs(c_star)))
+    assert res.energy <= v_star + 1e-10 * (1.0 + abs(v_star))
 
 
-# ---------------------------------------------------------------------------
-# unit interval
+def _unit_interval_argmin(vertex):
+    """The searched minimizer over [0, 1] of 0.5 (vertex - c)^2."""
+    obj = searched_least_squares([vertex])
+    return minimize_on_slice(obj, np.zeros(1), (np.ones(1),), 0.0, 1.0).coefficients[0]
 
 
 def test_unit_interval_clipped_vertex():
-    assert line_search(*square(2.0), 0.0, 1.0).argmin == 1.0
+    assert _unit_interval_argmin(2.0) == 1.0
 
 
 def test_unit_interval_interior_vertex():
-    res = line_search(*square(0.25), 0.0, 1.0)
-    assert res.argmin == pytest.approx(0.25, abs=1e-8)
+    assert _unit_interval_argmin(0.25) == pytest.approx(0.25, abs=1e-8)
 
 
 def test_unit_interval_monotone():
-    assert line_search(lambda t: t, lambda t: 1.0, 0.0, 1.0).argmin == 0.0
+    # E rises across the whole interval: the minimizer is its left end
+    assert _unit_interval_argmin(-1.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (0.0, -1.0),
+        (math.nan, 1.0),
+        (0.0, math.nan),
+        (math.inf, math.inf),
+        (-math.inf, -math.inf),
+    ],
+)
+def test_slice_rejects_bounds_without_a_finite_point(bounds):
+    obj = make_least_squares(np.ones(2))
+    with pytest.raises(ValueError):
+        minimize_on_slice(obj, np.zeros(2), (np.array([1.0, 0.0]),), *bounds)
+
+
+@pytest.mark.parametrize("bounds", [(-math.inf, 0.0), (1.0, 2.0)])
+def test_slice_clips_to_any_ordered_bounds(bounds):
+    # E(c d) = 0.5 (0.5 - c)^2 + 0.5: its vertex c = 0.5 lies outside both
+    # slices, so each minimizer is the bound nearest it, on either path
+    y, d = np.array([0.5, 1.0]), np.array([1.0, 0.0])
+    nearest = min(max(0.5, bounds[0]), bounds[1])
+    for obj in both_paths(make_least_squares(y)):
+        res = minimize_on_slice(obj, np.zeros(2), (d,), *bounds)
+        assert res.coefficients[0] == nearest
+        assert res.energy == obj.value(nearest * d)
 
 
 # ---------------------------------------------------------------------------
 # free relaxation: the plane slice (base, atom), searched and in closed form
-
-
-def both_paths(objective):
-    """The objective as declared, and as one the searches must solve."""
-    return objective, dataclasses.replace(objective, projection_target=None)
 
 
 def test_free_relaxation_matches_normal_equations():
@@ -488,7 +422,7 @@ def _wrong_target(y):
 )
 def test_slice_misdeclared_quadratic_falls_back(bounds):
     # the wrong projection fails the first-order test, and the step is
-    # bitwise the search's (which hands back no gradient)
+    # bitwise the search's, E' at its point included
     y = np.array([2.0, -1.0, 0.5])
     obj = _wrong_target(y)
     honest = dataclasses.replace(obj, projection_target=None)
@@ -499,7 +433,8 @@ def test_slice_misdeclared_quadratic_falls_back(bounds):
     assert res.coefficients.tobytes() == searched.coefficients.tobytes()
     assert res.point.tobytes() == searched.point.tobytes()
     assert res.energy == searched.energy
-    assert res.gradient is None
+    assert res.gradient.tobytes() == searched.gradient.tobytes()
+    assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
     c = res.coefficients[0]
     # the returned step passes the first-order test of the searches
     slope = float(np.dot(obj.gradient(base + c * d), d))
@@ -546,10 +481,9 @@ _BOTH_PATHS = [make_least_squares, lambda y: make_norm_power(y, 4.0, 2.0)]
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("make", _BOTH_PATHS)
 def test_slice_given_energy_and_gradient_is_bit_identical(seed, make):
-    # the run takes E, and E' where the solver evaluated it, from the
-    # result instead of evaluating them at its point: both must be bitwise
-    # what that evaluation gives, and a second solve of the same slice must
-    # give bitwise the same result
+    # the run takes E and E' from the result instead of evaluating them at
+    # its point: both must be bitwise what that evaluation gives, and a
+    # second solve of the same slice must give bitwise the same result
     y, base, phi = _ls_slice(seed)
     obj = make(y)
     for directions, lower, upper in _slices(base, phi):
@@ -558,10 +492,7 @@ def test_slice_given_energy_and_gradient_is_bit_identical(seed, make):
         assert again.coefficients.tobytes() == res.coefficients.tobytes()
         assert again.point.tobytes() == res.point.tobytes()
         assert res.energy == obj.value(res.point)
-        if obj.projection_target is None and len(directions) == 1:
-            assert res.gradient is None  # a line search hands back no E'
-        else:
-            assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
+        assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
 
 
 def test_slice_given_energy_skips_one_evaluation():
@@ -593,7 +524,7 @@ def test_slice_projection_test_is_scaled_by_the_energy_at_its_point():
     searched = dataclasses.replace(misdeclared, projection_target=None)
     res = minimize_on_slice(misdeclared, base, (d,))
     expected = minimize_on_slice(searched, base, (d,))
-    assert res.gradient is None
+    assert res.gradient.tobytes() == misdeclared.gradient(res.point).tobytes()
     assert res.coefficients.tobytes() == expected.coefficients.tobytes()
     assert res.point.tobytes() == expected.point.tobytes()
     assert res.energy == expected.energy
@@ -603,14 +534,13 @@ def test_slice_projection_test_is_scaled_by_the_energy_at_its_point():
 @pytest.mark.parametrize("make", _BOTH_PATHS)
 def test_slice_result_carries_its_point(seed, make):
     # on every path the result's point is base + sum_i c_i d_i, E there is
-    # its energy and, on the projection path, E' there its gradient
+    # its energy and E' there its gradient
     y, base, phi = _ls_slice(seed)
     obj = make(y)
     for directions, lower, upper in _slices(base, phi):
         res = minimize_on_slice(obj, base, directions, lower, upper)
         assert res.energy == obj.value(res.point)
-        if res.gradient is not None:
-            assert np.array_equal(res.gradient, obj.gradient(res.point))
+        assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
         if len(directions) == 1:
             c = res.coefficients[0]
             assert np.array_equal(res.point, base + c * directions[0])
@@ -623,23 +553,21 @@ def test_slice_result_carries_its_point(seed, make):
 @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.0, math.inf), (-math.inf, math.inf)])
 def test_slice_gradient(bounds):
     # the exact step returns the gradient its first-order test evaluated at
-    # base + c d, bitwise; a search returns no gradient
+    # base + c d, and the search E' at its own point, bitwise
     y, base, phi = _ls_slice(2)
     d = phi - base
     exact = minimize_on_slice(make_least_squares(y), base, (d,), *bounds)
     (c,) = exact.coefficients.tolist()
     assert np.array_equal(exact.gradient, make_least_squares(y).gradient(base + c * d))
-    searched = minimize_on_slice(make_norm_power(y, 4.0, 2.0), base, (d,), *bounds)
-    assert searched.gradient is None
+    norm_power = make_norm_power(y, 4.0, 2.0)
+    searched = minimize_on_slice(norm_power, base, (d,), *bounds)
+    assert searched.gradient.tobytes() == norm_power.gradient(searched.point).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_slice_plane_is_one_lbfgs_pass(monkeypatch, seed):
-    # a non-quadratic plane is one L-BFGS-B pass and no line search; a
-    # least-squares plane is the closed form, with neither
-    def no_line_search(*args, **kwargs):
-        raise AssertionError("the plane called line_search")
-
+    # a non-quadratic plane is one L-BFGS-B pass; a least-squares plane is
+    # the closed form, with none
     passes = []
     scipy_minimize = inner_solvers._scipy_minimize
 
@@ -647,13 +575,32 @@ def test_slice_plane_is_one_lbfgs_pass(monkeypatch, seed):
         passes.append(1)
         return scipy_minimize(*args, **kwargs)
 
-    monkeypatch.setattr(inner_solvers, "line_search", no_line_search)
     monkeypatch.setattr(inner_solvers, "_scipy_minimize", counted)
     y, base, phi = _ls_slice(seed)
     minimize_on_slice(make_norm_power(y, 4.0, 2.0), base, (base, phi))
     assert len(passes) == 1
     minimize_on_slice(make_least_squares(y), base, (base, phi))
     assert len(passes) == 1
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.0, math.inf), (-math.inf, math.inf)])
+def test_slice_line_is_one_lbfgs_pass(monkeypatch, bounds):
+    # a non-quadratic segment, ray or line is one L-BFGS-B pass, with base's
+    # coefficient fixed at 1 and d's bounded by the slice; a least-squares
+    # one is the closed form, with none
+    calls = []
+    scipy_minimize = inner_solvers._scipy_minimize
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["bounds"])
+        return scipy_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(inner_solvers, "_scipy_minimize", counted)
+    y, base, phi = _ls_slice(4)
+    minimize_on_slice(make_norm_power(y, 4.0, 2.0), base, (phi - base,), *bounds)
+    assert calls == [[(1.0, 1.0), bounds]]
+    minimize_on_slice(make_least_squares(y), base, (phi - base,), *bounds)
+    assert len(calls) == 1
 
 
 def _counted_passes(monkeypatch):
@@ -742,8 +689,6 @@ def test_slice_rejects_unsupported_shapes():
         minimize_on_slice(obj, base, (base, d), 0.0, 1.0)
     with pytest.raises(ValueError):
         minimize_on_slice(obj, base, (d, d, d))
-    with pytest.raises(ValueError):  # half-line bounded above only
-        minimize_on_slice(obj, base, (d,), -math.inf, 0.0)
 
 
 # ---------------------------------------------------------------------------
