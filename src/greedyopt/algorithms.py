@@ -17,7 +17,9 @@ solution, which met the contract on it, stands without a new solve.
 Every solver hands back its point, and E and E' there: the run takes G and
 E from the result, and E' as the next selection gradient. A step short of
 the slice's minimizer, or with no slice, evaluates E itself, and E' at the
-next step.
+next step. The selection's certificate carries the vector it scored, and
+the step moves along it, so a step realizes its atom once; at a wcga fixed
+point the finite dictionary hands back its last vector.
 
 A record keeps its coefficients over the run's atoms (`RunTrace.atoms`), not
 a copy of G: a relaxed rule appends its atom every step, with coefficients
@@ -393,8 +395,9 @@ def run_greedy(
             if rule.selection == "energy":
                 c_m = _schedule_value(rule.steps, m)
                 atom = select_e_greedy_fixed(dictionary, objective, G, c_m)
-                score = float(np.dot(direction, dictionary.realize(atom)))
-                cert = SelectionCertificate(atom, score, math.nan, t_m, math.nan)
+                phi = dictionary.realize(atom)
+                score = float(np.dot(direction, phi))
+                cert = SelectionCertificate(atom, score, math.nan, t_m, math.nan, phi)
             else:
                 # a convex rule's functional is shifted by -G: the same
                 # argmax atom, but score and reference include the shift
@@ -404,8 +407,7 @@ def run_greedy(
                     trace.stop_reason = StopReason.SUP_SCORE_TOL
                     break
 
-            atom = cert.atom
-            phi = dictionary.realize(atom)
+            atom, phi = cert.atom, cert.vector
 
             # --- update: the span solve, or the rule's declared step -------
             if span is not None:

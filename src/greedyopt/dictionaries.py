@@ -12,7 +12,7 @@ from one shifted inverse-iteration solve on (W / s_1)^T (W / s_1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -83,6 +83,8 @@ class SelectionCertificate:
         it bounds the Frank-Wolfe duality gap.
     weakness: the t_m the selection claims.
     ratio: score / reference (1.0 when the reference is 0).
+    vector: realize(atom), the vector the score was computed from, which
+        the greedy drivers step along instead of realizing the atom again.
     """
 
     atom: Atom
@@ -90,6 +92,7 @@ class SelectionCertificate:
     reference: float
     weakness: float
     ratio: float
+    vector: np.ndarray = field(compare=False, repr=False)
 
 
 def column_norms(a: np.ndarray) -> np.ndarray:
@@ -172,6 +175,7 @@ class FiniteDictionary:
         cols.setflags(write=False)
         self._columns = cols
         self._last = (None, None)  # bytes of the last query, and its answer
+        self._realized = (None, None)  # the last atom realized, and its vector
 
     @classmethod
     def from_matrix(cls, raw: np.ndarray) -> "FiniteDictionary":
@@ -193,9 +197,16 @@ class FiniteDictionary:
         return self._columns
 
     def realize(self, atom: Atom) -> np.ndarray:
-        if not (0 <= atom.index < self.size):
-            raise IndexError(f"atom index {atom.index} out of range")
-        return atom.sign * self._columns[:, atom.index]
+        """sign * column, read-only. The atom object realized last (the one
+        `certified_sup` hands back again at a wcga fixed point) gets the
+        same vector back without a new copy."""
+        if atom is not self._realized[0]:
+            if not (0 <= atom.index < self.size):
+                raise IndexError(f"atom index {atom.index} out of range")
+            vec = atom.sign * self._columns[:, atom.index]
+            vec.setflags(write=False)
+            self._realized = (atom, vec)
+        return self._realized[1]
 
     def certified_sup(self, w: np.ndarray):
         """(value, atom, upper): exact sup of <w, g> over +-columns, so
@@ -223,6 +234,9 @@ class RankOneDictionary:
         if side < 1:
             raise ValueError("side must be >= 1")
         self.side = side
+        # inverse iteration's start (certified_sup), computed once per side
+        self._start = np.sin(np.arange(1.0, side + 1.0))
+        self._start.setflags(write=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -232,7 +246,7 @@ class RankOneDictionary:
         if atom.factors is None:
             raise ValueError("rank-one atom requires (u, v) factors")
         u, v = atom.factors
-        return atom.sign * np.outer(u, v).ravel()
+        return np.outer(atom.sign * u, v).ravel()  # the bits of sign * (u v^T)
 
     def certified_sup(self, w: np.ndarray):
         """(value, atom, upper) for W = reshape(w): s_1 from a values-only
@@ -270,7 +284,7 @@ class RankOneDictionary:
         A = W / s1
         M = A.T @ A
         M.flat[:: n + 1] -= 1.0 + SVD_ERROR_FACTOR * n * _EPS
-        start = np.sin(np.arange(1.0, n + 1.0))
+        start = self._start
         # A.T @ A is exactly symmetric (syrk), so M.T is M in Fortran order,
         # which dgesv factors in place
         lu, piv, x, info = dgesv(M.T, start, overwrite_a=True)
@@ -312,7 +326,8 @@ def select_gradient_greedy(
     _, atom, upper = dictionary.certified_sup(direction)
     if not math.isfinite(upper):  # a slack of 1e-10 * inf certifies anything
         raise WeaknessCertificationError(f"reference sup is not finite: {upper}")
-    score = float(np.dot(direction, dictionary.realize(atom))) - shift
+    vector = dictionary.realize(atom)
+    score = float(np.dot(direction, vector)) - shift
     reference = upper - shift
     ratio = 1.0 if reference == 0.0 else score / reference
     slack = WEAKNESS_SLACK * max(1.0, upper, abs(shift))
@@ -320,7 +335,7 @@ def select_gradient_greedy(
         raise WeaknessCertificationError(
             f"achieved {score:.6e} < t * reference = {weakness * reference:.6e}"
         )
-    return SelectionCertificate(atom, score, reference, weakness, ratio)
+    return SelectionCertificate(atom, score, reference, weakness, ratio, vector)
 
 
 def select_e_greedy_fixed(

@@ -5,12 +5,12 @@ base + sum_i c_i d_i with one or two directions, and `minimize_on_slice` is
 its one solver. When E's minimizer over any affine set is the l2 projection
 of `Objective.projection_target`, the slice step is that projection, from
 the slice's 1x1 or 2x2 Gram system in closed form with lstsq's min-norm
-cutoff and one E' and one E at its point; it must pass a first-order test,
-or the step falls back to L-BFGS-B. Every other slice is one L-BFGS-B pass
-(Byrd, Lu, Nocedal & Zhu 1995) on the two columns [base, d]: the plane,
-E over span{base, atom}, with both coefficients free, and one direction
-with base's coefficient fixed at 1 and d's bounded to its interval, ray or
-line.
+cutoff and one `Objective.value_and_gradient` call at its point; it must
+pass a first-order test, or the step falls back to L-BFGS-B. Every other
+slice is one L-BFGS-B pass (Byrd, Lu, Nocedal & Zhu 1995) on the two
+columns [base, d]: the plane, E over span{base, atom}, with both
+coefficients free, and one direction with base's coefficient fixed at 1
+and d's bounded to its interval, ray or line.
 
 The Chebyshev rule's span solve (`minimize_subspace`) is separate. Its basis
 lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. With a
@@ -22,8 +22,9 @@ fit that projection is the fit), then, if that misses the contract or
 there is none, from the previous solution, with one stricter pass when
 that misses it. Every solve returns a `SliceResult`: its point, and E and
 E' there: the projection step's and the span contract's checks read E',
-and an L-BFGS-B pass that ends on its last trial point hands back its own
-evaluations there.
+and an L-BFGS-B pass hands back its own evaluations when it ends on one of
+its last two points. L-BFGS-B asks for E and E' at every point it tries,
+and each point is one `value_and_gradient` call.
 """
 from __future__ import annotations
 
@@ -109,8 +110,7 @@ def _projection_step(objective, base, directions, lower, upper):
     point = base
     for c_i, d_i in zip(c, directions):
         point = point + c_i * d_i
-    grad = objective.gradient(point)
-    energy = objective.value(point)
+    energy, grad = objective.value_and_gradient(point)
     dtol = DERIVATIVE_TOL * (1.0 + abs(energy))
     for c_i, d_i in zip(c, directions):
         s = float(np.dot(grad, d_i))
@@ -130,41 +130,34 @@ def _lbfgs(objective, basis, coef, options, bounds=None) -> SliceResult:
     with c_i in [bounds[i][0], bounds[i][1]] (ends may be infinite) or, with
     no bounds, c free; L-BFGS-B clips a start outside them.
 
-    The result carries the point, E and E' there. The pass keeps basis @ c
-    for its last c, and E and E' there once evaluated: E and E' at one c
-    share one product, and a pass that ends on its last trial point (most
-    do) hands back its own evaluations, so only what it lacks at the
-    returned c is evaluated after it."""
-    last = [None, None, None, None]  # bytes of c, basis @ c, E and E' there
+    The result carries the point, E and E' there. L-BFGS-B asks for E and
+    E' at every point it tries, so each point gets one
+    `Objective.value_and_gradient` call. The pass keeps basis @ c, E and E'
+    for its last two c: a pass whose line search fails returns to the
+    iterate before its trial point, and a pass that ends on one of them
+    (most do) hands back its own evaluations there."""
+    memo = []  # up to two (bytes of c, basis @ c, E, E'), the newest last
 
     def at(c):
         key = c.tobytes()
-        if key != last[0]:
-            last[:] = key, basis @ c, None, None
-        return last
-
-    def fun(c):
-        rec = at(c)
-        if rec[2] is None:
-            rec[2] = objective.value(rec[1])
-        return rec[2]
-
-    def grad(c):
-        rec = at(c)
-        if rec[3] is None:
-            rec[3] = objective.gradient(rec[1])
-        return rec[3]
+        for rec in memo:
+            if rec[0] == key:
+                return rec
+        point = basis @ c
+        rec = (key, point, *objective.value_and_gradient(point))
+        memo[:] = memo[-1:] + [rec]
+        return rec
 
     res = _scipy_minimize(
-        fun,
+        lambda c: at(c)[2],
         coef,
-        jac=lambda c: basis.T @ grad(c),
+        jac=lambda c: basis.T @ at(c)[3],
         method="L-BFGS-B",
         bounds=bounds,
         options=options,
     )
     c = np.asarray(res.x, dtype=float)
-    return SliceResult(c, at(c)[1], fun(c), grad(c))
+    return SliceResult(c, *at(c)[1:])
 
 
 def minimize_on_slice(
@@ -183,16 +176,16 @@ def minimize_on_slice(
 
     When `objective.projection_target` is set, the minimizer is that
     target's l2 projection onto the slice (`_projection_step`), at the cost
-    of one E' and one E at its point, which its first-order test reads and
-    the result carries. A point that fails that test falls back to L-BFGS-B.
-    Other objectives go straight to it: one pass (SLICE_OPTIONS) on the
-    columns [base, d] from (1, 0), that is from base. On the plane both
-    coefficients are free, and the result's are (alpha - 1, lam). On one
-    direction base's is fixed at 1 and d's, the result's one coefficient,
-    is bounded by [lower, upper]. L-BFGS-B accepts only points that lower
-    E, so E(point) <= E(base) when the slice holds base; the run's monotone
-    check guards it all the same. Every result carries its point, and E and
-    E' there.
+    of one `value_and_gradient` call at its point, which its first-order
+    test reads and the result carries. A point that fails that test falls
+    back to L-BFGS-B. Other objectives go straight to it: one pass
+    (SLICE_OPTIONS) on the columns [base, d] from (1, 0), that is from base.
+    On the plane both coefficients are free, and the result's are
+    (alpha - 1, lam). On one direction base's is fixed at 1 and d's, the
+    result's one coefficient, is bounded by [lower, upper]. L-BFGS-B
+    accepts only points that lower E, so E(point) <= E(base) when the slice
+    holds base; the run's monotone check guards it all the same. Every
+    result carries its point, and E and E' there.
     """
     directions = tuple(directions)
     if not (lower <= upper and lower < math.inf and upper > -math.inf):  # NaN too

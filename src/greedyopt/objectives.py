@@ -5,11 +5,15 @@ with optional metadata used by the greedy drivers and the verification harness:
 a power-type smoothness envelope rho(E, u) <= gamma * u^q with 1 < q <= 2, a
 radius bound on the sublevel set D = {x : E(x) <= E(0)}, and the ambient norm
 the envelope refers to (l2 unless stated otherwise).
+
+The inner solvers need E and E' at one point together, through
+`Objective.value_and_gradient`. A norm power computes both from one residual
+f - x and one l_r norm of it; least squares and logistic make the two calls.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional, Union
 
@@ -91,11 +95,13 @@ class Objective:
     """Differentiable convex objective with optional smoothness metadata.
 
     value/gradient validate dimensions and reject non-finite results instead
-    of letting NaN propagate into a greedy run. Two optional points guide
-    the inner solvers: `projection_target` t, when E is a quadratic around
-    t, and `minimizer`, a point where E attains its minimum over R^dim (the
-    target of least squares and of every norm power; None for logistic),
-    whose l2 projection onto the span starts the non-quadratic span solve.
+    of letting NaN propagate into a greedy run; value_and_gradient gives
+    both at one point, with the same bits and errors. Two optional points
+    guide the inner solvers: `projection_target` t, when E is a quadratic
+    around t, and `minimizer`, a point where E attains its minimum over
+    R^dim (the target of least squares and of every norm power; None for
+    logistic), whose l2 projection onto the span starts the non-quadratic
+    span solve.
     """
 
     dimension: int
@@ -112,6 +118,21 @@ class Objective:
         default=None, compare=False, repr=False
     )
     minimizer: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    # x -> (E(x), E'(x)) with the bits of value_fn and gradient_fn, sharing
+    # the work of one point; None: value_and_gradient makes the two calls.
+    # Set only by `with_fused`. It is not an __init__ field, so
+    # dataclasses.replace leaves it None: a copy whose value_fn or
+    # gradient_fn was swapped never keeps the old pair's fused function.
+    value_and_gradient_fn: Optional[Callable] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def with_fused(self, value_and_gradient_fn: Callable) -> "Objective":
+        """A copy whose `value_and_gradient` calls value_and_gradient_fn,
+        which must return the bits of (value_fn(x), gradient_fn(x))."""
+        fused = replace(self)
+        object.__setattr__(fused, "value_and_gradient_fn", value_and_gradient_fn)
+        return fused
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -147,6 +168,25 @@ class Objective:
             raise NonFiniteEnergyError(f"E'(x) is not finite for {self.label!r}")
         return g
 
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(E(x), E'(x)): bitwise, and with the errors of, `gradient(x)`
+        followed by `value(x)`. With `value_and_gradient_fn` one call
+        computes both; a result that would fail a check is recomputed by
+        the two calls, which raise that check's error."""
+        if self.value_and_gradient_fn is not None:
+            x = self._check(x)
+            try:
+                v, g = self.value_and_gradient_fn(x)
+            except OverflowError:
+                pass
+            else:
+                v, g = float(v), np.asarray(g, dtype=float)
+                finite = math.isfinite(v) and np.isfinite(g).all()
+                if finite and g.shape == (self.dimension,):
+                    return v, g
+        g = self.gradient(x)
+        return self.value(x), g
+
 
 def make_least_squares(target: np.ndarray) -> Objective:
     """E(x) = 0.5 * ||target - x||_2^2 on R^len(target).
@@ -181,8 +221,12 @@ def make_least_squares(target: np.ndarray) -> Objective:
 def _norming_functional(v: np.ndarray, nv: float, r: float) -> np.ndarray:
     """F_v with <F_v, v> = ||v||_r and dual norm 1, for 1 < r < infinity,
     given nv = lr_norm(v, r) > 0. In place, with the bits of
-    sign(w) * |w| ** (r - 1) for w = v / nv."""
+    sign(w) * |w| ** (r - 1) for w = v / nv: at r = 2 that is w itself,
+    with +0.0 for -0.0 (np.sign(-0.0) is +0.0)."""
     w = v / nv
+    if r == 2.0:
+        w += 0.0
+        return w
     f = np.abs(w)
     f **= r - 1.0
     f *= np.sign(w)
@@ -264,14 +308,21 @@ def make_norm_power(
     def value(x):
         return norm(f - x) ** q
 
-    def grad(x):
-        v = f - x
-        nv = norm(v)
+    def grad_at(v, nv):  # E' at x, given v = f - x and nv = norm(v)
         if nv == 0.0:
             return np.zeros(dim)
         g = _norming_functional(v, nv, r)
         g *= -q * nv ** (q - 1.0)
         return g
+
+    def grad(x):
+        v = f - x
+        return grad_at(v, norm(v))
+
+    def value_and_grad(x):
+        v = f - x
+        nv = norm(v)
+        return nv**q, grad_at(v, nv)
 
     radius = 2.0 * norm(f)
     if gamma is None:
@@ -290,7 +341,7 @@ def make_norm_power(
         label=f"norm_power(r={r}, q={q})",
         projection_target=f if r == 2.0 and q == 2.0 else None,
         minimizer=f,
-    )
+    ).with_fused(value_and_grad)
 
 
 def make_logistic(labels: np.ndarray, features: np.ndarray, mu: float) -> Objective:

@@ -46,6 +46,20 @@ def run_ls(target, rule, *, weakness=1.0, dic=None, **stop_kwargs):
     return run_greedy(obj, dic, WeaknessSequence.constant(weakness), rule, stop)
 
 
+def count_calls(obj, calls):
+    """obj with each E call appended to the list calls as "value" and each
+    E' call as "gradient"; a fused value_and_gradient call appends both."""
+    fused = obj.value_and_gradient_fn
+    counted = dataclasses.replace(
+        obj,
+        value_fn=lambda x: calls.append("value") or obj.value_fn(x),
+        gradient_fn=lambda x: calls.append("gradient") or obj.gradient_fn(x),
+    )
+    if fused is None:
+        return counted
+    return counted.with_fused(lambda x: calls.extend(("gradient", "value")) or fused(x))
+
+
 # ---------------------------------------------------------------------------
 # weakness sequences
 
@@ -201,6 +215,44 @@ def test_chebyshev_fixed_point_repeats_the_sup_answer(monkeypatch):
             assert _same_bits(getattr(prev, name), getattr(rec, name)), name
 
 
+def test_chebyshev_fixed_point_realizes_nothing(monkeypatch):
+    # the run steps along the vector the selection scored, and at a fixed
+    # point the finite dictionary hands back its last vector for the atom
+    # object its memo returns again
+    dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1001)  # as _fixed_point_run
+    vectors = []
+    realize = dic.realize
+    monkeypatch.setattr(
+        dic, "realize", lambda atom: vectors.append(realize(atom)) or vectors[-1]
+    )
+    trace = run_greedy(obj, dic, 1.0, Chebyshev(), StopRule(max_m=24, sup_tol=-1.0))
+    assert len(vectors) == trace.iterations == 24
+    assert vectors[15] is not vectors[16]
+    assert all(v is vectors[16] for v in vectors[16:])
+    assert not vectors[16].flags.writeable
+    # a merged record shares its coefficient array and its l1 mass
+    for prev, rec in zip(trace.records[16:], trace.records[17:]):
+        assert rec.coefficients is prev.coefficients
+        assert rec.l1_mass == prev.l1_mass
+
+
+@pytest.mark.parametrize("rule", [ConvexRelaxation(), FreeRelaxation()])
+@pytest.mark.parametrize("kind", ["compressed_sensing", "low_rank"])
+def test_relaxed_step_realizes_its_atom_once(monkeypatch, rule, kind):
+    # the selection realizes the atom to score it, and the step reuses it
+    if kind == "compressed_sensing":
+        dic, y, _ = gen_compressed_sensing(16, 64, 4, mass=1.0, seed=3)
+        obj = make_least_squares(y)
+    else:
+        dic, target, _ = gen_low_rank(8, 2, mass=1.0, seed=3)
+        obj = make_norm_power(target.ravel(), 2.0, 2.0)
+    calls = []
+    realize = dic.realize
+    monkeypatch.setattr(dic, "realize", lambda atom: calls.append(1) or realize(atom))
+    trace = run_greedy(obj, dic, 1.0, rule, StopRule(max_m=20, sup_tol=-1.0))
+    assert len(calls) == trace.iterations == 20
+
+
 def test_weakness_list_exhausted_at_fixed_point():
     # each step still reads its own t_m, so a list that runs out inside the
     # fixed point aborts at the same m and keeps its partial trace
@@ -248,16 +300,14 @@ def test_chebyshev_non_quadratic_span_is_lbfgs_only(monkeypatch):
     )
     dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1000)
     calls = []
-    counted = dataclasses.replace(
-        obj, gradient_fn=lambda x: calls.append(1) or obj.gradient_fn(x)
-    )
+    counted = count_calls(obj, calls)
     trace = run_greedy(
         counted, dic, 1.0, Chebyshev(), StopRule(max_m=10, sup_tol=-1.0)
     )
     assert trace.iterations == 10
     atoms = len(trace.terms())
     assert atoms <= len(passes) <= 3 * atoms
-    assert len(calls) <= 1000
+    assert calls.count("gradient") <= 1000
     # E at m = 10 from the three-stage solver (L-BFGS-B, coordinate polish,
     # L-BFGS-B) that this path replaced
     assert trace.records[-1].energy == pytest.approx(4.911012862748374e-25, abs=1e-20)
@@ -278,22 +328,14 @@ def test_chebyshev_exact_fit_span_solve_is_one_lbfgs_pass(monkeypatch):
 
     monkeypatch.setattr(inner_solvers, "_lbfgs", counted_pass)
     dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1001)
-    calls = {"value": 0, "gradient": 0}
-
-    def counting(name, fn):
-        return lambda x: calls.__setitem__(name, calls[name] + 1) or fn(x)
-
-    counted = dataclasses.replace(
-        obj,
-        value_fn=counting("value", obj.value_fn),
-        gradient_fn=counting("gradient", obj.gradient_fn),
-    )
+    calls = []
+    counted = count_calls(obj, calls)
     trace = run_greedy(counted, dic, 1.0, Chebyshev(), StopRule(max_m=8, sup_tol=-1.0))
     assert len(trace.terms()) == 8
     assert widths.count(8) == 1
     assert trace.records[-1].grad_inf <= 1e-8
     assert trace.records[-1].energy <= 1e-20
-    assert calls["value"] <= 120 and calls["gradient"] <= 120
+    assert calls.count("value") <= 120 and calls.count("gradient") <= 120
 
 
 def test_chebyshev_well_conditioned_span_never_calls_lstsq(monkeypatch):
@@ -440,11 +482,7 @@ def test_free_relaxation_non_quadratic_plane_calls_per_step(seed):
     # E/E' calls per step, where alternating line searches took about 300
     dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=seed)
     calls = []
-    counted = dataclasses.replace(
-        obj,
-        value_fn=lambda x: calls.append(1) or obj.value_fn(x),
-        gradient_fn=lambda x: calls.append(1) or obj.gradient_fn(x),
-    )
+    counted = count_calls(obj, calls)
     trace = run_greedy(counted, dic, 1.0, FreeRelaxation(), StopRule(max_m=40))
     assert trace.iterations == 40
     assert len(calls) <= 40 * trace.iterations
@@ -459,20 +497,12 @@ def test_non_quadratic_line_slice_calls_per_step(rule, seed):
     # 6.5-11 E and as many E' calls per step, where the derivative bisection
     # it replaced made 2-3 E and 36-38 E'
     dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=seed)
-    calls = {"value": 0, "gradient": 0}
-
-    def counting(name, fn):
-        return lambda x: calls.__setitem__(name, calls[name] + 1) or fn(x)
-
-    counted = dataclasses.replace(
-        obj,
-        value_fn=counting("value", obj.value_fn),
-        gradient_fn=counting("gradient", obj.gradient_fn),
-    )
+    calls = []
+    counted = count_calls(obj, calls)
     trace = run_greedy(counted, dic, 1.0, rule, StopRule(max_m=40))
     assert trace.iterations >= 1
-    assert calls["value"] <= 12 * trace.iterations
-    assert calls["gradient"] <= 12 * trace.iterations
+    assert calls.count("value") <= 12 * trace.iterations
+    assert calls.count("gradient") <= 12 * trace.iterations
 
 
 def test_free_relaxation_never_worse_than_best_step_per_iteration():
@@ -663,11 +693,7 @@ def test_slice_gradient_is_the_next_selection_gradient(rule, kind):
         dic, target, _ = gen_low_rank(8, 2, mass=1.0, seed=3)
         obj = make_norm_power(target.ravel(), 2.0, 2.0)
     calls = []
-    counted = dataclasses.replace(
-        obj,
-        value_fn=lambda x: calls.append("value") or obj.value_fn(x),
-        gradient_fn=lambda x: calls.append("gradient") or obj.gradient_fn(x),
-    )
+    counted = count_calls(obj, calls)
     trace = run_greedy(counted, dic, 1.0, rule, StopRule(max_m=20, sup_tol=-1.0))
     assert trace.iterations == 20
     counts = (calls.count("value"), calls.count("gradient"))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from greedyopt import inner_solvers
+from greedyopt import inner_solvers, objectives
 from greedyopt.inner_solvers import (
     DERIVATIVE_TOL,
     SpanFactor,
@@ -499,16 +499,24 @@ def test_slice_given_energy_skips_one_evaluation():
     # the projection's first-order test is scaled by E at its point, which
     # the result needs anyway: E' there, then E there, and no E(base)
     y, base, phi = _ls_slice(5)
-    calls = []
-    obj = make_least_squares(y)
-    counted = dataclasses.replace(
-        obj,
-        value_fn=lambda x: calls.append(("value", x)) or obj.value_fn(x),
-        gradient_fn=lambda x: calls.append(("gradient", x)) or obj.gradient_fn(x),
-    )
-    res = minimize_on_slice(counted, base, (base, phi))
-    assert [name for name, _ in calls] == ["gradient", "value"]
-    assert all(np.array_equal(x, res.point) for _, x in calls)
+    # least squares makes the two calls; ||y - x||_2^2 makes one fused call
+    for make in (make_least_squares, lambda y: make_norm_power(y, 2.0, 2.0)):
+        calls = []
+        obj = make(y)
+        fused = obj.value_and_gradient_fn  # one call counts as E' and E
+        counted = dataclasses.replace(
+            obj,
+            value_fn=lambda x: calls.append(("value", x)) or obj.value_fn(x),
+            gradient_fn=lambda x: calls.append(("gradient", x))
+            or obj.gradient_fn(x),
+        )
+        if fused is not None:
+            counted = counted.with_fused(
+                lambda x: calls.extend((("gradient", x), ("value", x))) or fused(x)
+            )
+        res = minimize_on_slice(counted, base, (base, phi))
+        assert [name for name, _ in calls] == ["gradient", "value"]
+        assert all(np.array_equal(x, res.point) for _, x in calls)
 
 
 def test_slice_projection_test_is_scaled_by_the_energy_at_its_point():
@@ -634,13 +642,19 @@ def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
         return lbfgs(*args)
 
     monkeypatch.setattr(inner_solvers, "_lbfgs", per_pass)
+    fused = obj.value_and_gradient_fn  # one call counts as one E' and one E
+
+    def both(x):
+        evaluations[-1].extend((("gradient", x.tobytes()), ("value", x.tobytes())))
+        return fused(x)
+
     counted = dataclasses.replace(
         obj,
         value_fn=lambda x: evaluations[-1].append(("value", x.tobytes()))
         or obj.value_fn(x),
         gradient_fn=lambda x: evaluations[-1].append(("gradient", x.tobytes()))
         or obj.gradient_fn(x),
-    )
+    ).with_fused(both)
     plane = minimize_on_slice(counted, base, (base, phi))
     plane_calls = evaluations[-1]
     span = minimize_subspace(counted, np.column_stack((base, phi)))
@@ -650,6 +664,34 @@ def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
         assert ("gradient", res.point.tobytes()) in calls
         assert res.energy == obj.value(res.point)
         assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_each_evaluated_point_takes_one_lr_norm(monkeypatch, seed):
+    # E and E' at one point share f - x and ||f - x||_r: the projection step
+    # and every L-BFGS-B point are one fused call, each one lr_norm
+    norms, points = [], []
+    lr_norm = objectives.lr_norm
+    monkeypatch.setattr(
+        objectives, "lr_norm", lambda v, r: norms.append(1) or lr_norm(v, r)
+    )
+    y, base, phi = _ls_slice(seed)
+    for r, run in (
+        (2.0, lambda obj: minimize_on_slice(obj, base, (base, phi))),
+        (4.0, lambda obj: minimize_on_slice(obj, base, (base, phi))),
+        (4.0, lambda obj: minimize_subspace(obj, np.column_stack((base, phi)))),
+    ):
+        obj = make_norm_power(y, r, 2.0)
+        fused = obj.value_and_gradient_fn
+        counted = dataclasses.replace(
+            obj, value_fn=None, gradient_fn=None
+        ).with_fused(lambda x: points.append(1) or fused(x))
+        norms.clear()
+        points.clear()
+        run(counted)
+        assert len(norms) == len(points) >= 1
+        if r == 2.0:
+            assert len(points) == 1  # the projection step's point
 
 
 def test_span_solve_starts_at_the_minimizers_projection(monkeypatch):

@@ -1,5 +1,7 @@
 """Objective constructors: values, gradients, smoothness envelopes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +117,126 @@ def test_non_finite_energy_rejected():
     )
     with pytest.raises(NonFiniteEnergyError):
         obj.value(np.zeros(1))
+
+
+# ---------------------------------------------------------------------------
+# value_and_gradient: one call, the bits and errors of E' then E
+
+
+def _fused_cases(f):
+    rng = np.random.default_rng(4)
+    labels = np.where(rng.standard_normal(8) > 0, 1.0, -1.0)
+    yield make_least_squares(f)
+    yield make_logistic(labels, rng.standard_normal((8, f.size)), 0.5)
+    for r in (1.5, 2.0, 3.0, 4.0):
+        for q in (1.2, 1.5, 2.0):
+            yield make_norm_power(f, r, q, gamma=1.0)
+
+
+@given(f=finite_vec(5), x=finite_vec(5), at_target=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_value_and_gradient_is_bitwise_the_two_calls(f, x, at_target):
+    # finite_vec draws -0.0 too, which r = 2's w = v / ||v|| must map to
+    # the +0.0 of sign(w) * |w|
+    if at_target:
+        x = f.copy()
+    for obj in _fused_cases(f):
+        e, g = obj.value_and_gradient(x)
+        assert e == obj.value(x), obj.label
+        assert g.tobytes() == obj.gradient(x).tobytes(), obj.label
+        if obj.label.startswith("norm_power"):
+            assert obj.value_and_gradient_fn is not None
+
+
+def _outcome(fn):
+    """(E, bytes of E') from fn(), or the type and message of its error."""
+    try:
+        e, g = fn()
+    except (NonFiniteEnergyError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+    return e, g.tobytes()
+
+
+def test_value_and_gradient_raises_what_the_two_calls_raise():
+    f = np.array([1.0, -2.0, 0.5])
+    bad = Objective(
+        dimension=3,
+        value_fn=lambda x: float("nan"),
+        gradient_fn=lambda x: x,
+        label="bad",
+    ).with_fused(lambda x: (float("nan"), x))
+    points = [
+        np.array([np.nan, 0.0, 0.0]),  # a non-finite input
+        np.array([0.0, np.inf, 0.0]),
+        np.zeros(4),  # a wrong shape
+        np.full(3, 1e200),  # E overflows: inf for least squares, ** raises
+        np.zeros(3),  # fine except for `bad`
+    ]
+    errors = set()
+    for obj in [*_fused_cases(f), bad]:
+        for x in points:
+
+            def two_calls():
+                g = obj.gradient(x)
+                return obj.value(x), g
+
+            with np.errstate(over="ignore"):  # np.dot warns on the inf it returns
+                expected = _outcome(two_calls)
+                assert _outcome(lambda: obj.value_and_gradient(x)) == expected
+            if isinstance(expected[0], type):
+                errors.add(expected[1].split(" for ")[0])
+    assert errors == {
+        "non-finite input point",
+        "expected shape (3,), got (4,)",
+        "E(x) is not finite",
+        "E(x) overflows",
+    }
+
+
+def test_replacing_value_or_gradient_drops_the_fused_function():
+    # a fused function gives the bits of its own value_fn and gradient_fn:
+    # a copy that swaps either makes the two calls of the new ones, and
+    # with_fused is the only way to set it
+    f = np.array([1.0, -2.0, 0.5])
+    x = np.array([0.25, 0.0, -1.0])
+    obj = make_norm_power(f, 3.0, 1.5)
+    assert obj.value_and_gradient_fn is not None
+    other = make_norm_power(2.0 * f, 3.0, 1.5)
+    for changes in (
+        {"value_fn": other.value_fn},
+        {"gradient_fn": other.gradient_fn},
+        {"label": "relabelled"},
+    ):
+        copy = dataclasses.replace(obj, **changes)
+        assert copy.value_and_gradient_fn is None
+        e, g = copy.value_and_gradient(x)
+        assert e == copy.value(x) and g.tobytes() == copy.gradient(x).tobytes()
+    with pytest.raises(TypeError):
+        Objective(
+            dimension=3,
+            value_fn=obj.value_fn,
+            gradient_fn=obj.gradient_fn,
+            value_and_gradient_fn=obj.value_and_gradient_fn,
+        )
+    with pytest.raises(ValueError):
+        dataclasses.replace(obj, value_and_gradient_fn=obj.value_and_gradient_fn)
+    fused = dataclasses.replace(obj, label="relabelled").with_fused(
+        obj.value_and_gradient_fn
+    )
+    assert fused.value_and_gradient_fn is obj.value_and_gradient_fn
+    assert fused.label == "relabelled" and obj.label != "relabelled"
+
+
+def test_norming_functional_at_r_two_is_the_general_form():
+    # r = 2 returns w = v / ||v|| instead of sign(w) * |w| ** 1: the same
+    # bits, -0.0 entries included
+    v = np.array([3.0, -0.0, 0.0, -4.0, 1e-300])
+    nv = lr_norm(v, 2.0)
+    w = v / nv
+    general = np.sign(w) * np.abs(w) ** 1.0
+    got = objectives._norming_functional(v, nv, 2.0)
+    assert got.tobytes() == general.tobytes()
+    assert not np.signbit(got[1])
 
 
 # ---------------------------------------------------------------------------
