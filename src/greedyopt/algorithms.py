@@ -15,11 +15,12 @@ basis. A merged atom leaves the span unchanged, so the previous span
 solution, which met the contract on it, stands without a new solve.
 
 Every solver hands back its point, and E and E' there: the run takes G and
-E from the result, and E' as the next selection gradient. A step short of
-the slice's minimizer, or with no slice, evaluates E itself, and E' at the
-next step. The selection's certificate carries the vector it scored, and
-the step moves along it, so a step realizes its atom once; at a wcga fixed
-point the finite dictionary hands back its last vector.
+E from the result, and E' as the next selection gradient. G_0, a step short
+of the slice's minimizer and a step with no slice evaluate both by one
+`Objective.value_and_gradient` call. The selection's certificate carries
+the vector it scored, and the step moves along it, so a step realizes its
+atom once; at a wcga fixed point the finite dictionary hands back its last
+vector.
 
 A record keeps its coefficients over the run's atoms (`RunTrace.atoms`), not
 a copy of G: a relaxed rule appends its atom every step, with coefficients
@@ -368,7 +369,6 @@ def run_greedy(
     coefficients = np.zeros(0)
     span = SpanFactor(dim) if rule.orthogonal else None
     span_result = None
-    gradient = None  # E'(G), when the last solver handed it back
     trace = RunTrace(
         algorithm=rule.name,
         objective_label=objective.label,
@@ -376,10 +376,11 @@ def run_greedy(
         initial_energy=math.nan,
     )
     try:
-        e_prev = trace.initial_energy = objective.value(G)
-    except NonFiniteEnergyError as exc:  # E(G_0) overflows: no record at all
+        e_prev, gradient = objective.value_and_gradient(G)
+    except NonFiniteEnergyError as exc:  # E or E' not finite at G_0: no record
         trace.stop_reason = StopReason.ABORTED
         raise GreedyRunError(0, trace, exc) from exc
+    trace.initial_energy = e_prev
 
     for m in range(1, stop.max_m + 1):
         t0 = time.perf_counter_ns()
@@ -387,8 +388,6 @@ def run_greedy(
 
         try:
             t_m = tau.t(m)
-            if gradient is None:
-                gradient = objective.gradient(G)
             direction = -gradient
 
             # --- selection -------------------------------------------------
@@ -441,7 +440,7 @@ def run_greedy(
                     lam = step.b * c[-1]
                 if solved is None or step.b != 1.0:
                     G = G + lam * phi
-                    energy, gradient = objective.value(G), None
+                    energy, gradient = objective.value_and_gradient(G)
                 else:
                     G, energy, gradient = solved.point, solved.energy, solved.gradient
                 trace.atoms.append(atom)

@@ -23,8 +23,9 @@ there is none, from the previous solution, with one stricter pass when
 that misses it. Every solve returns a `SliceResult`: its point, and E and
 E' there: the projection step's and the span contract's checks read E',
 and an L-BFGS-B pass hands back its own evaluations when it ends on one of
-its last two points. L-BFGS-B asks for E and E' at every point it tries,
-and each point is one `value_and_gradient` call.
+its last two points. Every point a solver evaluates, a projection step's, a
+span candidate's or one that L-BFGS-B tries, is one `value_and_gradient`
+call.
 """
 from __future__ import annotations
 
@@ -327,9 +328,7 @@ def minimize_subspace(
     k, m = basis.shape
     if m == 0:
         point = np.zeros(k)
-        return SliceResult(
-            np.zeros(0), point, objective.value(point), objective.gradient(point), 0.0
-        )
+        return SliceResult(np.zeros(0), point, *objective.value_and_gradient(point), 0.0)
 
     def grad_inf(grad):
         return float(np.max(np.abs(basis.T @ grad)))
@@ -347,10 +346,10 @@ def minimize_subspace(
     if objective.projection_target is not None:
         for coef in _projections(span, objective.projection_target):
             point = basis @ coef
-            grad = objective.gradient(point)
+            energy, grad = objective.value_and_gradient(point)
             ginf = grad_inf(grad)
             if ginf <= tol:
-                return SliceResult(coef, point, objective.value(point), grad, ginf)
+                return SliceResult(coef, point, energy, grad, ginf)
         # both missed the contract (degenerate basis etc.): fall through
     elif objective.minimizer is not None:
         res = lbfgs(next(_projections(span, objective.minimizer)), passes[0])

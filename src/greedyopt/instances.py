@@ -147,13 +147,10 @@ def gen_compressed_sensing(
     raw = rng.standard_normal((k, n))
     dictionary = FiniteDictionary(unit_columns(raw, column_norms(raw)))
     terms = _planted_terms(rng, n, s, mass, min_coef)
-    y = np.zeros(k)
-    for atom, coef in terms:
-        y += coef * dictionary.realize(atom)
     certificate = SynthesisCertificate(
         terms, synthesis_l1(c for _, c in terms), 0.0
     )
-    return dictionary, y, certificate
+    return dictionary, certificate.realize(dictionary), certificate
 
 
 def gen_low_rank(
@@ -180,13 +177,10 @@ def gen_low_rank(
         for i in range(rank)
     )
     dictionary = RankOneDictionary(n)
-    target = np.zeros((n, n))
-    for atom, coef in terms:
-        target += coef * dictionary.realize(atom).reshape(n, n)
     certificate = SynthesisCertificate(
         terms, synthesis_l1(c for _, c in terms), 0.0
     )
-    return dictionary, target, certificate
+    return dictionary, certificate.realize(dictionary).reshape(n, n), certificate
 
 
 def gen_lp_approx(
@@ -214,11 +208,8 @@ def gen_lp_approx(
     raw = rng.standard_normal((n, dict_size))
     dictionary = FiniteDictionary(unit_columns(raw, lr_column_norms(raw, r)), r=r)
     terms = _planted_terms(rng, dict_size, s, mass, min_coef)
-    f = np.zeros(n)
-    for atom, coef in terms:
-        f += coef * dictionary.realize(atom)
-    objective = make_norm_power(f, r, q)
     certificate = SynthesisCertificate(
         terms, synthesis_l1(c for _, c in terms), 0.0
     )
+    objective = make_norm_power(certificate.realize(dictionary), r, q)
     return dictionary, objective, certificate

@@ -6,14 +6,15 @@ a power-type smoothness envelope rho(E, u) <= gamma * u^q with 1 < q <= 2, a
 radius bound on the sublevel set D = {x : E(x) <= E(0)}, and the ambient norm
 the envelope refers to (l2 unless stated otherwise).
 
-The inner solvers need E and E' at one point together, through
-`Objective.value_and_gradient`. A norm power computes both from one residual
-f - x and one l_r norm of it; least squares and logistic make the two calls.
+Every caller that needs E' needs E at the same point, so an objective has one
+function for the two, `value_and_gradient_fn`, beside `value_fn` for E
+alone: a norm power computes both from one residual f - x and one l_r norm of
+it, logistic from one product z = (l * A) x.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Union
 
@@ -94,9 +95,11 @@ class SmoothnessParams:
 class Objective:
     """Differentiable convex objective with optional smoothness metadata.
 
-    value/gradient validate dimensions and reject non-finite results instead
-    of letting NaN propagate into a greedy run; value_and_gradient gives
-    both at one point, with the same bits and errors. Two optional points
+    `value_fn` gives E(x) and `value_and_gradient_fn` gives (E(x), E'(x)) at
+    one point. The E of the two functions must be bitwise equal, so a copy
+    that swaps one of them must swap both. value, gradient and
+    value_and_gradient validate dimensions and reject non-finite results
+    instead of letting NaN propagate into a greedy run. Two optional points
     guide the inner solvers: `projection_target` t, when E is a quadratic
     around t, and `minimizer`, a point where E attains its minimum over
     R^dim (the target of least squares and of every norm power; None for
@@ -106,7 +109,7 @@ class Objective:
 
     dimension: int
     value_fn: Callable[[np.ndarray], float]
-    gradient_fn: Callable[[np.ndarray], np.ndarray]
+    value_and_gradient_fn: Callable[[np.ndarray], tuple]
     smoothness: Optional[SmoothnessParams] = None
     sublevel_radius: Optional[float] = None
     norm: Callable[[np.ndarray], float] = l2_norm
@@ -118,21 +121,6 @@ class Objective:
         default=None, compare=False, repr=False
     )
     minimizer: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-    # x -> (E(x), E'(x)) with the bits of value_fn and gradient_fn, sharing
-    # the work of one point; None: value_and_gradient makes the two calls.
-    # Set only by `with_fused`. It is not an __init__ field, so
-    # dataclasses.replace leaves it None: a copy whose value_fn or
-    # gradient_fn was swapped never keeps the old pair's fused function.
-    value_and_gradient_fn: Optional[Callable] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-
-    def with_fused(self, value_and_gradient_fn: Callable) -> "Objective":
-        """A copy whose `value_and_gradient` calls value_and_gradient_fn,
-        which must return the bits of (value_fn(x), gradient_fn(x))."""
-        fused = replace(self)
-        object.__setattr__(fused, "value_and_gradient_fn", value_and_gradient_fn)
-        return fused
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -144,48 +132,39 @@ class Objective:
             raise NonFiniteEnergyError(f"non-finite input point for {self.label!r}")
         return x
 
-    def value(self, x: np.ndarray) -> float:
-        x = self._check(x)
-        try:
-            v = float(self.value_fn(x))
-        except OverflowError as exc:  # a Python float's ** raises, not inf
-            raise NonFiniteEnergyError(f"E(x) overflows for {self.label!r}") from exc
+    def _energy(self, v) -> float:
+        v = float(v)
         if not math.isfinite(v):
             raise NonFiniteEnergyError(f"E(x) is not finite for {self.label!r}")
         return v
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def value(self, x: np.ndarray) -> float:
         x = self._check(x)
         try:
-            g = np.asarray(self.gradient_fn(x), dtype=float)
+            return self._energy(self.value_fn(x))
+        except OverflowError as exc:  # a Python float's ** raises, not inf
+            raise NonFiniteEnergyError(f"E(x) overflows for {self.label!r}") from exc
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(E(x), E'(x)) from one `value_and_gradient_fn` call, E' checked
+        before E. An OverflowError is E's: a Python float's ** raises it,
+        and E' is finite wherever E is for every objective here."""
+        x = self._check(x)
+        try:
+            v, g = self.value_and_gradient_fn(x)
         except OverflowError as exc:
-            raise NonFiniteEnergyError(f"E'(x) overflows for {self.label!r}") from exc
+            raise NonFiniteEnergyError(f"E(x) overflows for {self.label!r}") from exc
+        g = np.asarray(g, dtype=float)
         if g.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"gradient shape {g.shape} != ({self.dimension},)"
             )
         if not np.isfinite(g).all():
             raise NonFiniteEnergyError(f"E'(x) is not finite for {self.label!r}")
-        return g
+        return self._energy(v), g
 
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(E(x), E'(x)): bitwise, and with the errors of, `gradient(x)`
-        followed by `value(x)`. With `value_and_gradient_fn` one call
-        computes both; a result that would fail a check is recomputed by
-        the two calls, which raise that check's error."""
-        if self.value_and_gradient_fn is not None:
-            x = self._check(x)
-            try:
-                v, g = self.value_and_gradient_fn(x)
-            except OverflowError:
-                pass
-            else:
-                v, g = float(v), np.asarray(g, dtype=float)
-                finite = math.isfinite(v) and np.isfinite(g).all()
-                if finite and g.shape == (self.dimension,):
-                    return v, g
-        g = self.gradient(x)
-        return self.value(x), g
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_gradient(x)[1]
 
 
 def make_least_squares(target: np.ndarray) -> Objective:
@@ -202,13 +181,10 @@ def make_least_squares(target: np.ndarray) -> Objective:
         d = y - x
         return 0.5 * float(np.dot(d, d))
 
-    def grad(x):
-        return x - y
-
     return Objective(
         dimension=y.shape[0],
         value_fn=value,
-        gradient_fn=grad,
+        value_and_gradient_fn=lambda x: (value(x), x - y),
         smoothness=SmoothnessParams(gamma=0.5, q=2.0),
         sublevel_radius=2.0 * l2_norm(y),
         norm=l2_norm,
@@ -308,21 +284,14 @@ def make_norm_power(
     def value(x):
         return norm(f - x) ** q
 
-    def grad_at(v, nv):  # E' at x, given v = f - x and nv = norm(v)
-        if nv == 0.0:
-            return np.zeros(dim)
-        g = _norming_functional(v, nv, r)
-        g *= -q * nv ** (q - 1.0)
-        return g
-
-    def grad(x):
-        v = f - x
-        return grad_at(v, norm(v))
-
     def value_and_grad(x):
         v = f - x
         nv = norm(v)
-        return nv**q, grad_at(v, nv)
+        if nv == 0.0:
+            return 0.0, np.zeros(dim)
+        g = _norming_functional(v, nv, r)
+        g *= -q * nv ** (q - 1.0)
+        return nv**q, g
 
     radius = 2.0 * norm(f)
     if gamma is None:
@@ -334,14 +303,14 @@ def make_norm_power(
     return Objective(
         dimension=dim,
         value_fn=value,
-        gradient_fn=grad,
+        value_and_gradient_fn=value_and_grad,
         smoothness=SmoothnessParams(gamma=gamma, q=q),
         sublevel_radius=radius,
         norm=norm,
         label=f"norm_power(r={r}, q={q})",
         projection_target=f if r == 2.0 and q == 2.0 else None,
         minimizer=f,
-    ).with_fused(value_and_grad)
+    )
 
 
 def make_logistic(labels: np.ndarray, features: np.ndarray, mu: float) -> Objective:
@@ -365,16 +334,15 @@ def make_logistic(labels: np.ndarray, features: np.ndarray, mu: float) -> Object
     N, dim = A.shape
     LA = l[:, None] * A
 
-    def value(x):
-        z = LA @ x
+    def energy(x, z):  # E at x, given z = LA @ x
         # log(1 + exp(-z)) computed stably for both signs of z.
         loss = np.logaddexp(0.0, -z).mean()
         return loss + 0.5 * mu * float(np.dot(x, x))
 
-    def grad(x):
+    def value_and_grad(x):
         z = LA @ x
         s = 0.5 * (1.0 + np.tanh(-0.5 * z))  # sigmoid(-z), overflow-safe
-        return -(LA.T @ s) / N + mu * x
+        return energy(x, z), -(LA.T @ s) / N + mu * x
 
     gram_top = float(np.linalg.eigvalsh(A.T @ A)[-1])
     gamma = (gram_top / (4.0 * N) + mu) / 2.0
@@ -382,8 +350,8 @@ def make_logistic(labels: np.ndarray, features: np.ndarray, mu: float) -> Object
 
     return Objective(
         dimension=dim,
-        value_fn=value,
-        gradient_fn=grad,
+        value_fn=lambda x: energy(x, LA @ x),
+        value_and_gradient_fn=value_and_grad,
         smoothness=SmoothnessParams(gamma=gamma, q=2.0),
         sublevel_radius=float(np.sqrt(2.0 * e0 / mu)),
         norm=l2_norm,
@@ -412,10 +380,10 @@ def check_smoothness_inequality(
     if abs(ny - 1.0) > 1e-12:
         raise ValueError(f"y must be unit in the ambient norm, got {ny}")
     e0 = obj.value(np.zeros(obj.dimension))
-    ex = obj.value(x)
+    ex, gx = obj.value_and_gradient(x)
     if ex > e0 + 1e-10 * (1.0 + abs(e0)):
         raise ValueError("x is outside the sublevel set D = {E <= E(0)}")
-    lhs = obj.value(x + u * y) - ex - u * float(np.dot(obj.gradient(x), y))
+    lhs = obj.value(x + u * y) - ex - u * float(np.dot(gx, y))
     rhs = 2.0 * obj.smoothness.rho(u)
     return lhs, rhs - lhs
 

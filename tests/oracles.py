@@ -3,10 +3,33 @@
 Everything here is deliberately written against plain numpy primitives that
 differ from the package's code paths (normal equations instead of lstsq,
 closed forms or bisection instead of L-BFGS-B), so agreement is evidence
-rather than a tautology.
+rather than a tautology. `count_calls` is the objective wrapper that every
+call-count test shares.
 """
 
+import dataclasses
+
 import numpy as np
+
+
+def count_calls(obj, log):
+    """obj with each evaluation passed to log: log("value", x) for a
+    value_fn call, and log("gradient", x) then log("value", x) for a
+    value_and_gradient_fn call, which computes both. Both functions are
+    wrapped: a copy that wraps one leaves the other uncounted."""
+
+    def value(x):
+        log("value", x)
+        return obj.value_fn(x)
+
+    def value_and_gradient(x):
+        log("gradient", x)
+        log("value", x)
+        return obj.value_and_gradient_fn(x)
+
+    return dataclasses.replace(
+        obj, value_fn=value, value_and_gradient_fn=value_and_gradient
+    )
 
 
 def fd_gradient(fn, x, h=1e-6):

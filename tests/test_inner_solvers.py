@@ -22,6 +22,7 @@ from greedyopt.inner_solvers import (
 from greedyopt.objectives import make_least_squares, make_norm_power
 
 from oracles import (
+    count_calls,
     free_relaxation_joint_minimum,
     quadratic_line_minimum,
     quadratic_ray_minimum,
@@ -499,21 +500,9 @@ def test_slice_given_energy_skips_one_evaluation():
     # the projection's first-order test is scaled by E at its point, which
     # the result needs anyway: E' there, then E there, and no E(base)
     y, base, phi = _ls_slice(5)
-    # least squares makes the two calls; ||y - x||_2^2 makes one fused call
     for make in (make_least_squares, lambda y: make_norm_power(y, 2.0, 2.0)):
         calls = []
-        obj = make(y)
-        fused = obj.value_and_gradient_fn  # one call counts as E' and E
-        counted = dataclasses.replace(
-            obj,
-            value_fn=lambda x: calls.append(("value", x)) or obj.value_fn(x),
-            gradient_fn=lambda x: calls.append(("gradient", x))
-            or obj.gradient_fn(x),
-        )
-        if fused is not None:
-            counted = counted.with_fused(
-                lambda x: calls.extend((("gradient", x), ("value", x))) or fused(x)
-            )
+        counted = count_calls(make(y), lambda name, x: calls.append((name, x)))
         res = minimize_on_slice(counted, base, (base, phi))
         assert [name for name, _ in calls] == ["gradient", "value"]
         assert all(np.array_equal(x, res.point) for _, x in calls)
@@ -642,19 +631,9 @@ def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
         return lbfgs(*args)
 
     monkeypatch.setattr(inner_solvers, "_lbfgs", per_pass)
-    fused = obj.value_and_gradient_fn  # one call counts as one E' and one E
-
-    def both(x):
-        evaluations[-1].extend((("gradient", x.tobytes()), ("value", x.tobytes())))
-        return fused(x)
-
-    counted = dataclasses.replace(
-        obj,
-        value_fn=lambda x: evaluations[-1].append(("value", x.tobytes()))
-        or obj.value_fn(x),
-        gradient_fn=lambda x: evaluations[-1].append(("gradient", x.tobytes()))
-        or obj.gradient_fn(x),
-    ).with_fused(both)
+    counted = count_calls(
+        obj, lambda name, x: evaluations[-1].append((name, x.tobytes()))
+    )
     plane = minimize_on_slice(counted, base, (base, phi))
     plane_calls = evaluations[-1]
     span = minimize_subspace(counted, np.column_stack((base, phi)))
@@ -668,30 +647,32 @@ def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_each_evaluated_point_takes_one_lr_norm(monkeypatch, seed):
-    # E and E' at one point share f - x and ||f - x||_r: the projection step
-    # and every L-BFGS-B point are one fused call, each one lr_norm
-    norms, points = [], []
+    # E and E' at one point share f - x and ||f - x||_r: the projection
+    # step, the span's projection candidate and every L-BFGS-B point are one
+    # value_and_gradient call, each one lr_norm
+    norms, calls = [], []
     lr_norm = objectives.lr_norm
     monkeypatch.setattr(
         objectives, "lr_norm", lambda v, r: norms.append(1) or lr_norm(v, r)
     )
     y, base, phi = _ls_slice(seed)
+    span = np.column_stack((base, phi))
     for r, run in (
         (2.0, lambda obj: minimize_on_slice(obj, base, (base, phi))),
+        (2.0, lambda obj: minimize_subspace(obj, span)),
         (4.0, lambda obj: minimize_on_slice(obj, base, (base, phi))),
-        (4.0, lambda obj: minimize_subspace(obj, np.column_stack((base, phi)))),
+        (4.0, lambda obj: minimize_subspace(obj, span)),
     ):
-        obj = make_norm_power(y, r, 2.0)
-        fused = obj.value_and_gradient_fn
-        counted = dataclasses.replace(
-            obj, value_fn=None, gradient_fn=None
-        ).with_fused(lambda x: points.append(1) or fused(x))
+        counted = count_calls(
+            make_norm_power(y, r, 2.0), lambda name, _: calls.append(name)
+        )
         norms.clear()
-        points.clear()
+        calls.clear()
         run(counted)
-        assert len(norms) == len(points) >= 1
+        points = calls.count("gradient")  # no E is evaluated alone
+        assert len(norms) == points == calls.count("value") >= 1
         if r == 2.0:
-            assert len(points) == 1  # the projection step's point
+            assert points == 1  # the projection's point
 
 
 def test_span_solve_starts_at_the_minimizers_projection(monkeypatch):

@@ -1,6 +1,6 @@
 """Objective constructors: values, gradients, smoothness envelopes."""
 
-import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -112,7 +112,7 @@ def test_non_finite_energy_rejected():
     obj = Objective(
         dimension=1,
         value_fn=lambda x: float("nan"),
-        gradient_fn=lambda x: x,
+        value_and_gradient_fn=lambda x: (float("nan"), x),
         label="bad",
     )
     with pytest.raises(NonFiniteEnergyError):
@@ -124,28 +124,46 @@ def test_non_finite_energy_rejected():
 
 
 def _fused_cases(f):
+    """Each objective kind at target f, with its E' formula written out as
+    the separate gradient it replaced."""
     rng = np.random.default_rng(4)
     labels = np.where(rng.standard_normal(8) > 0, 1.0, -1.0)
-    yield make_least_squares(f)
-    yield make_logistic(labels, rng.standard_normal((8, f.size)), 0.5)
+    features, mu = rng.standard_normal((8, f.size)), 0.5
+    yield make_least_squares(f), lambda x: x - f
+    la = labels[:, None] * features
+
+    def logistic_gradient(x):
+        s = 0.5 * (1.0 + np.tanh(-0.5 * (la @ x)))
+        return -(la.T @ s) / len(labels) + mu * x
+
+    yield make_logistic(labels, features, mu), logistic_gradient
     for r in (1.5, 2.0, 3.0, 4.0):
         for q in (1.2, 1.5, 2.0):
-            yield make_norm_power(f, r, q, gamma=1.0)
+
+            def norm_power_gradient(x, r=r, q=q):
+                v = f - x
+                nv = lr_norm(v, r)
+                if nv == 0.0:
+                    return np.zeros(f.size)
+                w = v / nv
+                return np.sign(w) * np.abs(w) ** (r - 1.0) * (-q * nv ** (q - 1.0))
+
+            yield make_norm_power(f, r, q, gamma=1.0), norm_power_gradient
 
 
 @given(f=finite_vec(5), x=finite_vec(5), at_target=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_value_and_gradient_is_bitwise_the_two_calls(f, x, at_target):
-    # finite_vec draws -0.0 too, which r = 2's w = v / ||v|| must map to
-    # the +0.0 of sign(w) * |w|
+    # E from the one call is bitwise value_fn's, and E' the gradient
+    # formula's. finite_vec draws -0.0 too, which r = 2's w = v / ||v||
+    # must map to the +0.0 of sign(w) * |w|
     if at_target:
         x = f.copy()
-    for obj in _fused_cases(f):
+    for obj, gradient in _fused_cases(f):
         e, g = obj.value_and_gradient(x)
         assert e == obj.value(x), obj.label
-        assert g.tobytes() == obj.gradient(x).tobytes(), obj.label
-        if obj.label.startswith("norm_power"):
-            assert obj.value_and_gradient_fn is not None
+        assert g.tobytes() == gradient(x).tobytes(), obj.label
+        assert obj.gradient(x).tobytes() == g.tobytes(), obj.label
 
 
 def _outcome(fn):
@@ -158,13 +176,15 @@ def _outcome(fn):
 
 
 def test_value_and_gradient_raises_what_the_two_calls_raise():
+    # the one call raises value(x)'s error, with its type and message, where
+    # value(x) raises: for these objectives E' is finite wherever E is
     f = np.array([1.0, -2.0, 0.5])
     bad = Objective(
         dimension=3,
         value_fn=lambda x: float("nan"),
-        gradient_fn=lambda x: x,
+        value_and_gradient_fn=lambda x: (float("nan"), x),
         label="bad",
-    ).with_fused(lambda x: (float("nan"), x))
+    )
     points = [
         np.array([np.nan, 0.0, 0.0]),  # a non-finite input
         np.array([0.0, np.inf, 0.0]),
@@ -173,15 +193,10 @@ def test_value_and_gradient_raises_what_the_two_calls_raise():
         np.zeros(3),  # fine except for `bad`
     ]
     errors = set()
-    for obj in [*_fused_cases(f), bad]:
+    for obj in [*(obj for obj, _ in _fused_cases(f)), bad]:
         for x in points:
-
-            def two_calls():
-                g = obj.gradient(x)
-                return obj.value(x), g
-
             with np.errstate(over="ignore"):  # np.dot warns on the inf it returns
-                expected = _outcome(two_calls)
+                expected = _outcome(lambda: (obj.value(x), obj.gradient(x)))
                 assert _outcome(lambda: obj.value_and_gradient(x)) == expected
             if isinstance(expected[0], type):
                 errors.add(expected[1].split(" for ")[0])
@@ -193,38 +208,23 @@ def test_value_and_gradient_raises_what_the_two_calls_raise():
     }
 
 
-def test_replacing_value_or_gradient_drops_the_fused_function():
-    # a fused function gives the bits of its own value_fn and gradient_fn:
-    # a copy that swaps either makes the two calls of the new ones, and
-    # with_fused is the only way to set it
-    f = np.array([1.0, -2.0, 0.5])
-    x = np.array([0.25, 0.0, -1.0])
-    obj = make_norm_power(f, 3.0, 1.5)
-    assert obj.value_and_gradient_fn is not None
-    other = make_norm_power(2.0 * f, 3.0, 1.5)
-    for changes in (
-        {"value_fn": other.value_fn},
-        {"gradient_fn": other.gradient_fn},
-        {"label": "relabelled"},
+def test_value_and_gradient_checks_the_gradient_before_the_energy():
+    # a wrong shape or a non-finite E' raises E''s error, even when E is
+    # not finite either
+    x = np.zeros(2)
+    for grad, error, message in (
+        (np.zeros(3), DimensionMismatchError, "gradient shape (3,) != (2,)"),
+        (np.array([np.nan, 0.0]), NonFiniteEnergyError, "E'(x) is not finite"),
     ):
-        copy = dataclasses.replace(obj, **changes)
-        assert copy.value_and_gradient_fn is None
-        e, g = copy.value_and_gradient(x)
-        assert e == copy.value(x) and g.tobytes() == copy.gradient(x).tobytes()
-    with pytest.raises(TypeError):
-        Objective(
-            dimension=3,
-            value_fn=obj.value_fn,
-            gradient_fn=obj.gradient_fn,
-            value_and_gradient_fn=obj.value_and_gradient_fn,
+        obj = Objective(
+            dimension=2,
+            value_fn=lambda x: float("nan"),
+            value_and_gradient_fn=lambda x: (float("nan"), grad),
         )
-    with pytest.raises(ValueError):
-        dataclasses.replace(obj, value_and_gradient_fn=obj.value_and_gradient_fn)
-    fused = dataclasses.replace(obj, label="relabelled").with_fused(
-        obj.value_and_gradient_fn
-    )
-    assert fused.value_and_gradient_fn is obj.value_and_gradient_fn
-    assert fused.label == "relabelled" and obj.label != "relabelled"
+        with pytest.raises(error, match=re.escape(message)):
+            obj.value_and_gradient(x)
+        with pytest.raises(error, match=re.escape(message)):
+            obj.gradient(x)
 
 
 def test_norming_functional_at_r_two_is_the_general_form():
@@ -503,7 +503,7 @@ def test_smoothness_inequality_errors():
     bare = Objective(
         dimension=2,
         value_fn=lambda x: float(x @ x),
-        gradient_fn=lambda x: 2.0 * x,
+        value_and_gradient_fn=lambda x: (float(x @ x), 2.0 * x),
     )
     with pytest.raises(ValueError):  # no declared envelope
         check_smoothness_inequality(bare, np.zeros(2), np.array([1.0, 0.0]), 0.1)
@@ -540,7 +540,7 @@ def test_empirical_modulus_requires_radius():
     bare = Objective(
         dimension=2,
         value_fn=lambda x: float(x @ x),
-        gradient_fn=lambda x: 2.0 * x,
+        value_and_gradient_fn=lambda x: (float(x @ x), 2.0 * x),
     )
     with pytest.raises(ValueError):
         empirical_modulus(bare, 0.1)
