@@ -15,12 +15,13 @@ basis. A merged atom leaves the span unchanged, so the previous span
 solution, which met the contract on it, stands without a new solve.
 
 Every solver hands back its point, and E and E' there: the run takes G and
-E from the result, and E' as the next selection gradient. G_0, a step short
-of the slice's minimizer and a step with no slice evaluate both by one
-`Objective.value_and_gradient` call. The selection's certificate carries
-the vector it scored, and the step moves along it, so a step realizes its
-atom once; at a wcga fixed point the finite dictionary hands back its last
-vector.
+E from the result, and E' as the next selection gradient. A slice whose base
+is G_{m-1} is handed E and E' there, so its L-BFGS-B pass does not evaluate
+its start again. G_0, a step short of the slice's minimizer and a step with
+no slice evaluate both by one `Objective.value_and_gradient` call. The
+selection's certificate carries the vector it scored, and the step moves
+along it, so a step realizes its atom once; at a wcga fixed point the finite
+dictionary hands back its last vector.
 
 A record keeps its coefficients over the run's atoms (`RunTrace.atoms`), not
 a copy of G: a relaxed rule appends its atom every step, with coefficients
@@ -432,7 +433,8 @@ def run_greedy(
                 solved = None
                 if step.base is not None:
                     solved = minimize_on_slice(
-                        objective, step.base, step.directions, step.lower, step.upper
+                        objective, step.base, step.directions, step.lower,
+                        step.upper, (e_prev, gradient) if step.base is G else None,
                     )
                     c = solved.coefficients.tolist()
                     gain = sum(c_i * share for c_i, share in zip(c, step.shares))

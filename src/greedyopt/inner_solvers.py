@@ -15,17 +15,20 @@ and d's bounded to its interval, ray or line.
 The Chebyshev rule's span solve (`minimize_subspace`) is separate. Its basis
 lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. With a
 projection target the coefficients come from R c = Q^T target, then from a
-full `lstsq` if those miss the span contract. Otherwise it runs L-BFGS-B
-through the slices' helper (`_lbfgs`): first from the l2 projection of
-`Objective.minimizer`, E's global minimizer, when one is known (at an exact
-fit that projection is the fit), then, if that misses the contract or
-there is none, from the previous solution, with one stricter pass when
+full `lstsq` if those miss the span contract. Otherwise, when
+`Objective.minimizer`, E's global minimizer, is known, it starts at that
+point's l2 projection onto the span (at an exact fit the projection is the
+fit) and, when the objective gives its span Hessian, takes damped Newton
+steps from there (`_newton`). When those miss the contract, or there is no
+Hessian, it runs L-BFGS-B through the slices' helper (`_lbfgs`): one pass
+from the projection, then, if that misses the contract or there is no
+minimizer, passes from the previous solution, with one stricter pass when
 that misses it. Every solve returns a `SliceResult`: its point, and E and
-E' there: the projection step's and the span contract's checks read E',
-and an L-BFGS-B pass hands back its own evaluations when it ends on one of
-its last two points. Every point a solver evaluates, a projection step's, a
-span candidate's or one that L-BFGS-B tries, is one `value_and_gradient`
-call.
+E' there: the projection step's, Newton's and the span contract's checks
+read E', and an L-BFGS-B pass hands back its own evaluations when it ends
+on one of its last two points. Every point a solver evaluates, a projection
+step's, a span candidate's, a Newton trial point or one that L-BFGS-B
+tries, is one `value_and_gradient` call.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize as _scipy_minimize
 
 from .objectives import Objective
@@ -50,6 +54,12 @@ DEPENDENT_TOL = 1e-10
 # lstsq's default cutoff for a 2x2 system: eigenvalues of the Gram matrix at
 # most this times its largest are dropped.
 GRAM_CUTOFF = 2.0 * np.finfo(float).eps
+# The span's Newton steps: at most NEWTON_STEPS of them, each backtracked
+# from the full step by halving, at most ARMIJO_HALVINGS times, to Armijo's
+# sufficient decrease E(c + t p) <= E(c) + ARMIJO_C1 t <grad, p>.
+NEWTON_STEPS = 50
+ARMIJO_C1 = 1e-4
+ARMIJO_HALVINGS = 30
 
 
 class SubspaceToleranceError(RuntimeError):
@@ -126,7 +136,7 @@ def _projection_step(objective, base, directions, lower, upper):
     return SliceResult(c, point, energy, gradient=grad)
 
 
-def _lbfgs(objective, basis, coef, options, bounds=None) -> SliceResult:
+def _lbfgs(objective, basis, coef, options, bounds=None, at_start=None) -> SliceResult:
     """L-BFGS-B on c -> E(basis @ c) with the analytic gradient, from coef,
     with c_i in [bounds[i][0], bounds[i][1]] (ends may be infinite) or, with
     no bounds, c free; L-BFGS-B clips a start outside them.
@@ -136,8 +146,12 @@ def _lbfgs(objective, basis, coef, options, bounds=None) -> SliceResult:
     `Objective.value_and_gradient` call. The pass keeps basis @ c, E and E'
     for its last two c: a pass whose line search fails returns to the
     iterate before its trial point, and a pass that ends on one of them
-    (most do) hands back its own evaluations there."""
+    (most do) hands back its own evaluations there. at_start, when the
+    caller holds them, is (E, E') at basis @ coef, which the pass then does
+    not evaluate again."""
     memo = []  # up to two (bytes of c, basis @ c, E, E'), the newest last
+    if at_start is not None:
+        memo.append((coef.tobytes(), basis @ coef, *at_start))
 
     def at(c):
         key = c.tobytes()
@@ -167,6 +181,7 @@ def minimize_on_slice(
     directions,
     lower: float = -math.inf,
     upper: float = math.inf,
+    at_base: Optional[tuple] = None,
 ) -> SliceResult:
     """Minimize E(base + sum_i c_i d_i) over the slice an update rule names.
 
@@ -185,8 +200,10 @@ def minimize_on_slice(
     (alpha - 1, lam). On one direction base's is fixed at 1 and d's, the
     result's one coefficient, is bounded by [lower, upper]. L-BFGS-B
     accepts only points that lower E, so E(point) <= E(base) when the slice
-    holds base; the run's monotone check guards it all the same. Every
-    result carries its point, and E and E' there.
+    holds base; the run's monotone check guards it all the same. at_base,
+    when the caller holds them, is (E(base), E'(base)): the pass starts at
+    base and takes them instead of evaluating base again. Every result
+    carries its point, and E and E' there.
     """
     directions = tuple(directions)
     if not (lower <= upper and lower < math.inf and upper > -math.inf):  # NaN too
@@ -208,7 +225,7 @@ def minimize_on_slice(
             return step
     basis = np.column_stack((base, directions[-1]))
     bounds = None if len(directions) == 2 else [(1.0, 1.0), (lower, upper)]
-    res = _lbfgs(objective, basis, np.array([1.0, 0.0]), SLICE_OPTIONS, bounds)
+    res = _lbfgs(objective, basis, np.array([1.0, 0.0]), SLICE_OPTIONS, bounds, at_base)
     if bounds is None:
         res.coefficients[0] -= 1.0
     else:
@@ -301,6 +318,49 @@ def _projections(span: SpanFactor, target: np.ndarray):
     yield np.linalg.lstsq(span.basis, target, rcond=None)[0]
 
 
+def _newton(objective, basis, coef, tol) -> Optional[SliceResult]:
+    """Damped Newton on c -> E(basis @ c) from coef (Nocedal & Wright,
+    Numerical Optimization, 3.1 and 3.5).
+
+    Each step solves H p = -B^T E' with H = `objective.span_hessian_fn`
+    (point, basis) by Cholesky and backtracks from the full step to
+    Armijo's decrease; every trial point is one `value_and_gradient` call.
+    Returns the first point that meets the span contract, or None when H is
+    not finite or not positive definite, p is not a descent direction, a
+    backtrack fails, or NEWTON_STEPS steps miss it."""
+    point = basis @ coef
+    energy, grad = objective.value_and_gradient(point)
+    bg = basis.T @ grad
+    for step in range(NEWTON_STEPS + 1):
+        ginf = float(np.max(np.abs(bg)))
+        if ginf <= tol:
+            return SliceResult(coef, point, energy, grad, ginf)
+        if step == NEWTON_STEPS:
+            return None
+        hess = objective.span_hessian_fn(point, basis)
+        if not np.isfinite(hess).all():
+            return None
+        chol, info = dpotrf(hess)
+        if info != 0:
+            return None
+        p = -dpotrs(chol, bg)[0]
+        slope = float(bg @ p)
+        if not slope < 0.0:
+            return None
+        t = 1.0
+        for _ in range(ARMIJO_HALVINGS):
+            trial = coef + t * p
+            trial_point = basis @ trial
+            trial_energy, trial_grad = objective.value_and_gradient(trial_point)
+            if trial_energy <= energy + ARMIJO_C1 * t * slope:
+                break
+            t *= 0.5
+        else:
+            return None
+        coef, point, energy, grad = trial, trial_point, trial_energy, trial_grad
+        bg = basis.T @ grad
+
+
 def minimize_subspace(
     objective: Objective,
     basis,
@@ -315,13 +375,17 @@ def minimize_subspace(
     minimizer is the l2 projection of `objective.projection_target`, the
     candidates are the factor's R c = Q^T target (while the factor is
     usable), then a full `lstsq` on B. Otherwise, when `objective.minimizer`
-    is set, the first candidate is one L-BFGS-B pass from that point's l2
-    projection onto the span (the same factor solve, or `lstsq`): once the
-    span holds E's minimizer, the pass starts there. When those miss, or
-    there are none, L-BFGS-B with the analytic gradient from the last
-    `projection_target` candidate, x0 or zero and, if that misses the contract, a
-    stricter L-BFGS-B pass from its result; raises SubspaceToleranceError if
-    both miss it.
+    is set, the solve starts at that point's l2 projection onto the span
+    (the same factor solve, or `lstsq`): once the span holds E's minimizer,
+    the projection alone meets the contract. With a span Hessian
+    (`objective.span_hessian_fn`), damped Newton steps go on from there
+    (`_newton`); when they stop short, on a Hessian that is not finite or
+    not positive definite, a failed backtrack or NEWTON_STEPS steps, or with
+    no Hessian, one L-BFGS-B pass runs from the projection. When those miss, or there
+    are none, L-BFGS-B with the analytic gradient from the last
+    `projection_target` candidate, x0 or zero and, if that misses the
+    contract, a stricter L-BFGS-B pass from its result; raises
+    SubspaceToleranceError if both miss it.
     """
     span = basis if isinstance(basis, SpanFactor) else SpanFactor.of(basis)
     basis = span.basis
@@ -352,7 +416,12 @@ def minimize_subspace(
                 return SliceResult(coef, point, energy, grad, ginf)
         # both missed the contract (degenerate basis etc.): fall through
     elif objective.minimizer is not None:
-        res = lbfgs(next(_projections(span, objective.minimizer)), passes[0])
+        start = next(_projections(span, objective.minimizer))
+        if objective.span_hessian_fn is not None:
+            res = _newton(objective, basis, start, tol)
+            if res is not None:
+                return res
+        res = lbfgs(start, passes[0])
         if res.grad_inf <= tol:
             return res
         # missed the contract: the passes from x0 below

@@ -9,7 +9,9 @@ the envelope refers to (l2 unless stated otherwise).
 Every caller that needs E' needs E at the same point, so an objective has one
 function for the two, `value_and_gradient_fn`, beside `value_fn` for E
 alone: a norm power computes both from one residual f - x and one l_r norm of
-it, logistic from one product z = (l * A) x.
+it, logistic from one product z = (l * A) x. A norm power also gives E's
+Hessian on a span, B^T E''(x) B (`span_hessian_fn`), for the Chebyshev span
+solve's Newton steps.
 """
 from __future__ import annotations
 
@@ -105,6 +107,14 @@ class Objective:
     R^dim (the target of least squares and of every norm power; None for
     logistic), whose l2 projection onto the span starts the non-quadratic
     span solve.
+
+    `span_hessian_fn(x, B)`, optional, gives B^T E''(x) B for a (dim, k)
+    array B: the (k, k) Hessian of c -> E(x + B c) at c = 0, of the E of
+    `value_fn`, so a copy that swaps E must swap or drop it too. Where
+    E''(x) does not exist it returns a matrix that is not finite. With it,
+    the span solve takes Newton steps from the minimizer's projection; it
+    is not checked here, and the solver falls back to L-BFGS-B when the
+    matrix is not finite or not positive definite.
     """
 
     dimension: int
@@ -121,6 +131,9 @@ class Objective:
         default=None, compare=False, repr=False
     )
     minimizer: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    span_hessian_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -264,6 +277,13 @@ def make_norm_power(
     norming functional sign(v_i)|v_i|^(r-1) / ||v||_r^(r-1); zero at v = 0
     (q > 1 makes E differentiable there).
 
+    Hessian, with N = ||v||_r and s = sign(v)|v|^(r-1):
+    E'' = q(r-1) N^(q-r) diag(|v|^(r-2)) + q(q-r) N^(q-2r) s s^T, that is
+    q N^(q-2) [(r-1) diag(|w|^(r-2)) + (q-r) F F^T] with w = v / N and
+    F = F_v, the scaled form that `span_hessian_fn` computes: B^T E'' B in
+    O(dim k^2), with no (dim, dim) array. It is infinite where E'' does not
+    exist: at v = 0, and where some v_i = 0 when r < 2.
+
     gamma default: for q = 2 and r >= 2 the sharp two-point constant r - 1;
     otherwise a seeded empirical calibration (doubled sampled estimate), run
     on the first read of `smoothness.gamma` and cached there. The
@@ -293,6 +313,21 @@ def make_norm_power(
         g *= -q * nv ** (q - 1.0)
         return nv**q, g
 
+    def span_hessian(x, B):
+        v = f - x
+        nv = norm(v)
+        if nv == 0.0 or (r < 2.0 and not v.all()):
+            return np.full((B.shape[1], B.shape[1]), math.inf)
+        w = np.abs(v)
+        w /= nv
+        w **= r - 2.0
+        bf = B.T @ _norming_functional(v, nv, r)
+        h = (B.T * w) @ B
+        h *= r - 1.0
+        h += (q - r) * np.outer(bf, bf)
+        h *= q * nv ** (q - 2.0)
+        return h
+
     radius = 2.0 * norm(f)
     if gamma is None:
         if q == 2.0 and r >= 2.0:
@@ -310,6 +345,7 @@ def make_norm_power(
         label=f"norm_power(r={r}, q={q})",
         projection_target=f if r == 2.0 and q == 2.0 else None,
         minimizer=f,
+        span_hessian_fn=span_hessian,
     )
 
 

@@ -14,9 +14,10 @@ import numpy as np
 
 def count_calls(obj, log):
     """obj with each evaluation passed to log: log("value", x) for a
-    value_fn call, and log("gradient", x) then log("value", x) for a
-    value_and_gradient_fn call, which computes both. Both functions are
-    wrapped: a copy that wraps one leaves the other uncounted."""
+    value_fn call, log("gradient", x) then log("value", x) for a
+    value_and_gradient_fn call, which computes both, and log("hessian", x)
+    for a span_hessian_fn call, when obj has one. Every function is
+    wrapped: a copy that wraps one leaves the others uncounted."""
 
     def value(x):
         log("value", x)
@@ -27,8 +28,15 @@ def count_calls(obj, log):
         log("value", x)
         return obj.value_and_gradient_fn(x)
 
+    def span_hessian(x, basis):
+        log("hessian", x)
+        return obj.span_hessian_fn(x, basis)
+
     return dataclasses.replace(
-        obj, value_fn=value, value_and_gradient_fn=value_and_gradient
+        obj,
+        value_fn=value,
+        value_and_gradient_fn=value_and_gradient,
+        span_hessian_fn=span_hessian if obj.span_hessian_fn is not None else None,
     )
 
 
@@ -41,6 +49,19 @@ def fd_gradient(fn, x, h=1e-6):
         step.flat[i] = h
         grad.flat[i] = (fn(x + step) - fn(x - step)) / (2.0 * h)
     return grad
+
+
+def fd_span_hessian(value_and_gradient, x, basis, h):
+    """Central finite differences of c -> B^T E'(x + B c) at c = 0, from
+    value_and_gradient's E', one column of B at a time: the (k, k) span
+    Hessian B^T E''(x) B."""
+    basis = np.asarray(basis, dtype=float)
+    cols = []
+    for b in basis.T:
+        up = value_and_gradient(x + h * b)[1]
+        down = value_and_gradient(x - h * b)[1]
+        cols.append(basis.T @ (up - down) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 def quadratic_ray_minimum(y, g, phi):

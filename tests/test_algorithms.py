@@ -166,8 +166,9 @@ def test_chebyshev_merges_repeated_atoms():
 
 
 def _fixed_point_run(weakness=1.0, max_m=24):
-    # lp_approx n=64 instance 1001: atoms 1-16 are new, and from m = 17 on
-    # every selection merges into the span, so G and E'(G) stop changing
+    # lp_approx n=64 instance 1001: atoms 1-8 are new, the eighth completes
+    # the planted target, and from m = 9 on every selection merges into the
+    # span, so G and E'(G) stop changing
     dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1001)
     stop = StopRule(max_m=max_m, sup_tol=-1.0)
     return run_greedy(obj, dic, weakness, Chebyshev(), stop)
@@ -194,7 +195,7 @@ def test_chebyshev_fixed_point_repeats_the_sup_answer(monkeypatch):
     assert len(answers) == len(trace.records)
     indices = [r.atom.index for r in trace.records]
     merged = next(i for i, j in enumerate(indices) if j in indices[:i])
-    assert merged == 16
+    assert merged == 8
     # from the first merged step on the dictionary answers from its memo
     assert answers[merged - 1] is not answers[merged]
     assert all(a is answers[merged] for a in answers[merged:])
@@ -218,11 +219,11 @@ def test_chebyshev_fixed_point_realizes_nothing(monkeypatch):
     )
     trace = run_greedy(obj, dic, 1.0, Chebyshev(), StopRule(max_m=24, sup_tol=-1.0))
     assert len(vectors) == trace.iterations == 24
-    assert vectors[15] is not vectors[16]
-    assert all(v is vectors[16] for v in vectors[16:])
-    assert not vectors[16].flags.writeable
+    assert vectors[7] is not vectors[8]
+    assert all(v is vectors[8] for v in vectors[8:])
+    assert not vectors[8].flags.writeable
     # a merged record shares its coefficient array and its l1 mass
-    for prev, rec in zip(trace.records[16:], trace.records[17:]):
+    for prev, rec in zip(trace.records[8:], trace.records[9:]):
         assert rec.coefficients is prev.coefficients
         assert rec.l1_mass == prev.l1_mass
 
@@ -277,18 +278,29 @@ def test_chebyshev_inner_failure_is_loud():
     assert err.value.trace.stop_reason is StopReason.INNER_FAILURE
 
 
-def test_chebyshev_non_quadratic_span_is_lbfgs_only(monkeypatch):
-    # on a non-quadratic objective the span solve is L-BFGS-B alone, one to
-    # three passes for each atom that enters the span, and a few hundred
-    # gradients for ten steps even where the planted target enters the span
-    # (E ~ 1e-25 from m = 8)
-    passes = []
-    scipy_minimize = inner_solvers._scipy_minimize
-    monkeypatch.setattr(
-        inner_solvers,
-        "_scipy_minimize",
-        lambda *a, **k: passes.append(1) or scipy_minimize(*a, **k),
+def _no_lbfgs(monkeypatch):
+    """Patches scipy's minimize, as the inner solvers call it, to fail."""
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the span solve ran an L-BFGS-B pass")
+
+    monkeypatch.setattr(inner_solvers, "_scipy_minimize", no_pass)
+
+
+def _hessian_widths(obj, widths):
+    """obj with the width of every span Hessian it is asked for logged."""
+    hessian = obj.span_hessian_fn
+    return dataclasses.replace(
+        obj, span_hessian_fn=lambda x, B: widths.append(B.shape[1]) or hessian(x, B)
     )
+
+
+def test_chebyshev_non_quadratic_span_is_newton_only(monkeypatch):
+    # on a norm power the span solve is Newton's method from the minimizer's
+    # projection, with no L-BFGS-B pass: 30 E and 30 E' calls and 20 span
+    # Hessians for ten steps, even where the planted target enters the span
+    # (E ~ 1e-24 from m = 8), where the L-BFGS-B passes it replaced made 122
+    _no_lbfgs(monkeypatch)
     dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1000)
     calls = []
     counted = count_calls(obj, lambda name, _: calls.append(name))
@@ -296,37 +308,33 @@ def test_chebyshev_non_quadratic_span_is_lbfgs_only(monkeypatch):
         counted, dic, 1.0, Chebyshev(), StopRule(max_m=10, sup_tol=-1.0)
     )
     assert trace.iterations == 10
-    atoms = len(trace.terms())
-    assert atoms <= len(passes) <= 3 * atoms
-    assert calls.count("gradient") <= 1000
+    assert calls.count("value") <= 30 and calls.count("gradient") <= 30
+    assert calls.count("hessian") <= 20
     # E at m = 10 from the three-stage solver (L-BFGS-B, coordinate polish,
-    # L-BFGS-B) that this path replaced
+    # L-BFGS-B) that an earlier span solve replaced
     assert trace.records[-1].energy == pytest.approx(4.911012862748374e-25, abs=1e-20)
 
 
-def test_chebyshev_exact_fit_span_solve_is_one_lbfgs_pass(monkeypatch):
+def test_chebyshev_exact_fit_span_solve_is_the_projection(monkeypatch):
     # lp_approx n=64 instance 1001: at m = 8 the span holds the planted
-    # target, E's minimizer, so the pass started at its projection meets the
-    # contract alone. The solver before that start, from the previous
-    # solution with a 0 appended, made 231 E and 231 E' calls in these 8
-    # steps; this one makes 80 of each.
+    # target, E's minimizer, so its l2 projection meets the contract alone,
+    # with no Newton step and no L-BFGS-B pass. The solver from the previous
+    # solution with a 0 appended made 231 E and 231 E' calls in these 8
+    # steps, its L-BFGS-B pass from the projection 80 of each; Newton makes
+    # 30 of each.
+    _no_lbfgs(monkeypatch)
     widths = []
-    lbfgs = inner_solvers._lbfgs
-
-    def counted_pass(objective, basis, coef, options):
-        widths.append(basis.shape[1])
-        return lbfgs(objective, basis, coef, options)
-
-    monkeypatch.setattr(inner_solvers, "_lbfgs", counted_pass)
     dic, obj, _ = gen_lp_approx(64, 3.0, 1.5, s=8, seed=1001)
     calls = []
-    counted = count_calls(obj, lambda name, _: calls.append(name))
+    counted = _hessian_widths(
+        count_calls(obj, lambda name, _: calls.append(name)), widths
+    )
     trace = run_greedy(counted, dic, 1.0, Chebyshev(), StopRule(max_m=8, sup_tol=-1.0))
     assert len(trace.terms()) == 8
-    assert widths.count(8) == 1
+    assert max(widths) == 7
     assert trace.records[-1].grad_inf <= 1e-8
     assert trace.records[-1].energy <= 1e-20
-    assert calls.count("value") <= 120 and calls.count("gradient") <= 120
+    assert calls.count("value") <= 30 and calls.count("gradient") <= 30
 
 
 def test_chebyshev_well_conditioned_span_never_calls_lstsq(monkeypatch):

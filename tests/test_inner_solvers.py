@@ -614,6 +614,11 @@ def _counted_passes(monkeypatch):
     return passes
 
 
+def without_hessian(objective):
+    """The objective with no span Hessian: its span solves are L-BFGS-B."""
+    return dataclasses.replace(objective, span_hessian_fn=None)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
     # an L-BFGS-B pass hands back E and E' at its point from its own last
@@ -622,7 +627,7 @@ def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
     # passes of one span solve, and inside a pass that stalls at the
     # roundoff floor, which revisits points (seed 2's first span pass)
     y, base, phi = _ls_slice(seed)
-    obj = make_norm_power(y, 4.0, 2.0)
+    obj = without_hessian(make_norm_power(y, 4.0, 2.0))
     evaluations = []  # one list per pass
     lbfgs = inner_solvers._lbfgs
 
@@ -648,8 +653,9 @@ def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_each_evaluated_point_takes_one_lr_norm(monkeypatch, seed):
     # E and E' at one point share f - x and ||f - x||_r: the projection
-    # step, the span's projection candidate and every L-BFGS-B point are one
-    # value_and_gradient call, each one lr_norm
+    # step, the span's projection candidate, every L-BFGS-B point and every
+    # Newton trial point are one value_and_gradient call, each one lr_norm;
+    # a span Hessian takes one lr_norm of its own
     norms, calls = [], []
     lr_norm = objectives.lr_norm
     monkeypatch.setattr(
@@ -670,37 +676,128 @@ def test_each_evaluated_point_takes_one_lr_norm(monkeypatch, seed):
         calls.clear()
         run(counted)
         points = calls.count("gradient")  # no E is evaluated alone
-        assert len(norms) == points == calls.count("value") >= 1
+        hessians = calls.count("hessian")  # each takes one lr_norm of its own
+        assert len(norms) - hessians == points == calls.count("value") >= 1
         if r == 2.0:
             assert points == 1  # the projection's point
 
 
 def test_span_solve_starts_at_the_minimizers_projection(monkeypatch):
-    # E = ||y - x||_4^2 has its minimizer at y: the first pass starts at y's
-    # l2 projection onto the span and, here, meets the contract alone
+    # E = ||y - x||_4^2 has its minimizer at y: the span solve first
+    # evaluates y's l2 projection onto the span. Newton's steps go on from
+    # there; with no span Hessian, the first L-BFGS-B pass starts there and,
+    # here, meets the contract alone
     passes = _counted_passes(monkeypatch)
     y, base, phi = _ls_slice(0)
     basis = np.column_stack((base, phi))
-    res = minimize_subspace(make_norm_power(y, 4.0, 2.0), basis)
-    assert len(passes) == 1
     expected, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    points = []
+    obj = count_calls(
+        make_norm_power(y, 4.0, 2.0),
+        lambda name, x: name == "gradient" and points.append(x),
+    )
+    res = minimize_subspace(obj, basis)
+    assert passes == []
+    assert np.allclose(points[0], basis @ expected, rtol=1e-12, atol=1e-14)
+    assert res.grad_inf <= 1e-8
+    res = minimize_subspace(without_hessian(obj), basis)
+    assert len(passes) == 1
     assert np.allclose(passes[0][0], expected, rtol=1e-12, atol=1e-14)
     assert res.grad_inf <= 1e-8
 
 
 def test_span_solve_falls_through_when_the_projection_pass_misses(monkeypatch):
-    # here the pass from y's projection stops on its relative-decrease test
-    # at max_j |<E', phi_j>| ~ 4e-8: the two passes from x0 follow, as
-    # without that start, and the result still meets the contract
+    # with no span Hessian, the L-BFGS-B pass from y's projection here stops
+    # on its relative-decrease test at max_j |<E', phi_j>| ~ 4e-8: the two
+    # passes from x0 follow, as without that start, and the result still
+    # meets the contract
     passes = _counted_passes(monkeypatch)
     y, base, phi = _ls_slice(2)
-    obj = make_norm_power(y, 4.0, 2.0)
+    obj = without_hessian(make_norm_power(y, 4.0, 2.0))
     basis = np.column_stack((base, phi))
     res = minimize_subspace(obj, basis)
     assert len(passes) >= 2
     assert passes[0][1].grad_inf > 1e-8
     assert res.grad_inf <= 1e-8
     assert float(np.max(np.abs(basis.T @ obj.gradient(res.point)))) <= 1e-8
+
+
+_NORM_POWERS = [(r, q) for r in (1.5, 2.0, 3.0, 6.0) for q in (1.2, 1.5, 2.0)]
+
+
+@pytest.mark.parametrize("r,q", _NORM_POWERS)
+@pytest.mark.parametrize("seed", range(3))
+def test_span_newton_meets_the_contract_alone(monkeypatch, r, q, seed):
+    # on a generic span of a norm power, Newton's steps meet the contract
+    # with no L-BFGS-B pass, evaluate no point twice and hand back E and E'
+    # at their point; E is no higher than the L-BFGS-B passes reach
+    passes = _counted_passes(monkeypatch)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(8)
+    basis = rng.standard_normal((8, 3))
+    if (r, q) == (2.0, 2.0):  # a quadratic: make its span solve the Newton one
+        obj = dataclasses.replace(make_norm_power(f, r, q), projection_target=None)
+    else:
+        obj = make_norm_power(f, r, q)
+    points = []
+    counted = count_calls(
+        obj, lambda name, x: name == "gradient" and points.append(x.tobytes())
+    )
+    res = minimize_subspace(counted, basis)
+    assert passes == []
+    assert len(points) == len(set(points)) and res.point.tobytes() in points
+    assert res.grad_inf <= 1e-8
+    assert res.energy == obj.value(res.point)
+    assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
+    searched = minimize_subspace(without_hessian(obj), basis)
+    assert len(passes) >= 1
+    assert res.energy <= searched.energy + 1e-12 * (1.0 + abs(searched.energy))
+
+
+def _fallback_case(zero_row=False):
+    """A norm power (r = 1.5, q = 1.5) and a span whose minimizer's
+    projection misses the contract; with zero_row the first residual entry
+    is 0 all over the span, where E'' does not exist."""
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal(8)
+    basis = rng.standard_normal((8, 3))
+    if zero_row:
+        f[0] = 0.0
+        basis[0] = 0.0
+    return make_norm_power(f, 1.5, 1.5), basis
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["non-finite Hessian", "Hessian not positive definite", "backtrack fails"],
+)
+def test_span_newton_falls_back_to_the_lbfgs_passes(monkeypatch, case):
+    # when Newton cannot go on, the L-BFGS-B passes run as they do with no
+    # span Hessian, from the same start, to the same point, and meet the
+    # contract
+    obj, basis = _fallback_case(zero_row=case == "non-finite Hessian")
+    hessians = []
+    hessian = obj.span_hessian_fn
+    if case == "Hessian not positive definite":
+        hessian = lambda x, B: -obj.span_hessian_fn(x, B)  # noqa: E731
+    elif case == "backtrack fails":
+        # E is convex, so E(c + t p) >= E(c) + t <g, p> > E(c) + 2 t <g, p>
+        monkeypatch.setattr(inner_solvers, "ARMIJO_C1", 2.0)
+    patched = dataclasses.replace(
+        obj, span_hessian_fn=lambda x, B: hessians.append(hessian(x, B)) or hessians[-1]
+    )
+    passes = _counted_passes(monkeypatch)
+    res = minimize_subspace(patched, basis)
+    assert len(hessians) == 1
+    if case == "non-finite Hessian":
+        assert not np.isfinite(hessians[0]).all()
+    assert len(passes) >= 1
+    assert res.grad_inf <= 1e-8
+    expected = minimize_subspace(without_hessian(obj), basis)
+    assert res.coefficients.tobytes() == expected.coefficients.tobytes()
+    assert res.point.tobytes() == expected.point.tobytes()
+    assert res.energy == expected.energy
+    assert res.gradient.tobytes() == expected.gradient.tobytes()
 
 
 def test_slice_rejects_unsupported_shapes():

@@ -22,7 +22,7 @@ from greedyopt.objectives import (
     make_norm_power,
 )
 
-from oracles import fd_gradient
+from oracles import fd_gradient, fd_span_hessian
 
 
 def finite_vec(n, lo=-10.0, hi=10.0):
@@ -431,6 +431,37 @@ def test_gradient_matches_finite_differences():
             fd = fd_gradient(obj.value, x, h=1e-6 * (1.0 + l2_norm(x)))
             scale = max(l2_norm(g), l2_norm(fd), 1.0)
             assert l2_norm(g - fd) / scale < 1e-6
+
+
+@pytest.mark.parametrize("q", [1.2, 1.5, 2.0])
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 6.0])
+def test_span_hessian_matches_finite_differences(r, q):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        f = rng.standard_normal(7)
+        x = rng.standard_normal(7)
+        basis = rng.standard_normal((7, 3))
+        obj = make_norm_power(f, r, q)
+        hess = obj.span_hessian_fn(x, basis)
+        fd = fd_span_hessian(obj.value_and_gradient, x, basis, 1e-6)
+        assert hess.shape == (3, 3)
+        assert np.abs(hess - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
+
+
+def test_span_hessian_is_infinite_where_e_has_none():
+    # E'' does not exist at the target, nor, for r < 2, where a residual
+    # entry is 0; least squares and logistic declare no span Hessian
+    f = np.array([1.0, -2.0, 0.5])
+    basis = np.eye(3)[:, :2]
+    for r, q, x in ((3.0, 1.5, f), (2.0, 2.0, f), (1.5, 2.0, np.array([1.0, 0.0, 0.0]))):
+        hess = make_norm_power(f, r, q).span_hessian_fn(x, basis)
+        assert hess.shape == (2, 2) and not np.isfinite(hess).any()
+    assert np.isfinite(
+        make_norm_power(f, 3.0, 1.5).span_hessian_fn(np.array([1.0, 0.0, 0.0]), basis)
+    ).all()
+    assert make_least_squares(f).span_hessian_fn is None
+    logistic = make_logistic(np.array([1.0, -1.0]), np.eye(2, 3), 0.1)
+    assert logistic.span_hessian_fn is None
 
 
 def test_convexity_inequality():
