@@ -4,7 +4,11 @@ An objective here is E: R^dim -> R, convex and Frechet differentiable, together
 with optional metadata used by the greedy drivers and the verification harness:
 a power-type smoothness envelope rho(E, u) <= gamma * u^q with 1 < q <= 2, a
 radius bound on the sublevel set D = {x : E(x) <= E(0)}, and the ambient norm
-the envelope refers to (l2 unless stated otherwise).
+the envelope refers to (l2 unless stated otherwise). Every envelope is a
+proven closed form, never a sampled estimate: least squares and logistic from
+their Hessian bounds, and a norm power ||f - x||_r^q from the uniform
+smoothness of l_r (proof in `make_norm_power`), which gives one only for
+q <= min(r, 2), so the factory rejects q > r.
 
 Every caller that needs E' needs E at the same point, so an objective has one
 function for the two, `value_and_gradient_fn`, beside `value_fn` for E
@@ -17,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,33 +56,18 @@ class SmoothnessParams:
     """Power-type modulus of smoothness envelope rho(u) = gamma * u^q.
 
     Args:
-        gamma: envelope constant, > 0, or a zero-argument function that
-            computes it. The function runs on the first read of `gamma` (or
-            `rho`), and its value is checked and cached then; repr and ==
-            see the function, so they never run it.
+        gamma: envelope constant, > 0.
         q: envelope exponent, in (1, 2]. q = 2 for quadratic-like objectives.
     """
 
-    _gamma: Union[float, Callable[[], float]]
+    gamma: float
     q: float
 
-    def __init__(self, gamma: Union[float, Callable[[], float]], q: float):
-        object.__setattr__(self, "_gamma", gamma)
-        object.__setattr__(self, "q", q)
-        if not callable(gamma):
-            self.gamma  # a constant is checked at once
-        if not (1.0 < q <= 2.0):
-            raise ValueError(f"q must be in (1, 2], got {q}")
-
-    def __repr__(self) -> str:
-        return f"SmoothnessParams(gamma={self._gamma!r}, q={self.q!r})"
-
-    @cached_property
-    def gamma(self) -> float:
-        gamma = float(self._gamma() if callable(self._gamma) else self._gamma)
-        if not (gamma > 0):
-            raise ValueError(f"gamma must be > 0, got {gamma}")
-        return gamma
+    def __post_init__(self):
+        if not (self.gamma > 0):
+            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not (1.0 < self.q <= 2.0):
+            raise ValueError(f"q must be in (1, 2], got {self.q}")
 
     def rho(self, u: float) -> float:
         """Envelope value gamma * |u|^q."""
@@ -245,32 +233,7 @@ def sample_sublevel_pair(value, e0, dim, radius, norm, rng) -> tuple:
     return x, y / norm(y)
 
 
-def _sampled_modulus(value, e0, dim, radius, norm, u, samples, rng) -> float:
-    """Sampled lower estimate of rho(E, u) from `sample_sublevel_pair`."""
-    best = 0.0
-    for _ in range(samples):
-        x, y = sample_sublevel_pair(value, e0, dim, radius, norm, rng)
-        second = value(x + u * y) + value(x - u * y) - 2.0 * value(x)
-        best = max(best, 0.5 * abs(second))
-    return best
-
-
-def _calibrate_gamma(value_fn, dim, radius, norm, q, seed=2024) -> float:
-    """Sampled lower estimate of sup rho(u)/u^q over u = 2^-k, k = 0..8,
-    doubled as a safety margin. The raw value_fn keeps it fast."""
-    rng = np.random.default_rng(seed)
-    e0 = value_fn(np.zeros(dim))
-    worst = 0.0
-    for k in range(9):
-        u = 2.0 ** (-k)
-        best = _sampled_modulus(value_fn, e0, dim, radius, norm, u, 250, rng)
-        worst = max(worst, best / u**q)
-    return 2.0 * max(worst, 1e-12)
-
-
-def make_norm_power(
-    target: np.ndarray, r: float, q: float, gamma: Optional[float] = None
-) -> Objective:
+def make_norm_power(target: np.ndarray, r: float, q: float) -> Objective:
     """E(x) = ||target - x||_r^q with the l_r ambient norm.
 
     Gradient: -q ||v||_r^(q-1) F_v at v = target - x, where F_v is the l_r
@@ -284,16 +247,31 @@ def make_norm_power(
     O(dim k^2), with no (dim, dim) array. It is infinite where E'' does not
     exist: at v = 0, and where some v_i = 0 when r < 2.
 
-    gamma default: for q = 2 and r >= 2 the sharp two-point constant r - 1;
-    otherwise a seeded empirical calibration (doubled sampled estimate), run
-    on the first read of `smoothness.gamma` and cached there. The
-    (r, q) compatibility is not enforced; the envelope is validated by
-    sampling in the test harness.
+    Envelope: rho(E, u) <= gamma u^q on all of R^dim, with
+    gamma = max(1, r - 1)^(q/2), for every 1 < q <= min(r, 2). Proof: fix x,
+    y with ||y||_r = 1 and u >= 0; let v = f - x, A = ||v + u y||_r and
+    B = ||v - u y||_r. Take p = 2 and c = r - 1 for r >= 2, where l_r is
+    2-uniformly smooth (Ball, Carlen & Lieb, Invent. Math. 115, 1994), and
+    p = r and c = 1 for 1 < r <= 2, where Clarkson's
+    |a + b|^r + |a - b|^r <= 2 (|a|^r + |b|^r) holds for each coordinate.
+    Either way (A^p + B^p) / 2 <= ||v||^p + c u^p. As q <= p, t -> t^(q/p)
+    is concave, so Jensen and (a + b)^k <= a^k + b^k for k = q/p <= 1 give
+    (A^q + B^q) / 2 <= (||v||^p + c u^p)^(q/p) <= ||v||^q + c^(q/p) u^q,
+    and c^(q/p) = gamma. So the second difference E(x + u y) + E(x - u y)
+    - 2 E(x) is at most 2 gamma u^q, and by convexity it bounds the Bregman
+    term of the smoothness sandwich. At q = 2, r >= 2 gamma is the sharp
+    r - 1. For q > r (so r < 2) there is no power-q envelope: where v_i = 0,
+    E'(x) e_i = 0 and E(x + u e_i) - E(x) grows like u^r, so the factory
+    raises ValueError.
     """
     if not (1.0 < r < np.inf):
         raise ValueError(f"r must be in (1, inf), got {r}")
     if not (1.0 < q <= 2.0):
         raise ValueError(f"q must be in (1, 2], got {q}")
+    if q > r:
+        raise ValueError(
+            f"q = {q} > r = {r}: ||f - x||_r^q has no power-q smoothness envelope"
+        )
     f = np.asarray(target, dtype=float).copy()
     f.setflags(write=False)
     dim = f.shape[0]
@@ -328,19 +306,12 @@ def make_norm_power(
         h *= q * nv ** (q - 2.0)
         return h
 
-    radius = 2.0 * norm(f)
-    if gamma is None:
-        if q == 2.0 and r >= 2.0:
-            gamma = r - 1.0
-        else:  # sampled on the first read of gamma; no run reads it
-            gamma = lambda: _calibrate_gamma(value, dim, radius, norm, q)
-
     return Objective(
         dimension=dim,
         value_fn=value,
         value_and_gradient_fn=value_and_grad,
-        smoothness=SmoothnessParams(gamma=gamma, q=q),
-        sublevel_radius=radius,
+        smoothness=SmoothnessParams(gamma=max(1.0, r - 1.0) ** (q / 2.0), q=q),
+        sublevel_radius=2.0 * norm(f),
         norm=norm,
         label=f"norm_power(r={r}, q={q})",
         projection_target=f if r == 2.0 and q == 2.0 else None,
@@ -440,7 +411,11 @@ def empirical_modulus(
         return 0.0
     rng = np.random.default_rng(rng_seed)
     e0 = obj.value(np.zeros(obj.dimension))
-    return _sampled_modulus(
-        obj.value, e0, obj.dimension, obj.sublevel_radius, obj.norm, u,
-        sample_count, rng,
-    )
+    best = 0.0
+    for _ in range(sample_count):
+        x, y = sample_sublevel_pair(
+            obj.value, e0, obj.dimension, obj.sublevel_radius, obj.norm, rng
+        )
+        second = obj.value(x + u * y) + obj.value(x - u * y) - 2.0 * obj.value(x)
+        best = max(best, 0.5 * abs(second))
+    return best

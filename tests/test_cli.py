@@ -169,6 +169,23 @@ def test_gen_range_error_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "rates", "gen"])
+def test_norm_power_without_an_envelope_is_usage_error(tmp_path, capsys, command):
+    # ||f - x||_1.5^2 has no power-2 smoothness envelope: exit 2, no files
+    out = tmp_path / "out"
+    if command == "gen":
+        argv = ["gen", "lp_approx", "--n", "8", "--r", "1.5", "--q", "2"]
+    else:
+        path = tmp_path / "lp.json"
+        path.write_text(json.dumps({**LP_STALL, "r": 1.5, "q": 2.0}))
+        argv = [command, str(path)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "q = 2.0 > r = 1.5" in err
+    assert not out.exists()
+
+
 def test_gen_missing_parameters(tmp_path, capsys):
     assert main(["gen", "compressed_sensing", "--out", str(tmp_path)]) == 2
     assert "requires" in capsys.readouterr().err

@@ -412,29 +412,6 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
     assert a.summary_path.read_bytes() == b.summary_path.read_bytes()
 
 
-def test_run_experiment_never_reads_the_sampled_gamma(tmp_path, monkeypatch):
-    # no output of an lp run reads its sampled gamma: with the calibration
-    # made to fail, the run writes the bytes of an unpatched run, and gamma
-    # is sampled only when something reads it
-    config = dict(
-        instance="lp_approx", algorithm="wcga", seed=1, n=16, r=3.0, q=1.5, s=4,
-        max_m=20, sup_tol=-1.0,
-    )
-    plain = run_experiment(config, out_dir=tmp_path / "plain")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("gamma was calibrated")
-
-    monkeypatch.setattr(objectives, "_calibrate_gamma", refuse)
-    lazy = run_experiment(config, out_dir=tmp_path / "lazy")
-    assert plain.ok and lazy.ok
-    assert lazy.summary_path.read_bytes() == plain.summary_path.read_bytes()
-    assert lazy.trace_path.read_bytes() == plain.trace_path.read_bytes()
-    objective = build_instance(config)[0]
-    with pytest.raises(AssertionError, match="calibrated"):
-        objective.smoothness.gamma
-
-
 def test_trace_csv_format(tmp_path):
     result = run_experiment(cfg(), out_dir=tmp_path)
     lines = result.trace_path.read_text().strip().split("\n")

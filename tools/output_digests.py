@@ -24,6 +24,7 @@ INSTANCES = {
     "lr8": dict(instance="low_rank", n=8, rank=2),
     "lp3": dict(instance="lp_approx", n=16, r=3.0, q=1.5),
     "lp4": dict(instance="lp_approx", n=16, r=4.0, q=2.0),
+    "lp15": dict(instance="lp_approx", n=16, r=1.5, q=1.5),
 }
 RULES = {
     "wcga": dict(algorithm="wcga"),
