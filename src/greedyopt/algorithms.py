@@ -101,6 +101,11 @@ class StopRule:
     gap_tol: Optional[float] = None
     reference: float = 0.0
 
+    def __post_init__(self):
+        _check(self.max_m, lambda m: m >= 0, "max_m must be >= 0")
+        if self.gap_tol is not None:
+            _check(self.gap_tol, lambda g: g >= 0.0, "gap_tol must be >= 0")
+
 
 def _check(spec, valid, what: str) -> None:
     """Raise ValueError unless the value, or each value of a sequence, is valid."""
@@ -210,6 +215,9 @@ class Chebyshev(UpdateRule):
 
     name = "wcga"
     monotone = orthogonal = rated = True
+
+    def __post_init__(self):
+        _check(self.subspace_tol, lambda t: t > 0.0, "subspace_tol must be > 0")
 
 
 @dataclass(frozen=True)

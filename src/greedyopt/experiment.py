@@ -172,13 +172,20 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("give weakness or weakness_exponent, not both")
     # a range is checked where it is defined: by building the object the
     # key sets, from that key alone, so the error names the key
-    for key in ("weakness", "weakness_exponent", *_RULE_FIELDS):
-        if key in config:
-            build = build_rule if key in _RULE_FIELDS else build_weakness
-            try:
-                build({"algorithm": config["algorithm"], key: config[key]})
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: {exc}") from exc
+    for key in ("weakness", "weakness_exponent", *_RULE_FIELDS, "max_m", "gap_tol"):
+        if key not in config:
+            continue
+        try:
+            if key in _RULE_FIELDS:
+                build_rule({"algorithm": config["algorithm"], key: config[key]})
+            elif key.startswith("weakness"):
+                build_weakness({key: config[key]})
+            else:
+                StopRule(**{key: config[key]})
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from exc
+    if config.get("fit_m_min", 1) < 1:
+        raise ConfigError(f"key 'fit_m_min': must be >= 1, got {config['fit_m_min']}")
     key = _AT_MOST_N.get(config["instance"])
     if key is not None and config[key] > config["n"]:
         raise ConfigError(

@@ -13,22 +13,17 @@ coefficients free, and one direction with base's coefficient fixed at 1
 and d's bounded to its interval, ray or line.
 
 The Chebyshev rule's span solve (`minimize_subspace`) is separate. Its basis
-lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. With a
-projection target the coefficients come from R c = Q^T target, then from a
-full `lstsq` if those miss the span contract. Otherwise, when
-`Objective.minimizer`, E's global minimizer, is known, it starts at that
-point's l2 projection onto the span (at an exact fit the projection is the
-fit) and, when the objective gives its span Hessian, takes damped Newton
-steps from there (`_newton`). When those miss the contract, or there is no
-Hessian, it runs L-BFGS-B through the slices' helper (`_lbfgs`): one pass
-from the projection, then, if that misses the contract or there is no
-minimizer, passes from the previous solution, with one stricter pass when
-that misses it. Every solve returns a `SliceResult`: its point, and E and
-E' there: the projection step's, Newton's and the span contract's checks
-read E', and an L-BFGS-B pass hands back its own evaluations when it ends
-on one of its last two points. Every point a solver evaluates, a projection
-step's, a span candidate's, a Newton trial point or one that L-BFGS-B
-tries, is one `value_and_gradient` call.
+lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. It
+evaluates the l2 projection of `Objective.minimizer` onto the span once and
+checks the span contract there: for least squares and the r = 2 norm powers,
+and once the span holds the minimizer, that is the whole solve. On a miss
+it takes damped Newton steps with the span Hessian (`_newton`), then the
+L-BFGS-B passes of `span_passes` through the slices' helper (`_lbfgs`): one
+from the projection, which takes its E and E', then one from the previous
+solution and a stricter one from its result. Every solve returns a
+`SliceResult`: its point, and E and E' there. Every point a solver
+evaluates is one `value_and_gradient` call, and an L-BFGS-B pass hands back
+its own evaluations when it ends on one of its last two points.
 """
 from __future__ import annotations
 
@@ -45,9 +40,18 @@ from .objectives import Objective
 
 DERIVATIVE_TOL = 1e-10
 SUBSPACE_TOL = 1e-8
+
+
+def span_passes(tol: float) -> tuple:
+    """The span's L-BFGS-B passes for the contract at tol, the second stricter."""
+    return ({"maxiter": 4000, "maxfun": 8000, "gtol": tol * 1e-2, "ftol": 1e-18},
+            {"maxiter": 8000, "gtol": tol * 1e-3, "ftol": 0.0})
+
+
 # A slice's one L-BFGS-B pass: the span's first pass at its default
-# tolerance, with no contract to meet afterwards.
-SLICE_OPTIONS = {"maxiter": 4000, "maxfun": 8000, "gtol": DERIVATIVE_TOL, "ftol": 1e-18}
+# tolerance (gtol SUBSPACE_TOL * 1e-2 = DERIVATIVE_TOL), with no contract to
+# meet afterwards.
+SLICE_OPTIONS = span_passes(SUBSPACE_TOL)[0]
 # A column whose part orthogonal to the factored span, after CGS2, is at most
 # DEPENDENT_TOL times its norm is numerically dependent on that span.
 DEPENDENT_TOL = 1e-10
@@ -310,17 +314,9 @@ def _grown(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def _projections(span: SpanFactor, target: np.ndarray):
-    """argmin_c ||target - B c||_2, computed lazily: from the factor while it
-    is usable, then by a full `lstsq` on B."""
-    if span.usable:
-        yield span.solve(target)
-    yield np.linalg.lstsq(span.basis, target, rcond=None)[0]
-
-
-def _newton(objective, basis, coef, tol) -> Optional[SliceResult]:
-    """Damped Newton on c -> E(basis @ c) from coef (Nocedal & Wright,
-    Numerical Optimization, 3.1 and 3.5).
+def _newton(objective, basis, start: SliceResult, tol) -> Optional[SliceResult]:
+    """Damped Newton on c -> E(basis @ c) from start, an evaluated point
+    (Nocedal & Wright, Numerical Optimization, 3.1 and 3.5).
 
     Each step solves H p = -B^T E' with H = `objective.span_hessian_fn`
     (point, basis) by Cholesky and backtracks from the full step to
@@ -328,15 +324,10 @@ def _newton(objective, basis, coef, tol) -> Optional[SliceResult]:
     Returns the first point that meets the span contract, or None when H is
     not finite or not positive definite, p is not a descent direction, a
     backtrack fails, or NEWTON_STEPS steps miss it."""
-    point = basis @ coef
-    energy, grad = objective.value_and_gradient(point)
+    coef, point, energy, grad = (start.coefficients, start.point, start.energy,
+                                 start.gradient)
     bg = basis.T @ grad
-    for step in range(NEWTON_STEPS + 1):
-        ginf = float(np.max(np.abs(bg)))
-        if ginf <= tol:
-            return SliceResult(coef, point, energy, grad, ginf)
-        if step == NEWTON_STEPS:
-            return None
+    for _ in range(NEWTON_STEPS):
         hess = objective.span_hessian_fn(point, basis)
         if not np.isfinite(hess).all():
             return None
@@ -359,6 +350,10 @@ def _newton(objective, basis, coef, tol) -> Optional[SliceResult]:
             return None
         coef, point, energy, grad = trial, trial_point, trial_energy, trial_grad
         bg = basis.T @ grad
+        ginf = float(np.max(np.abs(bg)))
+        if ginf <= tol:
+            return SliceResult(coef, point, energy, grad, ginf)
+    return None
 
 
 def minimize_subspace(
@@ -371,21 +366,17 @@ def minimize_subspace(
     (dim, k) array, which is factored here.
 
     Exit condition (the contract): max_j |<E'(x), phi_j>| <= tol at the
-    returned point, checked from B^T E'(x) for every candidate. When E's span
-    minimizer is the l2 projection of `objective.projection_target`, the
-    candidates are the factor's R c = Q^T target (while the factor is
-    usable), then a full `lstsq` on B. Otherwise, when `objective.minimizer`
-    is set, the solve starts at that point's l2 projection onto the span
-    (the same factor solve, or `lstsq`): once the span holds E's minimizer,
-    the projection alone meets the contract. With a span Hessian
-    (`objective.span_hessian_fn`), damped Newton steps go on from there
-    (`_newton`); when they stop short, on a Hessian that is not finite or
-    not positive definite, a failed backtrack or NEWTON_STEPS steps, or with
-    no Hessian, one L-BFGS-B pass runs from the projection. When those miss, or there
-    are none, L-BFGS-B with the analytic gradient from the last
-    `projection_target` candidate, x0 or zero and, if that misses the
-    contract, a stricter L-BFGS-B pass from its result; raises
-    SubspaceToleranceError if both miss it.
+    returned point, read from B^T E'(x). When `objective.minimizer` is set,
+    its l2 projection onto the span (R c = Q^T minimizer while the factor is
+    usable, else `lstsq` on B) is evaluated once and checked; it is the span
+    minimizer when E is a function of the l2 distance to the minimizer
+    (least squares, the r = 2 norm powers) or when the span holds it. On a
+    miss come damped Newton steps (`_newton`, when
+    `objective.span_hessian_fn` is set), then one L-BFGS-B pass from the
+    projection, which takes its E and E'. When those miss, or there is no
+    minimizer, the passes of `span_passes(tol)` run from x0 or zero, the
+    second from the first's result; raises SubspaceToleranceError if both
+    miss the contract.
     """
     span = basis if isinstance(basis, SpanFactor) else SpanFactor.of(basis)
     basis = span.basis
@@ -397,37 +388,33 @@ def minimize_subspace(
     def grad_inf(grad):
         return float(np.max(np.abs(basis.T @ grad)))
 
-    def lbfgs(coef, options):
-        res = _lbfgs(objective, basis, coef, options)
+    def lbfgs(coef, options, at_start=None):
+        res = _lbfgs(objective, basis, coef, options, at_start=at_start)
         res.grad_inf = grad_inf(res.gradient)
         return res
 
-    passes = (
-        {"maxiter": 4000, "maxfun": 8000, "gtol": tol * 1e-2, "ftol": 1e-18},
-        {"maxiter": 8000, "gtol": tol * 1e-3, "ftol": 0.0},
-    )
-    coef = None
-    if objective.projection_target is not None:
-        for coef in _projections(span, objective.projection_target):
-            point = basis @ coef
-            energy, grad = objective.value_and_gradient(point)
-            ginf = grad_inf(grad)
-            if ginf <= tol:
-                return SliceResult(coef, point, energy, grad, ginf)
-        # both missed the contract (degenerate basis etc.): fall through
-    elif objective.minimizer is not None:
-        start = next(_projections(span, objective.minimizer))
+    passes = span_passes(tol)
+    target = objective.minimizer
+    if target is not None:
+        if span.usable:
+            coef = span.solve(target)
+        else:
+            coef = np.linalg.lstsq(basis, target, rcond=None)[0]
+        point = basis @ coef
+        energy, grad = objective.value_and_gradient(point)
+        start = SliceResult(coef, point, energy, grad, grad_inf(grad))
+        if start.grad_inf <= tol:
+            return start
         if objective.span_hessian_fn is not None:
             res = _newton(objective, basis, start, tol)
             if res is not None:
                 return res
-        res = lbfgs(start, passes[0])
+        res = lbfgs(coef, passes[0], at_start=(energy, grad))
         if res.grad_inf <= tol:
             return res
         # missed the contract: the passes from x0 below
 
-    if coef is None:
-        coef = np.asarray(x0, dtype=float) if x0 is not None else np.zeros(m)
+    coef = np.asarray(x0, dtype=float) if x0 is not None else np.zeros(m)
     for options in passes:
         res = lbfgs(coef, options)
         if res.grad_inf <= tol:

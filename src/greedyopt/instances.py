@@ -76,28 +76,28 @@ def verify_certificate(
 
 
 def _dyadic_fractions(
-    count: int, rng: np.random.Generator, min_frac: float = 0.0
+    count: int, rng: np.random.Generator, min_coef: float = 0.0
 ) -> np.ndarray:
     """Dirichlet(1,..,1) fractions quantized to multiples of 2**-30 that sum
-    to exactly 1.0. min_frac floors every fraction (count*min_frac == 1 forces
+    to exactly 1.0. min_coef floors every fraction (count*min_coef == 1 forces
     the equal split)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not min_frac >= 0.0:  # NaN too
-        raise ValueError(f"min_frac must be >= 0, got {min_frac}")
+    if not min_coef >= 0.0:  # NaN too
+        raise ValueError(f"min_coef must be >= 0, got {min_coef}")
+    total_floor = count * min_coef
+    if total_floor > 1.0 + 1e-9:
+        raise ValueError(
+            f"count * min_coef = {total_floor} exceeds the unit budget"
+        )
     scale = 1 << DYADIC_BITS
     if count == 1:
         return np.array([1.0])
-    total_floor = count * min_frac
-    if total_floor > 1.0 + 1e-9:
-        raise ValueError(
-            f"count * min_frac = {total_floor} exceeds the unit budget"
-        )
     if total_floor >= 1.0 - 1e-9:
         raw = np.full(count, 1.0 / count)
     else:
         raw = rng.dirichlet(np.ones(count))
-        raw = raw * (1.0 - total_floor) + min_frac
+        raw = raw * (1.0 - total_floor) + min_coef
     ks = np.maximum(np.floor(raw * scale).astype(np.int64), 1)
     ks[-1] += scale - int(ks.sum())
     if ks[-1] < 1:

@@ -91,10 +91,10 @@ class Objective:
     value_and_gradient validate dimensions and reject non-finite results
     instead of letting NaN propagate into a greedy run. Two optional points
     guide the inner solvers: `projection_target` t, when E is a quadratic
-    around t, and `minimizer`, a point where E attains its minimum over
-    R^dim (the target of least squares and of every norm power; None for
-    logistic), whose l2 projection onto the span starts the non-quadratic
-    span solve.
+    around t, which only the slice solver reads, and `minimizer`, a point
+    where E attains its minimum over R^dim (the target of least squares and
+    of every norm power; None for logistic), whose l2 projection onto the
+    span starts every span solve that has one.
 
     `span_hessian_fn(x, B)`, optional, gives B^T E''(x) B for a (dim, k)
     array B: the (k, k) Hessian of c -> E(x + B c) at c = 0, of the E of
@@ -113,8 +113,7 @@ class Objective:
     norm: Callable[[np.ndarray], float] = l2_norm
     label: str = ""
     # A t such that E(x) = a ||t - x||_2^2 + b with a > 0: E's minimizer over
-    # an affine set (a rule's slice, the Chebyshev span) is then t's l2
-    # projection onto it (see inner_solvers).
+    # a rule's slice is then t's l2 projection onto it (minimize_on_slice).
     projection_target: Optional[np.ndarray] = field(
         default=None, compare=False, repr=False
     )

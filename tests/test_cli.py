@@ -154,6 +154,28 @@ def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, overrides):
 
 
 @pytest.mark.parametrize(
+    "key,overrides",
+    [
+        ("subspace_tol", {"subspace_tol": -1.0}),
+        ("subspace_tol", {"subspace_tol": 0}),
+        ("max_m", {"max_m": -1}),
+        ("gap_tol", {"gap_tol": -1.0}),
+        ("fit_m_min", {"fit_m_min": -1}),
+        ("min_coef", {"s": 1, "min_coef": 1.5}),
+    ],
+)
+def test_run_range_error_names_its_key(tmp_path, capsys, key, overrides):
+    # without its range check each of these runs: a wcga run that fails at
+    # m = 1 (subspace_tol), or one that exits 0
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps({**QUICK, **overrides}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["compressed_sensing", "--k", "0", "--n", "8", "--s", "2"],
@@ -363,8 +385,8 @@ _CONFIG_VALUES = {
     "gap_tol": (st.sampled_from([0, 1e-6, 0.3]), st.sampled_from([-1.0, _NAN])),
     "reference": (st.sampled_from([-1.0, 0, 1.0]), st.sampled_from([_NAN, _INF])),
     "subspace_tol": (st.sampled_from([1e-10, 1e-3]), st.sampled_from([-1.0, 0, _NAN])),
-    "step_b": (st.sampled_from([0.3, 1]), st.sampled_from([0, 2.0, _NAN])),
-    "relaxation_r": (st.sampled_from([0.3, 1]), st.sampled_from([-0.5, 2.0, _NAN])),
+    "step_b": (st.sampled_from([0.3, 0.9]), st.sampled_from([0, 1, 2.0, _NAN])),
+    "relaxation_r": (st.sampled_from([0, 0.3]), st.sampled_from([-0.5, 1, 2.0, _NAN])),
     "prescribed_step": (
         st.sampled_from([0.5, 1, 1e300]),
         st.sampled_from([-1.0, 0, _NAN, _INF]),
@@ -389,9 +411,10 @@ _WRONG_TYPE = st.sampled_from([None, "1", [1]])
 
 @st.composite
 def _configs(draw):
-    """A kind, an algorithm, a seed, `max_m`, the keys the kind needs and up
-    to three other keys of the schema; about half of the configs have one
-    key out of range or of the wrong type."""
+    """(config, bad): a kind, an algorithm, a seed, `max_m`, the keys the
+    kind needs and up to three other keys of the schema; about half of the
+    configs have one key, bad, out of range or of the wrong type, and the
+    others have bad None."""
     kind = draw(_CONFIG_VALUES["instance"][0])
     keys = ["instance", "algorithm", "seed", "max_m", *INSTANCE_KEYS[kind][0]]
     extra = st.sampled_from(sorted(set(_SCHEMA) - set(keys)))
@@ -404,34 +427,35 @@ def _configs(draw):
             config[key] = draw(out_of_range | _WRONG_TYPE)
         elif key != "instance":
             config[key] = draw(good)
-    return config
+    return config, bad
 
 
 def test_config_values_cover_the_schema():
     assert set(_CONFIG_VALUES) == set(_SCHEMA)
 
 
-@given(config=_configs())
+@given(drawn=_configs())
 @example(  # an empty name made the summary path the output directory
-    config={**QUICK, "max_m": 0, "summary": ""}
+    drawn=({**QUICK, "max_m": 0, "summary": ""}, "summary")
 )
 @example(  # a NaN reference made every gap NaN, and NaN is not JSON
-    config={**QUICK, "max_m": 2, "reference": float("nan")}
+    drawn=({**QUICK, "max_m": 2, "reference": float("nan")}, "reference")
 )
 @settings(max_examples=150, deadline=None)
-def test_run_any_config_exits_cleanly(config):
-    _exits_cleanly("run", config)
+def test_run_any_config_exits_cleanly(drawn):
+    _exits_cleanly("run", *drawn)
 
 
-@given(config=_configs())
+@given(drawn=_configs())
 @settings(max_examples=60, deadline=None)
-def test_rates_any_config_exits_cleanly(config):
-    _exits_cleanly("rates", config)
+def test_rates_any_config_exits_cleanly(drawn):
+    _exits_cleanly("rates", *drawn)
 
 
-def _exits_cleanly(command, config):
-    """`command` on `config`: a documented exit code, no traceback, and
-    strict JSON with the trace beside it whenever a run wrote its files."""
+def _exits_cleanly(command, config, bad):
+    """`command` on `config`: a documented exit code, 2 when the key bad is
+    out of range, no traceback, and strict JSON with the trace beside it
+    whenever a run wrote its files."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(config))
@@ -439,7 +463,7 @@ def _exits_cleanly(command, config):
         with contextlib.redirect_stderr(err):
             rc = main([command, str(path), "--out", str(out), "--quiet"])
         event(f"exit {rc}")
-        assert rc in (0, 1, 2)
+        assert rc == 2 if bad is not None else rc in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if rc in (0, 1):
             summary = out / config.get("summary", "summary.json")

@@ -605,8 +605,8 @@ def _counted_passes(monkeypatch):
     passes = []
     lbfgs = inner_solvers._lbfgs
 
-    def counted(objective, basis, coef, options):
-        res = lbfgs(objective, basis, coef, options)
+    def counted(objective, basis, coef, options, at_start=None):
+        res = lbfgs(objective, basis, coef, options, at_start=at_start)
         passes.append((coef, res))
         return res
 
@@ -631,9 +631,9 @@ def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
     evaluations = []  # one list per pass
     lbfgs = inner_solvers._lbfgs
 
-    def per_pass(*args):
+    def per_pass(*args, **kwargs):
         evaluations.append([])
-        return lbfgs(*args)
+        return lbfgs(*args, **kwargs)
 
     monkeypatch.setattr(inner_solvers, "_lbfgs", per_pass)
     counted = count_calls(
@@ -641,6 +641,7 @@ def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
     )
     plane = minimize_on_slice(counted, base, (base, phi))
     plane_calls = evaluations[-1]
+    evaluations.append([])  # the span's projection, which its first pass takes
     span = minimize_subspace(counted, np.column_stack((base, phi)))
     for res, calls in ((plane, plane_calls), (span, evaluations[-1])):
         assert len(calls) == len(set(calls)) > 0
@@ -653,7 +654,7 @@ def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_each_evaluated_point_takes_one_lr_norm(monkeypatch, seed):
     # E and E' at one point share f - x and ||f - x||_r: the projection
-    # step, the span's projection candidate, every L-BFGS-B point and every
+    # step, the span's projection, every L-BFGS-B point and every
     # Newton trial point are one value_and_gradient call, each one lr_norm;
     # a span Hessian takes one lr_norm of its own
     norms, calls = [], []
@@ -732,15 +733,14 @@ _NORM_POWERS = [
 def test_span_newton_meets_the_contract_alone(monkeypatch, r, q, seed):
     # on a generic span of a norm power, Newton's steps meet the contract
     # with no L-BFGS-B pass, evaluate no point twice and hand back E and E'
-    # at their point; E is no higher than the L-BFGS-B passes reach
+    # at their point; E is no higher than the L-BFGS-B passes reach. At
+    # r = 2, ||f - x||_2^q is a monotone function of the l2 distance to f, so
+    # f's projection is the span minimizer for every q: both legs end there
     passes = _counted_passes(monkeypatch)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(8)
     basis = rng.standard_normal((8, 3))
-    if (r, q) == (2.0, 2.0):  # a quadratic: make its span solve the Newton one
-        obj = dataclasses.replace(make_norm_power(f, r, q), projection_target=None)
-    else:
-        obj = make_norm_power(f, r, q)
+    obj = make_norm_power(f, r, q)
     points = []
     counted = count_calls(
         obj, lambda name, x: name == "gradient" and points.append(x.tobytes())
@@ -752,8 +752,36 @@ def test_span_newton_meets_the_contract_alone(monkeypatch, r, q, seed):
     assert res.energy == obj.value(res.point)
     assert res.gradient.tobytes() == obj.gradient(res.point).tobytes()
     searched = minimize_subspace(without_hessian(obj), basis)
-    assert len(passes) >= 1
+    if r == 2.0:
+        assert passes == []
+        assert searched.point.tobytes() == res.point.tobytes()
+        assert res.coefficients.tobytes() == SpanFactor.of(basis).solve(f).tobytes()
+    else:
+        assert len(passes) >= 1
     assert res.energy <= searched.energy + 1e-12 * (1.0 + abs(searched.energy))
+
+
+@pytest.mark.parametrize(
+    "make", [make_least_squares, lambda y: make_norm_power(y, 2.0, 2.0)]
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_l2_span_solve_is_the_projection_alone(monkeypatch, make, seed):
+    # least squares and the r = q = 2 norm power on a generic span: one
+    # value_and_gradient call, at bitwise B @ factor.solve(target), with no
+    # span Hessian and no L-BFGS-B pass
+    passes = _counted_passes(monkeypatch)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(8)
+    factor = SpanFactor.of(rng.standard_normal((8, 3)))
+    calls = []
+    counted = count_calls(make(y), lambda name, x: calls.append((name, x)))
+    res = minimize_subspace(counted, factor)
+    expected = factor.basis @ factor.solve(y)
+    assert [name for name, _ in calls] == ["gradient", "value"]
+    assert all(x.tobytes() == expected.tobytes() for _, x in calls)
+    assert res.point.tobytes() == expected.tobytes()
+    assert passes == []
+    assert res.grad_inf <= 1e-8
 
 
 def _fallback_case(zero_row=False):
@@ -789,8 +817,18 @@ def test_span_newton_falls_back_to_the_lbfgs_passes(monkeypatch, case):
         obj, span_hessian_fn=lambda x, B: hessians.append(hessian(x, B)) or hessians[-1]
     )
     passes = _counted_passes(monkeypatch)
-    res = minimize_subspace(patched, basis)
+    points = []
+    counted = count_calls(
+        patched, lambda name, x: name == "gradient" and points.append(x.tobytes())
+    )
+    res = minimize_subspace(counted, basis)
     assert len(hessians) == 1
+    # the minimizer's projection, Newton's start and the first pass's, is
+    # evaluated once over the whole solve
+    factor = SpanFactor.of(basis)
+    start = factor.solve(obj.minimizer)
+    assert passes[0][0].tobytes() == start.tobytes()
+    assert points.count((factor.basis @ start).tobytes()) == 1
     if case == "non-finite Hessian":
         assert not np.isfinite(hessians[0]).all()
     assert len(passes) >= 1
@@ -855,8 +893,9 @@ def test_subspace_empty_basis():
 
 
 def test_subspace_without_hook_meets_contract():
-    # norm-power with r=4 has no closed-form hook; the iterative path must
-    # still reach the projected-gradient exit condition
+    # the norm power with r=4 is no function of the l2 distance to f alone:
+    # its span solve goes on from f's projection by Newton's steps, which
+    # must still reach the projected-gradient exit condition
     rng = np.random.default_rng(3)
     f = rng.standard_normal(6)
     obj = make_norm_power(f, 4.0, 2.0)

@@ -90,14 +90,14 @@ def test_dyadic_fractions_sum_exactly_to_one():
 
 def test_dyadic_fractions_respect_floor():
     rng = np.random.default_rng(4)
-    fracs = _dyadic_fractions(8, rng, min_frac=0.05)
+    fracs = _dyadic_fractions(8, rng, min_coef=0.05)
     assert fracs.min() >= 0.05 - 1e-8
     assert fracs.sum() == 1.0
 
 
 def test_dyadic_fractions_equal_split_when_floor_binds():
     rng = np.random.default_rng(5)
-    fracs = _dyadic_fractions(8, rng, min_frac=0.125)
+    fracs = _dyadic_fractions(8, rng, min_coef=0.125)
     assert np.array_equal(fracs, np.full(8, 0.125))
 
 
@@ -106,9 +106,11 @@ def test_dyadic_fractions_validation():
     with pytest.raises(ValueError):
         _dyadic_fractions(0, rng)
     with pytest.raises(ValueError):
-        _dyadic_fractions(4, rng, min_frac=-0.1)
+        _dyadic_fractions(4, rng, min_coef=-0.1)
     with pytest.raises(ValueError):
-        _dyadic_fractions(4, rng, min_frac=0.3)  # 1.2 > unit budget
+        _dyadic_fractions(4, rng, min_coef=0.3)  # 1.2 > unit budget
+    with pytest.raises(ValueError, match="min_coef"):
+        _dyadic_fractions(1, rng, min_coef=1.5)  # one fraction: the same budget
 
 
 # ---------------------------------------------------------------------------

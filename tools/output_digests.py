@@ -3,15 +3,18 @@
     python3 tools/output_digests.py [--root CHECKOUT] [--keep DIR] > digests.txt
 
 Runs greedyopt from CHECKOUT/src (default: this checkout) on small instances
-times every update rule (`max_m` 60, seeds 1-2), the shipped configs and every
-benchmark workload instance of workload seeds 0-12, and prints per run its
-name, stop reason and the sha256 of trace.csv and summary.json. Equal
-listings mean byte-identical outputs. --keep DIR keeps the files in DIR/<name>/.
+times every update rule (`max_m` 60, seeds 1-2), the shipped configs, every
+benchmark workload instance of workload seeds 0-12 and the lp `wcga` stress
+family (`STRESS`: r, q <= r, n, s, seeds 1-3, `max_m` 30), whose span solves
+reach the fallbacks after the projection, and prints per run its name, stop
+reason and the sha256 of trace.csv and summary.json. Equal listings mean
+byte-identical outputs. --keep DIR keeps the files in DIR/<name>/.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
@@ -37,6 +40,8 @@ RULES = {
     "energy": dict(algorithm="prescribed", prescribed_step=0.05,
                    prescribed_selection="energy"),
 }
+# lp `wcga` near the roundoff floor: Newton misses and the L-BFGS-B passes run.
+STRESS = dict(r=(1.5, 3.0, 4.0, 6.0), q=(1.2, 1.5, 2.0), n=(16, 64), s=(2, 8))
 
 
 def matrix(root: Path):
@@ -57,6 +62,11 @@ def matrix(root: Path):
         for wseed in range(13):
             for seed in instance_seeds(workload, wseed):
                 yield f"{wname}_{seed}", dict(workload.config, seed=seed)
+    for r, q, n, s, seed in itertools.product(*STRESS.values(), (1, 2, 3)):
+        if q <= r:
+            config = dict(instance="lp_approx", algorithm="wcga", r=r, q=q, n=n, s=s,
+                          seed=seed, max_m=30)
+            yield f"stress_r{r:g}_q{q:g}_n{n}_s{s}_{seed}", config
 
 
 def main(argv=None) -> int:
