@@ -28,6 +28,13 @@ a copy of G: a relaxed rule appends its atom every step, with coefficients
 (alpha * previous, lam); a Chebyshev run's atoms are its basis. An abort, an
 exhausted weakness list or step schedule included, raises `GreedyRunError`
 with the records before it.
+
+A step's vectors die with the step. Between steps the run holds only the
+iterate (G, E(G), E'(G) and G's coefficients, one `SliceResult`; for the
+Chebyshev rule it is the span solution), the span factor and the trace.
+The selection direction -E'(G) lives only in `_select`, and the atom's
+vector, the rule's `Step` and the slice result only in `_take_step`, so
+none of them is alive during the next step.
 """
 from __future__ import annotations
 
@@ -50,6 +57,7 @@ from .dictionaries import (
 )
 from .inner_solvers import (
     SUBSPACE_TOL,
+    SliceResult,
     SpanFactor,
     SubspaceToleranceError,
     minimize_on_slice,
@@ -366,7 +374,11 @@ def run_greedy(
     rule: UpdateRule,
     stop: StopRule = StopRule(),
 ) -> RunTrace:
-    """Run a greedy algorithm; see the module docstring for rule semantics."""
+    """Run a greedy algorithm; see the module docstring for rule semantics.
+
+    Each step is one `_take_step` call from the iterate (G, E(G), E'(G) and
+    G's coefficients). Between steps the run holds that iterate, the span
+    factor (Chebyshev) and the trace, and no other vector of a step."""
     tau = as_weakness(weakness)
     dim = objective.dimension
     if dictionary.ambient_dim != dim:
@@ -374,10 +386,7 @@ def run_greedy(
             f"dictionary dim {dictionary.ambient_dim} != objective dim {dim}"
         )
 
-    G = np.zeros(dim)
-    coefficients = np.zeros(0)
     span = SpanFactor(dim) if rule.orthogonal else None
-    span_result = None
     trace = RunTrace(
         algorithm=rule.name,
         objective_label=objective.label,
@@ -385,82 +394,19 @@ def run_greedy(
         initial_energy=math.nan,
     )
     try:
-        e_prev, gradient = objective.value_and_gradient(G)
+        iterate = _evaluated(objective, np.zeros(0), np.zeros(dim))
     except NonFiniteEnergyError as exc:  # E or E' not finite at G_0: no record
         trace.stop_reason = StopReason.ABORTED
         raise GreedyRunError(0, trace, exc) from exc
-    trace.initial_energy = e_prev
+    trace.initial_energy = iterate.energy
 
     for m in range(1, stop.max_m + 1):
         t0 = time.perf_counter_ns()
-        lam = w_or_r = grad_inf = math.nan
-
         try:
-            t_m = tau.t(m)
-            direction = -gradient
-
-            # --- selection -------------------------------------------------
-            if rule.selection == "energy":
-                c_m = _schedule_value(rule.steps, m)
-                atom = select_e_greedy_fixed(dictionary, objective, G, c_m)
-                phi = dictionary.realize(atom)
-                score = float(np.dot(direction, phi))
-                cert = SelectionCertificate(atom, score, math.nan, t_m, math.nan, phi)
-            else:
-                # a convex rule's functional is shifted by -G: the same
-                # argmax atom, but score and reference include the shift
-                shift = float(np.dot(direction, G)) if rule.convex else 0.0
-                cert = select_gradient_greedy(dictionary, direction, t_m, shift)
-                if cert.reference <= stop.sup_tol:
-                    trace.stop_reason = StopReason.SUP_SCORE_TOL
-                    break
-
-            atom, phi = cert.atom, cert.vector
-
-            # --- update: the span solve, or the rule's declared step -------
-            if span is not None:
-                position = _basis_position(dictionary, atom, phi, trace.atoms, span)
-                if position is None:
-                    trace.atoms.append(atom)
-                    span.append(phi)
-                    position = len(trace.atoms) - 1
-                    x0 = np.zeros(1)
-                    if span_result is not None:
-                        x0 = np.append(span_result.coefficients, 0.0)
-                    span_result = minimize_subspace(
-                        objective, span, rule.subspace_tol, x0=x0
-                    )
-                G, energy = span_result.point, span_result.energy
-                gradient = span_result.gradient
-                coefficients = span_result.coefficients
-                lam = float(coefficients[position])
-                grad_inf = span_result.grad_inf
-            else:
-                step = rule.step(G, phi, m)
-                alpha, lam, w_or_r = step.alpha, step.lam, step.w_or_r
-                solved = None
-                if step.base is not None:
-                    solved = minimize_on_slice(
-                        objective, step.base, step.directions, step.lower,
-                        step.upper, (e_prev, gradient) if step.base is G else None,
-                    )
-                    c = solved.coefficients.tolist()
-                    gain = sum(c_i * share for c_i, share in zip(c, step.shares))
-                    alpha, w_or_r = alpha + gain, w_or_r - gain
-                    lam = step.b * c[-1]
-                if solved is None or step.b != 1.0:
-                    G = G + lam * phi
-                    energy, gradient = objective.value_and_gradient(G)
-                else:
-                    G, energy, gradient = solved.point, solved.energy, solved.gradient
-                trace.atoms.append(atom)
-                coefficients = np.append(alpha * coefficients, lam)
-            coefficients.setflags(write=False)
-
-            if rule.monotone and energy > e_prev + ENERGY_SLACK:
-                raise MonotonicityError(
-                    f"m={m}: energy rose {e_prev:.17g} -> {energy:.17g}"
-                )
+            done = _take_step(
+                objective, dictionary, rule, tau.t(m), stop.sup_tol, span,
+                trace.atoms, m, iterate, t0,
+            )
         except SubspaceToleranceError as exc:
             trace.stop_reason = StopReason.INNER_FAILURE
             raise GreedyRunError(m, trace, exc) from exc
@@ -472,34 +418,110 @@ def run_greedy(
         ) as exc:
             trace.stop_reason = StopReason.ABORTED
             raise GreedyRunError(m, trace, exc) from exc
-        e_prev = energy
-
-        trace.records.append(
-            IterationRecord(
-                m=m,
-                energy=energy,
-                atom=atom,
-                score=cert.score,
-                sup_score=cert.reference,
-                weakness_ratio=cert.ratio,
-                lam=lam,
-                w_or_r=w_or_r,
-                l1_mass=float(np.sum(np.abs(coefficients))),
-                wall_ns=time.perf_counter_ns() - t0,
-                coefficients=coefficients,
-                grad_inf=grad_inf,
-            )
-        )
-        trace.point = G
+        if done is None:
+            trace.stop_reason = StopReason.SUP_SCORE_TOL
+            break
+        iterate, record = done
+        trace.records.append(record)
+        trace.point = iterate.point
 
         if (
             stop.gap_tol is not None
-            and energy - stop.reference <= stop.gap_tol
+            and iterate.energy - stop.reference <= stop.gap_tol
         ):
             trace.stop_reason = StopReason.GAP_TOL
             break
 
     return trace
+
+
+def _evaluated(objective, coefficients, point) -> SliceResult:
+    """The iterate at `point`, E and E' by one `value_and_gradient` call."""
+    return SliceResult(coefficients, point, *objective.value_and_gradient(point))
+
+
+def _take_step(objective, dictionary, rule, t_m, sup_tol, span, atoms, m, it, t0):
+    """Step m from the iterate `it` (G_{m-1}, E and E' there, and G_{m-1}'s
+    coefficients over `atoms`): select an atom, move by the rule, check.
+    Returns (G_m's iterate, record m), or None when the selection's
+    reference is at sup_tol. The atom's vector, the rule's `Step` and the
+    slice result are locals of this call, so they are gone before the next
+    selection."""
+    cert = _select(objective, dictionary, rule, it, t_m, m)
+    if cert.reference <= sup_tol:  # NaN for energy selection: never
+        return None
+    atom, phi = cert.atom, cert.vector
+    w_or_r = math.nan
+
+    # --- update: the span solve, or the rule's declared step ---------------
+    if span is not None:
+        new = it
+        position = _basis_position(dictionary, atom, phi, atoms, span)
+        if position is None:
+            atoms.append(atom)
+            span.append(phi)
+            position = len(atoms) - 1
+            x0 = np.append(it.coefficients, 0.0)
+            new = minimize_subspace(objective, span, rule.subspace_tol, x0=x0)
+        lam = float(new.coefficients[position])
+    else:
+        step = rule.step(it.point, phi, m)
+        alpha, lam, w_or_r = step.alpha, step.lam, step.w_or_r
+        solved = None
+        if step.base is not None:
+            solved = minimize_on_slice(
+                objective, step.base, step.directions, step.lower, step.upper,
+                (it.energy, it.gradient) if step.base is it.point else None,
+            )
+            c = solved.coefficients.tolist()
+            gain = sum(c_i * share for c_i, share in zip(c, step.shares))
+            alpha, w_or_r = alpha + gain, w_or_r - gain
+            lam = step.b * c[-1]
+        coefficients = np.append(alpha * it.coefficients, lam)
+        if solved is None or step.b != 1.0:
+            new = _evaluated(objective, coefficients, it.point + lam * phi)
+        else:
+            new = SliceResult(
+                coefficients, solved.point, solved.energy, solved.gradient
+            )
+        atoms.append(atom)
+    new.coefficients.setflags(write=False)
+
+    if rule.monotone and new.energy > it.energy + ENERGY_SLACK:
+        raise MonotonicityError(
+            f"m={m}: energy rose {it.energy:.17g} -> {new.energy:.17g}"
+        )
+    return new, IterationRecord(
+        m=m,
+        energy=new.energy,
+        atom=atom,
+        score=cert.score,
+        sup_score=cert.reference,
+        weakness_ratio=cert.ratio,
+        lam=lam,
+        w_or_r=w_or_r,
+        l1_mass=float(np.sum(np.abs(new.coefficients))),
+        wall_ns=time.perf_counter_ns() - t0,
+        coefficients=new.coefficients,
+        grad_inf=new.grad_inf,
+    )
+
+
+def _select(objective, dictionary, rule, it, t_m, m) -> SelectionCertificate:
+    """Step m's selection at the iterate `it`: its certificate, whose vector
+    the step moves along. The direction -E'(G) lives only in this call, so
+    it is gone before the step's update."""
+    direction = -it.gradient
+    if rule.selection == "energy":
+        c_m = _schedule_value(rule.steps, m)
+        atom = select_e_greedy_fixed(dictionary, objective, it.point, c_m)
+        phi = dictionary.realize(atom)
+        score = float(np.dot(direction, phi))
+        return SelectionCertificate(atom, score, math.nan, t_m, math.nan, phi)
+    # a convex rule's functional is shifted by -G: the same argmax atom, but
+    # score and reference include the shift
+    shift = float(np.dot(direction, it.point)) if rule.convex else 0.0
+    return select_gradient_greedy(dictionary, direction, t_m, shift)
 
 
 def _basis_position(dictionary, atom, vec, atoms, span) -> Optional[int]:

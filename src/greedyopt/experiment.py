@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -216,7 +216,9 @@ def config_hash(config: dict) -> str:
 
 def build_instance(config: dict) -> tuple:
     """(objective, dictionary, certificate, target) for a validated config;
-    target is the planted vector the certificate must reproduce."""
+    target is the planted vector the certificate must reproduce, and it is
+    the objective's own read-only copy (`Objective.minimizer`), so a run
+    holds the target once."""
     kind = config["instance"]
     seed = config["seed"]
     mass = float(config.get("mass", 1.0))
@@ -229,24 +231,24 @@ def build_instance(config: dict) -> tuple:
             seed=seed,
             min_coef=float(config.get("min_coef", 0.0)),
         )
-        return make_least_squares(target), dictionary, cert, target
-    if kind == "low_rank":
+        objective = make_least_squares(target)
+    elif kind == "low_rank":
         dictionary, target, cert = gen_low_rank(
             config["n"], config["rank"], mass=mass, seed=seed
         )
-        target = target.ravel()
-        return make_norm_power(target, 2.0, 2.0), dictionary, cert, target
-    dictionary, objective, cert = gen_lp_approx(
-        config["n"],
-        float(config["r"]),
-        float(config["q"]),
-        seed=seed,
-        s=int(config.get("s", 2)),
-        mass=mass,
-        dict_size=config.get("dict_size"),
-        min_coef=float(config.get("min_coef", 0.0)),
-    )
-    return objective, dictionary, cert, cert.realize(dictionary)
+        objective = make_norm_power(target.ravel(), 2.0, 2.0)
+    else:
+        dictionary, objective, cert = gen_lp_approx(
+            config["n"],
+            float(config["r"]),
+            float(config["q"]),
+            seed=seed,
+            s=int(config.get("s", 2)),
+            mass=mass,
+            dict_size=config.get("dict_size"),
+            min_coef=float(config.get("min_coef", 0.0)),
+        )
+    return objective, dictionary, cert, objective.minimizer
 
 
 def build_rule(config: dict) -> UpdateRule:
@@ -287,26 +289,24 @@ def build_stop(config: dict, certificate: SynthesisCertificate) -> StopRule:
 # trace persistence
 
 
-def trace_rows(trace: RunTrace, reference: float, timings: bool) -> list:
-    rows = []
+def trace_rows(trace: RunTrace, reference: float, timings: bool) -> Iterator[tuple]:
+    """One tuple of TRACE_COLUMNS per record, made as it is read: the rows
+    are never held as a list."""
     for rec in trace.records:
-        rows.append(
-            (
-                rec.m,
-                rec.energy,
-                rec.energy - reference,
-                rec.atom.index,
-                rec.atom.sign,
-                rec.score,
-                rec.sup_score,
-                rec.weakness_ratio,
-                rec.lam,
-                rec.w_or_r,
-                rec.l1_mass,
-                rec.wall_ns if timings else 0,
-            )
+        yield (
+            rec.m,
+            rec.energy,
+            rec.energy - reference,
+            rec.atom.index,
+            rec.atom.sign,
+            rec.score,
+            rec.sup_score,
+            rec.weakness_ratio,
+            rec.lam,
+            rec.w_or_r,
+            rec.l1_mass,
+            rec.wall_ns if timings else 0,
         )
-    return rows
 
 
 # one line of trace_rows: the ints m, atom_id, atom_sign and wall_ns in
@@ -318,8 +318,9 @@ _ROW_FORMAT = ",".join(
 
 
 def write_trace_csv(path, trace: RunTrace, reference: float, timings: bool):
-    """Write the header and one line per record to `path`, a line at a
-    time, so the file's text is never held in memory whole."""
+    """Write the header and one line per record to `path`, each line made
+    from one `trace_rows` row as it is written, so neither the rows nor the
+    file's text is held in memory whole."""
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(",".join(TRACE_COLUMNS) + "\n")
         for row in trace_rows(trace, reference, timings):

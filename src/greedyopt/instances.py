@@ -105,6 +105,13 @@ def _dyadic_fractions(
     return ks.astype(float) / float(scale)
 
 
+def _seeded(seed: int) -> np.random.Generator:
+    """The instance RNG; a negative seed is an error that names `seed`."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _check_mass(mass: float) -> None:
     if not 0.0 < mass < np.inf:
         raise ValueError(f"mass must be finite and > 0, got {mass}")
@@ -142,7 +149,7 @@ def gen_compressed_sensing(
         raise ValueError(f"sparsity {s} exceeds dictionary size {n}")
     if s < 1 or k < 1:
         raise ValueError(f"need s >= 1 and k >= 1, got s={s}, k={k}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     # normalized in place and adopted: the bits of from_matrix, one matrix
     raw = rng.standard_normal((k, n))
     dictionary = FiniteDictionary(unit_columns(raw, column_norms(raw)))
@@ -164,7 +171,7 @@ def gen_low_rank(
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     _check_mass(mass)
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     u_cols, _ = np.linalg.qr(rng.standard_normal((n, rank)))
     v_cols, _ = np.linalg.qr(rng.standard_normal((n, rank)))
     fractions = _dyadic_fractions(rank, rng)
@@ -200,11 +207,13 @@ def gen_lp_approx(
         raise ValueError(f"r must be > 1, got {r}")
     if not (1.0 < q <= 2.0):
         raise ValueError(f"q must be in (1, 2], got {q}")
+    if n < 1 or s < 1:
+        raise ValueError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
     if dict_size is None:
         dict_size = 4 * n
-    if s > dict_size:
-        raise ValueError(f"sparsity {s} exceeds dictionary size {dict_size}")
-    rng = np.random.default_rng(seed)
+    if dict_size < s:
+        raise ValueError(f"dict_size {dict_size} is below the sparsity s = {s}")
+    rng = _seeded(seed)
     raw = rng.standard_normal((n, dict_size))
     dictionary = FiniteDictionary(unit_columns(raw, lr_column_norms(raw, r)), r=r)
     terms = _planted_terms(rng, dict_size, s, mass, min_coef)

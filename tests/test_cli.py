@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -153,6 +154,10 @@ def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, overrides):
     assert not (tmp_path / "out").exists()
 
 
+# QUICK as an lp_approx config, n = 64 and s = 4
+_LP_OVER_QUICK = {"instance": "lp_approx", "k": None, "r": 3.0, "q": 1.5}
+
+
 @pytest.mark.parametrize(
     "key,overrides",
     [
@@ -162,32 +167,48 @@ def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, overrides):
         ("gap_tol", {"gap_tol": -1.0}),
         ("fit_m_min", {"fit_m_min": -1}),
         ("min_coef", {"s": 1, "min_coef": 1.5}),
+        ("seed", {"seed": -1}),
+        ("dict_size", {**_LP_OVER_QUICK, "dict_size": -1}),
+        ("dict_size", {**_LP_OVER_QUICK, "dict_size": 0}),
+        ("dict_size", {**_LP_OVER_QUICK, "dict_size": 3}),  # below s = 4
+        ("n", {**_LP_OVER_QUICK, "n": 0}),
+        ("s", {**_LP_OVER_QUICK, "s": 0}),
     ],
 )
 def test_run_range_error_names_its_key(tmp_path, capsys, key, overrides):
     # without its range check each of these runs: a wcga run that fails at
-    # m = 1 (subspace_tol), or one that exits 0
+    # m = 1 (subspace_tol), or one that exits 0; seed, dict_size and lp's n
+    # and s exited 2 with numpy's message or one naming another key. An
+    # override of None drops that key of QUICK.
+    config = {k: v for k, v in {**QUICK, **overrides}.items() if v is not None}
     path = tmp_path / "range.json"
-    path.write_text(json.dumps({**QUICK, **overrides}))
+    path.write_text(json.dumps(config))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err and "Traceback" not in err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert re.search(rf"\b{key}\b", err)  # the key as a word, not a letter of one
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["compressed_sensing", "--k", "0", "--n", "8", "--s", "2"],
+        ["compressed_sensing", "--n", "8", "--s", "2", "--k", "0"],
         ["lp_approx", "--n", "8", "--r", "3", "--q", "2.5"],
         ["lp_approx", "--n", "8", "--r", "3", "--q", "1.5", "--mass", "0"],
+        ["low_rank", "--n", "4", "--rank", "2", "--seed", "-1"],
+        ["lp_approx", "--n", "8", "--r", "3", "--q", "1.5", "--dict-size", "0"],
+        ["lp_approx", "--n", "8", "--r", "3", "--q", "1.5", "--s", "4",
+         "--dict-size", "3"],
     ],
 )
 def test_gen_range_error_is_usage_error(tmp_path, capsys, argv):
+    # the last flag is the one out of range, and the error names it
     out = tmp_path / "out"
     assert main(["gen", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert re.search(rf"\b{argv[-2].removeprefix('--').replace('-', '_')}\b", err)
     assert not out.exists()
 
 

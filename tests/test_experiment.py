@@ -361,6 +361,22 @@ LP = {
 }
 
 
+@pytest.mark.parametrize(
+    "kind",
+    [
+        {"instance": "compressed_sensing", "k": 8, "n": 16, "s": 2},
+        {"instance": "low_rank", "n": 8, "rank": 2},
+        {"instance": "lp_approx", "n": 8, "r": 3.0, "q": 1.5},
+    ],
+    ids=lambda kind: kind["instance"],
+)
+def test_instance_holds_its_target_once(kind):
+    # the returned target is the objective's read-only copy, not a second one
+    objective, _, _, target = build_instance({**kind, "algorithm": "wrga", "seed": 3})
+    assert np.shares_memory(target, objective.minimizer)
+    assert not target.flags.writeable
+
+
 def test_certificate_invariant_checks_the_objectives_target(monkeypatch):
     assert run_experiment(LP).summary["invariants"]["certificate"]
     objective, dictionary, certificate, target = build_instance(LP)
