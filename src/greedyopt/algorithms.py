@@ -56,7 +56,6 @@ from .dictionaries import (
     select_gradient_greedy,
 )
 from .inner_solvers import (
-    SUBSPACE_TOL,
     SliceResult,
     SpanFactor,
     SubspaceToleranceError,
@@ -217,15 +216,11 @@ class UpdateRule:
 
 @dataclass(frozen=True)
 class Chebyshev(UpdateRule):
-    """G_m minimizes E over the span of all selected atoms."""
-
-    subspace_tol: float = SUBSPACE_TOL
+    """G_m minimizes E over the span of all selected atoms, to the span
+    contract `inner_solvers.SUBSPACE_TOL`; it has no option."""
 
     name = "wcga"
     monotone = orthogonal = rated = True
-
-    def __post_init__(self):
-        _check(self.subspace_tol, lambda t: t > 0.0, "subspace_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -462,7 +457,7 @@ def _take_step(objective, dictionary, rule, t_m, sup_tol, span, atoms, m, it, t0
             span.append(phi)
             position = len(atoms) - 1
             x0 = np.append(it.coefficients, 0.0)
-            new = minimize_subspace(objective, span, rule.subspace_tol, x0=x0)
+            new = minimize_subspace(objective, span, x0=x0)
         lam = float(new.coefficients[position])
     else:
         step = rule.step(it.point, phi, m)

@@ -18,9 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import (
+    _SCHEMA,
+    ALL_INSTANCE_KEYS,
     INSTANCE_KEYS,
     ConfigError,
     build_instance,
+    check_instance_keys,
+    key_type,
     load_config,
     run_experiment,
     run_verification_suite,
@@ -37,49 +41,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    run_p = sub.add_parser("run", help="execute an experiment config")
-    run_p.add_argument("config", help="path to a flat JSON config")
-    run_p.add_argument("--seed", type=int, help="override the config seed")
-    run_p.add_argument("--out", default=".", help="output directory")
-    run_p.add_argument(
+    # the flags `run` and `rates` share: a config and its overrides
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("config", help="path to a flat JSON config")
+    configured.add_argument("--seed", type=int, help="override the config seed")
+    configured.add_argument(
         "--tol", type=float, help="override the sup-score stopping tolerance"
     )
-    run_p.add_argument("--max-m", type=int, help="override the iteration cap")
-    run_p.add_argument("--quiet", action="store_true")
+    configured.add_argument("--max-m", type=int, help="override the iteration cap")
+    configured.add_argument("--quiet", action="store_true")
+
+    run_p = sub.add_parser(
+        "run", parents=[configured], help="execute an experiment config"
+    )
+    run_p.add_argument("--out", default=".", help="output directory")
 
     verify_p = sub.add_parser("verify", help="run the invariant suite")
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--quiet", action="store_true")
 
-    rates_p = sub.add_parser("rates", help="slope and envelope report")
-    rates_p.add_argument("config", help="path to a flat JSON config")
-    rates_p.add_argument("--seed", type=int, help="override the config seed")
+    rates_p = sub.add_parser(
+        "rates", parents=[configured], help="slope and envelope report"
+    )
     rates_p.add_argument("--out", help="also write trace/summary here")
-    rates_p.add_argument("--tol", type=float, help="override sup_tol")
-    rates_p.add_argument("--max-m", type=int, help="override the iteration cap")
     rates_p.add_argument(
         "--slope-max",
         type=float,
         default=SLOPE_MAX_DEFAULT,
         help="pass when fitted slope <= this (default %(default)s)",
     )
-    rates_p.add_argument("--quiet", action="store_true")
 
     gen_p = sub.add_parser("gen", help="emit instance files")
-    gen_p.add_argument(
-        "kind", choices=("compressed_sensing", "low_rank", "lp_approx")
-    )
-    gen_p.add_argument("--seed", type=int, default=0)
+    gen_p.add_argument("kind", choices=INSTANCE_KEYS)
+    gen_p.add_argument("--seed", type=int, default=0, help=_SCHEMA["seed"][1])
     gen_p.add_argument("--out", default=".", help="output directory")
-    gen_p.add_argument("--k", type=int)
-    gen_p.add_argument("--n", type=int)
-    gen_p.add_argument("--s", type=int)
-    gen_p.add_argument("--rank", type=int)
-    gen_p.add_argument("--r", type=float)
-    gen_p.add_argument("--q", type=float)
-    gen_p.add_argument("--mass", type=float)
-    gen_p.add_argument("--min-coef", type=float)
-    gen_p.add_argument("--dict-size", type=int)
+    for key in ALL_INSTANCE_KEYS:
+        flag = "--" + key.replace("_", "-")
+        gen_p.add_argument(flag, type=key_type(key), help=_SCHEMA[key][1])
     gen_p.add_argument("--quiet", action="store_true")
 
     return parser
@@ -89,9 +87,9 @@ def _load_with_overrides(args) -> dict:
     config = load_config(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    if getattr(args, "max_m", None) is not None:
+    if args.max_m is not None:
         config["max_m"] = args.max_m
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         config["sup_tol"] = args.tol
     return validate_config(config)
 
@@ -120,6 +118,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:  # numpy's default_rng would raise with a traceback
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     results = run_verification_suite(seed=args.seed)
     ok = True
     for name, check in results.items():
@@ -146,21 +146,12 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def _require(args, names) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise ConfigError(
-            f"gen {args.kind} requires --" + " --".join(missing)
-        )
-
-
 def _cmd_gen(args) -> int:
-    needed, others = INSTANCE_KEYS[args.kind]
-    _require(args, needed)
     config = {"instance": args.kind, "seed": args.seed}
-    for key in needed + others:
+    for key in ALL_INSTANCE_KEYS:
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
+    check_instance_keys(config)  # a flag the kind needs, or one it does not read
     try:
         _, dictionary, cert, target = build_instance(config)
     except ValueError as exc:  # a generator's range check: a usage error

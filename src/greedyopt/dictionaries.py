@@ -21,7 +21,6 @@ from scipy.linalg.lapack import dgesv, dgetrs
 from .objectives import Objective
 
 WEAKNESS_SLACK = 1e-10  # relative; see select_gradient_greedy
-COLINEAR_TOL = 1e-10
 # backward-error factor c of the SVD's top singular value, also the shift's;
 # see RankOneDictionary.certified_sup
 SVD_ERROR_FACTOR = 4.0

@@ -85,9 +85,10 @@ INSTANCE_KEYS = {
     "low_rank": (("n", "rank"), ("mass",)),
     "lp_approx": (("n", "r", "q"), ("s", "dict_size", "mass", "min_coef")),
 }
-_INSTANCE_SPECIFIC = {
+# every instance key once, in the order of INSTANCE_KEYS
+ALL_INSTANCE_KEYS = tuple(dict.fromkeys(
     key for needed, others in INSTANCE_KEYS.values() for key in needed + others
-}
+))
 
 # key -> (allowed types, short description)
 _SCHEMA = {
@@ -109,7 +110,6 @@ _SCHEMA = {
     "sup_tol": ((int, float), "stop when sup-score <= this (negative disables)"),
     "gap_tol": ((int, float), "stop when gap <= this"),
     "reference": ((int, float), "energy reference for gaps"),
-    "subspace_tol": ((int, float), "Chebyshev gradient tolerance"),
     "step_b": ((int, float), "step shrink factor (ReducedStep)"),
     "relaxation_r": ((int, float), "contraction r_m (FixedRelaxation)"),
     "prescribed_step": ((int, float), "fixed step c_m (Prescribed)"),
@@ -122,7 +122,6 @@ _SCHEMA = {
 
 # config key -> the rule field it sets; a rule without that field rejects it
 _RULE_FIELDS = {
-    "subspace_tol": "subspace_tol",
     "step_b": "b",
     "relaxation_r": "schedule",
     "prescribed_step": "steps",
@@ -135,6 +134,41 @@ _AT_MOST_N = {"compressed_sensing": "s", "low_rank": "rank"}
 
 class ConfigError(ValueError):
     pass
+
+
+def key_type(key: str) -> type:
+    """The type a config key's value is passed as: float for a key the schema
+    lets be an int or a float, else the schema's one type."""
+    want = _SCHEMA[key][0]
+    return float if want == (int, float) else want
+
+
+def _given(config: dict, keys) -> dict:
+    """key -> value, each as its `key_type`, for those of keys the config
+    gives: a key it leaves out takes the default of the object it sets."""
+    return {key: key_type(key)(config[key]) for key in keys if key in config}
+
+
+def _output_names(config: dict) -> dict:
+    """The run's output file names: the config's, else the defaults."""
+    return {"trace": config.get("trace", "trace.csv"),
+            "summary": config.get("summary", "summary.json")}
+
+
+def check_instance_keys(config: dict) -> None:
+    """ConfigError unless config["instance"] is a kind, the config gives the
+    keys that kind needs, and it gives no instance key the kind does not
+    read; `run` reads these keys from a config and `gen` from its flags."""
+    kind = config["instance"]
+    if kind not in INSTANCE_KEYS:
+        raise ConfigError(f"unknown instance kind {kind!r}")
+    needed, others = INSTANCE_KEYS[kind]
+    for key in needed:
+        if key not in config:
+            raise ConfigError(f"instance {kind!r} requires key {key!r}")
+    unread = sorted(set(ALL_INSTANCE_KEYS).intersection(config) - {*needed, *others})
+    if unread:
+        raise ConfigError(f"key {unread[0]!r}: instance {kind!r} does not read it")
 
 
 def validate_config(config: dict) -> dict:
@@ -156,18 +190,9 @@ def validate_config(config: dict) -> dict:
             )
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"key {key!r}: {value} is not finite")
-    kind = config["instance"]
-    if kind not in INSTANCE_KEYS:
-        raise ConfigError(f"unknown instance kind {kind!r}")
+    check_instance_keys(config)
     if config["algorithm"] not in RULES:
         raise ConfigError(f"unknown algorithm {config['algorithm']!r}")
-    needed, others = INSTANCE_KEYS[kind]
-    for key in needed:
-        if key not in config:
-            raise ConfigError(f"instance {kind!r} requires key {key!r}")
-    unread = sorted(_INSTANCE_SPECIFIC.intersection(config) - {*needed, *others})
-    if unread:
-        raise ConfigError(f"key {unread[0]!r}: instance {kind!r} does not read it")
     if "weakness" in config and "weakness_exponent" in config:
         raise ConfigError("give weakness or weakness_exponent, not both")
     # a range is checked where it is defined: by building the object the
@@ -194,12 +219,11 @@ def validate_config(config: dict) -> dict:
     selection = config.get("prescribed_selection")
     if config["instance"] == "low_rank" and selection == "energy":
         raise ConfigError("prescribed_selection 'energy' needs a finite dictionary")
-    trace = config.get("trace", "trace.csv")
-    summary = config.get("summary", "summary.json")
-    for key, name in (("trace", trace), ("summary", summary)):
+    names = _output_names(config)
+    for key, name in names.items():
         if name in ("", ".", "..") or os.path.basename(name) != name:
             raise ConfigError(f"key {key!r}: {name!r} is not a plain file name")
-    if trace == summary:
+    if names["trace"] == names["summary"]:
         raise ConfigError("keys 'trace' and 'summary' name the same file")
     return config
 
@@ -215,74 +239,57 @@ def config_hash(config: dict) -> str:
 
 
 def build_instance(config: dict) -> tuple:
-    """(objective, dictionary, certificate, target) for a validated config;
-    target is the planted vector the certificate must reproduce, and it is
-    the objective's own read-only copy (`Objective.minimizer`), so a run
-    holds the target once."""
+    """(objective, dictionary, certificate, target) for a validated config.
+
+    The generator of the config's kind takes the instance keys the config
+    gives by name, so a key left out takes the generator's default. target
+    is the planted vector the certificate must reproduce, and it is the
+    objective's own read-only copy (`Objective.minimizer`), so a run holds
+    the target once."""
     kind = config["instance"]
-    seed = config["seed"]
-    mass = float(config.get("mass", 1.0))
+    needed, others = INSTANCE_KEYS[kind]
+    kwargs = _given(config, needed + others)
     if kind == "compressed_sensing":
-        dictionary, target, cert = gen_compressed_sensing(
-            config["k"],
-            config["n"],
-            config["s"],
-            mass=mass,
-            seed=seed,
-            min_coef=float(config.get("min_coef", 0.0)),
-        )
+        dictionary, target, cert = gen_compressed_sensing(seed=config["seed"], **kwargs)
         objective = make_least_squares(target)
     elif kind == "low_rank":
-        dictionary, target, cert = gen_low_rank(
-            config["n"], config["rank"], mass=mass, seed=seed
-        )
+        dictionary, target, cert = gen_low_rank(seed=config["seed"], **kwargs)
         objective = make_norm_power(target.ravel(), 2.0, 2.0)
     else:
-        dictionary, objective, cert = gen_lp_approx(
-            config["n"],
-            float(config["r"]),
-            float(config["q"]),
-            seed=seed,
-            s=int(config.get("s", 2)),
-            mass=mass,
-            dict_size=config.get("dict_size"),
-            min_coef=float(config.get("min_coef", 0.0)),
-        )
+        dictionary, objective, cert = gen_lp_approx(seed=config["seed"], **kwargs)
     return objective, dictionary, cert, objective.minimizer
 
 
 def build_rule(config: dict) -> UpdateRule:
-    """The config's rule; a ValueError for a rule key out of range or one
-    the rule has no field for."""
+    """The config's rule, given the rule keys the config gives; a ValueError
+    for a rule key out of range or one the rule has no field for."""
     rule = RULES[config["algorithm"]]
     names = {f.name for f in fields(rule)}
     kwargs = {}
-    for key, name in _RULE_FIELDS.items():
-        if key in config:
-            if name not in names:
-                raise ValueError(f"algorithm {rule.name!r} does not read it")
-            value = config[key]
-            kwargs[name] = value if isinstance(value, str) else float(value)
+    for key, value in _given(config, _RULE_FIELDS).items():
+        if _RULE_FIELDS[key] not in names:
+            raise ValueError(f"algorithm {rule.name!r} does not read it")
+        kwargs[_RULE_FIELDS[key]] = value
     return rule(**kwargs)
 
 
 def build_weakness(config: dict) -> WeaknessSequence:
-    if "weakness_exponent" in config:
-        return WeaknessSequence.power(float(config["weakness_exponent"]))
-    return WeaknessSequence.constant(float(config.get("weakness", 1.0)))
+    given = _given(config, ("weakness", "weakness_exponent"))
+    if "weakness_exponent" in given:
+        return WeaknessSequence.power(given["weakness_exponent"])
+    if "weakness" in given:
+        return WeaknessSequence.constant(given["weakness"])
+    return WeaknessSequence()
 
 
 def build_stop(config: dict, certificate: SynthesisCertificate) -> StopRule:
-    reference = config.get("reference")
-    if reference is None:
-        reference = certificate.reference_optimum or 0.0
-    gap_tol = config.get("gap_tol")
-    return StopRule(
-        max_m=int(config.get("max_m", 500)),
-        sup_tol=float(config.get("sup_tol", 1e-10)),
-        gap_tol=None if gap_tol is None else float(gap_tol),
-        reference=float(reference),
-    )
+    """The StopRule of the stop keys the config gives, so a key left out
+    takes StopRule's default; with no `reference`, the certificate's known
+    optimum is the reference when it has one."""
+    kwargs = _given(config, ("max_m", "sup_tol", "gap_tol", "reference"))
+    if "reference" not in kwargs and certificate.reference_optimum is not None:
+        kwargs["reference"] = certificate.reference_optimum
+    return StopRule(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +440,7 @@ def _fit_slope(config: dict, objective: Objective, trace: RunTrace, reference: f
         return fit_power_slope(
             trace.ms(),
             gaps**expo,
-            m_min=int(config.get("fit_m_min", 4)),
+            m_min=config.get("fit_m_min", 4),
             floor=1e-14**expo,
         )
     except InsufficientDataError:
@@ -509,11 +516,9 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentResult:
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = out_dir / config.get("trace", "trace.csv")
-        summary_path = out_dir / config.get("summary", "summary.json")
-        write_trace_csv(
-            trace_path, trace, reference, bool(config.get("timings", False))
-        )
+        names = _output_names(config)
+        trace_path, summary_path = out_dir / names["trace"], out_dir / names["summary"]
+        write_trace_csv(trace_path, trace, reference, config.get("timings", False))
         summary_path.write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",

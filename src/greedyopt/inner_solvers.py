@@ -15,12 +15,13 @@ and d's bounded to its interval, ray or line.
 The Chebyshev rule's span solve (`minimize_subspace`) is separate. Its basis
 lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. It
 evaluates the l2 projection of `Objective.minimizer` onto the span once and
-checks the span contract there: for least squares and the r = 2 norm powers,
-and once the span holds the minimizer, that is the whole solve. On a miss
-it takes damped Newton steps with the span Hessian (`_newton`), then the
-L-BFGS-B passes of `span_passes` through the slices' helper (`_lbfgs`): one
-from the projection, which takes its E and E', then one from the previous
-solution and a stricter one from its result. Every solve returns a
+checks the span contract, max_j |<E', phi_j>| <= SUBSPACE_TOL, there: for
+least squares and the r = 2 norm powers, and once the span holds the
+minimizer, that is the whole solve. On a miss it takes damped Newton steps
+with the span Hessian (`_newton`), then the L-BFGS-B passes of
+`SPAN_PASSES` through the slices' helper (`_lbfgs`): one from the
+projection, which takes its E and E', then one from the previous solution
+and a stricter one from its result. Every solve returns a
 `SliceResult`: its point, and E and E' there. Every point a solver
 evaluates is one `value_and_gradient` call, and an L-BFGS-B pass hands back
 its own evaluations when it ends on one of its last two points.
@@ -39,19 +40,20 @@ from scipy.optimize import minimize as _scipy_minimize
 from .objectives import Objective
 
 DERIVATIVE_TOL = 1e-10
+# The span contract: every span solve returns a point x with
+# max_j |<E'(x), phi_j>| <= SUBSPACE_TOL, or raises SubspaceToleranceError.
 SUBSPACE_TOL = 1e-8
 
 
-def span_passes(tol: float) -> tuple:
-    """The span's L-BFGS-B passes for the contract at tol, the second stricter."""
-    return ({"maxiter": 4000, "maxfun": 8000, "gtol": tol * 1e-2, "ftol": 1e-18},
-            {"maxiter": 8000, "gtol": tol * 1e-3, "ftol": 0.0})
-
-
-# A slice's one L-BFGS-B pass: the span's first pass at its default
-# tolerance (gtol SUBSPACE_TOL * 1e-2 = DERIVATIVE_TOL), with no contract to
+# The span's two L-BFGS-B passes, the second stricter: gtol a hundredth and
+# a thousandth of the span contract SUBSPACE_TOL. A slice's one pass is the
+# first (gtol SUBSPACE_TOL * 1e-2 = DERIVATIVE_TOL), with no contract to
 # meet afterwards.
-SLICE_OPTIONS = span_passes(SUBSPACE_TOL)[0]
+SPAN_PASSES = (
+    {"maxiter": 4000, "maxfun": 8000, "gtol": SUBSPACE_TOL * 1e-2, "ftol": 1e-18},
+    {"maxiter": 8000, "gtol": SUBSPACE_TOL * 1e-3, "ftol": 0.0},
+)
+SLICE_OPTIONS = SPAN_PASSES[0]
 # A column whose part orthogonal to the factored span, after CGS2, is at most
 # DEPENDENT_TOL times its norm is numerically dependent on that span.
 DEPENDENT_TOL = 1e-10
@@ -67,12 +69,12 @@ ARMIJO_HALVINGS = 30
 
 
 class SubspaceToleranceError(RuntimeError):
-    def __init__(self, achieved: float, tol: float):
+    def __init__(self, achieved: float):
         super().__init__(
-            f"subspace solve stalled at max_j |<E', phi_j>| = {achieved:.3e} > {tol:.3e}"
+            f"subspace solve stalled at max_j |<E', phi_j>| = {achieved:.3e}"
+            f" > {SUBSPACE_TOL:.3e}"
         )
         self.achieved = achieved
-        self.tol = tol
 
 
 @dataclass
@@ -314,16 +316,16 @@ def _grown(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def _newton(objective, basis, start: SliceResult, tol) -> Optional[SliceResult]:
+def _newton(objective, basis, start: SliceResult) -> Optional[SliceResult]:
     """Damped Newton on c -> E(basis @ c) from start, an evaluated point
     (Nocedal & Wright, Numerical Optimization, 3.1 and 3.5).
 
     Each step solves H p = -B^T E' with H = `objective.span_hessian_fn`
     (point, basis) by Cholesky and backtracks from the full step to
     Armijo's decrease; every trial point is one `value_and_gradient` call.
-    Returns the first point that meets the span contract, or None when H is
-    not finite or not positive definite, p is not a descent direction, a
-    backtrack fails, or NEWTON_STEPS steps miss it."""
+    Returns the first point that meets the span contract (SUBSPACE_TOL),
+    or None when H is not finite or not positive definite, p is not a
+    descent direction, a backtrack fails, or NEWTON_STEPS steps miss it."""
     coef, point, energy, grad = (start.coefficients, start.point, start.energy,
                                  start.gradient)
     bg = basis.T @ grad
@@ -351,7 +353,7 @@ def _newton(objective, basis, start: SliceResult, tol) -> Optional[SliceResult]:
         coef, point, energy, grad = trial, trial_point, trial_energy, trial_grad
         bg = basis.T @ grad
         ginf = float(np.max(np.abs(bg)))
-        if ginf <= tol:
+        if ginf <= SUBSPACE_TOL:
             return SliceResult(coef, point, energy, grad, ginf)
     return None
 
@@ -359,24 +361,23 @@ def _newton(objective, basis, start: SliceResult, tol) -> Optional[SliceResult]:
 def minimize_subspace(
     objective: Objective,
     basis,
-    tol: float = SUBSPACE_TOL,
     x0: Optional[np.ndarray] = None,
 ) -> SliceResult:
     """Minimize E over the span of the basis columns: a `SpanFactor`, or a
     (dim, k) array, which is factored here.
 
-    Exit condition (the contract): max_j |<E'(x), phi_j>| <= tol at the
-    returned point, read from B^T E'(x). When `objective.minimizer` is set,
-    its l2 projection onto the span (R c = Q^T minimizer while the factor is
-    usable, else `lstsq` on B) is evaluated once and checked; it is the span
-    minimizer when E is a function of the l2 distance to the minimizer
-    (least squares, the r = 2 norm powers) or when the span holds it. On a
-    miss come damped Newton steps (`_newton`, when
-    `objective.span_hessian_fn` is set), then one L-BFGS-B pass from the
-    projection, which takes its E and E'. When those miss, or there is no
-    minimizer, the passes of `span_passes(tol)` run from x0 or zero, the
-    second from the first's result; raises SubspaceToleranceError if both
-    miss the contract.
+    Exit condition (the contract): max_j |<E'(x), phi_j>| <= SUBSPACE_TOL
+    at the returned point, read from B^T E'(x); the constant has no option.
+    When `objective.minimizer` is set, its l2 projection onto the span
+    (R c = Q^T minimizer while the factor is usable, else `lstsq` on B) is
+    evaluated once and checked; it is the span minimizer when E is a
+    function of the l2 distance to the minimizer (least squares, the r = 2
+    norm powers) or when the span holds it. On a miss come damped Newton
+    steps (`_newton`, when `objective.span_hessian_fn` is set), then one
+    L-BFGS-B pass from the projection, which takes its E and E'. When those
+    miss, or there is no minimizer, the passes of `SPAN_PASSES` run from x0
+    or zero, the second from the first's result; raises
+    SubspaceToleranceError if both miss the contract.
     """
     span = basis if isinstance(basis, SpanFactor) else SpanFactor.of(basis)
     basis = span.basis
@@ -393,7 +394,6 @@ def minimize_subspace(
         res.grad_inf = grad_inf(res.gradient)
         return res
 
-    passes = span_passes(tol)
     target = objective.minimizer
     if target is not None:
         if span.usable:
@@ -403,21 +403,21 @@ def minimize_subspace(
         point = basis @ coef
         energy, grad = objective.value_and_gradient(point)
         start = SliceResult(coef, point, energy, grad, grad_inf(grad))
-        if start.grad_inf <= tol:
+        if start.grad_inf <= SUBSPACE_TOL:
             return start
         if objective.span_hessian_fn is not None:
-            res = _newton(objective, basis, start, tol)
+            res = _newton(objective, basis, start)
             if res is not None:
                 return res
-        res = lbfgs(coef, passes[0], at_start=(energy, grad))
-        if res.grad_inf <= tol:
+        res = lbfgs(coef, SPAN_PASSES[0], at_start=(energy, grad))
+        if res.grad_inf <= SUBSPACE_TOL:
             return res
         # missed the contract: the passes from x0 below
 
     coef = np.asarray(x0, dtype=float) if x0 is not None else np.zeros(m)
-    for options in passes:
+    for options in SPAN_PASSES:
         res = lbfgs(coef, options)
-        if res.grad_inf <= tol:
+        if res.grad_inf <= SUBSPACE_TOL:
             return res
         coef = res.coefficients
-    raise SubspaceToleranceError(res.grad_inf, tol)
+    raise SubspaceToleranceError(res.grad_inf)

@@ -263,18 +263,12 @@ def test_weakness_list_exhausted_at_fixed_point():
 
 
 def test_chebyshev_inner_failure_is_loud():
-    # correlated basis vectors leave machine-noise projected gradient, which
-    # an impossible tolerance turns into a loud failure with a partial trace
-    rng = np.random.default_rng(2)
-    dic = FiniteDictionary.from_matrix(rng.standard_normal((3, 6)))
+    # q = 1.2 puts the span contract out of reach once the span holds the
+    # planted 2-sparse target (the gradient is about 1.2 d^0.2 at roundoff
+    # distance d): a loud failure with a partial trace
+    dic, obj, _ = gen_lp_approx(16, 3.0, 1.2, seed=1, s=2)
     with pytest.raises(GreedyRunError) as err:
-        run_ls(
-            rng.standard_normal(3),
-            Chebyshev(subspace_tol=1e-30),
-            dic=dic,
-            max_m=5,
-            sup_tol=-1.0,
-        )
+        run_greedy(obj, dic, 1.0, Chebyshev(), StopRule(max_m=5, sup_tol=-1.0))
     assert err.value.iteration >= 1
     assert err.value.trace.iterations == err.value.iteration - 1
     assert err.value.trace.stop_reason is StopReason.INNER_FAILURE

@@ -176,10 +176,11 @@ _LP_OVER_QUICK = {"instance": "lp_approx", "k": None, "r": 3.0, "q": 1.5}
     ],
 )
 def test_run_range_error_names_its_key(tmp_path, capsys, key, overrides):
-    # without its range check each of these runs: a wcga run that fails at
-    # m = 1 (subspace_tol), or one that exits 0; seed, dict_size and lp's n
-    # and s exited 2 with numpy's message or one naming another key. An
-    # override of None drops that key of QUICK.
+    # without its range check each of these runs and exits 0; seed,
+    # dict_size and lp's n and s exited 2 with numpy's message or one naming
+    # another key. subspace_tol is no longer a key (the span contract is a
+    # constant), so it exits 2 as an unknown key. An override of None drops
+    # that key of QUICK.
     config = {k: v for k, v in {**QUICK, **overrides}.items() if v is not None}
     path = tmp_path / "range.json"
     path.write_text(json.dumps(config))
@@ -232,6 +233,36 @@ def test_norm_power_without_an_envelope_is_usage_error(tmp_path, capsys, command
 def test_gen_missing_parameters(tmp_path, capsys):
     assert main(["gen", "compressed_sensing", "--out", str(tmp_path)]) == 2
     assert "requires" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["low_rank", "--n", "4", "--rank", "2", "--k", "5", "--r", "3"], "k"),
+        (["compressed_sensing", "--k", "4", "--n", "8", "--s", "2", "--q", "1.5",
+          "--dict-size", "3"], "dict_size"),
+    ],
+)
+def test_gen_flag_its_kind_does_not_read_is_usage_error(tmp_path, capsys, argv, flag):
+    # `run` rejects these keys in a config; `gen` wrote files and ignored them
+    out = tmp_path / "out"
+    assert main(["gen", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert re.search(rf"\b{flag}\b.*does not read it", err)
+    assert not out.exists()
+
+
+def test_run_subspace_tol_is_an_unknown_key(tmp_path, capsys):
+    # the span contract is the constant SUBSPACE_TOL: naming it exits 2,
+    # even at its old default
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps({**QUICK, "subspace_tol": 1e-8}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "unknown config keys: subspace_tol" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +324,9 @@ def test_run_tol_override_stops_early(quick_config, tmp_path):
     assert len(rows) - 1 < QUICK["max_m"]
 
 
-def test_run_invariant_failure_exit_code(quick_config, tmp_path):
+def test_run_invariant_failure_exit_code(tmp_path):
     path = tmp_path / "hopeless.json"
-    path.write_text(json.dumps({**QUICK, "subspace_tol": 1e-30}))
+    path.write_text(json.dumps(LP_STALL))
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
     summary = json.loads((out / "summary.json").read_text())
@@ -405,7 +436,6 @@ _CONFIG_VALUES = {
     "sup_tol": (st.sampled_from([-1, 0, 1e-10, 0.3]), st.sampled_from([_NAN, _INF])),
     "gap_tol": (st.sampled_from([0, 1e-6, 0.3]), st.sampled_from([-1.0, _NAN])),
     "reference": (st.sampled_from([-1.0, 0, 1.0]), st.sampled_from([_NAN, _INF])),
-    "subspace_tol": (st.sampled_from([1e-10, 1e-3]), st.sampled_from([-1.0, 0, _NAN])),
     "step_b": (st.sampled_from([0.3, 0.9]), st.sampled_from([0, 1, 2.0, _NAN])),
     "relaxation_r": (st.sampled_from([0, 0.3]), st.sampled_from([-0.5, 1, 2.0, _NAN])),
     "prescribed_step": (
@@ -659,3 +689,11 @@ def test_gen_lp_approx(tmp_path):
 
 def test_verify_suite_passes(capsys):
     assert main(["verify", "--quiet"]) == 0
+
+
+def test_verify_negative_seed_is_usage_error(capsys):
+    # numpy's default_rng printed its traceback and the command exited 1
+    assert main(["verify", "--seed", "-1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert re.search(r"\bseed\b", err)

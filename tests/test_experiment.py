@@ -149,7 +149,6 @@ def test_validate_rejects_out_of_range_values(key, bad, good):
 
 # rule key -> an algorithm whose rule has its field
 _READER = {
-    "subspace_tol": "wcga",
     "step_b": "reduced_step",
     "relaxation_r": "fixed_relaxation",
     "prescribed_step": "prescribed",
@@ -228,7 +227,6 @@ def test_load_config_roundtrip(tmp_path):
 
 def test_build_rule_mapping():
     assert isinstance(build_rule(cfg()), Chebyshev)
-    assert build_rule(cfg(subspace_tol=1e-6)).subspace_tol == 1e-6
     assert isinstance(build_rule(cfg(algorithm="wrga")), ConvexRelaxation)
     assert isinstance(build_rule(cfg(algorithm="wgafr")), FreeRelaxation)
     assert isinstance(build_rule(cfg(algorithm="best_step")), BestStep)
@@ -491,12 +489,16 @@ def test_run_experiment_zero_iterations():
 
 
 def test_run_experiment_inner_failure_reported():
-    result = run_experiment(cfg(subspace_tol=1e-30))
+    # q = 1.2 puts the span contract out of reach once the span holds the
+    # planted 2-sparse target, at step 2
+    config = cfg(instance="lp_approx", n=16, r=3.0, q=1.2, s=2)
+    del config["k"]
+    result = run_experiment(config)
     assert result.summary["stopping_reason"] == "InnerFailure"
     assert result.summary["invariants"]["inner_solver"] is False
     assert not result.ok
     # the summary says which error stopped the run, and at which step
-    assert result.summary["failure"].startswith("iteration 1: subspace solve stalled")
+    assert result.summary["failure"].startswith("iteration 2: subspace solve stalled")
 
 
 def test_run_experiment_envelope_for_relaxed_run():

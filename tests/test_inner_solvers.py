@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from greedyopt import inner_solvers, objectives
 from greedyopt.inner_solvers import (
     DERIVATIVE_TOL,
+    SUBSPACE_TOL,
     SpanFactor,
     SubspaceToleranceError,
     _min_norm_solve,
@@ -900,7 +901,7 @@ def test_subspace_without_hook_meets_contract():
     f = rng.standard_normal(6)
     obj = make_norm_power(f, 4.0, 2.0)
     basis = rng.standard_normal((6, 2))
-    res = minimize_subspace(obj, basis, tol=1e-8)
+    res = minimize_subspace(obj, basis)
     assert res.grad_inf <= 1e-8
     grad = obj.gradient(res.point)
     assert float(np.max(np.abs(basis.T @ grad))) <= 1e-8
@@ -922,15 +923,16 @@ def test_subspace_result_carries_the_contract_gradient(make):
 
 
 def test_subspace_unreachable_tolerance_raises():
-    # a correlated basis leaves a machine-noise projected gradient after the
-    # exact solve, which can never reach an absurd 1e-30 tolerance
+    # a span that holds f, for ||f - x||_3^1.2: at roundoff distance d from
+    # f the gradient is about 1.2 d^0.2, far above the contract, so every
+    # solver misses it and the solve raises
     rng = np.random.default_rng(4)
-    y = rng.standard_normal(3)
-    obj = make_least_squares(y)
-    basis = rng.standard_normal((3, 2))
+    f, g = rng.standard_normal(6), rng.standard_normal(6)
+    obj = make_norm_power(f, 3.0, 1.2)
+    basis = np.column_stack((f + g, g))
     with pytest.raises(SubspaceToleranceError) as err:
-        minimize_subspace(obj, basis, tol=1e-30)
-    assert err.value.achieved > 1e-30
+        minimize_subspace(obj, basis)
+    assert err.value.achieved > SUBSPACE_TOL
 
 
 # ---------------------------------------------------------------------------
