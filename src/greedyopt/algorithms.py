@@ -394,13 +394,14 @@ def run_greedy(
         trace.stop_reason = StopReason.ABORTED
         raise GreedyRunError(0, trace, exc) from exc
     trace.initial_energy = iterate.energy
+    mass = 0.0  # the iterate's l1 mass, which a merged wcga step keeps
 
     for m in range(1, stop.max_m + 1):
         t0 = time.perf_counter_ns()
         try:
             done = _take_step(
                 objective, dictionary, rule, tau.t(m), stop.sup_tol, span,
-                trace.atoms, m, iterate, t0,
+                trace.atoms, m, iterate, mass, t0,
             )
         except SubspaceToleranceError as exc:
             trace.stop_reason = StopReason.INNER_FAILURE
@@ -417,6 +418,7 @@ def run_greedy(
             trace.stop_reason = StopReason.SUP_SCORE_TOL
             break
         iterate, record = done
+        mass = record.l1_mass
         trace.records.append(record)
         trace.point = iterate.point
 
@@ -435,13 +437,14 @@ def _evaluated(objective, coefficients, point) -> SliceResult:
     return SliceResult(coefficients, point, *objective.value_and_gradient(point))
 
 
-def _take_step(objective, dictionary, rule, t_m, sup_tol, span, atoms, m, it, t0):
+def _take_step(objective, dictionary, rule, t_m, sup_tol, span, atoms, m, it,
+               mass, t0):
     """Step m from the iterate `it` (G_{m-1}, E and E' there, and G_{m-1}'s
-    coefficients over `atoms`): select an atom, move by the rule, check.
-    Returns (G_m's iterate, record m), or None when the selection's
-    reference is at sup_tol. The atom's vector, the rule's `Step` and the
-    slice result are locals of this call, so they are gone before the next
-    selection."""
+    coefficients over `atoms`, whose l1 mass is `mass`): select an atom, move
+    by the rule, check. Returns (G_m's iterate, record m), or None when the
+    selection's reference is at sup_tol. The atom's vector, the rule's `Step`
+    and the slice result are locals of this call, so they are gone before
+    the next selection."""
     cert = _select(objective, dictionary, rule, it, t_m, m)
     if cert.reference <= sup_tol:  # NaN for energy selection: never
         return None
@@ -486,6 +489,8 @@ def _take_step(objective, dictionary, rule, t_m, sup_tol, span, atoms, m, it, t0
         raise MonotonicityError(
             f"m={m}: energy rose {it.energy:.17g} -> {new.energy:.17g}"
         )
+    if new is not it:  # a merged wcga step keeps the iterate and its mass
+        mass = float(np.abs(new.coefficients).sum())
     return new, IterationRecord(
         m=m,
         energy=new.energy,
@@ -495,7 +500,7 @@ def _take_step(objective, dictionary, rule, t_m, sup_tol, span, atoms, m, it, t0
         weakness_ratio=cert.ratio,
         lam=lam,
         w_or_r=w_or_r,
-        l1_mass=float(np.sum(np.abs(new.coefficients))),
+        l1_mass=mass,
         wall_ns=time.perf_counter_ns() - t0,
         coefficients=new.coefficients,
         grad_inf=new.grad_inf,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -133,6 +134,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    if not math.isfinite(args.slope_max):  # slope > nan is never true
+        raise ConfigError(f"--slope-max must be finite, got {args.slope_max}")
     config = _load_with_overrides(args)
     result = run_experiment(config, out_dir=args.out)
     _report_failure(result)

@@ -17,8 +17,11 @@ lives in a `SpanFactor`, a thin QR grown by one CGS2 column per atom. It
 evaluates the l2 projection of `Objective.minimizer` onto the span once and
 checks the span contract, max_j |<E', phi_j>| <= SUBSPACE_TOL, there: for
 least squares and the r = 2 norm powers, and once the span holds the
-minimizer, that is the whole solve. On a miss it takes damped Newton steps
-with the span Hessian (`_newton`), then the L-BFGS-B passes of
+minimizer, that is the whole solve. The projection's triangular system
+R c = Q^T minimizer is one call of LAPACK's `trtrs` (`dtrtrs`), without
+scipy's `solve_triangular` wrapper around it, whose per-call cost is several
+times the solve's at the span's sizes. On a miss it takes damped Newton
+steps with the span Hessian (`_newton`), then the L-BFGS-B passes of
 `SPAN_PASSES` through the slices' helper (`_lbfgs`): one from the
 projection, which takes its E and E', then one from the previous solution
 and a stricter one from its result. Every solve returns a
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import minimize as _scipy_minimize
 
 from .objectives import Objective
@@ -297,8 +300,8 @@ class SpanFactor:
         w = vec - h @ q
         h2 = q @ w
         w -= h2 @ q
-        rho = float(np.linalg.norm(w))
-        if rho <= DEPENDENT_TOL * float(np.linalg.norm(vec)):
+        rho = math.sqrt(w @ w)  # numpy's own 1-D 2-norm, without its wrapper
+        if rho <= DEPENDENT_TOL * math.sqrt(vec @ vec):
             self.usable = False
             return
         self._qt[k] = w / rho
@@ -306,8 +309,18 @@ class SpanFactor:
         self._r[k, k] = rho
 
     def solve(self, target: np.ndarray) -> np.ndarray:
-        """argmin_c ||target - B c||_2 from R c = Q^T target; needs `usable`."""
-        return solve_triangular(self.r, self.q.T @ target, check_finite=False)
+        """argmin_c ||target - B c||_2 from R c = Q^T target; needs `usable`.
+
+        LAPACK's `dtrtrs` solves it as `scipy.linalg.solve_triangular` calls
+        it for this R, a view into a C-ordered buffer (L = R^T, lower, and
+        L^T c = Q^T target): the wrapper's bits without its per-call cost.
+        A singular R raises LinAlgError."""
+        x, info = dtrtrs(self.r.T, self.q.T @ target, lower=1, trans=1)
+        if info > 0:
+            raise LinAlgError(f"singular R: zero diagonal entry {info - 1}")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+        return x
 
 
 def _grown(buffer: np.ndarray, shape: tuple) -> np.ndarray:
@@ -352,7 +365,7 @@ def _newton(objective, basis, start: SliceResult) -> Optional[SliceResult]:
             return None
         coef, point, energy, grad = trial, trial_point, trial_energy, trial_grad
         bg = basis.T @ grad
-        ginf = float(np.max(np.abs(bg)))
+        ginf = float(np.abs(bg).max())
         if ginf <= SUBSPACE_TOL:
             return SliceResult(coef, point, energy, grad, ginf)
     return None
@@ -387,7 +400,7 @@ def minimize_subspace(
         return SliceResult(np.zeros(0), point, *objective.value_and_gradient(point), 0.0)
 
     def grad_inf(grad):
-        return float(np.max(np.abs(basis.T @ grad)))
+        return float(np.abs(basis.T @ grad).max())
 
     def lbfgs(coef, options, at_start=None):
         res = _lbfgs(objective, basis, coef, options, at_start=at_start)

@@ -48,7 +48,7 @@ def lr_norm(v: np.ndarray, r: float) -> float:
         return 0.0
     a /= top
     a **= r
-    return top * float(np.sum(a) ** (1.0 / r))
+    return top * float(a.sum() ** (1.0 / r))
 
 
 @dataclass(frozen=True)

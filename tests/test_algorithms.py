@@ -838,6 +838,32 @@ def test_records_hold_coefficients_not_points(rule):
     assert trace.point == pytest.approx(iterate(trace, dic, -1), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        Chebyshev(),
+        ConvexRelaxation(),
+        FreeRelaxation(),
+        BestStep(),
+        ReducedStep(),
+        FixedRelaxation(0.1),
+        Prescribed(0.05),
+        Prescribed(0.05, selection="energy"),
+    ],
+    ids=lambda rule: f"{type(rule).__name__}-{rule.selection}",
+)
+def test_record_l1_mass_is_its_coefficients_mass(rule):
+    # each record's l1_mass is the l1 norm of its own coefficients, also on
+    # a merged wcga step, which keeps the iterate and its mass
+    dic, y, _ = gen_compressed_sensing(16, 64, 4, mass=1.0, seed=3)
+    trace = run_ls(y, rule, dic=dic, max_m=30, sup_tol=-1.0)
+    assert trace.iterations == 30
+    for rec in trace.records:
+        assert rec.l1_mass == float(np.abs(rec.coefficients).sum())
+    if rule.orthogonal:
+        assert len(trace.atoms) < trace.iterations  # merged steps happened
+
+
 def test_iterates_stay_in_sublevel_set():
     rng = np.random.default_rng(17)
     dic = FiniteDictionary.from_matrix(rng.standard_normal((5, 10)))

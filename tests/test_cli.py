@@ -457,7 +457,19 @@ _CONFIG_VALUES = {
         st.sampled_from(["", ".", "no/such/dir.json", "trace.csv"]),
     ),
 }
-_WRONG_TYPE = st.sampled_from([None, "1", [1]])
+# per schema type, JSON values of other types: "1" is a valid file name, so
+# a str key's wrong types hold no string; True is an int to Python, and the
+# schema takes a bool only for a bool key
+_WRONG_TYPES = {
+    str: [None, 1, [1]],
+    int: [None, "1", [1], 1.5, True],
+    (int, float): [None, "1", [1], True],
+    bool: [None, "1", [1], 1],
+}
+
+
+def _wrong_type(key):
+    return st.sampled_from(_WRONG_TYPES[_SCHEMA[key][0]])
 
 
 @st.composite
@@ -475,7 +487,7 @@ def _configs(draw):
     for key in keys:
         good, out_of_range = _CONFIG_VALUES[key]
         if key == bad:
-            config[key] = draw(out_of_range | _WRONG_TYPE)
+            config[key] = draw(out_of_range | _wrong_type(key))
         elif key != "instance":
             config[key] = draw(good)
     return config, bad
@@ -483,6 +495,19 @@ def _configs(draw):
 
 def test_config_values_cover_the_schema():
     assert set(_CONFIG_VALUES) == set(_SCHEMA)
+
+
+def test_every_wrong_type_draw_fails_its_keys_type(tmp_path, capsys):
+    # each value `_wrong_type(key)` can draw is rejected by the schema's type
+    # check for that key, so a config holding it must exit 2
+    path = tmp_path / "config.json"
+    for key, (want, _) in _SCHEMA.items():
+        for value in _WRONG_TYPES[want]:
+            path.write_text(json.dumps({**QUICK, key: value}))
+            rc = main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+            assert rc == 2, (key, value)
+            assert f"error: key {key!r}: expected" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
 
 @given(drawn=_configs())
@@ -586,6 +611,18 @@ def test_rates_failed_run_exits_1(tmp_path, capsys):
     assert slope is not None and slope <= 0.0
     assert "failure: iteration" in printed.err
     assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("slope_max", ["nan", "inf", "-inf"])
+def test_rates_non_finite_slope_max_is_usage_error(tmp_path, capsys, slope_max):
+    # slope > nan is never true, so a NaN threshold would pass any slope
+    out = tmp_path / "out"
+    argv = ["rates", str(CONFIGS / "rates_cs64.json"), f"--slope-max={slope_max}"]
+    assert main([*argv, "--out", str(out), "--quiet"]) == 2
+    assert f"error: --slope-max must be finite, got {float(slope_max)}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_rates_strict_threshold_fails(tmp_path):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -965,6 +966,30 @@ def test_span_factor_grows_its_buffers_by_doubling():
     assert factor.size == 9
     assert factor._bt.shape == factor._qt.shape == (16, 1000)
     assert factor._r.shape == (16, 16)
+
+
+def test_span_factor_solve_is_bitwise_scipys_triangular_solve():
+    # R is a view into a buffer that doubles at 8, 16, 32 and 64 columns;
+    # at every size the solve has solve_triangular's bits, the reference
+    rng = np.random.default_rng(8)
+    factor = SpanFactor(100)
+    for k in range(1, 71):
+        factor.append(rng.standard_normal(100))
+        assert factor.usable and factor.size == k
+        for _ in range(3):
+            t = rng.standard_normal(100)
+            expected = scipy.linalg.solve_triangular(
+                factor.r, factor.q.T @ t, check_finite=False
+            )
+            assert factor.solve(t).tobytes() == expected.tobytes()
+    assert factor._r.shape == (128, 128)
+
+
+def test_span_factor_solve_with_a_zero_pivot_raises():
+    factor = SpanFactor.of(np.random.default_rng(9).standard_normal((10, 5)))
+    factor._r[2, 2] = 0.0
+    with pytest.raises(scipy.linalg.LinAlgError):
+        factor.solve(np.ones(10))
 
 
 @pytest.mark.parametrize(
