@@ -11,8 +11,9 @@ minimizes E on, or a fixed step. `run_greedy` takes them on one path.
 The Chebyshev rule re-minimizes E over the span of all selected atoms with
 `minimize_subspace`. The run keeps one `SpanFactor`, the basis and its thin
 QR, and appends a column only for an atom that does not merge into the
-basis. A merged atom leaves the span unchanged, so the previous span
-solution, which met the contract on it, stands without a new solve.
+basis; a finite dictionary's atom finds its basis position by its column
+index in one dict. A merged atom leaves the span unchanged, so the previous
+span solution, which met the contract on it, stands without a new solve.
 
 Every solver hands back its point, and E and E' there: the run takes G and
 E from the result, and E' as the next selection gradient. A slice whose base
@@ -382,6 +383,7 @@ def run_greedy(
         )
 
     span = SpanFactor(dim) if rule.orthogonal else None
+    positions = {}  # the Chebyshev basis: atom index -> position in trace.atoms
     trace = RunTrace(
         algorithm=rule.name,
         objective_label=objective.label,
@@ -401,7 +403,7 @@ def run_greedy(
         try:
             done = _take_step(
                 objective, dictionary, rule, tau.t(m), stop.sup_tol, span,
-                trace.atoms, m, iterate, mass, t0,
+                positions, trace.atoms, m, iterate, mass, t0,
             )
         except SubspaceToleranceError as exc:
             trace.stop_reason = StopReason.INNER_FAILURE
@@ -437,14 +439,15 @@ def _evaluated(objective, coefficients, point) -> SliceResult:
     return SliceResult(coefficients, point, *objective.value_and_gradient(point))
 
 
-def _take_step(objective, dictionary, rule, t_m, sup_tol, span, atoms, m, it,
-               mass, t0):
+def _take_step(objective, dictionary, rule, t_m, sup_tol, span, positions, atoms,
+               m, it, mass, t0):
     """Step m from the iterate `it` (G_{m-1}, E and E' there, and G_{m-1}'s
-    coefficients over `atoms`, whose l1 mass is `mass`): select an atom, move
-    by the rule, check. Returns (G_m's iterate, record m), or None when the
-    selection's reference is at sup_tol. The atom's vector, the rule's `Step`
-    and the slice result are locals of this call, so they are gone before
-    the next selection."""
+    coefficients over `atoms`, whose l1 mass is `mass`; for the Chebyshev
+    rule, `positions` maps each basis atom's index to its position in
+    `atoms`): select an atom, move by the rule, check. Returns (G_m's
+    iterate, record m), or None when the selection's reference is at
+    sup_tol. The atom's vector, the rule's `Step` and the slice result are
+    locals of this call, so they are gone before the next selection."""
     cert = _select(objective, dictionary, rule, it, t_m, m)
     if cert.reference <= sup_tol:  # NaN for energy selection: never
         return None
@@ -454,11 +457,11 @@ def _take_step(objective, dictionary, rule, t_m, sup_tol, span, atoms, m, it,
     # --- update: the span solve, or the rule's declared step ---------------
     if span is not None:
         new = it
-        position = _basis_position(dictionary, atom, phi, atoms, span)
+        position = _basis_position(dictionary, atom, phi, positions, span)
         if position is None:
+            position = positions[atom.index] = len(atoms)
             atoms.append(atom)
             span.append(phi)
-            position = len(atoms) - 1
             x0 = np.append(it.coefficients, 0.0)
             new = minimize_subspace(objective, span, x0=x0)
         lam = float(new.coefficients[position])
@@ -475,7 +478,9 @@ def _take_step(objective, dictionary, rule, t_m, sup_tol, span, atoms, m, it,
             gain = sum(c_i * share for c_i, share in zip(c, step.shares))
             alpha, w_or_r = alpha + gain, w_or_r - gain
             lam = step.b * c[-1]
-        coefficients = np.append(alpha * it.coefficients, lam)
+        coefficients = np.empty(len(it.coefficients) + 1)
+        np.multiply(alpha, it.coefficients, out=coefficients[:-1])
+        coefficients[-1] = lam  # the bits of np.append(alpha * c, lam)
         if solved is None or step.b != 1.0:
             new = _evaluated(objective, coefficients, it.point + lam * phi)
         else:
@@ -520,19 +525,19 @@ def _select(objective, dictionary, rule, it, t_m, m) -> SelectionCertificate:
         return SelectionCertificate(atom, score, math.nan, t_m, math.nan, phi)
     # a convex rule's functional is shifted by -G: the same argmax atom, but
     # score and reference include the shift
-    shift = float(np.dot(direction, it.point)) if rule.convex else 0.0
+    shift = float(direction.dot(it.point)) if rule.convex else 0.0
     return select_gradient_greedy(dictionary, direction, t_m, shift)
 
 
-def _basis_position(dictionary, atom, vec, atoms, span) -> Optional[int]:
-    """Position of the basis column that already spans the atom (a rank-one
-    merge reports the last column), or None when the atom is new."""
+def _basis_position(dictionary, atom, vec, positions, span) -> Optional[int]:
+    """Position of the basis column that already spans the atom, or None
+    when the atom is new. A finite dictionary's atom is looked up by its
+    column index in `positions` (index -> position), in O(1); a rank-one
+    atom (index -1 for all of them) merges when it is colinear with a basis
+    column, and the merge reports the last column."""
     if isinstance(dictionary, FiniteDictionary):
-        for i, b in enumerate(atoms):
-            if b.index == atom.index:
-                return i
-    else:
-        for bv in span.basis.T:
-            if abs(float(np.dot(vec, bv))) >= 1.0 - MERGE_COLINEAR_TOL:
-                return len(atoms) - 1
+        return positions.get(atom.index)
+    for bv in span.basis.T:
+        if abs(float(np.dot(vec, bv))) >= 1.0 - MERGE_COLINEAR_TOL:
+            return span.size - 1
     return None

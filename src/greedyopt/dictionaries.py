@@ -214,14 +214,18 @@ class FiniteDictionary:
         Ties break to the lowest index; a zero (or fully orthogonal) w maps to
         atom(0, +1) with value 0. A w bitwise equal to the last query (a wcga
         fixed point) gets the last answer object back without the product.
+        The search calls `ndarray.argmax`, which `np.argmax` ends in, and
+        reads the score as a Python float: the same bits without numpy's
+        Python-level dispatch.
         """
         w = np.asarray(w, dtype=float)
         key = w.tobytes()
         if key != self._last[0]:
             scores = self._columns.T @ w
-            j = int(np.argmax(np.abs(scores)))
-            value = float(abs(scores[j]))
-            sign = 1 if scores[j] >= 0.0 else -1
+            j = int(np.abs(scores).argmax())
+            score = scores.item(j)
+            value = abs(score)
+            sign = 1 if score >= 0.0 else -1
             self._last = (key, (value, Atom(j, sign), value))
         return self._last[1]
 
@@ -272,6 +276,9 @@ class RankOneDictionary:
         against upper. A W = 0, or an s_1 that overflows, gets unit factors,
         value 0 and upper s_1; an exactly singular M raises
         WeaknessCertificationError.
+
+        Every 2-norm is `math.sqrt(x.dot(x))`, numpy's own 1-D norm without
+        `np.linalg.norm`'s wrapper: the same bits.
         """
         n = self.side
         W = np.asarray(w, dtype=float).reshape(n, n)
@@ -289,10 +296,10 @@ class RankOneDictionary:
         lu, piv, x, info = dgesv(M.T, start, overwrite_a=True)
         if info != 0:
             raise WeaknessCertificationError(f"shifted system is singular (dgesv {info})")
-        x, _ = dgetrs(lu, piv, x / np.linalg.norm(x))
-        v = x / np.linalg.norm(x)
+        x, _ = dgetrs(lu, piv, x / math.sqrt(x.dot(x)))
+        v = x / math.sqrt(x.dot(x))
         Av = A @ v
-        norm = float(np.linalg.norm(Av))
+        norm = math.sqrt(Av.dot(Av))
         value = s1 * norm
         upper = max(s1, value) * (1.0 + SVD_ERROR_FACTOR * n * _EPS)
         return value, Atom(-1, 1, (Av / norm, v)), upper
@@ -326,7 +333,7 @@ def select_gradient_greedy(
     if not math.isfinite(upper):  # a slack of 1e-10 * inf certifies anything
         raise WeaknessCertificationError(f"reference sup is not finite: {upper}")
     vector = dictionary.realize(atom)
-    score = float(np.dot(direction, vector)) - shift
+    score = float(direction.dot(vector)) - shift
     reference = upper - shift
     ratio = 1.0 if reference == 0.0 else score / reference
     slack = WEAKNESS_SLACK * max(1.0, upper, abs(shift))

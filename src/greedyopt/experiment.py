@@ -34,10 +34,10 @@ from .dictionaries import FiniteDictionary
 from .instances import (
     CERTIFICATE_TOL,
     SynthesisCertificate,
+    check_synthesis,
     gen_compressed_sensing,
     gen_low_rank,
     gen_lp_approx,
-    verify_certificate,
 )
 from .objectives import (
     Objective,
@@ -389,16 +389,16 @@ def collect_invariants(
 ) -> dict:
     # the certificate must synthesize the target and, when the optimum is
     # known, attain it in the objective: that catches an objective whose own
-    # target is not the planted one
+    # target is not the planted one. Both facts are read on one realization.
+    synthesis = certificate.realize(dictionary)
     try:
-        verify_certificate(dictionary, target, certificate)
+        check_synthesis(certificate, synthesis, target)
         holds = True
     except ValueError:
         holds = False
     best = certificate.reference_optimum
     if holds and best is not None:
-        realized = objective.value(certificate.realize(dictionary))
-        holds = realized <= best + CERTIFICATE_TOL
+        holds = objective.value(synthesis) <= best + CERTIFICATE_TOL
     invariants = {"certificate": holds}
     if rule.monotone:
         invariants["monotone"] = monotonicity_defect(trace) <= MONOTONE_TOL

@@ -95,21 +95,23 @@ def _min_norm_solve(directions, residual) -> np.ndarray:
     """`lstsq(D^T D, D^T residual, rcond=None)[0]` in closed form for D's one
     or two columns: min-norm, Gram eigenvalues <= GRAM_CUTOFF * the largest
     dropped. One column keeps lstsq's bits: dgelsd scales by 1 / g (dlascl),
-    so not r / g. Two: one Jacobi rotation (Golub & Van Loan 8.5), any rank."""
+    so not r / g. Two: one Jacobi rotation (Golub & Van Loan 8.5), any rank.
+    The products are `ndarray.dot`, which `np.dot` ends in, and the rest is
+    arithmetic on Python floats."""
     d0, d1 = directions[0], directions[-1]
-    a, r0 = float(np.dot(d0, d0)), float(np.dot(d0, residual))
+    a, r0 = float(d0.dot(d0)), float(d0.dot(residual))
     if len(directions) == 1:
-        return np.array([r0 * (1.0 / a) if a > 0.0 else 0.0]) + 0.0  # no -0.0
-    b, c, r1 = float(np.dot(d0, d1)), float(np.dot(d1, d1)), float(np.dot(d1, residual))
+        return np.array([(r0 * (1.0 / a) if a > 0.0 else 0.0) + 0.0])  # no -0.0
+    b, c, r1 = float(d0.dot(d1)), float(d1.dot(d1)), float(d1.dot(residual))
     theta = (c - a) / (2.0 * b) if b != 0.0 else math.inf  # b = 0: t = 0
     t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
     cs = 1.0 / math.sqrt(1.0 + t * t)
     sn = t * cs
-    lam = (a - t * b, c + t * b)
-    cutoff = GRAM_CUTOFF * max(abs(lam[0]), abs(lam[1]))
-    z = (cs * r0 - sn * r1, sn * r0 + cs * r1)
-    y0, y1 = (z_i / l if abs(l) > cutoff else 0.0 for z_i, l in zip(z, lam))
-    return np.array([cs * y0 + sn * y1, cs * y1 - sn * y0]) + 0.0
+    lam0, lam1 = a - t * b, c + t * b
+    cutoff = GRAM_CUTOFF * max(abs(lam0), abs(lam1))
+    y0 = (cs * r0 - sn * r1) / lam0 if abs(lam0) > cutoff else 0.0
+    y1 = (sn * r0 + cs * r1) / lam1 if abs(lam1) > cutoff else 0.0
+    return np.array([cs * y0 + sn * y1 + 0.0, cs * y1 - sn * y0 + 0.0])
 
 
 def _projection_step(objective, base, directions, lower, upper):
@@ -121,19 +123,21 @@ def _projection_step(objective, base, directions, lower, upper):
     to [lower, upper]. Returns None when the directional derivatives at the
     point fail the first-order test DERIVATIVE_TOL * (1 + |E|), scaled by E
     at the point and one-sided at a bound, so that the caller falls back to
-    L-BFGS-B.
+    L-BFGS-B. The point and the test take c's entries as Python floats,
+    which numpy multiplies into an array with the same bits as its own
+    scalars and less dispatch.
     """
     c = _min_norm_solve(directions, objective.projection_target - base)
     if len(directions) == 1:
         c[0] = min(max(c[0], lower), upper)
 
-    point = base
-    for c_i, d_i in zip(c, directions):
+    point, steps = base, c.tolist()
+    for c_i, d_i in zip(steps, directions):
         point = point + c_i * d_i
     energy, grad = objective.value_and_gradient(point)
     dtol = DERIVATIVE_TOL * (1.0 + abs(energy))
-    for c_i, d_i in zip(c, directions):
-        s = float(np.dot(grad, d_i))
+    for c_i, d_i in zip(steps, directions):
+        s = float(grad.dot(d_i))
         if c_i == lower:
             ok = s >= -dtol
         elif c_i == upper:

@@ -62,8 +62,19 @@ def verify_certificate(
 ) -> float:
     """Max abs deviation between the realized synthesis and the target;
     raises if it exceeds tol or if the recorded mass is not the exact sum."""
+    return check_synthesis(certificate, certificate.realize(dictionary), target, tol)
+
+
+def check_synthesis(
+    certificate: SynthesisCertificate,
+    synthesis: np.ndarray,
+    target: np.ndarray,
+    tol: float = CERTIFICATE_TOL,
+) -> float:
+    """`verify_certificate` on synthesis, the certificate's realized vector,
+    for a caller that reads that vector again."""
     flat = np.ravel(np.asarray(target, dtype=float))
-    gap = float(np.max(np.abs(certificate.realize(dictionary) - flat)))
+    gap = float(np.max(np.abs(synthesis - flat)))
     if gap > tol:
         raise ValueError(f"certificate mismatch {gap:.3e} > {tol:g}")
     expected = synthesis_l1(c for _, c in certificate.terms)

@@ -5,11 +5,21 @@ differ from the package's code paths (normal equations instead of lstsq,
 closed forms or bisection instead of L-BFGS-B), so agreement is evidence
 rather than a tautology. `count_calls` is the objective wrapper that every
 call-count test shares.
+
+The bitwise oracles (`min_norm_solve_wrapped`, `rank_one_sup_wrapped`,
+`rank_one_realize_wrapped`, `relaxed_coefficients_wrapped`) are the same
+arithmetic written through numpy's Python-level wrappers (np.dot,
+np.linalg.norm, np.append), where the package calls the array methods and
+ufuncs those wrappers end in. The package must agree with them bit for bit.
+`rank_one_realize_wrapped` is np.outer, which `RankOneDictionary.realize`
+still calls: it guards any later change there.
 """
 
 import dataclasses
+import math
 
 import numpy as np
+from scipy.linalg.lapack import dgesv, dgetrs
 
 
 def count_calls(obj, log):
@@ -256,3 +266,67 @@ def orthogonality_defect_loop(objective, dictionary, trace):
         for phi in basis:
             worst = max(worst, abs(float(np.dot(grad, phi))))
     return worst
+
+
+def min_norm_solve_wrapped(directions, residual):
+    """`inner_solvers._min_norm_solve` through np.dot, with the rotated
+    right-hand side unpacked from a generator: min-norm lstsq of the 1x1 or
+    2x2 Gram system in closed form."""
+    d0, d1 = directions[0], directions[-1]
+    a, r0 = float(np.dot(d0, d0)), float(np.dot(d0, residual))
+    if len(directions) == 1:
+        return np.array([r0 * (1.0 / a) if a > 0.0 else 0.0]) + 0.0
+    b, c, r1 = float(np.dot(d0, d1)), float(np.dot(d1, d1)), float(np.dot(d1, residual))
+    theta = (c - a) / (2.0 * b) if b != 0.0 else math.inf
+    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    sn = t * cs
+    lam = (a - t * b, c + t * b)
+    cutoff = 2.0 * np.finfo(float).eps * max(abs(lam[0]), abs(lam[1]))
+    z = (cs * r0 - sn * r1, sn * r0 + cs * r1)
+    y0, y1 = (z_i / l if abs(l) > cutoff else 0.0 for z_i, l in zip(z, lam))
+    return np.array([cs * y0 + sn * y1, cs * y1 - sn * y0]) + 0.0
+
+
+def rank_one_sup_wrapped(w, n, shift_factor):
+    """`RankOneDictionary.certified_sup` through np.linalg.norm: (value, u, v, upper) for the n x n W = reshape(w) from
+    a values-only SVD and two inverse-iteration steps on A^T A - mu I, with
+    mu = 1 + shift_factor * n * eps, from sin(1..n). Covers W != 0 with a
+    finite s_1 only."""
+    start = np.sin(np.arange(1.0, n + 1.0))
+    eps = float(np.finfo(float).eps)
+    W = np.asarray(w, dtype=float).reshape(n, n)
+    s1 = float(np.linalg.svd(W, compute_uv=False)[0])
+    A = W / s1
+    M = A.T @ A
+    M.flat[:: n + 1] -= 1.0 + shift_factor * n * eps
+    lu, piv, x, info = dgesv(M.T, start, overwrite_a=True)
+    assert info == 0
+    x, _ = dgetrs(lu, piv, x / np.linalg.norm(x))
+    v = x / np.linalg.norm(x)
+    Av = A @ v
+    norm = float(np.linalg.norm(Av))
+    value = s1 * norm
+    upper = max(s1, value) * (1.0 + shift_factor * n * eps)
+    return value, Av / norm, v, upper
+
+
+def rank_one_realize_wrapped(sign, u, v):
+    """A rank-one atom's vector through np.outer: sign * (u v^T), flattened."""
+    return np.outer(sign * u, v).ravel()
+
+
+def relaxed_coefficients_wrapped(algorithm, previous, record):
+    """A relaxed step's coefficients through np.append: alpha * previous
+    with lam appended, for the record of the rule named `algorithm`. The
+    record keeps lam and w_or_r, and alpha follows from them bitwise: the
+    rule's alpha plus the slice's gain is 1 - lam for wrga (its gain is -lam)
+    and 1 - w_or_r for wgafr and fixed_relaxation (w_or_r is the rule's w or
+    r minus the same gain); every other relaxed rule has alpha 1."""
+    if algorithm == "wrga":
+        alpha = 1.0 - record.lam
+    elif algorithm in ("wgafr", "fixed_relaxation"):
+        alpha = 1.0 - record.w_or_r
+    else:
+        alpha = 1.0
+    return np.append(alpha * previous, record.lam)

@@ -39,6 +39,7 @@ from oracles import (
     free_relaxation_joint_minimum,
     iterate,
     quadratic_ray_minimum,
+    relaxed_coefficients_wrapped,
 )
 
 
@@ -862,6 +863,38 @@ def test_record_l1_mass_is_its_coefficients_mass(rule):
         assert rec.l1_mass == float(np.abs(rec.coefficients).sum())
     if rule.orthogonal:
         assert len(trace.atoms) < trace.iterations  # merged steps happened
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        ConvexRelaxation(),
+        FreeRelaxation(),
+        BestStep(),
+        ReducedStep(),
+        FixedRelaxation(0.1),
+        Prescribed(0.05),
+        Prescribed(0.05, selection="energy"),
+    ],
+    ids=lambda rule: f"{type(rule).__name__}-{rule.selection}",
+)
+def test_relaxed_coefficients_are_their_wrapped_expression_bit_for_bit(rule):
+    # a relaxed step writes alpha * previous and lam into one new array: the
+    # bits of np.append(alpha * previous, lam), on the closed-form slices of
+    # least squares and the L-BFGS-B slices of an lp norm power
+    dic, y, _ = gen_compressed_sensing(16, 64, 4, mass=1.0, seed=3)
+    lp_dic, lp_obj, _ = gen_lp_approx(16, 3.0, 1.5, s=4, seed=3)
+    stop = StopRule(max_m=30, sup_tol=-1.0)
+    for trace in (
+        run_ls(y, rule, dic=dic, max_m=30, sup_tol=-1.0),
+        run_greedy(lp_obj, lp_dic, WeaknessSequence.constant(1.0), rule, stop),
+    ):
+        assert trace.iterations == 30
+        previous = np.zeros(0)
+        for rec in trace.records:
+            expected = relaxed_coefficients_wrapped(rule.name, previous, rec)
+            assert rec.coefficients.tobytes() == expected.tobytes(), rec.m
+            previous = rec.coefficients
 
 
 def test_iterates_stay_in_sublevel_set():

@@ -34,6 +34,8 @@ from greedyopt.objectives import lr_norm, make_least_squares
 from oracles import (
     brute_force_sup,
     known_spectrum,
+    rank_one_realize_wrapped,
+    rank_one_sup_wrapped,
     sigma_max_eigvalsh,
     top_singular_eigh,
 )
@@ -450,6 +452,32 @@ def test_rank_one_structured_matrices_certify_at_t_one(seed):
         assert cert.reference >= s_max, name
         if s_max < 1e150:  # W^T W would overflow above
             assert cert.reference >= sigma_max_eigvalsh(w), name
+
+
+def _bits(*values):
+    return [np.asarray(x, dtype=float).tobytes() for x in values]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rank_one_sup_and_realize_are_their_wrapped_expressions_bit_for_bit(seed):
+    # value, u, v and upper, and the atom's vector for both signs: the bits
+    # of the same arithmetic through np.linalg.norm and np.outer, on the
+    # structured and the known-spectrum matrices
+    cases = [(name, w) for name, w, _ in _structured(seed)]
+    cases += [(name, w) for name, w, _ in _spectra(16, seed) if name != "zero"]
+    for side, top in ((5, 2.0), (64, 2.0), (64, 1e6)):
+        s = np.linspace(top, 0.1, side)
+        cases.append((f"known spectrum {side} {top:g}", known_spectrum(s, seed)[0]))
+    for name, w in cases:
+        side = w.shape[0]
+        dic = RankOneDictionary(side)
+        value, atom, upper = dic.certified_sup(w.ravel())
+        u, v = atom.factors
+        expected = rank_one_sup_wrapped(w.ravel(), side, dictionaries.SVD_ERROR_FACTOR)
+        assert _bits(value, u, v, upper) == _bits(*expected), name
+        for sign in (1, -1):
+            got = dic.realize(Atom(-1, sign, atom.factors))
+            assert _bits(got) == _bits(rank_one_realize_wrapped(sign, u, v)), name
 
 
 def test_rank_one_row_orthogonal_to_v1_finds_v1():

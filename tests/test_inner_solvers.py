@@ -26,6 +26,7 @@ from greedyopt.objectives import make_least_squares, make_norm_power
 from oracles import (
     count_calls,
     free_relaxation_joint_minimum,
+    min_norm_solve_wrapped,
     quadratic_line_minimum,
     quadratic_ray_minimum,
 )
@@ -413,6 +414,26 @@ def test_plane_solve_on_degenerate_gram_systems():
             if cond <= 1e8:
                 assert e_got <= e_ref + 1e-12 * (1.0 + abs(e_ref))
     assert dropped >= 1000 and compared >= 250
+
+
+def test_plane_solve_is_its_wrapped_expression_bit_for_bit():
+    # the closed form's bits are those of the same arithmetic through np.dot
+    # and a generator unpack, on random, nearly parallel, zero-base and
+    # exactly parallel planes, and on zero residuals, where a coefficient
+    # can round to -0.0 before the closed form's + 0.0
+    rng = np.random.default_rng(4)
+    planes = [
+        (_pair(rng, 10.0 ** rng.uniform(-3.5, 0.0), spread=1.0),
+         rng.standard_normal(8) * 10.0 ** rng.uniform(-3, 3))
+        for _ in range(1000)
+    ]
+    planes += [(d, r) for d, r, _ in _degenerate_planes(rng)]
+    for _ in range(100):
+        line = tuple(rng.standard_normal((2, 1)))  # one coordinate: parallel
+        planes += [(line, np.zeros(1)), (line, -np.zeros(1))]
+    for directions, residual in planes:
+        got = _min_norm_solve(directions, residual)
+        assert got.tobytes() == min_norm_solve_wrapped(directions, residual).tobytes()
 
 
 def _wrong_target(y):

@@ -1,0 +1,106 @@
+"""Smoke tests of the two tools a performance change's evidence comes from:
+the gain rule of `tools/bench_pairs.py` on synthetic pairs, and the run
+matrix of `tools/output_digests.py`. Neither runs a benchmark or an
+experiment here; the matrix reads the workload definitions under
+`benchmarks/` and the shipped configs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _tool("bench_pairs")
+output_digests = _tool("output_digests")
+
+METRICS = [{"name": "iter_ms", "better": "lower"}, {"name": "m_to_tol", "better": "higher"}]
+
+
+def _runs(parent, change, failed=(0, 0)):
+    """Synthetic pairs: pair i has iter_ms parent[i] and change[i], m_to_tol
+    their negatives, and the first pair carries each side's failed count."""
+    runs = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        runs.append({
+            side: {"failed": failed[k] if i == 0 else 0,
+                   "metrics": {"iter_ms": value, "m_to_tol": -value}}
+            for k, (side, value) in enumerate((("parent", p), ("change", c)))
+        })
+    return runs
+
+
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+def _summary(change, parent=PARENT, failed=(0, 0)):
+    return bench_pairs.summarize(_runs(parent, change, failed), METRICS)
+
+
+def test_gain_when_every_pair_is_better_by_more_than_the_iqr():
+    summary = _summary([p - 0.2 for p in PARENT])
+    for name in ("iter_ms", "m_to_tol"):  # lower is better, then higher
+        s = summary[name]
+        assert (s["change_better_in"], s["change_worse_in"]) == (10, 0)
+        assert s["gain"] is True
+    s = summary["iter_ms"]
+    assert s["parent_median"] == pytest.approx(1.045)
+    assert s["change_median"] == pytest.approx(0.845)
+    assert (s["parent_q1"], s["parent_q3"]) == pytest.approx((1.0225, 1.0675))
+
+
+def test_gain_needs_nine_of_ten_pairs():
+    nine = [p - 0.2 for p in PARENT[:9]] + [PARENT[9] + 0.2]
+    assert _summary(nine)["iter_ms"]["gain"] is True
+    eight = [p - 0.2 for p in PARENT[:8]] + [p + 0.2 for p in PARENT[8:]]
+    s = _summary(eight)["iter_ms"]
+    assert (s["change_better_in"], s["change_worse_in"]) == (8, 2)
+    assert s["gain"] is False
+    # a tie counts for neither side: 8 better and 2 ties are not 9 of 10
+    tie = [p - 0.2 for p in PARENT[:8]] + PARENT[8:]
+    s = _summary(tie)["iter_ms"]
+    assert (s["change_better_in"], s["change_worse_in"]) == (8, 0)
+    assert s["gain"] is False
+
+
+def test_gain_needs_medians_apart_by_more_than_the_parents_iqr():
+    wide = [1.0 + 0.1 * i for i in range(10)]  # IQR 0.45
+    s = _summary([p - 0.4 for p in wide], parent=wide)["iter_ms"]
+    assert (s["change_better_in"], s["change_worse_in"]) == (10, 0)
+    assert s["gain"] is False
+    assert _summary([p - 0.5 for p in wide], parent=wide)["iter_ms"]["gain"] is True
+
+
+def test_gain_needs_no_more_failed_operations_in_the_change():
+    faster = [p - 0.2 for p in PARENT]
+    assert _summary(faster, failed=(1, 1))["iter_ms"]["gain"] is True
+    assert _summary(faster, failed=(0, 1))["iter_ms"]["gain"] is False
+    assert _summary(faster, failed=(1, 0))["iter_ms"]["gain"] is True
+
+
+def test_output_digest_matrix_names_983_runs_in_a_fixed_order(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # matrix() prepends benchmarks/
+    runs = list(output_digests.matrix(ROOT))
+    names = [name for name, _ in runs]
+    assert len(names) == 983
+    assert len(set(names)) == 983
+    assert names == [name for name, _ in output_digests.matrix(ROOT)]
+    # small instances x rules, the shipped configs, the workload instances,
+    # then the stress family
+    assert names[0] == "cs32_wcga_1"
+    assert names[-1] == "stress_r6_q2_n64_s8_3"
+    configs = sorted(path.stem for path in (ROOT / "configs").glob("*.json"))
+    first = names.index(configs[0])
+    assert names[first : first + len(configs)] == configs
+    assert sum(name.startswith("stress_") for name in names) == 132
+    assert all(name.startswith("stress_") for name in names[-132:])
+    assert all("seed" in config and "algorithm" in config for _, config in runs)
