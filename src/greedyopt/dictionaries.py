@@ -18,16 +18,20 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrs
 
-from .objectives import Objective
+from .objectives import Objective, lr_norm
 
 WEAKNESS_SLACK = 1e-10  # relative; see select_gradient_greedy
 # backward-error factor c of the SVD's top singular value, also the shift's;
 # see RankOneDictionary.certified_sup
 SVD_ERROR_FACTOR = 4.0
 # columns per block of lr_column_norms: its temporaries stay this many
-# columns wide whatever the dictionary's size
+# columns wide whatever the dictionary's size; FiniteDictionary's l_r check
+# takes blocks of rows of as many entries
 LR_NORM_BLOCK = 16
 _EPS = float(np.finfo(float).eps)
+# lr_column_norms divides each column by its max clipped to this range, so a
+# zero column divides 0 and an infinite one keeps inf, with no 0/0 or inf/inf
+_TOP_RANGE = (float(np.nextafter(0.0, 1.0)), float(np.finfo(float).max))
 
 
 class WeaknessCertificationError(RuntimeError):
@@ -115,17 +119,42 @@ def lr_column_norms(a: np.ndarray, r: float) -> np.ndarray:
     its max and summed as a contiguous vector, as lr_norm sums it; a
     Fortran-ordered sum runs in another order. The root is taken per column
     on a numpy scalar, as lr_norm takes it: numpy's array power differs
-    from it by one ulp on some columns."""
+    from it by one ulp on some columns. A column with an infinite entry has
+    norm inf, as in lr_norm."""
     norms = np.empty(a.shape[1])
     inv = 1.0 / r
     for j in range(0, a.shape[1], LR_NORM_BLOCK):
         block = np.abs(a[:, j : j + LR_NORM_BLOCK].T, order="C")
         top = block.max(axis=1, initial=0.0)
-        block /= np.where(top == 0.0, 1.0, top)[:, None]
+        block /= np.minimum(np.maximum(top, _TOP_RANGE[0]), _TOP_RANGE[1])[:, None]
         block **= r
         roots = [float(s**inv) for s in block.sum(axis=1)]
         norms[j : j + LR_NORM_BLOCK] = top * np.array(roots)
     return norms
+
+
+def _lr_check_norms(a: np.ndarray, r: float) -> np.ndarray:
+    """l_r norm of each column of a (k, n) array for FiniteDictionary's
+    unit check: |a_ij|^r summed unscaled, max(1, LR_NORM_BLOCK * k // n)
+    rows at a time, so the temporaries are one block of as many entries as
+    one of lr_column_norms' and one row of sums.
+
+    No entry of a unit column exceeds 1, so its sum cannot overflow, and a
+    term that underflows is below 1e-300. A column whose sum overflows to
+    inf or underflows to 0 is far from unit and fails either way, so
+    overflow is ignored."""
+    k, n = a.shape
+    rows = max(1, LR_NORM_BLOCK * k // n)
+    block = np.empty((min(rows, k), n))
+    sums = np.zeros(n)
+    with np.errstate(over="ignore"):
+        for i in range(0, k, rows):
+            part = np.abs(a[i : i + rows], out=block[: min(rows, k - i)])
+            part **= r
+            for row in part:
+                sums += row
+    sums **= 1.0 / r
+    return sums
 
 
 def unit_columns(raw: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -152,12 +181,23 @@ class FiniteDictionary:
     pass a copy if you keep writing to yours. Any other input (a view, a
     list, another dtype or layout) is copied once.
 
-    Columns must have unit norm in l_r, to 1e-12: l2 by default
-    (`column_norms`), any other r > 1 by `lr_column_norms`, the bits of
-    objectives.lr_norm on each column.
+    Columns must have unit norm in l_r, for 1 < r < inf (any other r
+    raises ValueError, as in make_norm_power): a column is rejected unless
+    |norm - 1| <= 1e-12, so a NaN or infinite norm fails too. l2, the
+    default, takes `column_norms`. Any other r > 1 takes `_lr_check_norms`,
+    one pass over blocks of rows that sums |c_ij|^r unscaled and takes the
+    r-th root: an accurate norm, not lr_norm's bits, which only the
+    normalization that defines an instance needs (`lr_column_norms`). With
+    k rows and u = 2^-53, each power is within an ulp (2u relative), the
+    row-order sum of k nonnegative terms within (k - 1) u and the root
+    within an ulp, so the norm is within about (k / r + 3) u of the true
+    one: under 2e-13, a fifth of the tolerance, for k up to 1000. The error
+    names the first bad column with its lr_norm.
     """
 
     def __init__(self, columns: np.ndarray, r: float = 2.0):
+        if not 1.0 < r < math.inf:
+            raise ValueError(f"r must be in (1, inf), got {r}")
         adopt = (
             type(columns) is np.ndarray
             and columns.dtype == np.float64
@@ -167,10 +207,12 @@ class FiniteDictionary:
         cols = columns if adopt else np.array(columns, dtype=float, order="C")
         if cols.ndim != 2 or cols.shape[1] == 0:
             raise ValueError("columns must be a nonempty (k, n) matrix")
-        norms = column_norms(cols) if r == 2.0 else lr_column_norms(cols, r)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
-        if bad.size:
-            raise ValueError(f"column {bad[0]} has norm {norms[bad[0]]}, expected 1")
+        norms = column_norms(cols) if r == 2.0 else _lr_check_norms(cols, r)
+        unit = np.abs(norms - 1.0) <= 1e-12
+        if not unit.all():
+            j = int(unit.argmin())
+            norm = norms[j] if r == 2.0 else lr_norm(cols[:, j], r)
+            raise ValueError(f"column {j} has norm {norm}, expected 1")
         cols.setflags(write=False)
         self._columns = cols
         self._last = (None, None)  # bytes of the last query, and its answer

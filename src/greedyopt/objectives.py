@@ -39,13 +39,15 @@ def l2_norm(v: np.ndarray) -> float:
 
 
 def lr_norm(v: np.ndarray, r: float) -> float:
-    # np.linalg.norm(v, ord=r) underflows for tiny entries raised to large r;
-    # factoring out the max keeps the computation scaled. In place: one
-    # temporary of v's size, with the bits of (|v| / top) ** r.
+    """||v||_r, scaled by the largest |v_i|: np.linalg.norm(v, ord=r)
+    underflows for tiny entries raised to a large r. In place, with one
+    temporary of v's size and the bits of top * sum((|v| / top) ** r) **
+    (1 / r). A zero v has norm 0, and one with an infinite entry inf, with
+    no 0/0 or inf/inf; a NaN entry gives NaN."""
     a = np.abs(np.asarray(v, dtype=float))
     top = float(a.max()) if a.size else 0.0
-    if top == 0.0:
-        return 0.0
+    if top == 0.0 or top == math.inf:
+        return top
     a /= top
     a **= r
     return top * float(a.sum() ** (1.0 / r))
@@ -286,6 +288,8 @@ def make_norm_power(target: np.ndarray, r: float, q: float) -> Objective:
         nv = norm(v)
         if nv == 0.0:
             return 0.0, np.zeros(dim)
+        if not math.isfinite(nv):  # f - x overflowed: so do E and E'
+            return nv, np.full(dim, nv)
         g = _norming_functional(v, nv, r)
         g *= -q * nv ** (q - 1.0)
         return nv**q, g
@@ -293,7 +297,7 @@ def make_norm_power(target: np.ndarray, r: float, q: float) -> Objective:
     def span_hessian(x, B):
         v = f - x
         nv = norm(v)
-        if nv == 0.0 or (r < 2.0 and not v.all()):
+        if nv == 0.0 or not math.isfinite(nv) or (r < 2.0 and not v.all()):
             return np.full((B.shape[1], B.shape[1]), math.inf)
         w = np.abs(v)
         w /= nv

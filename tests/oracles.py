@@ -13,6 +13,10 @@ np.linalg.norm, np.append), where the package calls the array methods and
 ufuncs those wrappers end in. The package must agree with them bit for bit.
 `rank_one_realize_wrapped` is np.outer, which `RankOneDictionary.realize`
 still calls: it guards any later change there.
+
+`lr_unit_check_scaled` is FiniteDictionary's l_r unit-column check on
+lr_norm's max-scaled norms, where the package sums unscaled rows: the
+verdict and the message must agree.
 """
 
 import dataclasses
@@ -330,3 +334,18 @@ def relaxed_coefficients_wrapped(algorithm, previous, record):
     else:
         alpha = 1.0
     return np.append(alpha * previous, record.lam)
+
+
+def lr_unit_check_scaled(columns, r):
+    """The l_r unit-column check on each column's max-scaled norm
+    top * sum((|c| / top) ** r) ** (1 / r), the bits of objectives.lr_norm
+    (the check FiniteDictionary made through lr_column_norms before it
+    summed rows unscaled): the message naming the first column whose norm
+    is more than 1e-12 from 1, or None."""
+    for j, c in enumerate(np.asarray(columns, dtype=float).T):
+        a = np.abs(c)
+        top = float(a.max())
+        norm = top * float(np.sum((a / top) ** r) ** (1.0 / r)) if top else 0.0
+        if abs(norm - 1.0) > 1e-12:
+            return f"column {j} has norm {norm}, expected 1"
+    return None

@@ -1,6 +1,8 @@
 """Dictionaries, atom selection, and the certified sup machinery."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from greedyopt import dictionaries
 from greedyopt.dictionaries import (
     Atom,
     FiniteDictionary,
+    LR_NORM_BLOCK,
     RankOneDictionary,
     WEAKNESS_SLACK,
     UnsupportedDictionaryError,
@@ -34,6 +37,7 @@ from greedyopt.objectives import lr_norm, make_least_squares
 from oracles import (
     brute_force_sup,
     known_spectrum,
+    lr_unit_check_scaled,
     rank_one_realize_wrapped,
     rank_one_sup_wrapped,
     sigma_max_eigvalsh,
@@ -117,6 +121,99 @@ def test_unit_norm_check_names_first_bad_column():
         assert FiniteDictionary(near[:, :1], r=r).size == 1
 
 
+def _unit_check_cases(rows, r):
+    """Dictionaries unit in l_r, and ones the check must reject, with the
+    same 40 columns: scaled far out of range, a zero column, either side of
+    the 1e-12 edge, and Fortran-ordered and strided inputs."""
+    raw = np.random.default_rng(rows).standard_normal((rows, 40))
+    unit = unit_columns(raw, lr_column_norms(raw, r))
+    yield "unit", unit.copy()
+    yield "scaled_1e100", 1e100 * unit
+    yield "scaled_1e-100", 1e-100 * unit
+    zero = unit.copy()
+    zero[:, 7] = 0.0
+    yield "zero_column", zero
+    for name, factor in (("edge_in", 1.0 + 5e-13), ("edge_out", 1.0 + 2e-12)):
+        edge = unit.copy()
+        edge[:, 21] *= factor
+        yield name, edge
+    yield "fortran", np.asfortranarray(unit)
+    wide = np.zeros((rows, 80))
+    wide[:, ::2] = unit
+    yield "strided", wide[:, ::2]
+
+
+def _check_message(columns, r):
+    try:
+        FiniteDictionary(columns, r=r)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64, 130])
+@pytest.mark.parametrize("r", [1.2, 1.5, 2.5, 3.0, 4.0, 6.0])
+def test_lr_unit_check_agrees_with_the_scaled_norms(r, rows):
+    # the one-pass row sums accept and reject the columns that lr_norm's
+    # bits do, and name the same column and norm; overflow and underflow
+    # of the unscaled sums stay silent
+    unit = next(_unit_check_cases(rows, r))[1]
+    # within the docstring's (k / r + 3) u of the true norm, as lr_norm is
+    bound = 2.0 * (rows / r + 3.0) * 2.0**-53
+    deviation = dictionaries._lr_check_norms(unit, r) - lr_column_norms(unit, r)
+    assert np.abs(deviation).max() <= bound
+    verdicts = {}
+    for name, columns in _unit_check_cases(rows, r):
+        expected = lr_unit_check_scaled(columns, r)
+        assert _check_message(columns, r) == expected, name
+        verdicts[name] = expected is None
+    assert verdicts == {
+        "unit": True, "scaled_1e100": False, "scaled_1e-100": False,
+        "zero_column": False, "edge_in": True, "edge_out": False,
+        "fortran": True, "strided": True,
+    }
+
+
+@pytest.mark.parametrize("r", [2.0, 3.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_unit_check_rejects_non_finite_columns(r, bad):
+    # a NaN norm fails |norm - 1| <= 1e-12, and an infinite entry gives an
+    # infinite norm, with no inf / inf on the way
+    cols = np.array([[1.0, 0.0, bad], [0.0, 1.0, 0.0]])
+    norm = "nan" if math.isnan(bad) else "inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^column 2 has norm {norm}, expected 1$"):
+            FiniteDictionary(cols, r=r)
+        with pytest.raises(ValueError, match=rf"^column 0 has norm {norm}, expected 1$"):
+            FiniteDictionary(np.array([[bad, 1.0], [0.0, 0.0]]), r=r)
+
+
+@pytest.mark.parametrize("r", [1.0, math.inf, math.nan])
+def test_unit_check_needs_r_in_the_open_range(r):
+    # at r = inf the unscaled sums would read every column with entries
+    # below 1 as unit: (1/2, 1/2) has l_inf norm 1/2
+    with pytest.raises(ValueError, match=r"^r must be in \(1, inf\), got "):
+        FiniteDictionary(np.array([[0.5], [0.5]]), r=r)
+
+
+def test_lr_unit_check_allocates_one_block_of_rows():
+    # on an adopted array the l_r check holds one block of at most
+    # LR_NORM_BLOCK * k entries and one row of n sums, plus 2 KB for the
+    # Python objects (array headers, views, the errstate context)
+    k, n = 256, 1024
+    raw = np.random.default_rng(5).standard_normal((k, n))
+    cols = unit_columns(raw, lr_column_norms(raw, 3.0))
+    tracemalloc.start()
+    try:
+        dic = FiniteDictionary(cols, r=3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dic.columns is cols
+    assert peak <= 8 * (LR_NORM_BLOCK * k + n) + 2048
+
+
 def _lr_cases():
     rng = np.random.default_rng(11)
     for rows in (3, 64, 130):
@@ -128,13 +225,17 @@ def _lr_cases():
     yield "one_column", a[:, :1].copy()
     yield "fortran", np.asfortranarray(a)
     yield "strided_view", a[::2, 1::3]
+    a = rng.standard_normal((64, 40))
+    a[3, 5], a[10, 20] = np.inf, -np.inf
+    a[0, 30], a[1, 30] = np.inf, 1e200  # the finite entry's power would overflow
+    yield "infinite_columns", a
 
 
 @pytest.mark.parametrize("r", [1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
 @pytest.mark.parametrize("a", [a for _, a in _lr_cases()], ids=[i for i, _ in _lr_cases()])
 def test_lr_column_norms_are_lr_norm_bits(a, r):
     # the blocked routine gives lr_norm's bits on every column, across
-    # blocks, scales, layouts and a zero column
+    # blocks, scales, layouts, a zero column and infinite entries
     expected = np.array([lr_norm(c, r) for c in a.T])
     assert lr_column_norms(a, r).tobytes() == expected.tobytes()
 

@@ -1,6 +1,8 @@
 """Objective constructors: values, gradients, smoothness envelopes."""
 
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +47,25 @@ def test_lr_norm_values():
     assert lr_norm(np.array([1.0, 1.0]), 4.0) == pytest.approx(2.0**0.25, rel=1e-15)
     assert lr_norm(np.zeros(3), 4.0) == 0.0
     assert lr_norm(np.array([0.0, -2.0]), 3.0) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_lr_norm_of_an_infinite_entry_is_inf():
+    # no inf / inf: the norm is inf, with no RuntimeWarning
+    assert lr_norm(np.array([1.0, -np.inf, 2.0]), 3.0) == math.inf
+    assert lr_norm(np.array([np.inf, 1e200]), 1.5) == math.inf
+
+
+def test_norm_power_overflowing_residual_raises_without_a_warning():
+    # f - x overflows to +-inf (silent under the CLI's errstate): E and E'
+    # are rejected, and the span Hessian is not finite, with no warning
+    obj = make_norm_power(np.array([1e308, -1e308]), 3.0, 1.5)
+    x = np.array([-1e308, 1e308])
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (obj.value, obj.value_and_gradient):
+            with pytest.raises(NonFiniteEnergyError):
+                evaluate(x)
+        assert not np.isfinite(obj.span_hessian_fn(x, np.eye(2))).any()
 
 
 def test_lr_norm_underflow_resistant():

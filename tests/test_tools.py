@@ -26,13 +26,17 @@ output_digests = _tool("output_digests")
 METRICS = [{"name": "iter_ms", "better": "lower"}, {"name": "m_to_tol", "better": "higher"}]
 
 
-def _runs(parent, change, failed=(0, 0)):
+def _runs(parent, change, failed=(0, 0), attempted=(10, 10), correct=(True, True)):
     """Synthetic pairs: pair i has iter_ms parent[i] and change[i], m_to_tol
-    their negatives, and the first pair carries each side's failed count."""
+    their negatives, and the first pair carries each side's failed and
+    attempted counts and correct flag (every other run attempts and fails
+    nothing, and is correct)."""
     runs = []
     for i, (p, c) in enumerate(zip(parent, change)):
         runs.append({
             side: {"failed": failed[k] if i == 0 else 0,
+                   "attempted": attempted[k] if i == 0 else 0,
+                   "correct": correct[k] if i == 0 else True,
                    "metrics": {"iter_ms": value, "m_to_tol": -value}}
             for k, (side, value) in enumerate((("parent", p), ("change", c)))
         })
@@ -42,8 +46,8 @@ def _runs(parent, change, failed=(0, 0)):
 PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
 
 
-def _summary(change, parent=PARENT, failed=(0, 0)):
-    return bench_pairs.summarize(_runs(parent, change, failed), METRICS)
+def _summary(change, parent=PARENT, **first_pair):
+    return bench_pairs.summarize(_runs(parent, change, **first_pair), METRICS)
 
 
 def test_gain_when_every_pair_is_better_by_more_than_the_iqr():
@@ -85,6 +89,24 @@ def test_gain_needs_no_more_failed_operations_in_the_change():
     assert _summary(faster, failed=(1, 1))["iter_ms"]["gain"] is True
     assert _summary(faster, failed=(0, 1))["iter_ms"]["gain"] is False
     assert _summary(faster, failed=(1, 0))["iter_ms"]["gain"] is True
+
+
+def test_gain_needs_no_higher_failed_share_in_the_change():
+    # runs are time-bounded: 1 failed of 50 attempted is twice the share of
+    # 1 of 100, though the counts are equal
+    faster = [p - 0.2 for p in PARENT]
+    assert _summary(faster, failed=(1, 1), attempted=(100, 50))["iter_ms"]["gain"] is False
+    assert _summary(faster, failed=(1, 1), attempted=(50, 100))["iter_ms"]["gain"] is True
+    assert _summary(faster, failed=(2, 1), attempted=(100, 50))["iter_ms"]["gain"] is True
+
+
+def test_gain_needs_every_change_run_correct():
+    faster = [p - 0.2 for p in PARENT]
+    assert _summary(faster, correct=(True, False))["iter_ms"]["gain"] is False
+    assert _summary(faster, correct=(False, True))["iter_ms"]["gain"] is True
+    t = bench_pairs.tally(_runs(PARENT, faster, correct=(False, True)))
+    assert t == {"parent": {"failed": 0, "attempted": 10, "incorrect": 1},
+                 "change": {"failed": 0, "attempted": 10, "incorrect": 0}}
 
 
 def test_output_digest_matrix_names_983_runs_in_a_fixed_order(monkeypatch):

@@ -9,12 +9,14 @@ benchmark code. Odd pairs run the parent first, even pairs the change, so
 neither side always runs on a warmer host. For each end-to-end metric of
 the parent's BENCHMARK.json the report gives both medians, both sides'
 quartiles (inclusive method: numpy's linear percentile), and in how many
-pairs the change was better or worse; ties count for neither. Failed
-operations are summed per side. A gain holds when the change is better in
-at least nine tenths of the pairs, the medians differ by more than the
-parent's interquartile range, and no more operations failed in the change
-than in the parent. --json writes every run and the summary; it names each
-checkout by its directory name.
+pairs the change was better or worse; ties count for neither. Failed and
+attempted operations are summed per side, and runs whose `correct` flag is
+false are counted. A gain holds when the change is better in at least nine
+tenths of the pairs, the medians differ by more than the parent's
+interquartile range, every change run is correct, and the change's failed
+share (failed / attempted: runs are time-bounded, so the sides attempt
+different counts) is no higher than the parent's. --json writes every run
+and the summary; it names each checkout by its directory name.
 Nothing in either checkout is edited; the harness writes its samples to
 the checkout's `.bench_out/`.
 """
@@ -55,9 +57,20 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
+def tally(runs: list) -> dict:
+    """Per side: failed and attempted operations, and incorrect runs."""
+    return {side: {key: sum(r[side][key] for r in runs)
+                   for key in ("failed", "attempted")}
+            | {"incorrect": sum(not r[side]["correct"] for r in runs)}
+            for side in SIDES}
+
+
 def summarize(runs: list, metrics: list) -> dict:
     """Per end-to-end metric: medians, quartiles and the pair count."""
-    failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
+    t = tally(runs)
+    sound = t["change"]["incorrect"] == 0 and (  # failed shares, cross-multiplied
+        t["change"]["failed"] * t["parent"]["attempted"]
+        <= t["parent"]["failed"] * t["change"]["attempted"])
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -75,8 +88,7 @@ def summarize(runs: list, metrics: list) -> dict:
             "change_median": cm, "change_q1": c1, "change_q3": c3,
             "change_better_in": better, "change_worse_in": worse,
             "gain": better >= 0.9 * len(pairs) and abs(cm - pm) > p3 - p1
-            and (cm < pm if lower else cm > pm)
-            and failed["change"] <= failed["parent"],
+            and (cm < pm if lower else cm > pm) and sound,
         }
     return out
 
@@ -111,15 +123,17 @@ def main(argv=None) -> int:
                 f"{side} iter_ms {run[side]['metrics']['iter_ms']:.4f}"
                 for side in SIDES), file=sys.stderr, flush=True)
         summary = summarize(runs, spec["end_to_end"])
-        failed = {side: [sum(r[side]["failed"] for r in runs),
-                         sum(r[side]["attempted"] for r in runs)] for side in SIDES}
+        t = tally(runs)
         report["workloads"][workload] = {
-            "pairs": args.pairs, "failed_of_attempted": failed,
+            "pairs": args.pairs,
+            "failed_of_attempted": {side: [t[side]["failed"], t[side]["attempted"]]
+                                    for side in SIDES},
+            "incorrect_runs": {side: t[side]["incorrect"] for side in SIDES},
             "end_to_end": summary, "runs": runs,
         }
-        print(f"\n{workload}: {args.pairs} pairs, failed/attempted "
-              f"parent {failed['parent'][0]}/{failed['parent'][1]}, "
-              f"change {failed['change'][0]}/{failed['change'][1]}")
+        print(f"\n{workload}: {args.pairs} pairs, " + ", ".join(
+            f"{side} {t[side]['failed']}/{t[side]['attempted']} failed, "
+            f"{t[side]['incorrect']} incorrect runs" for side in SIDES))
         print(f"{'metric':10} {'parent':>11} {'[q1':>11} {'q3]':>11} "
               f"{'change':>11} {'better':>7} {'worse':>6}  gain")
         for name, s in summary.items():
