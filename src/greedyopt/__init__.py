@@ -60,7 +60,6 @@ from .theory import (
     check_envelope,
     fit_power_slope,
     solve_xi,
-    solve_xi_flagged,
     theta0,
     verify_recurrence,
     xi_closed_form,
@@ -70,7 +69,6 @@ from .instances import (
     gen_compressed_sensing,
     gen_low_rank,
     gen_lp_approx,
-    verify_certificate,
 )
 from .experiment import (
     ConfigError,

@@ -27,8 +27,8 @@ dictionary hands back its last vector.
 A record keeps its coefficients over the run's atoms (`RunTrace.atoms`), not
 a copy of G: a relaxed rule appends its atom every step, with coefficients
 (alpha * previous, lam); a Chebyshev run's atoms are its basis. An abort, an
-exhausted weakness list or step schedule included, raises `GreedyRunError`
-with the records before it.
+exhausted weakness or step schedule included, raises `GreedyRunError` with
+the records before it.
 
 A step's vectors die with the step. Between steps the run holds only the
 iterate (G, E(G), E'(G) and G's coefficients, one `SliceResult`; for the
@@ -92,7 +92,7 @@ class GreedyRunError(RuntimeError):
 
 
 class ScheduleExhaustedError(ValueError):
-    """A weakness list or step schedule has no value for this iteration."""
+    """A weakness or step schedule has no value for this iteration."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,8 @@ def _schedule_value(spec, m: int, what: str = "schedule") -> float:
 @dataclass(frozen=True)
 class WeaknessSequence:
     """Weakness parameters t_m in (0, 1], 1-based: a constant, a list
-    (exhausted past its end) or, with exponent > 0, t_m = m^-exponent."""
+    (exhausted past its end) or, with exponent > 0, t_m = m^-exponent
+    (exhausted where it underflows to 0)."""
 
     schedule: object = 1.0  # the constant or the list
     exponent: float = 0.0
@@ -159,7 +160,12 @@ class WeaknessSequence:
         if m < 1:
             raise ValueError(f"iterations are 1-based, got {m}")
         if self.exponent:
-            return float(m) ** (-self.exponent)
+            t = float(m) ** (-self.exponent)
+            if t == 0.0:
+                raise ScheduleExhaustedError(
+                    f"weakness m**-{self.exponent:g} underflows to 0 at m={m}"
+                )
+            return t
         return _schedule_value(self.schedule, m, "weakness list")
 
 
@@ -333,8 +339,6 @@ class IterationRecord:
 
 @dataclass
 class RunTrace:
-    algorithm: str
-    objective_label: str
     stop_reason: StopReason
     initial_energy: float
     records: list = field(default_factory=list)
@@ -384,12 +388,7 @@ def run_greedy(
 
     span = SpanFactor(dim) if rule.orthogonal else None
     positions = {}  # the Chebyshev basis: atom index -> position in trace.atoms
-    trace = RunTrace(
-        algorithm=rule.name,
-        objective_label=objective.label,
-        stop_reason=StopReason.MAX_ITERATIONS,
-        initial_energy=math.nan,
-    )
+    trace = RunTrace(stop_reason=StopReason.MAX_ITERATIONS, initial_energy=math.nan)
     try:
         iterate = _evaluated(objective, np.zeros(0), np.zeros(dim))
     except NonFiniteEnergyError as exc:  # E or E' not finite at G_0: no record
@@ -522,7 +521,7 @@ def _select(objective, dictionary, rule, it, t_m, m) -> SelectionCertificate:
         atom = select_e_greedy_fixed(dictionary, objective, it.point, c_m)
         phi = dictionary.realize(atom)
         score = float(np.dot(direction, phi))
-        return SelectionCertificate(atom, score, math.nan, t_m, math.nan, phi)
+        return SelectionCertificate(atom, score, math.nan, math.nan, phi)
     # a convex rule's functional is shifted by -G: the same argmax atom, but
     # score and reference include the shift
     shift = float(direction.dot(it.point)) if rule.convex else 0.0

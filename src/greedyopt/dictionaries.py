@@ -84,7 +84,6 @@ class SelectionCertificate:
         the exact sup for finite dictionaries, the SVD's s_1 widened
         by a backward-error margin for rank-one. For wrga (shift = <w, G>)
         it bounds the Frank-Wolfe duality gap.
-    weakness: the t_m the selection claims.
     ratio: score / reference (1.0 when the reference is 0).
     vector: realize(atom), the vector the score was computed from, which
         the greedy drivers step along instead of realizing the atom again.
@@ -93,7 +92,6 @@ class SelectionCertificate:
     atom: Atom
     score: float
     reference: float
-    weakness: float
     ratio: float
     vector: np.ndarray = field(compare=False, repr=False)
 
@@ -383,7 +381,7 @@ def select_gradient_greedy(
         raise WeaknessCertificationError(
             f"achieved {score:.6e} < t * reference = {weakness * reference:.6e}"
         )
-    return SelectionCertificate(atom, score, reference, weakness, ratio, vector)
+    return SelectionCertificate(atom, score, reference, ratio, vector)
 
 
 def select_e_greedy_fixed(

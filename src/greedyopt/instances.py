@@ -35,14 +35,14 @@ CERTIFICATE_TOL = 1e-12
 class SynthesisCertificate:
     """Planted expansion of a target: terms ((Atom, coefficient), ...).
 
-    mass is the synthesis l1 norm, computed from the coefficients themselves.
-    reference_optimum is the known infimum of the paired objective (0.0 for
-    exact-fit instances), or None when unknown.
-    """
+    The target is the synthesis itself, so the paired objective's infimum is
+    0, and the certified mass is the l1 sum of the coefficients."""
 
     terms: tuple
-    mass: float
-    reference_optimum: Optional[float] = 0.0
+
+    @property
+    def mass(self) -> float:
+        return synthesis_l1(c for _, c in self.terms)
 
     def realize(self, dictionary: Dictionary) -> np.ndarray:
         out = np.zeros(dictionary.ambient_dim)
@@ -50,39 +50,14 @@ class SynthesisCertificate:
             out += coef * dictionary.realize(atom)
         return out
 
-    def coefficients(self) -> np.ndarray:
-        return np.array([c for _, c in self.terms], dtype=float)
 
-
-def verify_certificate(
-    dictionary: Dictionary,
-    target: np.ndarray,
-    certificate: SynthesisCertificate,
-    tol: float = CERTIFICATE_TOL,
-) -> float:
-    """Max abs deviation between the realized synthesis and the target;
-    raises if it exceeds tol or if the recorded mass is not the exact sum."""
-    return check_synthesis(certificate, certificate.realize(dictionary), target, tol)
-
-
-def check_synthesis(
-    certificate: SynthesisCertificate,
-    synthesis: np.ndarray,
-    target: np.ndarray,
-    tol: float = CERTIFICATE_TOL,
-) -> float:
-    """`verify_certificate` on synthesis, the certificate's realized vector,
-    for a caller that reads that vector again."""
+def check_synthesis(synthesis: np.ndarray, target: np.ndarray) -> float:
+    """Max abs deviation between synthesis, a certificate's realized vector,
+    and the target; raises ValueError if it exceeds CERTIFICATE_TOL."""
     flat = np.ravel(np.asarray(target, dtype=float))
     gap = float(np.max(np.abs(synthesis - flat)))
-    if gap > tol:
-        raise ValueError(f"certificate mismatch {gap:.3e} > {tol:g}")
-    expected = synthesis_l1(c for _, c in certificate.terms)
-    if certificate.mass != expected:
-        raise ValueError(
-            f"certificate mass {certificate.mass!r} != coefficient sum "
-            f"{expected!r}"
-        )
+    if gap > CERTIFICATE_TOL:
+        raise ValueError(f"certificate mismatch {gap:.3e} > {CERTIFICATE_TOL:g}")
     return gap
 
 
@@ -165,9 +140,7 @@ def gen_compressed_sensing(
     raw = rng.standard_normal((k, n))
     dictionary = FiniteDictionary(unit_columns(raw, column_norms(raw)))
     terms = _planted_terms(rng, n, s, mass, min_coef)
-    certificate = SynthesisCertificate(
-        terms, synthesis_l1(c for _, c in terms), 0.0
-    )
+    certificate = SynthesisCertificate(terms)
     return dictionary, certificate.realize(dictionary), certificate
 
 
@@ -195,9 +168,7 @@ def gen_low_rank(
         for i in range(rank)
     )
     dictionary = RankOneDictionary(n)
-    certificate = SynthesisCertificate(
-        terms, synthesis_l1(c for _, c in terms), 0.0
-    )
+    certificate = SynthesisCertificate(terms)
     return dictionary, certificate.realize(dictionary).reshape(n, n), certificate
 
 
@@ -228,8 +199,6 @@ def gen_lp_approx(
     raw = rng.standard_normal((n, dict_size))
     dictionary = FiniteDictionary(unit_columns(raw, lr_column_norms(raw, r)), r=r)
     terms = _planted_terms(rng, dict_size, s, mass, min_coef)
-    certificate = SynthesisCertificate(
-        terms, synthesis_l1(c for _, c in terms), 0.0
-    )
+    certificate = SynthesisCertificate(terms)
     objective = make_norm_power(certificate.realize(dictionary), r, q)
     return dictionary, objective, certificate

@@ -38,14 +38,11 @@ def xi_closed_form(gamma: float, q: float, t: float, theta: float) -> float:
     return (theta * t / gamma) ** (1.0 / (q - 1.0))
 
 
-def solve_xi_flagged(
-    smoothness: SmoothnessParams, t_m: float, theta: float
-) -> tuple:
-    """Solve rho(xi)/xi = theta*t_m by bisection on (1e-300, 2].
+def solve_xi(smoothness: SmoothnessParams, t_m: float, theta: float) -> float:
+    """Solve rho(xi)/xi = theta*t_m by bisection on (XI_LOWER, XI_UPPER].
 
-    Returns (xi, underflowed). When the root lies below the bracket the lower
-    endpoint is returned with underflowed=True. Relative tolerance 1e-12 on
-    the ratio value.
+    A root below the bracket is reported by returning XI_LOWER. Relative
+    tolerance XI_REL_TOL on the ratio value.
     """
     if not (0.0 < t_m <= 1.0):
         raise ValueError(f"t_m must be in (0, 1], got {t_m}")
@@ -54,24 +51,19 @@ def solve_xi_flagged(
         raise ValueError(f"theta must be in (0, {cap:.6g}], got {theta}")
     target = theta * t_m
     if smoothness.s(XI_LOWER) >= target:
-        return XI_LOWER, True
+        return XI_LOWER
 
     lo, hi = math.log(XI_LOWER), math.log(XI_UPPER)
     for _ in range(2000):
         mid = 0.5 * (lo + hi)
         value = smoothness.s(math.exp(mid))
         if abs(value - target) <= XI_REL_TOL * target:
-            return math.exp(mid), False
+            return math.exp(mid)
         if value < target:
             lo = mid
         else:
             hi = mid
-    return math.exp(0.5 * (lo + hi)), False
-
-
-def solve_xi(smoothness: SmoothnessParams, t_m: float, theta: float) -> float:
-    xi, _ = solve_xi_flagged(smoothness, t_m, theta)
-    return xi
+    return math.exp(0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +157,8 @@ def check_envelope(
     C_E = 1, with C * A**q folded into c. c is calibrated so envelope(1)
     equals the gap at m=1; then every later gap must satisfy
     gap(m) <= envelope(m) up to relative slack rtol. Reports the max ratio.
+    A c that is not finite and positive raises ValueError (convex: a gap_1
+    >= 1, an S_1 that underflows to 0, or a gap_1**(1/(1-q)) that overflows).
     """
     if not rule.rated:
         raise ValueError(f"rule {rule.name!r} has no rate envelope")
@@ -180,15 +174,18 @@ def check_envelope(
     t, p = as_weakness(weakness).t, q / (q - 1.0)
     sums = np.cumsum([t(m) ** p for m in range(1, int(ms.max()) + 1)])
     s_1, later = float(sums[0]), sums[ms[1:] - 1]
+    try:
+        if rule.convex:
+            c = (gap_1 ** (1.0 / (1.0 - q)) - 1.0) / s_1
+        else:
+            c = gap_1 / (1.0 + s_1) ** (1.0 - q)
+    except (OverflowError, ZeroDivisionError):
+        c = math.inf
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"gap {gap_1} and S_1 {s_1} at m=1: no finite positive constant")
     if rule.convex:
-        c = (gap_1 ** (1.0 / (1.0 - q)) - 1.0) / s_1
-        if c <= 0.0:
-            raise ValueError(
-                f"gap at m=1 is {gap_1}, too large for a positive constant"
-            )
         bounds = [(1.0 + c * s_m) ** (1.0 - q) for s_m in later]
     else:
-        c = gap_1 / (1.0 + s_1) ** (1.0 - q)
         bounds = [c * (1.0 + s_m) ** (1.0 - q) for s_m in later]
     if len(ms) == 1:
         return EnvelopeReport(True, 1.0, 1, c)
@@ -212,8 +209,8 @@ def fit_power_slope(
 ) -> float:
     """Least-squares slope of log(values) against log(m) for m >= m_min.
 
-    Points at or below the floor are excluded; fewer than 4 surviving points
-    raises InsufficientDataError.
+    Points at or below the floor are excluded; fewer than 8 points with
+    m >= m_min, or 4 above the floor, raise InsufficientDataError.
     """
     ms = np.asarray(ms, dtype=float)
     values = np.asarray(values, dtype=float)

@@ -66,6 +66,30 @@ def test_weakness_constant_and_power():
     assert p.t(4) == pytest.approx(0.5, rel=1e-15)
 
 
+def test_power_weakness_underflow_exhausts_it():
+    # t_m = m^-e is exhausted at the first m where it rounds to 0, not
+    # handed to the selection as t = 0
+    p = WeaknessSequence.power(100.0)
+    assert p.t(1722) == 5e-324
+    with pytest.raises(algorithms.ScheduleExhaustedError, match="at m=1723"):
+        p.t(1723)
+    with pytest.raises(algorithms.ScheduleExhaustedError, match="at m=2"):
+        WeaknessSequence.power(1100.0).t(2)
+
+
+def test_underflowing_power_weakness_aborts_with_the_record_before_it():
+    dic, y, _ = gen_compressed_sensing(16, 64, 4, mass=1.0, seed=3)
+    with pytest.raises(GreedyRunError) as err:
+        run_greedy(
+            make_least_squares(y), dic, WeaknessSequence.power(1100.0), Chebyshev(),
+            StopRule(max_m=5, sup_tol=-1.0),
+        )
+    assert err.value.iteration == 2
+    assert isinstance(err.value.cause, algorithms.ScheduleExhaustedError)
+    assert err.value.trace.stop_reason is StopReason.ABORTED
+    assert [rec.m for rec in err.value.trace.records] == [1]
+
+
 def test_weakness_validation():
     with pytest.raises(ValueError):
         WeaknessSequence.constant(0.0)
@@ -931,7 +955,6 @@ def test_trace_accessors():
     assert [c for _, c in trace.terms()] == pytest.approx([4.0, 3.0], abs=1e-12)
     assert trace.point == pytest.approx([3.0, 4.0], abs=1e-12)
     assert trace.initial_energy == 12.5
-    assert trace.algorithm == "wcga"
 
 
 def test_weakness_ratio_recorded():

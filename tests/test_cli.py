@@ -390,6 +390,52 @@ def test_run_energy_overflowing_at_zero_aborts(tmp_path, capsys, config, error):
     assert "final_gap: None\n" in printed.out
 
 
+@pytest.mark.parametrize("algorithm", sorted(RULES))
+def test_run_underflowing_power_weakness_aborts(tmp_path, capsys, algorithm):
+    # t_2 = 2**-1100 rounds to 0: the weakness is exhausted at m = 2, so the
+    # run aborts there with its first record, exit 1 and no traceback
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(
+        {**QUICK, "algorithm": algorithm, "weakness_exponent": 1100, "max_m": 5}
+    ))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.out + printed.err
+    failure = "iteration 2: weakness m**-1100 underflows to 0 at m=2"
+    assert f"failure: {failure}\n" in printed.err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stopping_reason"] == "Aborted"
+    assert summary["failure"] == failure
+    assert len((out / "trace.csv").read_text().strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # S_1 = t**2 underflows to 0
+        {"instance": "compressed_sensing", "k": 16, "n": 32, "s": 2,
+         "weakness": 1e-320},
+        # gap_1**(1/(1-q)) = gap_1**-1000 overflows
+        {"instance": "lp_approx", "n": 8, "r": 2, "q": 1.001},
+    ],
+    ids=["cs_tiny_weakness", "lp_q_near_1"],
+)
+def test_run_wrga_envelope_out_of_float_range_is_null(tmp_path, capsys, config):
+    # the convex envelope's constant is not a finite positive float: the run
+    # reports no ratio, and still succeeds
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "algorithm": "wrga", "seed": 1}))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.out + printed.err
+    assert "envelope_ratio: None\n" in printed.out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["envelope_ratio"] is None
+    assert summary["stopping_reason"] == "MaxIterations"
+
+
 @pytest.mark.parametrize("command", ["run", "rates"])
 def test_abort_reports_the_failure(tmp_path, capsys, command):
     # the error and its iteration go to summary.json and to stderr

@@ -679,7 +679,7 @@ def test_select_gradient_greedy_finite():
     assert cert.ratio == 1.0
     # exact selection dominates any weakness
     weak = select_gradient_greedy(canonical(), np.array([1.0, 2.0]), 0.4)
-    assert weak.atom == cert.atom and weak.weakness == 0.4
+    assert weak.atom == cert.atom
 
 
 def test_select_gradient_greedy_shift():
@@ -689,7 +689,6 @@ def test_select_gradient_greedy_shift():
     assert cert.score == 1.5
     assert cert.reference == 1.5
     assert cert.ratio == 1.0
-    assert cert.weakness == 0.5
 
 
 @pytest.mark.parametrize("shift", [0.0, -1.0, 0.5])

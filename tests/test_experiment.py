@@ -44,13 +44,12 @@ from greedyopt.experiment import (
     omp_reference,
     orthogonality_defect,
     run_experiment,
-    sample_sublevel_triple,
     signal_coefficients,
     trace_rows,
     validate_config,
     write_trace_csv,
 )
-from greedyopt.instances import gen_compressed_sensing, verify_certificate
+from greedyopt.instances import check_synthesis, gen_compressed_sensing
 from greedyopt.objectives import make_least_squares, make_norm_power
 from greedyopt.theory import check_envelope, verify_recurrence
 
@@ -246,7 +245,6 @@ def test_build_rule_mapping():
     for name, keys in _INVARIANTS.items():
         result = run_experiment(cfg(algorithm=name, max_m=3))
         assert build_rule(result.config).name == name
-        assert result.trace.algorithm == name
         assert sorted(result.summary["invariants"]) == sorted(keys)
         enveloped = name in ("wcga", "wrga", "wgafr")
         assert (result.summary["envelope_ratio"] is not None) == enveloped
@@ -270,10 +268,9 @@ def test_build_weakness():
 
 
 def test_build_stop_defaults_and_reference():
-    objective, dictionary, certificate, _ = build_instance(cfg())
-    stop = build_stop({"max_m": 7}, certificate)
+    stop = build_stop({"max_m": 7})
     assert stop == StopRule(max_m=7, sup_tol=1e-10, gap_tol=None, reference=0.0)
-    stop = build_stop({"gap_tol": 1e-9, "reference": 0.25}, certificate)
+    stop = build_stop({"gap_tol": 1e-9, "reference": 0.25})
     assert stop.gap_tol == 1e-9 and stop.reference == 0.25
 
 
@@ -327,13 +324,13 @@ def test_low_rank_wrga_certifies_at_large_mass(mass):
 def test_build_instance_kinds():
     objective, dictionary, certificate, target = build_instance(cfg())
     assert objective.dimension == 16 and dictionary.size == 64
-    verify_certificate(dictionary, target, certificate)
+    check_synthesis(certificate.realize(dictionary), target)
     objective, dictionary, certificate, target = build_instance(
         {"instance": "low_rank", "algorithm": "wcga", "seed": 0, "n": 6, "rank": 2}
     )
     assert objective.dimension == 36 and dictionary.ambient_dim == 36
     assert target.shape == (36,)
-    verify_certificate(dictionary, target, certificate)
+    check_synthesis(certificate.realize(dictionary), target)
     objective, dictionary, certificate, target = build_instance(
         {
             "instance": "lp_approx",
@@ -345,7 +342,7 @@ def test_build_instance_kinds():
         }
     )
     assert objective.dimension == 8 and dictionary.size == 32
-    verify_certificate(dictionary, target, certificate)
+    check_synthesis(certificate.realize(dictionary), target)
 
 
 LP = {
@@ -575,14 +572,23 @@ def test_signal_coefficients_merges_repeated_atoms():
 # verification checks (small budgets; the acceptance tests run full ones)
 
 
-def test_sample_sublevel_triple_contract():
-    objective, _, _, _ = build_instance(cfg())
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        x, y, u = sample_sublevel_triple(objective, rng)
-        assert objective.value(x) <= objective.value(np.zeros(16)) + 1e-12
+def test_smoothness_sampling_draws_in_contract(monkeypatch):
+    # every (x, y, u) the check draws has x in the sublevel set {E <= E(0)},
+    # y unit in the objective's ambient norm and u in (0, 2]
+    check = experiment.check_smoothness_inequality
+    drawn = []
+
+    def checked(objective, x, y, u):
+        e0 = objective.value(np.zeros(objective.dimension))
+        assert objective.value(x) <= e0 + 1e-12
         assert objective.norm(y) == pytest.approx(1.0, rel=1e-12)
         assert 0.0 < u <= 2.0
+        drawn.append(objective.label)
+        return check(objective, x, y, u)
+
+    monkeypatch.setattr(experiment, "check_smoothness_inequality", checked)
+    assert check_smoothness_sampling(samples=200, seed=0).passed
+    assert len(drawn) == 600 and len(set(drawn)) == 3
 
 
 def test_check_smoothness_sampling_small():
@@ -614,13 +620,13 @@ def test_orthogonality_defect_matches_the_loop(config):
     # the batched replay reads the same products as one scalar product per
     # (record, term) pair
     config = validate_config(dict(config, seed=5, max_m=30, sup_tol=-1.0))
-    objective, dictionary, certificate, _ = build_instance(config)
+    objective, dictionary, _, _ = build_instance(config)
     trace = run_greedy(
         objective,
         dictionary,
         build_weakness(config),
         build_rule(config),
-        build_stop(config, certificate),
+        build_stop(config),
     )
     assert trace.iterations == 30
     batched = orthogonality_defect(objective, dictionary, trace)
@@ -642,13 +648,13 @@ def test_orthogonality_defect_one_gradient_per_iterate(config, monkeypatch):
     # records share the last span solution and the replay takes its
     # gradient once
     config = validate_config(dict(config, seed=5, max_m=30, sup_tol=-1.0))
-    objective, dictionary, certificate, _ = build_instance(config)
+    objective, dictionary, _, _ = build_instance(config)
     trace = run_greedy(
         objective,
         dictionary,
         build_weakness(config),
         build_rule(config),
-        build_stop(config, certificate),
+        build_stop(config),
     )
     iterates = len({id(rec.coefficients) for rec in trace.records})
     assert iterates < trace.iterations == 30
@@ -675,13 +681,13 @@ def test_orthogonality_defect_compares_no_atoms(monkeypatch):
             max_m=60, sup_tol=-1.0,
         )
     )
-    objective, dictionary, certificate, _ = build_instance(config)
+    objective, dictionary, _, _ = build_instance(config)
     trace = run_greedy(
         objective,
         dictionary,
         build_weakness(config),
         build_rule(config),
-        build_stop(config, certificate),
+        build_stop(config),
     )
     assert trace.iterations == 60
     calls = []

@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from greedyopt.algorithms import Chebyshev, StopReason, StopRule, run_greedy
-from greedyopt.dictionaries import Atom, FiniteDictionary
+from greedyopt.dictionaries import Atom, FiniteDictionary, synthesis_l1
 from greedyopt.instances import (
     SynthesisCertificate,
     _dyadic_fractions,
+    check_synthesis,
     gen_compressed_sensing,
     gen_low_rank,
     gen_lp_approx,
-    verify_certificate,
 )
 from greedyopt.objectives import lr_norm, make_least_squares
 
 from oracles import nuclear_norm
+
+
+def _coefficients(cert):
+    return np.array([c for _, c in cert.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +125,19 @@ def test_cs_certificate_is_exact():
     dic, y, cert = gen_compressed_sensing(64, 256, 8, mass=1.0, seed=7)
     assert dic.ambient_dim == 64 and dic.size == 256
     assert cert.mass == 1.0  # dyadic quantization makes the sum exact
-    scaled = np.abs(cert.coefficients()) * 2.0**30
+    scaled = np.abs(_coefficients(cert)) * 2.0**30
     assert np.array_equal(scaled, np.round(scaled))
-    assert verify_certificate(dic, y, cert) <= 1e-12
-    assert cert.reference_optimum == 0.0
+    assert check_synthesis(cert.realize(dic), y) <= 1e-12
+    assert make_least_squares(y).value(cert.realize(dic)) == 0.0  # the optimum
     assert len(cert.terms) == 8
     assert len({atom.index for atom, _ in cert.terms}) == 8  # distinct support
 
 
 def test_cs_min_coef_floors_magnitudes():
     _, _, cert = gen_compressed_sensing(16, 64, 8, mass=1.0, seed=2, min_coef=0.05)
-    assert np.abs(cert.coefficients()).min() >= 0.05 - 1e-8
+    assert np.abs(_coefficients(cert)).min() >= 0.05 - 1e-8
     _, _, equal = gen_compressed_sensing(16, 64, 8, mass=1.0, seed=2, min_coef=0.125)
-    assert np.allclose(np.abs(equal.coefficients()), 0.125, atol=0)
+    assert np.allclose(np.abs(_coefficients(equal)), 0.125, atol=0)
 
 
 def test_cs_reproducible_and_seed_sensitive():
@@ -155,16 +159,14 @@ def test_cs_validation():
         gen_compressed_sensing(8, 16, 2, mass=0.0)
 
 
-def test_verify_certificate_catches_tampering():
+def test_check_synthesis_catches_tampering():
     dic, y, cert = gen_compressed_sensing(8, 16, 3, seed=1)
     bad_terms = tuple(
         (atom, coef + (0.5 if i == 0 else 0.0))
         for i, (atom, coef) in enumerate(cert.terms)
     )
     with pytest.raises(ValueError):
-        verify_certificate(dic, y, SynthesisCertificate(bad_terms, cert.mass))
-    with pytest.raises(ValueError):
-        verify_certificate(dic, y, SynthesisCertificate(cert.terms, cert.mass + 0.25))
+        check_synthesis(SynthesisCertificate(bad_terms).realize(dic), y)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +179,7 @@ def test_low_rank_planted_matrix():
     assert dic.ambient_dim == 64
     assert cert.mass == 1.0
     assert nuclear_norm(target) == pytest.approx(1.0, abs=1e-10)
-    sigmas = np.sort(np.abs(cert.coefficients()))[::-1]
+    sigmas = np.sort(np.abs(_coefficients(cert)))[::-1]
     svals = np.linalg.svd(target, compute_uv=False)[:3]
     assert np.allclose(svals, sigmas, atol=1e-12)
     # planted factor columns are orthonormal within each side
@@ -185,7 +187,7 @@ def test_low_rank_planted_matrix():
     vs = np.column_stack([atom.factors[1] for atom, _ in cert.terms])
     assert np.allclose(us.T @ us, np.eye(3), atol=1e-12)
     assert np.allclose(vs.T @ vs, np.eye(3), atol=1e-12)
-    assert verify_certificate(dic, target, cert) <= 1e-12
+    assert check_synthesis(cert.realize(dic), target) <= 1e-12
 
 
 def test_low_rank_validation():
@@ -240,7 +242,7 @@ def test_lp_certificate_verifies():
     dic, obj, cert = gen_lp_approx(10, 3.0, 1.5, seed=4, s=3, dict_size=50)
     assert dic.size == 50
     f = cert.realize(dic)
-    assert verify_certificate(dic, f, cert) <= 1e-12
+    assert check_synthesis(cert.realize(dic), f) <= 1e-12
     assert obj.value(f) == 0.0
 
 
@@ -251,16 +253,42 @@ def test_lp_certificate_verifies():
 def test_certificate_realize_and_coefficients():
     dic, y, cert = gen_compressed_sensing(8, 16, 3, seed=5)
     assert np.allclose(cert.realize(dic), y, atol=1e-15)
-    coefs = cert.coefficients()
-    assert coefs.shape == (3,)
-    assert all(
-        coef == expected for coef, (_, expected) in zip(coefs, cert.terms)
-    )
+    # the terms' coefficients, a vector over the planted (positive) columns
+    columns = [atom.index for atom, _ in cert.terms]
+    assert all(atom.sign == 1 for atom, _ in cert.terms)
+    assert np.allclose(dic.columns[:, columns] @ _coefficients(cert), y, atol=1e-15)
 
 
 def test_certificate_manual_construction():
-    cert = SynthesisCertificate(
-        ((Atom(0, 1), 0.25), (Atom(1, -1), -0.75)), 1.0, None
-    )
+    cert = SynthesisCertificate(((Atom(0, 1), 0.25), (Atom(1, -1), -0.75)))
     assert cert.mass == 1.0
-    assert cert.reference_optimum is None
+
+
+# (generator, seed, mass, float.hex of the mass the generator stored when the
+# certificate kept it as a field: synthesis_l1 of its terms). On these draws
+# the rounded products mass * fraction do not sum back to the requested mass.
+_STORED_MASS = [
+    ("cs", 1, 2.9, "0x1.7333333333332p+1"),
+    ("low_rank", 1, 1.0 / 3.0, "0x1.5555555555554p-2"),
+    ("lp", 3, 1.0 / 3.0, "0x1.5555555555554p-2"),
+    ("lp", 4, 0.1, "0x1.9999999999999p-4"),
+]
+
+
+def _generate(kind, seed, mass):
+    if kind == "cs":
+        return gen_compressed_sensing(16, 64, 8, mass=mass, seed=seed)
+    if kind == "low_rank":
+        return gen_low_rank(8, 5, mass=mass, seed=seed)
+    return gen_lp_approx(8, 3.0, 1.5, seed=seed, s=6, mass=mass)
+
+
+@pytest.mark.parametrize("kind, seed, mass, stored", _STORED_MASS)
+def test_certificate_mass_has_the_bits_of_synthesis_l1(kind, seed, mass, stored):
+    # the mass is a property of the terms, with synthesis_l1's bits, which
+    # are those every generator stored
+    _, _, cert = _generate(kind, seed, mass)
+    assert cert.mass != mass
+    assert cert.mass.hex() == stored
+    assert cert.mass.hex() == synthesis_l1(c for _, c in cert.terms).hex()
+    assert SynthesisCertificate(cert.terms).mass.hex() == stored

@@ -21,8 +21,8 @@ from greedyopt.theory import (
     InsufficientDataError,
     check_envelope,
     fit_power_slope,
+    XI_LOWER,
     solve_xi,
-    solve_xi_flagged,
     theta0,
     verify_recurrence,
     xi_closed_form,
@@ -85,11 +85,11 @@ def test_solve_xi_underflow_flag():
     # with q near 1 the ratio s(1e-300) ~ 1e-15 stays representable, so a
     # target below it provably sits under the bracket and must be flagged
     spec = SmoothnessParams(1.0, 1.05)
-    xi, underflowed = solve_xi_flagged(spec, 1.0, 1e-16)
-    assert underflowed
+    xi = solve_xi(spec, 1.0, 1e-16)
+    assert xi == XI_LOWER
     assert xi == 1e-300
-    xi, underflowed = solve_xi_flagged(SmoothnessParams(1.0, 2.0), 1.0, 0.5)
-    assert not underflowed
+    xi = solve_xi(SmoothnessParams(1.0, 2.0), 1.0, 0.5)
+    assert xi != XI_LOWER
     assert xi == pytest.approx(0.5, rel=1e-10)
 
 
@@ -264,6 +264,12 @@ def test_calibrate_wrga():
         check_envelope(FakeTrace([1], [1.0]), ConvexRelaxation, 2.0, 1.0)
     with pytest.raises(ValueError):
         check_envelope(FakeTrace([1], [0.0]), ConvexRelaxation, 2.0, 1.0)
+    # S_1 = t**p underflows to 0, or gap_1**(1/(1-q)) overflows: no finite
+    # constant, a ValueError rather than the float's own exception
+    with pytest.raises(ValueError, match="no finite positive constant"):
+        check_envelope(FakeTrace([1, 2], [0.5, 0.25]), ConvexRelaxation, 2.0, 1e-320)
+    with pytest.raises(ValueError, match="no finite positive constant"):
+        check_envelope(FakeTrace([1, 2], [0.1, 0.05]), ConvexRelaxation, 1.001, 1.0)
 
 
 def test_calibrate_wcga():

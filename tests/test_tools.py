@@ -109,16 +109,20 @@ def test_gain_needs_every_change_run_correct():
                  "change": {"failed": 0, "attempted": 10, "incorrect": 0}}
 
 
-def test_output_digest_matrix_names_983_runs_in_a_fixed_order(monkeypatch):
+def test_output_digest_matrix_names_1019_runs_in_a_fixed_order(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # matrix() prepends benchmarks/
     runs = list(output_digests.matrix(ROOT))
     names = [name for name, _ in runs]
-    assert len(names) == 983
-    assert len(set(names)) == 983
+    assert len(names) == 1019
+    assert len(set(names)) == 1019
     assert names == [name for name, _ in output_digests.matrix(ROOT)]
-    # small instances x rules, the shipped configs, the workload instances,
-    # then the stress family
+    # small instances x rules, the same with a power weakness or a gap_tol
+    # stop, the shipped configs, the workload instances, then the stress family
     assert names[0] == "cs32_wcga_1"
+    variants = [name for name in names if name.endswith(("_power_1", "_gaptol_1"))]
+    assert len(variants) == 36
+    assert sum("weakness_exponent" in config for _, config in runs) == 18
+    assert sum("gap_tol" in config for _, config in runs) == 18
     assert names[-1] == "stress_r6_q2_n64_s8_3"
     configs = sorted(path.stem for path in (ROOT / "configs").glob("*.json"))
     first = names.index(configs[0])
@@ -126,3 +130,12 @@ def test_output_digest_matrix_names_983_runs_in_a_fixed_order(monkeypatch):
     assert sum(name.startswith("stress_") for name in names) == 132
     assert all(name.startswith("stress_") for name in names[-132:])
     assert all("seed" in config and "algorithm" in config for _, config in runs)
+
+
+def test_output_digest_gen_matrix_writes_every_kind():
+    runs = list(output_digests.gen_matrix())
+    assert [name for name, _ in runs] == [
+        "gen_cs32", "gen_cs64", "gen_lr8", "gen_lp3", "gen_lp4", "gen_lp15"
+    ]
+    assert {argv[0] for _, argv in runs} == {"compressed_sensing", "low_rank", "lp_approx"}
+    assert all(argv[1:3] == ["--seed", "1"] for _, argv in runs)

@@ -3,12 +3,16 @@
     python3 tools/output_digests.py [--root CHECKOUT] [--keep DIR] > digests.txt
 
 Runs greedyopt from CHECKOUT/src (default: this checkout) on small instances
-times every update rule (`max_m` 60, seeds 1-2), the shipped configs, every
-benchmark workload instance of workload seeds 0-12 and the lp `wcga` stress
-family (`STRESS`: r, q <= r, n, s, seeds 1-3, `max_m` 30), whose span solves
-reach the fallbacks after the projection, and prints per run its name, stop
-reason and the sha256 of trace.csv and summary.json. Equal listings mean
-byte-identical outputs. --keep DIR keeps the files in DIR/<name>/.
+times every update rule (`max_m` 60, seeds 1-2), the same instances under the
+`wcga`, `wrga` and `wgafr` rules with a power weakness or a `gap_tol` stop
+(`VARIANTS`, seed 1), the shipped configs, every benchmark workload instance
+of workload seeds 0-12 and the lp `wcga` stress family (`STRESS`: r, q <= r,
+n, s, seeds 1-3, `max_m` 30), whose span solves reach the fallbacks after the
+projection, and prints per run its name, stop reason and the sha256 of
+trace.csv and summary.json. Then it writes each small instance with `gen`
+(seed 1) and prints per instance `gen_<name>`, the word gen and the sha256 of
+each file `gen` wrote, in file-name order. Equal listings mean byte-identical
+outputs. --keep DIR keeps the files in DIR/<name>/.
 """
 from __future__ import annotations
 
@@ -40,6 +44,8 @@ RULES = {
     "energy": dict(algorithm="prescribed", prescribed_step=0.05,
                    prescribed_selection="energy"),
 }
+# the weakness schedule and stop key that no other run sets
+VARIANTS = {"power": dict(weakness_exponent=0.5), "gaptol": dict(gap_tol=1e-6)}
 # lp `wcga` near the roundoff floor: Newton misses and the L-BFGS-B passes run.
 STRESS = dict(r=(1.5, 3.0, 4.0, 6.0), q=(1.2, 1.5, 2.0), n=(16, 64), s=(2, 8))
 
@@ -53,6 +59,11 @@ def matrix(root: Path):
             for seed in (1, 2):
                 config = dict(instance, **rule, seed=seed, max_m=60)
                 yield f"{iname}_{rname}_{seed}", config
+    for iname, instance in INSTANCES.items():
+        for rname in ("wcga", "wrga", "wgafr"):
+            for vname, variant in VARIANTS.items():
+                config = dict(instance, **RULES[rname], **variant, seed=1, max_m=60)
+                yield f"{iname}_{rname}_{vname}_1", config
     for path in sorted((root / "configs").glob("*.json")):
         yield path.stem, json.loads(path.read_text(encoding="utf-8"))
     sys.path.insert(0, str(HERE / "benchmarks"))
@@ -69,12 +80,23 @@ def matrix(root: Path):
             yield f"stress_r{r:g}_q{q:g}_n{n}_s{s}_{seed}", config
 
 
+def gen_matrix():
+    """(name, `gen` arguments) for every small instance, at seed 1."""
+    for iname, instance in INSTANCES.items():
+        argv = [instance["instance"], "--seed", "1"]
+        for key, value in instance.items():
+            if key != "instance":
+                argv += ["--" + key.replace("_", "-"), str(value)]
+        yield f"gen_{iname}", argv
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=HERE)
     parser.add_argument("--keep", type=Path)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.root.resolve() / "src"))
+    from greedyopt.cli import main as cli_main
     from greedyopt.experiment import run_experiment
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -84,6 +106,12 @@ def main(argv=None) -> int:
             paths = (result.trace_path, result.summary_path)
             digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
             print(name, result.summary["stopping_reason"], *digests, flush=True)
+        for name, gen_argv in gen_matrix():
+            if cli_main(["gen", *gen_argv, "--out", str(out / name), "--quiet"]) != 0:
+                raise SystemExit(f"gen failed for {name}")
+            paths = sorted((out / name).iterdir())
+            digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+            print(name, "gen", *digests, flush=True)
     return 0
 
 
