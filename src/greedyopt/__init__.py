@@ -62,7 +62,6 @@ from .theory import (
     solve_xi,
     theta0,
     verify_recurrence,
-    xi_closed_form,
 )
 from .instances import (
     SynthesisCertificate,

@@ -100,14 +100,13 @@ class StopRule:
     """Stopping configuration.
 
     sup_tol: stop when the selection's reference sup-score drops to this level
-    (negative disables). gap_tol: stop when energy - reference <= gap_tol
-    (None disables, the default).
+    (negative disables). gap_tol: stop when the energy, the gap to the optimum
+    0 of every planted instance, is <= gap_tol (None disables, the default).
     """
 
     max_m: int = 500
     sup_tol: float = 1e-10
     gap_tol: Optional[float] = None
-    reference: float = 0.0
 
     def __post_init__(self):
         _check(self.max_m, lambda m: m >= 0, "max_m must be >= 0")
@@ -356,9 +355,6 @@ class RunTrace:
     def energies(self) -> np.ndarray:
         return np.array([r.energy for r in self.records], dtype=float)
 
-    def gaps(self, reference: float = 0.0) -> np.ndarray:
-        return self.energies() - reference
-
     def ms(self) -> np.ndarray:
         return np.array([r.m for r in self.records], dtype=int)
 
@@ -423,10 +419,7 @@ def run_greedy(
         trace.records.append(record)
         trace.point = iterate.point
 
-        if (
-            stop.gap_tol is not None
-            and iterate.energy - stop.reference <= stop.gap_tol
-        ):
+        if stop.gap_tol is not None and iterate.energy <= stop.gap_tol:
             trace.stop_reason = StopReason.GAP_TOL
             break
 

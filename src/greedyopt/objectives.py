@@ -370,12 +370,12 @@ def make_logistic(labels: np.ndarray, features: np.ndarray, mu: float) -> Object
 
 
 def check_smoothness_inequality(
-    obj: Objective, x: np.ndarray, y: np.ndarray, u: float
+    obj: Objective, x: np.ndarray, y: np.ndarray, u: float, e0: float
 ) -> tuple[float, float]:
     """Two-sided smoothness check at (x, y, u).
 
-    Requires E(x) <= E(0) (x in the sublevel set), ||y|| = 1 within 1e-12 in
-    the objective's ambient norm, and a declared envelope. Returns
+    Requires E(x) <= e0 = E(0) (x in the sublevel set), ||y|| = 1 within
+    1e-12 in the objective's ambient norm, and a declared envelope. Returns
     (lhs, rhs - lhs) for the sandwich
 
         0 <= E(x + u y) - E(x) - u <E'(x), y> <= 2 gamma |u|^q,
@@ -389,7 +389,6 @@ def check_smoothness_inequality(
     ny = obj.norm(y)
     if abs(ny - 1.0) > 1e-12:
         raise ValueError(f"y must be unit in the ambient norm, got {ny}")
-    e0 = obj.value(np.zeros(obj.dimension))
     ex, gx = obj.value_and_gradient(x)
     if ex > e0 + 1e-10 * (1.0 + abs(e0)):
         raise ValueError("x is outside the sublevel set D = {E <= E(0)}")

@@ -1,10 +1,10 @@
 """Quantitative apparatus for greedy convergence analysis.
 
-Provides the root solver for the xi quantity of a power-type smoothness
+Provides the closed form of the xi quantity of a power-type smoothness
 modulus (`objectives.SmoothnessParams`; xi drives step-size choices in the
 convergence proofs), the inverse-gap recurrence verifier in its product
-form, the calibrated check of a run against the shape of its rule's proven
-rate, and empirical log-log slope fitting.
+form, the calibrated check of a run's gaps, its energies, against the shape
+of its rule's proven rate, and empirical log-log slope fitting.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from .objectives import SmoothnessParams
 
 XI_LOWER = 1e-300
 XI_UPPER = 2.0
-XI_REL_TOL = 1e-12
 RECURRENCE_SLACK = 1e-10
+ENVELOPE_RTOL = 1e-6
 GAP_FLOOR = 1e-14
 
 
@@ -33,37 +33,18 @@ def theta0(smoothness: SmoothnessParams) -> float:
     return smoothness.s(XI_UPPER)
 
 
-def xi_closed_form(gamma: float, q: float, t: float, theta: float) -> float:
-    """Root of gamma*u**(q-1) = theta*t, for power-type moduli."""
-    return (theta * t / gamma) ** (1.0 / (q - 1.0))
-
-
 def solve_xi(smoothness: SmoothnessParams, t_m: float, theta: float) -> float:
-    """Solve rho(xi)/xi = theta*t_m by bisection on (XI_LOWER, XI_UPPER].
-
-    A root below the bracket is reported by returning XI_LOWER. Relative
-    tolerance XI_REL_TOL on the ratio value.
-    """
+    """The root of rho(xi)/xi = theta*t_m, (theta*t_m/gamma)**(1/(q-1)) for
+    rho = gamma*u**q, clamped to [XI_LOWER, XI_UPPER]: at theta <= theta0 the
+    root is <= XI_UPPER, which the closed form overshoots by roundoff as q
+    nears 1, and a root below XI_LOWER (an underflow) is reported as XI_LOWER."""
     if not (0.0 < t_m <= 1.0):
         raise ValueError(f"t_m must be in (0, 1], got {t_m}")
     cap = theta0(smoothness)
     if not (0.0 < theta <= cap):
         raise ValueError(f"theta must be in (0, {cap:.6g}], got {theta}")
-    target = theta * t_m
-    if smoothness.s(XI_LOWER) >= target:
-        return XI_LOWER
-
-    lo, hi = math.log(XI_LOWER), math.log(XI_UPPER)
-    for _ in range(2000):
-        mid = 0.5 * (lo + hi)
-        value = smoothness.s(math.exp(mid))
-        if abs(value - target) <= XI_REL_TOL * target:
-            return math.exp(mid)
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
+    xi = (theta * t_m / smoothness.gamma) ** (1.0 / (smoothness.q - 1.0))
+    return min(max(xi, XI_LOWER), XI_UPPER)
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +124,10 @@ def check_envelope(
     rule: type[UpdateRule],
     q: float,
     weakness: WeaknessLike,
-    reference: float = 0.0,
-    rtol: float = 1e-6,
 ) -> EnvelopeReport:
     """Check the gaps of a run of `rule`, a rule class whose `rated` is set,
     against the shape of the paper's rate, with S_m = sum_{k<=m} t_k**p and
-    p = q/(q-1):
+    p = q/(q-1). A gap is an energy: every planted instance has optimum 0.
 
     convex rule (WRGA): envelope(m) = (1 + c * S_m)**(1-q)
     WCGA/WGAFR:         envelope(m) = c * (1 + S_m)**(1-q)
@@ -156,7 +135,7 @@ def check_envelope(
     The WCGA/WGAFR form is the theorem's C * A**q * (C_E + S_m)**(1-q) at
     C_E = 1, with C * A**q folded into c. c is calibrated so envelope(1)
     equals the gap at m=1; then every later gap must satisfy
-    gap(m) <= envelope(m) up to relative slack rtol. Reports the max ratio.
+    gap(m) <= envelope(m) * (1 + ENVELOPE_RTOL). Reports the max ratio.
     A c that is not finite and positive raises ValueError (convex: a gap_1
     >= 1, an S_1 that underflows to 0, or a gap_1**(1/(1-q)) that overflows).
     """
@@ -165,7 +144,7 @@ def check_envelope(
     if not (1.0 < q <= 2.0):
         raise ValueError(f"q must be in (1, 2], got {q}")
     ms = trace.ms()
-    gaps = trace.gaps(reference)
+    gaps = trace.energies()
     if len(ms) == 0 or ms[0] != 1:
         raise ValueError("trace must start at iteration 1 for calibration")
     gap_1 = float(gaps[0])
@@ -193,7 +172,7 @@ def check_envelope(
     worst = int(np.argmax(ratios))
     max_ratio = float(ratios[worst])
     return EnvelopeReport(
-        max_ratio <= 1.0 + rtol, max_ratio, int(ms[1 + worst]), c
+        max_ratio <= 1.0 + ENVELOPE_RTOL, max_ratio, int(ms[1 + worst]), c
     )
 
 

@@ -948,8 +948,6 @@ def test_trace_accessors():
     trace = run_ls([3.0, 4.0], Chebyshev())
     assert list(trace.ms()) == [1, 2]
     assert list(trace.energies()) == [rec.energy for rec in trace.records]
-    assert np.array_equal(trace.gaps(0.0), trace.energies())
-    assert np.array_equal(trace.gaps(-1.0), trace.energies() + 1.0)
     assert trace.atoms == [Atom(1, 1), Atom(0, 1)]
     assert [a for a, _ in trace.terms(0)] == [Atom(1, 1)]
     assert [c for _, c in trace.terms()] == pytest.approx([4.0, 3.0], abs=1e-12)

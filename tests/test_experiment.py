@@ -53,7 +53,7 @@ from greedyopt.instances import check_synthesis, gen_compressed_sensing
 from greedyopt.objectives import make_least_squares, make_norm_power
 from greedyopt.theory import check_envelope, verify_recurrence
 
-from oracles import omp_normal_equations, orthogonality_defect_loop
+from oracles import count_calls, omp_normal_equations, orthogonality_defect_loop
 
 
 BASE = {
@@ -267,11 +267,9 @@ def test_build_weakness():
     assert build_weakness(cfg(weakness_exponent=0.5)).t(4) == pytest.approx(0.5)
 
 
-def test_build_stop_defaults_and_reference():
+def test_build_stop_defaults():
     stop = build_stop({"max_m": 7})
-    assert stop == StopRule(max_m=7, sup_tol=1e-10, gap_tol=None, reference=0.0)
-    stop = build_stop({"gap_tol": 1e-9, "reference": 0.25})
-    assert stop.gap_tol == 1e-9 and stop.reference == 0.25
+    assert stop == StopRule(max_m=7, sup_tol=1e-10, gap_tol=None)
 
 
 @pytest.mark.parametrize(
@@ -446,7 +444,7 @@ def test_trace_csv_timings_flag(tmp_path):
     assert any(w > 0 for w in walls)
 
 
-def _joined_trace_csv(trace, reference, timings) -> bytes:
+def _joined_trace_csv(trace, timings) -> bytes:
     # the whole text built in memory and joined, each value formatted alone
     def fmt(value):
         if isinstance(value, (int, np.integer)):
@@ -454,7 +452,7 @@ def _joined_trace_csv(trace, reference, timings) -> bytes:
         return format(float(value), ".17g")
 
     lines = [",".join(TRACE_COLUMNS)]
-    for row in trace_rows(trace, reference, timings):
+    for row in trace_rows(trace, timings):
         lines.append(",".join(fmt(v) for v in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -472,8 +470,8 @@ def test_streamed_trace_csv_keeps_the_joined_bytes(tmp_path):
     ]
     for timings in (True, False):
         path = tmp_path / f"trace_{timings}.csv"
-        write_trace_csv(path, trace, 0.25, timings)
-        assert path.read_bytes() == _joined_trace_csv(trace, 0.25, timings)
+        write_trace_csv(path, trace, timings)
+        assert path.read_bytes() == _joined_trace_csv(trace, timings)
 
 
 def test_run_experiment_zero_iterations():
@@ -523,7 +521,7 @@ def test_envelope_ratio_inside_the_hull_keeps_its_bits(mass):
     config = cfg(algorithm="wrga", k=32, n=64, s=4, mass=mass, max_m=40)
     result = run_experiment(config)
     expected = check_envelope(
-        result.trace, ConvexRelaxation, 2.0, build_weakness(config), 0.0
+        result.trace, ConvexRelaxation, 2.0, build_weakness(config)
     ).max_ratio
     assert result.summary["envelope_ratio"] == expected
 
@@ -578,17 +576,36 @@ def test_smoothness_sampling_draws_in_contract(monkeypatch):
     check = experiment.check_smoothness_inequality
     drawn = []
 
-    def checked(objective, x, y, u):
-        e0 = objective.value(np.zeros(objective.dimension))
+    def checked(objective, x, y, u, e0):
+        assert e0 == objective.value(np.zeros(objective.dimension))
         assert objective.value(x) <= e0 + 1e-12
         assert objective.norm(y) == pytest.approx(1.0, rel=1e-12)
         assert 0.0 < u <= 2.0
         drawn.append(objective.label)
-        return check(objective, x, y, u)
+        return check(objective, x, y, u, e0)
 
     monkeypatch.setattr(experiment, "check_smoothness_inequality", checked)
     assert check_smoothness_sampling(samples=200, seed=0).passed
     assert len(drawn) == 600 and len(set(drawn)) == 3
+
+
+def test_smoothness_sampling_evaluates_e0_once_per_objective(monkeypatch):
+    # E(0) bounds the sublevel set of every draw: the sampler evaluates it
+    # once per objective and hands it to each check
+    at_zero = []
+    sample = experiment._sample_objectives
+
+    def log(name, x):
+        if name == "value" and not np.any(x):
+            at_zero.append(name)
+
+    def counted(seed):
+        return [count_calls(obj, log) for obj in sample(seed)]
+
+    monkeypatch.setattr(experiment, "_sample_objectives", counted)
+    result = check_smoothness_sampling(samples=200, seed=0)
+    assert result.passed, result.detail
+    assert len(at_zero) == 3
 
 
 def test_check_smoothness_sampling_small():

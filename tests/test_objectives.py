@@ -359,9 +359,10 @@ def test_norm_power_envelope_holds_where_it_is_tight(r, q):
     obj = make_norm_power(f, r, q)
     i = int(np.argmax(np.abs(f)))
     y = np.eye(16)[i]
+    e0 = obj.value(np.zeros(16))
     for x in (f[i] * y, f):
         for k in range(13):
-            lhs, margin = check_smoothness_inequality(obj, x, y, 2.0**-k)
+            lhs, margin = check_smoothness_inequality(obj, x, y, 2.0**-k, e0)
             assert min(lhs, margin) >= -1e-10, (k, lhs, margin)
 
 
@@ -515,14 +516,16 @@ def test_smoothness_inequality_quadratic_exact():
         y = rng.standard_normal(3)
         y /= l2_norm(y)
         u = float(rng.uniform(0.01, 1.5))
-        lhs, margin = check_smoothness_inequality(obj, x, y, u)
+        lhs, margin = check_smoothness_inequality(obj, x, y, u, obj.value(np.zeros(3)))
         assert lhs == pytest.approx(0.5 * u * u, rel=1e-9)
         assert margin == pytest.approx(0.5 * u * u, rel=1e-9)
 
 
 def test_smoothness_inequality_u_zero():
     obj = make_least_squares(np.array([1.0, 0.0]))
-    lhs, margin = check_smoothness_inequality(obj, np.zeros(2), np.array([1.0, 0.0]), 0.0)
+    lhs, margin = check_smoothness_inequality(
+        obj, np.zeros(2), np.array([1.0, 0.0]), 0.0, 0.5
+    )
     assert lhs == 0.0
     assert margin == 0.0
 
@@ -531,7 +534,7 @@ def test_smoothness_inequality_norm_power_example():
     obj = make_norm_power(np.array([1.0, 0.0]), 2.0, 2.0)
     assert obj.smoothness.gamma == 1.0
     lhs, margin = check_smoothness_inequality(
-        obj, np.zeros(2), np.array([1.0, 0.0]), 0.1
+        obj, np.zeros(2), np.array([1.0, 0.0]), 0.1, 1.0
     )
     assert lhs == pytest.approx(0.01, rel=1e-10)
     assert margin == pytest.approx(0.01, rel=1e-10)
@@ -540,10 +543,10 @@ def test_smoothness_inequality_norm_power_example():
 def test_smoothness_inequality_errors():
     obj = make_least_squares(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):  # y not unit
-        check_smoothness_inequality(obj, np.zeros(2), np.array([2.0, 0.0]), 0.1)
+        check_smoothness_inequality(obj, np.zeros(2), np.array([2.0, 0.0]), 0.1, 0.5)
     with pytest.raises(ValueError):  # x outside sublevel set
         check_smoothness_inequality(
-            obj, np.array([100.0, 0.0]), np.array([1.0, 0.0]), 0.1
+            obj, np.array([100.0, 0.0]), np.array([1.0, 0.0]), 0.1, 0.5
         )
     bare = Objective(
         dimension=2,
@@ -551,7 +554,7 @@ def test_smoothness_inequality_errors():
         value_and_gradient_fn=lambda x: (float(x @ x), 2.0 * x),
     )
     with pytest.raises(ValueError):  # no declared envelope
-        check_smoothness_inequality(bare, np.zeros(2), np.array([1.0, 0.0]), 0.1)
+        check_smoothness_inequality(bare, np.zeros(2), np.array([1.0, 0.0]), 0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------

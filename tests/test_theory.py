@@ -22,13 +22,13 @@ from greedyopt.theory import (
     check_envelope,
     fit_power_slope,
     XI_LOWER,
+    XI_UPPER,
     solve_xi,
     theta0,
     verify_recurrence,
-    xi_closed_form,
 )
 
-from oracles import loglog_slope
+from oracles import loglog_slope, xi_closed_form
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_solve_xi_known_roots():
     assert solve_xi(SmoothnessParams(1.0, 1.5), 1.0, 0.01) == pytest.approx(
         1e-4, rel=1e-10
     )
-    # at theta = theta0 the root is the bracket's upper endpoint
+    # at theta = theta0 the root is XI_UPPER
     spec = SmoothnessParams(1.0, 2.0)
     assert solve_xi(spec, 1.0, theta0(spec)) == pytest.approx(2.0, rel=1e-10)
 
@@ -82,8 +82,8 @@ def test_solve_xi_validation():
 
 
 def test_solve_xi_underflow_flag():
-    # with q near 1 the ratio s(1e-300) ~ 1e-15 stays representable, so a
-    # target below it provably sits under the bracket and must be flagged
+    # with q near 1 the root (1e-16)**20 = 1e-320 sits below XI_LOWER, where
+    # s(XI_LOWER) ~ 1e-15 stays representable, and must be flagged
     spec = SmoothnessParams(1.0, 1.05)
     xi = solve_xi(spec, 1.0, 1e-16)
     assert xi == XI_LOWER
@@ -93,18 +93,40 @@ def test_solve_xi_underflow_flag():
     assert xi == pytest.approx(0.5, rel=1e-10)
 
 
-@given(
+@pytest.mark.parametrize("q", [1.0 + 1e-12, 1.0 + 1e-9, 1.5])
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 5.0])
+def test_solve_xi_at_theta0_is_its_cap(gamma, q):
+    # the unclamped closed form overshoots XI_UPPER at theta0 by roundoff:
+    # 2.0000289 at q = 1 + 1e-12, and one ulp at q = 1.5
+    spec = SmoothnessParams(gamma, q)
+    assert solve_xi(spec, 1.0, theta0(spec)) == XI_UPPER
+
+
+_XI_DRAWS = given(
     gamma=st.floats(0.1, 5.0),
     q=st.floats(1.1, 2.0),
     t=st.floats(0.01, 1.0),
     frac=st.floats(1e-6, 1.0),
 )
+
+
+@_XI_DRAWS
 @settings(max_examples=100, deadline=None)
 def test_solve_xi_matches_closed_form(gamma, q, t, frac):
     spec = SmoothnessParams(gamma, q)
     theta = frac * theta0(spec)
     xi = solve_xi(spec, t, theta)
     assert xi == pytest.approx(xi_closed_form(gamma, q, t, theta), rel=1e-10)
+
+
+@_XI_DRAWS
+@settings(max_examples=100, deadline=None)
+def test_solve_xi_solves_its_defining_equation(gamma, q, t, frac):
+    spec = SmoothnessParams(gamma, q)
+    theta = frac * theta0(spec)
+    xi = solve_xi(spec, t, theta)
+    assert xi <= XI_UPPER
+    assert spec.s(xi) == pytest.approx(theta * t, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +223,7 @@ def test_recurrence_closes_on_real_relaxed_run():
 
 
 class FakeTrace:
-    """Duck-typed stand-in carrying just ms() and gaps()."""
+    """Duck-typed stand-in carrying just ms() and energies()."""
 
     def __init__(self, ms, gaps):
         self._ms = np.asarray(ms, dtype=int)
@@ -210,8 +232,8 @@ class FakeTrace:
     def ms(self):
         return self._ms
 
-    def gaps(self, reference=0.0):
-        return self._gaps - reference
+    def energies(self):
+        return self._gaps
 
 
 def test_wrga_envelope_shape():
@@ -366,4 +388,4 @@ def test_fit_rate_slope_on_real_trace():
         ConvexRelaxation(),
         StopRule(max_m=30, sup_tol=-1.0),
     )
-    assert fit_power_slope(trace.ms(), trace.gaps(0.0), m_min=2) < 0.0
+    assert fit_power_slope(trace.ms(), trace.energies(), m_min=2) < 0.0

@@ -1,9 +1,10 @@
 """Smoke tests of the two tools a performance change's evidence comes from:
 the gain rule of `tools/bench_pairs.py` on synthetic pairs, and the run
-matrix of `tools/output_digests.py`. Neither runs a benchmark or an
-experiment here; the matrix reads the workload definitions under
-`benchmarks/` and the shipped configs."""
+matrix and `verify` digest of `tools/output_digests.py`. Neither runs a
+benchmark, an experiment or `verify` here; the matrix reads the workload
+definitions under `benchmarks/` and the shipped configs."""
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -139,3 +140,15 @@ def test_output_digest_gen_matrix_writes_every_kind():
     ]
     assert {argv[0] for _, argv in runs} == {"compressed_sensing", "low_rank", "lp_approx"}
     assert all(argv[1:3] == ["--seed", "1"] for _, argv in runs)
+
+
+def test_output_digest_verify_line_hashes_what_verify_prints():
+    def cli(argv):
+        assert argv == ["verify", "--seed", "0"]
+        print("PASS xi_agreement: max rel error 3.830e-16")
+        return 0
+
+    expected = hashlib.sha256(b"PASS xi_agreement: max rel error 3.830e-16\n")
+    assert output_digests.verify_digest(cli) == expected.hexdigest()
+    with pytest.raises(SystemExit, match="verify exited 1"):
+        output_digests.verify_digest(lambda argv: 1)

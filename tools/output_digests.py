@@ -11,13 +11,17 @@ n, s, seeds 1-3, `max_m` 30), whose span solves reach the fallbacks after the
 projection, and prints per run its name, stop reason and the sha256 of
 trace.csv and summary.json. Then it writes each small instance with `gen`
 (seed 1) and prints per instance `gen_<name>`, the word gen and the sha256 of
-each file `gen` wrote, in file-name order. Equal listings mean byte-identical
-outputs. --keep DIR keeps the files in DIR/<name>/.
+each file `gen` wrote, in file-name order. Last it prints `verify`, the word
+stdout and the sha256 of what `greedyopt verify --seed 0` prints (`VERIFY`).
+Equal listings mean byte-identical outputs. --keep DIR keeps the files in
+DIR/<name>/.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import sys
@@ -48,6 +52,7 @@ RULES = {
 VARIANTS = {"power": dict(weakness_exponent=0.5), "gaptol": dict(gap_tol=1e-6)}
 # lp `wcga` near the roundoff floor: Newton misses and the L-BFGS-B passes run.
 STRESS = dict(r=(1.5, 3.0, 4.0, 6.0), q=(1.2, 1.5, 2.0), n=(16, 64), s=(2, 8))
+VERIFY = ["verify", "--seed", "0"]
 
 
 def matrix(root: Path):
@@ -90,6 +95,17 @@ def gen_matrix():
         yield f"gen_{iname}", argv
 
 
+def verify_digest(cli_main) -> str:
+    """sha256 of the text `cli_main(VERIFY)` prints; SystemExit unless it
+    returns 0."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        rc = cli_main(VERIFY)
+    if rc != 0:
+        raise SystemExit(f"verify exited {rc}:\n{text.getvalue()}")
+    return hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=HERE)
@@ -112,6 +128,7 @@ def main(argv=None) -> int:
             paths = sorted((out / name).iterdir())
             digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
             print(name, "gen", *digests, flush=True)
+    print("verify", "stdout", verify_digest(cli_main), flush=True)
     return 0
 
 
