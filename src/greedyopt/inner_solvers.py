@@ -26,8 +26,11 @@ steps with the span Hessian (`_newton`), then the L-BFGS-B passes of
 projection, which takes its E and E', then one from the previous solution
 and a stricter one from its result. Every solve returns a
 `SliceResult`: its point, and E and E' there. Every point a solver
-evaluates is one `value_and_gradient` call, and an L-BFGS-B pass hands back
-its own evaluations when it ends on one of its last two points.
+evaluates is one evaluation: a `value_and_gradient` call, or, for the
+projection and Newton's trial points of an objective with a span Hessian,
+one `value_gradient_hessian` call, whose Hessian is formed from that
+evaluation's residual only at a point Newton steps from. An L-BFGS-B pass
+hands back its own evaluations when it ends on one of its last two points.
 """
 from __future__ import annotations
 
@@ -333,21 +336,25 @@ def _grown(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def _newton(objective, basis, start: SliceResult) -> Optional[SliceResult]:
-    """Damped Newton on c -> E(basis @ c) from start, an evaluated point
-    (Nocedal & Wright, Numerical Optimization, 3.1 and 3.5).
+def _newton(
+    objective, basis, start: SliceResult, bg, hessian
+) -> Optional[SliceResult]:
+    """Damped Newton on c -> E(basis @ c) from start, an evaluated point, with
+    bg = B^T E' there and hessian its evaluation's span Hessian (Nocedal &
+    Wright, Numerical Optimization, 3.1 and 3.5).
 
-    Each step solves H p = -B^T E' with H = `objective.span_hessian_fn`
-    (point, basis) by Cholesky and backtracks from the full step to
-    Armijo's decrease; every trial point is one `value_and_gradient` call.
-    Returns the first point that meets the span contract (SUBSPACE_TOL),
-    or None when H is not finite or not positive definite, p is not a
-    descent direction, a backtrack fails, or NEWTON_STEPS steps miss it."""
-    coef, point, energy, grad = (start.coefficients, start.point, start.energy,
-                                 start.gradient)
-    bg = basis.T @ grad
+    Each step forms H = hessian(basis) from the evaluation of the point it
+    steps from, solves H p = -bg by Cholesky and backtracks from the full
+    step to Armijo's decrease. Every trial point is one
+    `objective.value_gradient_hessian` call. A rejected trial's evaluation is
+    dropped before the next trial's, and an accepted one's residual as its H
+    is formed, so no point's Hessian is formed unless Newton steps from it.
+    Returns the first point that meets the span contract (SUBSPACE_TOL), or
+    None when H is not finite or not positive definite, p is not a descent
+    direction, a backtrack fails, or NEWTON_STEPS steps miss it."""
+    coef, energy = start.coefficients, start.energy
     for _ in range(NEWTON_STEPS):
-        hess = objective.span_hessian_fn(point, basis)
+        hess = hessian(basis)
         if not np.isfinite(hess).all():
             return None
         chol, info = dpotrf(hess)
@@ -360,14 +367,15 @@ def _newton(objective, basis, start: SliceResult) -> Optional[SliceResult]:
         t = 1.0
         for _ in range(ARMIJO_HALVINGS):
             trial = coef + t * p
-            trial_point = basis @ trial
-            trial_energy, trial_grad = objective.value_and_gradient(trial_point)
+            point = basis @ trial
+            trial_energy, grad, hessian = objective.value_gradient_hessian(point)
             if trial_energy <= energy + ARMIJO_C1 * t * slope:
                 break
+            hessian = None
             t *= 0.5
         else:
             return None
-        coef, point, energy, grad = trial, trial_point, trial_energy, trial_grad
+        coef, energy = trial, trial_energy
         bg = basis.T @ grad
         ginf = float(np.abs(bg).max())
         if ginf <= SUBSPACE_TOL:
@@ -389,8 +397,10 @@ def minimize_subspace(
     (R c = Q^T minimizer while the factor is usable, else `lstsq` on B) is
     evaluated once and checked; it is the span minimizer when E is a
     function of the l2 distance to the minimizer (least squares, the r = 2
-    norm powers) or when the span holds it. On a miss come damped Newton
-    steps (`_newton`, when `objective.span_hessian_fn` is set), then one
+    norm powers) or when the span holds it. When the objective has a span
+    Hessian (`objective.value_gradient_hessian_fn`), that one evaluation
+    also gives it: on a miss, damped Newton steps (`_newton`) start there
+    with it and with B^T E', already read for the check. Then comes one
     L-BFGS-B pass from the projection, which takes its E and E'. When those
     miss, or there is no minimizer, the passes of `SPAN_PASSES` run from x0
     or zero, the second from the first's result; raises
@@ -403,12 +413,9 @@ def minimize_subspace(
         point = np.zeros(k)
         return SliceResult(np.zeros(0), point, *objective.value_and_gradient(point), 0.0)
 
-    def grad_inf(grad):
-        return float(np.abs(basis.T @ grad).max())
-
     def lbfgs(coef, options, at_start=None):
         res = _lbfgs(objective, basis, coef, options, at_start=at_start)
-        res.grad_inf = grad_inf(res.gradient)
+        res.grad_inf = float(np.abs(basis.T @ res.gradient).max())
         return res
 
     target = objective.minimizer
@@ -418,12 +425,17 @@ def minimize_subspace(
         else:
             coef = np.linalg.lstsq(basis, target, rcond=None)[0]
         point = basis @ coef
-        energy, grad = objective.value_and_gradient(point)
-        start = SliceResult(coef, point, energy, grad, grad_inf(grad))
+        newton = objective.value_gradient_hessian_fn is not None
+        if newton:
+            energy, grad, hessian = objective.value_gradient_hessian(point)
+        else:
+            energy, grad = objective.value_and_gradient(point)
+        bg = basis.T @ grad
+        start = SliceResult(coef, point, energy, grad, float(np.abs(bg).max()))
         if start.grad_inf <= SUBSPACE_TOL:
             return start
-        if objective.span_hessian_fn is not None:
-            res = _newton(objective, basis, start)
+        if newton:
+            res = _newton(objective, basis, start, bg, hessian)
             if res is not None:
                 return res
         res = lbfgs(coef, SPAN_PASSES[0], at_start=(energy, grad))

@@ -14,8 +14,9 @@ Every caller that needs E' needs E at the same point, so an objective has one
 function for the two, `value_and_gradient_fn`, beside `value_fn` for E
 alone: a norm power computes both from one residual f - x and one l_r norm of
 it, logistic from one product z = (l * A) x. A norm power also gives E's
-Hessian on a span, B^T E''(x) B (`span_hessian_fn`), for the Chebyshev span
-solve's Newton steps.
+Hessian on a span, B^T E''(x) B, for the Chebyshev span solve's Newton steps,
+from the same evaluation (`value_gradient_hessian_fn`): E, E' and a
+function of B built on that point's residual, which no Hessian recomputes.
 """
 from __future__ import annotations
 
@@ -98,13 +99,19 @@ class Objective:
     of every norm power; None for logistic), whose l2 projection onto the
     span starts every span solve that has one.
 
-    `span_hessian_fn(x, B)`, optional, gives B^T E''(x) B for a (dim, k)
-    array B: the (k, k) Hessian of c -> E(x + B c) at c = 0, of the E of
-    `value_fn`, so a copy that swaps E must swap or drop it too. Where
-    E''(x) does not exist it returns a matrix that is not finite. With it,
-    the span solve takes Newton steps from the minimizer's projection; it
-    is not checked here, and the solver falls back to L-BFGS-B when the
-    matrix is not finite or not positive definite.
+    `value_gradient_hessian_fn(x)`, optional, is one evaluation that also
+    gives E's span Hessian there: (E(x), E'(x), hessian), where hessian(B)
+    is B^T E''(x) B for a (dim, k) array B, the (k, k) Hessian of
+    c -> E(x + B c) at c = 0. Its E and E' are bitwise those of
+    `value_and_gradient_fn`, and hessian reuses the evaluation's own
+    residual, so a Hessian costs no second evaluation of the point; it may
+    be called once, and releases that residual. It is E's, so a copy that
+    swaps E must swap or drop it too. Where E''(x) does not exist, hessian
+    returns a matrix that is not finite. With it, the span solve takes
+    Newton steps from the minimizer's projection; the matrix is not checked
+    here, and the solver falls back to L-BFGS-B when it is not finite or
+    not positive definite. `value_gradient_hessian` checks E and E' as
+    `value_and_gradient` does.
     """
 
     dimension: int
@@ -120,7 +127,7 @@ class Objective:
         default=None, compare=False, repr=False
     )
     minimizer: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-    span_hessian_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
+    value_gradient_hessian_fn: Optional[Callable[[np.ndarray], tuple]] = field(
         default=None, compare=False, repr=False
     )
 
@@ -147,6 +154,16 @@ class Objective:
         except OverflowError as exc:  # a Python float's ** raises, not inf
             raise NonFiniteEnergyError(f"E(x) overflows for {self.label!r}") from exc
 
+    def _gradient(self, g) -> np.ndarray:
+        g = np.asarray(g, dtype=float)
+        if g.shape != (self.dimension,):
+            raise DimensionMismatchError(
+                f"gradient shape {g.shape} != ({self.dimension},)"
+            )
+        if not np.isfinite(g).all():
+            raise NonFiniteEnergyError(f"E'(x) is not finite for {self.label!r}")
+        return g
+
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """(E(x), E'(x)) from one `value_and_gradient_fn` call, E' checked
         before E. An OverflowError is E's: a Python float's ** raises it,
@@ -156,14 +173,20 @@ class Objective:
             v, g = self.value_and_gradient_fn(x)
         except OverflowError as exc:
             raise NonFiniteEnergyError(f"E(x) overflows for {self.label!r}") from exc
-        g = np.asarray(g, dtype=float)
-        if g.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"gradient shape {g.shape} != ({self.dimension},)"
-            )
-        if not np.isfinite(g).all():
-            raise NonFiniteEnergyError(f"E'(x) is not finite for {self.label!r}")
+        g = self._gradient(g)
         return self._energy(v), g
+
+    def value_gradient_hessian(self, x: np.ndarray) -> tuple:
+        """(E(x), E'(x), hessian) from one `value_gradient_hessian_fn` call,
+        E and E' checked as `value_and_gradient` checks them; hessian(B) is
+        B^T E''(x) B, unchecked."""
+        x = self._check(x)
+        try:
+            v, g, hessian = self.value_gradient_hessian_fn(x)
+        except OverflowError as exc:
+            raise NonFiniteEnergyError(f"E(x) overflows for {self.label!r}") from exc
+        g = self._gradient(g)
+        return self._energy(v), g, hessian
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.value_and_gradient(x)[1]
@@ -211,6 +234,11 @@ def _norming_functional(v: np.ndarray, nv: float, r: float) -> np.ndarray:
     return f
 
 
+def _infinite_hessian(B: np.ndarray) -> np.ndarray:
+    """The span Hessian at a point where E'' does not exist."""
+    return np.full((B.shape[1], B.shape[1]), math.inf)
+
+
 def sample_sublevel_pair(value, e0, dim, radius, norm, rng) -> tuple:
     """Random (x, y) for the smoothness checks of E = `value`: x drawn in
     the `norm` ball of the given radius and halved toward 0 until x or -x
@@ -244,9 +272,13 @@ def make_norm_power(target: np.ndarray, r: float, q: float) -> Objective:
     Hessian, with N = ||v||_r and s = sign(v)|v|^(r-1):
     E'' = q(r-1) N^(q-r) diag(|v|^(r-2)) + q(q-r) N^(q-2r) s s^T, that is
     q N^(q-2) [(r-1) diag(|w|^(r-2)) + (q-r) F F^T] with w = v / N and
-    F = F_v, the scaled form that `span_hessian_fn` computes: B^T E'' B in
-    O(dim k^2), with no (dim, dim) array. It is infinite where E'' does not
-    exist: at v = 0, and where some v_i = 0 when r < 2.
+    F = F_v, the scaled form that `value_gradient_hessian_fn` returns: an
+    evaluation's E, E' and a function B -> B^T E'' B, O(dim k^2) with no
+    (dim, dim) array, that closes over the evaluation's v, N and F_v, so
+    a point's residual is computed once for its E, E' and Hessian. The
+    function forms one Hessian: it drops v and F_v as it goes, so that no
+    residual outlives its use. It is infinite where E'' does not exist: at
+    v = 0, and where some v_i = 0 when r < 2.
 
     Envelope: rho(E, u) <= gamma u^q on all of R^dim, with
     gamma = max(1, r - 1)^(q/2), for every 1 < q <= min(r, 2). Proof: fix x,
@@ -281,33 +313,48 @@ def make_norm_power(target: np.ndarray, r: float, q: float) -> Objective:
         return lr_norm(v, r)
 
     def value(x):
-        return norm(f - x) ** q
+        return lr_norm(f - x, r) ** q
 
     def value_and_grad(x):
         v = f - x
-        nv = norm(v)
+        nv = lr_norm(v, r)
         if nv == 0.0:
-            return 0.0, np.zeros(dim)
+            return 0.0, np.zeros_like(f)
         if not math.isfinite(nv):  # f - x overflowed: so do E and E'
-            return nv, np.full(dim, nv)
+            return nv, np.full_like(f, nv)
         g = _norming_functional(v, nv, r)
         g *= -q * nv ** (q - 1.0)
         return nv**q, g
 
-    def span_hessian(x, B):
+    def value_grad_hessian(x):
         v = f - x
-        nv = norm(v)
-        if nv == 0.0 or not math.isfinite(nv) or (r < 2.0 and not v.all()):
-            return np.full((B.shape[1], B.shape[1]), math.inf)
-        w = np.abs(v)
-        w /= nv
-        w **= r - 2.0
-        bf = B.T @ _norming_functional(v, nv, r)
-        h = (B.T * w) @ B
-        h *= r - 1.0
-        h += (q - r) * np.outer(bf, bf)
-        h *= q * nv ** (q - 2.0)
-        return h
+        nv = lr_norm(v, r)
+        if nv == 0.0:
+            return 0.0, np.zeros_like(f), _infinite_hessian
+        if not math.isfinite(nv):
+            return nv, np.full_like(f, nv), _infinite_hessian
+        fv = _norming_functional(v, nv, r)
+        g = fv * (-q * nv ** (q - 1.0))  # value_and_grad's in-place bits
+        held = [v, nv, fv]
+
+        def hessian(B):  # empties held as it forms the matrix: call once
+            v, nv, fv = held
+            held.clear()
+            if r < 2.0 and not v.all():
+                return _infinite_hessian(B)
+            w = np.abs(v)
+            del v
+            w /= nv
+            w **= r - 2.0
+            bf = B.T @ fv
+            del fv
+            h = (B.T * w) @ B
+            h *= r - 1.0
+            h += (q - r) * (bf[:, None] * bf)  # np.outer's multiply
+            h *= q * nv ** (q - 2.0)
+            return h
+
+        return nv**q, g, hessian
 
     return Objective(
         dimension=dim,
@@ -319,7 +366,7 @@ def make_norm_power(target: np.ndarray, r: float, q: float) -> Objective:
         label=f"norm_power(r={r}, q={q})",
         projection_target=f if r == 2.0 and q == 2.0 else None,
         minimizer=f,
-        span_hessian_fn=span_hessian,
+        value_gradient_hessian_fn=value_grad_hessian,
     )
 
 

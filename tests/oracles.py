@@ -12,7 +12,9 @@ arithmetic written through numpy's Python-level wrappers (np.dot,
 np.linalg.norm, np.append), where the package calls the array methods and
 ufuncs those wrappers end in. The package must agree with them bit for bit.
 `rank_one_realize_wrapped` is np.outer, which `RankOneDictionary.realize`
-still calls: it guards any later change there.
+still calls: it guards any later change there. `span_hessian_wrapped` is a
+norm power's span Hessian recomputed from its point, with np.outer, where
+the package builds it from the point's own evaluation.
 
 `lr_unit_check_scaled` is FiniteDictionary's l_r unit-column check on
 lr_norm's max-scaled norms, where the package sums unscaled rows: the
@@ -29,9 +31,10 @@ from scipy.linalg.lapack import dgesv, dgetrs
 def count_calls(obj, log):
     """obj with each evaluation passed to log: log("value", x) for a
     value_fn call, log("gradient", x) then log("value", x) for a
-    value_and_gradient_fn call, which computes both, and log("hessian", x)
-    for a span_hessian_fn call, when obj has one. Every function is
-    wrapped: a copy that wraps one leaves the others uncounted."""
+    value_and_gradient_fn or value_gradient_hessian_fn call, which compute
+    both, and log("hessian", x) when a span Hessian is formed from the
+    evaluation at x, when obj has one. Every function is wrapped: a copy
+    that wraps one leaves the others uncounted."""
 
     def value(x):
         log("value", x)
@@ -42,16 +45,43 @@ def count_calls(obj, log):
         log("value", x)
         return obj.value_and_gradient_fn(x)
 
-    def span_hessian(x, basis):
-        log("hessian", x)
-        return obj.span_hessian_fn(x, basis)
+    def value_gradient_hessian(x):
+        log("gradient", x)
+        log("value", x)
+        energy, grad, hessian = obj.value_gradient_hessian_fn(x)
 
+        def counted(basis):
+            log("hessian", x)
+            return hessian(basis)
+
+        return energy, grad, counted
+
+    has_hessian = obj.value_gradient_hessian_fn is not None
     return dataclasses.replace(
         obj,
         value_fn=value,
         value_and_gradient_fn=value_and_gradient,
-        span_hessian_fn=span_hessian if obj.span_hessian_fn is not None else None,
+        value_gradient_hessian_fn=value_gradient_hessian if has_hessian else None,
     )
+
+
+def span_hessian_wrapped(f, r, q, x, basis):
+    """B^T E''(x) B of E = ||f - x||_r^q, recomputed from f - x: its max-
+    scaled l_r norm N, w = v / N, the norming functional
+    sign(w) |w|^(r-1), and np.outer for the rank-one term. The bitwise twin
+    of the Hessian a norm power's evaluation returns; not finite where
+    E''(x) does not exist."""
+    v = f - x
+    a = np.abs(v)
+    top = float(a.max())
+    k = basis.shape[1]
+    if top == 0.0 or not math.isfinite(top) or (r < 2.0 and not v.all()):
+        return np.full((k, k), math.inf)
+    nv = top * float(np.sum((a / top) ** r) ** (1.0 / r))
+    w = v / nv
+    bf = basis.T @ (np.abs(w) ** (r - 1.0) * np.sign(w))
+    h = (r - 1.0) * ((basis.T * (a / nv) ** (r - 2.0)) @ basis)
+    return q * nv ** (q - 2.0) * (h + (q - r) * np.outer(bf, bf))
 
 
 def fd_gradient(fn, x, h=1e-6):

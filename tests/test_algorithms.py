@@ -309,11 +309,14 @@ def _no_lbfgs(monkeypatch):
 
 
 def _hessian_widths(obj, widths):
-    """obj with the width of every span Hessian it is asked for logged."""
-    hessian = obj.span_hessian_fn
-    return dataclasses.replace(
-        obj, span_hessian_fn=lambda x, B: widths.append(B.shape[1]) or hessian(x, B)
-    )
+    """obj with the width of every span Hessian it forms logged."""
+    evaluate = obj.value_gradient_hessian_fn
+
+    def logged(x):
+        energy, grad, hessian = evaluate(x)
+        return energy, grad, lambda B: widths.append(B.shape[1]) or hessian(B)
+
+    return dataclasses.replace(obj, value_gradient_hessian_fn=logged)
 
 
 def test_chebyshev_non_quadratic_span_is_newton_only(monkeypatch):

@@ -639,7 +639,7 @@ def _counted_passes(monkeypatch):
 
 def without_hessian(objective):
     """The objective with no span Hessian: its span solves are L-BFGS-B."""
-    return dataclasses.replace(objective, span_hessian_fn=None)
+    return dataclasses.replace(objective, value_gradient_hessian_fn=None)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -677,9 +677,9 @@ def test_lbfgs_pass_evaluates_no_point_twice(monkeypatch, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_each_evaluated_point_takes_one_lr_norm(monkeypatch, seed):
     # E and E' at one point share f - x and ||f - x||_r: the projection
-    # step, the span's projection, every L-BFGS-B point and every
-    # Newton trial point are one value_and_gradient call, each one lr_norm;
-    # a span Hessian takes one lr_norm of its own
+    # step, the span's projection, every L-BFGS-B point and every Newton
+    # trial point are one evaluation, each one lr_norm; a span Hessian is
+    # formed from its point's evaluation and takes no lr_norm of its own
     norms, calls = [], []
     lr_norm = objectives.lr_norm
     monkeypatch.setattr(
@@ -700,8 +700,7 @@ def test_each_evaluated_point_takes_one_lr_norm(monkeypatch, seed):
         calls.clear()
         run(counted)
         points = calls.count("gradient")  # no E is evaluated alone
-        hessians = calls.count("hessian")  # each takes one lr_norm of its own
-        assert len(norms) - hessians == points == calls.count("value") >= 1
+        assert len(norms) == points == calls.count("value") >= 1
         if r == 2.0:
             assert points == 1  # the projection's point
 
@@ -830,15 +829,23 @@ def test_span_newton_falls_back_to_the_lbfgs_passes(monkeypatch, case):
     # contract
     obj, basis = _fallback_case(zero_row=case == "non-finite Hessian")
     hessians = []
-    hessian = obj.span_hessian_fn
+    sign = 1.0
     if case == "Hessian not positive definite":
-        hessian = lambda x, B: -obj.span_hessian_fn(x, B)  # noqa: E731
+        sign = -1.0
     elif case == "backtrack fails":
         # E is convex, so E(c + t p) >= E(c) + t <g, p> > E(c) + 2 t <g, p>
         monkeypatch.setattr(inner_solvers, "ARMIJO_C1", 2.0)
-    patched = dataclasses.replace(
-        obj, span_hessian_fn=lambda x, B: hessians.append(hessian(x, B)) or hessians[-1]
-    )
+
+    def evaluate(x):
+        energy, grad, hessian = obj.value_gradient_hessian_fn(x)
+
+        def logged(B):
+            hessians.append(sign * hessian(B))
+            return hessians[-1]
+
+        return energy, grad, logged
+
+    patched = dataclasses.replace(obj, value_gradient_hessian_fn=evaluate)
     passes = _counted_passes(monkeypatch)
     points = []
     counted = count_calls(

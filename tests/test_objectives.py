@@ -24,7 +24,7 @@ from greedyopt.objectives import (
     make_norm_power,
 )
 
-from oracles import fd_gradient, fd_span_hessian
+from oracles import fd_gradient, fd_span_hessian, span_hessian_wrapped
 
 
 def finite_vec(n, lo=-10.0, hi=10.0):
@@ -62,10 +62,10 @@ def test_norm_power_overflowing_residual_raises_without_a_warning():
     x = np.array([-1e308, 1e308])
     with np.errstate(over="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        for evaluate in (obj.value, obj.value_and_gradient):
+        for evaluate in (obj.value, obj.value_and_gradient, obj.value_gradient_hessian):
             with pytest.raises(NonFiniteEnergyError):
                 evaluate(x)
-        assert not np.isfinite(obj.span_hessian_fn(x, np.eye(2))).any()
+        assert not np.isfinite(obj.value_gradient_hessian_fn(x)[2](np.eye(2))).any()
 
 
 def test_lr_norm_underflow_resistant():
@@ -457,7 +457,7 @@ def test_span_hessian_matches_finite_differences(r, q):
         x = rng.standard_normal(7)
         basis = rng.standard_normal((7, 3))
         obj = make_norm_power(f, r, q)
-        hess = obj.span_hessian_fn(x, basis)
+        hess = obj.value_gradient_hessian(x)[2](basis)
         fd = fd_span_hessian(obj.value_and_gradient, x, basis, 1e-6)
         assert hess.shape == (3, 3)
         assert np.abs(hess - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
@@ -469,14 +469,54 @@ def test_span_hessian_is_infinite_where_e_has_none():
     f = np.array([1.0, -2.0, 0.5])
     basis = np.eye(3)[:, :2]
     for r, q, x in ((3.0, 1.5, f), (2.0, 2.0, f), (1.5, 1.5, np.array([1.0, 0.0, 0.0]))):
-        hess = make_norm_power(f, r, q).span_hessian_fn(x, basis)
+        hess = make_norm_power(f, r, q).value_gradient_hessian(x)[2](basis)
         assert hess.shape == (2, 2) and not np.isfinite(hess).any()
-    assert np.isfinite(
-        make_norm_power(f, 3.0, 1.5).span_hessian_fn(np.array([1.0, 0.0, 0.0]), basis)
-    ).all()
-    assert make_least_squares(f).span_hessian_fn is None
+    x = np.array([1.0, 0.0, 0.0])
+    hess = make_norm_power(f, 3.0, 1.5).value_gradient_hessian(x)[2](basis)
+    assert np.isfinite(hess).all()
+    assert make_least_squares(f).value_gradient_hessian_fn is None
     logistic = make_logistic(np.array([1.0, -1.0]), np.eye(2, 3), 0.1)
-    assert logistic.span_hessian_fn is None
+    assert logistic.value_gradient_hessian_fn is None
+
+
+def test_span_hessian_drops_its_evaluations_residual():
+    # the Hessian holds its evaluation's f - x, ||f - x||_r and F_v and
+    # releases them as it forms the matrix, also where it is infinite
+    f = np.array([1.0, -2.0, 0.5])
+    basis = np.eye(3)[:, :2]
+    for r, x in ((3.0, np.zeros(3)), (1.5, np.array([1.0, 0.0, 0.0]))):
+        _, _, hessian = make_norm_power(f, r, 1.5).value_gradient_hessian(x)
+        cells = [cell.cell_contents for cell in hessian.__closure__]
+        (held,) = [c for c in cells if isinstance(c, list)]
+        assert np.array_equal(held[0], f - x) and len(held) == 3
+        hessian(basis)
+        assert held == []
+
+
+@pytest.mark.parametrize(
+    "r, q",
+    [(r, q) for r in (1.5, 2.0, 3.0, 4.0, 6.0) for q in (1.2, 1.5, 2.0) if q <= r],
+)
+def test_span_hessian_from_an_evaluation_matches_its_twin(r, q):
+    # the Hessian an evaluation returns is bitwise the one recomputed from
+    # f - x, at every basis width 1-9, infinite ones too (x = f, and a zero
+    # residual entry at r < 2); the evaluation's E and E' are bitwise those
+    # of value_and_gradient_fn
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal(16)
+    on_entry = rng.standard_normal(16)
+    on_entry[3] = f[3]
+    obj = make_norm_power(f, r, q)
+    for x in (rng.standard_normal(16), rng.standard_normal(16), f, on_entry):
+        basis = rng.standard_normal((16, 9))
+        for k in range(1, 10):
+            energy, grad, hessian = obj.value_gradient_hessian(x)
+            e, g = obj.value_and_gradient_fn(x)
+            assert energy == e and grad.tobytes() == g.tobytes()
+            expected = span_hessian_wrapped(f, r, q, x, basis[:, :k])
+            assert hessian(basis[:, :k]).tobytes() == expected.tobytes()
+        finite = np.isfinite(expected).all()
+        assert finite == (x is not f and (r >= 2.0 or x is not on_entry))
 
 
 def test_convexity_inequality():

@@ -1,8 +1,9 @@
-"""Smoke tests of the two tools a performance change's evidence comes from:
-the gain rule of `tools/bench_pairs.py` on synthetic pairs, and the run
-matrix and `verify` digest of `tools/output_digests.py`. Neither runs a
-benchmark, an experiment or `verify` here; the matrix reads the workload
-definitions under `benchmarks/` and the shipped configs."""
+"""Tests of the two tools a performance change's evidence comes from: the
+gain rule of `tools/bench_pairs.py` on synthetic pairs, and the run matrix
+and `verify` digest of `tools/output_digests.py`, with no benchmark and no
+`verify` run; the matrix reads the workload definitions under `benchmarks/`
+and the shipped configs. One test is a byte-identity gate: it reruns the
+committed gate listing's experiments on the build that listing names."""
 
 import hashlib
 import importlib.util
@@ -152,3 +153,33 @@ def test_output_digest_verify_line_hashes_what_verify_prints():
     assert output_digests.verify_digest(cli) == expected.hexdigest()
     with pytest.raises(SystemExit, match="verify exited 1"):
         output_digests.verify_digest(lambda argv: 1)
+
+
+GATE_LISTING = ROOT / "tests" / "output_digests_gate.txt"
+
+
+def test_output_digest_gate_matrix_is_the_lp_wcga_and_stress_runs(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    names = [name for name, _ in output_digests.gate(ROOT)]
+    assert len(names) == 78 + 132
+    assert sum(name.startswith("lp_wcga_") for name in names) == 78
+    recorded = GATE_LISTING.read_text(encoding="utf-8").splitlines()
+    assert recorded[0].startswith("build {")
+    assert [line.split()[0] for line in recorded[1:]] == names
+
+
+def test_gate_outputs_are_byte_identical_to_the_committed_listing(
+    monkeypatch, tmp_path
+):
+    # the lp wcga workload instances and the stress family, whose span
+    # solves take Newton steps and reach every fallback, must write the
+    # bytes the committed listing names. Other numpy, scipy, BLAS, C
+    # library or Python builds may round differently: there the test skips
+    # and names both builds. On the recorded build a mismatch fails
+    build, *expected = GATE_LISTING.read_text(encoding="utf-8").splitlines()
+    here = output_digests.build_line()
+    if here != build:
+        pytest.skip(f"the gate listing was recorded on {build}, this is {here}")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    runs = output_digests.gate(ROOT)
+    assert list(output_digests.run_lines(runs, tmp_path)) == expected
