@@ -525,11 +525,11 @@ def _basis_position(dictionary, atom, vec, positions, span) -> Optional[int]:
     """Position of the basis column that already spans the atom, or None
     when the atom is new. A finite dictionary's atom is looked up by its
     column index in `positions` (index -> position), in O(1); a rank-one
-    atom (index -1 for all of them) merges when it is colinear with a basis
-    column, and the merge reports the last column."""
+    atom (index -1 for all of them) merges into the first basis column it is
+    colinear with, whose position the merge reports."""
     if isinstance(dictionary, FiniteDictionary):
         return positions.get(atom.index)
-    for bv in span.basis.T:
+    for position, bv in enumerate(span.basis.T):
         if abs(float(np.dot(vec, bv))) >= 1.0 - MERGE_COLINEAR_TOL:
-            return span.size - 1
+            return position
     return None

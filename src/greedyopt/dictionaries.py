@@ -5,33 +5,164 @@ implicit rank-one dictionary {+- u v^T : ||u||_2 = ||v||_2 = 1} over flattened
 n x n matrices (its convex hull is the nuclear-norm ball). Each answers
 `certified_sup(w)` with (value, atom, upper): the atom's score, the atom, and
 an upper bound on the sup of <w, g> over the dictionary. A finite dictionary
-is searched exactly (upper == value). The rank-one one takes s_1 from a
-values-only SVD, widened by a backward-error margin, as upper, and its atom
-from one shifted inverse-iteration solve on (W / s_1)^T (W / s_1).
+is searched exactly (upper == value). The rank-one one, at sides up to
+PROOF_SIDE, proves upper >= sigma_max(W) by one verified Cholesky
+factorization (`verified_cholesky`) of a shifted (W / max|W|)^T (W / max|W|)
+and takes its atom from two solves on the same factor; above PROOF_SIDE it
+takes s_1 from a values-only SVD, widened by a backward-error margin, and
+its atom from one shifted inverse-iteration solve.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgetrs
+from scipy.linalg.blas import dtrmv
+from scipy.linalg.lapack import dgesv, dgetrs, dpotrf, dpotrs, dsyevr
 
 from .objectives import Objective, lr_norm
 
-WEAKNESS_SLACK = 1e-10  # relative; see select_gradient_greedy
-# backward-error factor c of the SVD's top singular value, also the shift's;
-# see RankOneDictionary.certified_sup
+# relative, 100 times PROOF_RTOL, the rank-one bound's largest looseness at
+# t = 1; see select_gradient_greedy
+WEAKNESS_SLACK = 1e-10
+# backward-error factor c of the SVD's top singular value, also the shift's,
+# on the rank-one path above PROOF_SIDE; see RankOneDictionary.certified_sup
 SVD_ERROR_FACTOR = 4.0
+# the rank-one proof's shift above the top-eigenvalue estimate, in units of
+# (side + 1) u, one entry per Cholesky try before the SVD path takes over
+SHIFT_MARGINS = (2.0, 4.0, 8.0)
+# how far the proven rank-one upper bound may exceed sigma_max, relative, at
+# every side it runs at: the t = 1 certificates' 1 - ratio budget
+PROOF_RTOL = 1e-12
 # columns per block of lr_column_norms: its temporaries stay this many
 # columns wide whatever the dictionary's size; FiniteDictionary's l_r check
 # takes blocks of rows of as many entries
 LR_NORM_BLOCK = 16
 _EPS = float(np.finfo(float).eps)
+_U = _EPS / 2.0  # the unit roundoff u
 # lr_column_norms divides each column by its max clipped to this range, so a
 # zero column divides 0 and an infinite one keeps inf, with no 0/0 or inf/inf
 _TOP_RANGE = (float(np.nextafter(0.0, 1.0)), float(np.finfo(float).max))
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the rounding of a k-term inner
+    product, relative to the sum of its terms' magnitudes."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _eigenvalue_bound(
+    n: int, mu: float, trace_m: float, trace_c: float, rows: float = math.inf
+) -> float:
+    """A proven upper bound on lambda_max(A^T A), for an n x n A, when the
+    floating-point Cholesky factorization L L^T of M = fl(mu I - C),
+    C = fl(A^T A), ran to completion; trace_m and trace_c are the float sums
+    of M's and C's diagonals and rows an upper bound on the largest row sum
+    of |L| |L|^T (`_row_sum_bound`). The terms are derived in
+    `verified_cholesky`."""
+    summed = 1.0 - _gamma(n - 1)  # a float sum of n terms >= 0, from below
+    frobenius = trace_c / ((1.0 - _gamma(n)) * summed)  # >= ||A||_F^2
+    trace = trace_m / (summed * (1.0 - _gamma(n + 1)))  # >= ||L||_F^2
+    cholesky = _gamma(n + 1) * (rows if rows < trace else trace)
+    allowance = _gamma(n) * frobenius + cholesky + _U / (1.0 - _U) * mu
+    return (mu + allowance) * (1.0 + 8.0 * _U)
+
+
+def _row_sum_bound(f: np.ndarray) -> float:
+    """An upper bound on the largest row sum of B = F F^T, where F is the
+    lower triangle of the nonnegative Fortran-ordered f: max_i (F (F^T 1))_i,
+    two products (dtrmv). Each sums nonnegative terms, so the exact B 1 is
+    at most the float one over (1 - gamma_n)^2; the roundings of that
+    division and the terms that underflow are covered by
+    `_eigenvalue_bound`'s factor."""
+    y = dtrmv(f, dtrmv(f, np.ones(len(f)), lower=1, trans=1), lower=1)
+    return float(y.max()) / (1.0 - _gamma(len(f))) ** 2
+
+
+def _sigma_factor(n: int) -> float:
+    """The factor that takes sqrt of `_eigenvalue_bound` for A = fl(W / top)
+    to a bound on sigma_max(W) / top: it covers A's rounding (u ||A||_F,
+    with ||A||_F <= sqrt(n) sigma_max(A), and underflow) and the square root's
+    and the products' roundings."""
+    return 1.0 + (2.0 * math.sqrt(n) + 4.0) * _U
+
+
+def _proof_looseness(n: int) -> float:
+    """The largest relative excess of the proven rank-one upper bound over
+    sigma_max(W) at side n: at the last shift margin above an exact estimate
+    lambda = 1, with the whole trace n mu on the Cholesky term, whose factor
+    is the larger of the two trace terms, and no row-sum bound below it."""
+    mu = 1.0 + SHIFT_MARGINS[-1] * (n + 1) * _U
+    bound = _eigenvalue_bound(n, mu, n * mu * (1.0 + _gamma(n)), 0.0)
+    return math.sqrt(bound) * _sigma_factor(n) - 1.0
+
+
+# the largest side whose proof is at most PROOF_RTOL loose: (n + 1) n u / 2
+# grows past it just above n = 128 in double precision
+PROOF_SIDE = next(n for n in itertools.count(1) if _proof_looseness(n + 1) > PROOF_RTOL)
+
+
+def verified_cholesky(c: np.ndarray, diagonal: np.ndarray, mu: float, solve=None):
+    """(solved, bound): a proof that lambda_max(A^T A) <= bound by the
+    floating-point Cholesky factorization of M = fl(mu I - C), where
+    C = fl(A^T A) for an n x n A, as syrk forms it, and solve(factor) (None
+    without solve); or (None, inf) when dpotrf fails.
+
+    c is C-ordered and (n, n); only its upper triangle above the diagonal
+    is read, which must hold C's, and `diagonal` holds C's diagonal. c is
+    overwritten: M is formed in it by negation, and dpotrf factors it in
+    place as M = L L^T (on c.T, lower, which is c's upper triangle).
+    `solve` gets that view, for `dpotrs(factor, b, lower=1)`; the proof then
+    overwrites it with |L|.
+
+    Proof, with u the unit roundoff and gamma_k = k u / (1 - k u). Each
+    entry of C is an inner product of length n, so |C - A^T A| <=
+    gamma_n |A|^T |A| entrywise (Higham, Accuracy and Stability, section
+    3.5) and ||C - A^T A||_2 <= gamma_n ||A||_F^2; C's diagonal entries are
+    sums of squares, so ||A||_F^2 <= tr(C) / (1 - gamma_n), and a float sum
+    of n nonnegative terms is short of the exact one by at most its
+    gamma_{n-1}. The diagonal of M is rounded: M = mu I - C + D with D
+    diagonal and |D_ii| <= u M_ii / (1 - u) <= u mu / (1 - u), since
+    0 < M_ii <= mu where the factorization succeeds. A Cholesky
+    factorization that runs to completion gives L L^T = M + E with
+    |E| <= gamma_{n+1} |L| |L^T| (Higham, Thm 10.3), in any order of its
+    inner products, so also for LAPACK's blocked dpotrf. As the 2-norm is
+    monotone on nonnegative matrices, ||E||_2 <= gamma_{n+1} rho(|L| |L|^T),
+    and rho(|L| |L|^T) is at most ||L||_F^2 = tr(M + E) <= tr(M) +
+    gamma_{n+1} ||L||_F^2, so at most tr(M) / (1 - gamma_{n+1}): Rump's
+    trace allowance (S. M. Rump, "Verification of positive definiteness",
+    BIT 2006). It is also at most the largest row sum of the nonnegative
+    |L| |L|^T (Gershgorin), `_row_sum_bound(|L|)`, and the proof takes the
+    smaller. So mu I - C + D + E = L L^T is positive semidefinite, and
+    lambda_max(A^T A) <= mu + ||D||_2 + ||E||_2 + gamma_n ||A||_F^2, which
+    `_eigenvalue_bound` adds up. Each term is computed within a few
+    roundings, and its factor 1 + 8u covers them and the sums while the
+    allowance is below mu / 10, as it is for n below 10^7. Underflow adds
+    absolute terms of order n (n + mu) 2^-1074 (Rump's corollary), which the
+    same factor covers for mu >= 1.
+
+    The trace terms share C's trace between them (tr(M) + tr(C) is about
+    n mu), so without the row-sum bound the proof is loose by about
+    gamma_{n+1} n mu in lambda: (n + 1) n u / 2 relative in sigma, 2.5e-13
+    at n = 64 and 3.7e-12 at n = 256. The row-sum bound is that large only
+    where |L| is dense and flat; on the `low_rank_wrga` selections at n = 64
+    it is 8 to 13 mu, not 64 mu.
+    """
+    n = len(diagonal)
+    trace_c = float(diagonal.sum())
+    shifted = mu - diagonal
+    trace_m = float(shifted.sum())
+    np.negative(c, out=c)
+    c.flat[:: n + 1] = shifted
+    factor, info = dpotrf(c.T, lower=1, overwrite_a=1, clean=0)
+    if info != 0:
+        return None, math.inf
+    solved = None if solve is None else solve(factor)
+    np.abs(factor, out=factor)
+    return solved, _eigenvalue_bound(n, mu, trace_m, trace_c, _row_sum_bound(factor))
 
 
 class WeaknessCertificationError(RuntimeError):
@@ -81,9 +212,11 @@ class SelectionCertificate:
 
     score: <w, realize(atom)> - shift for the selected atom.
     reference: an upper bound on sup_g <w, g> - shift over the dictionary:
-        the exact sup for finite dictionaries, the SVD's s_1 widened
-        by a backward-error margin for rank-one. For wrga (shift = <w, G>)
-        it bounds the Frank-Wolfe duality gap.
+        the exact sup for finite dictionaries; for rank-one a proven bound
+        on sigma_max (a verified Cholesky factorization) at sides up to
+        PROOF_SIDE, and the SVD's s_1 widened by a backward-error margin
+        above. For wrga (shift = <w, G>) it bounds the Frank-Wolfe duality
+        gap.
     ratio: score / reference (1.0 when the reference is 0).
     vector: realize(atom), the vector the score was computed from, which
         the greedy drivers step along instead of realizing the atom again.
@@ -292,8 +425,91 @@ class RankOneDictionary:
         return np.outer(atom.sign * u, v).ravel()  # the bits of sign * (u v^T)
 
     def certified_sup(self, w: np.ndarray):
-        """(value, atom, upper) for W = reshape(w): s_1 from a values-only
-        SVD (LAPACK gesdd), v from inverse iteration.
+        """(value, atom, upper) for W = reshape(w): upper >= sigma_max(W)
+        and the atom u v^T with value = ||W v||.
+
+        At sides n <= PROOF_SIDE upper is proven. With top = max|W| and
+        A = fl(W / top), C = A^T A is one syrk, and `dsyevr` gives C's top
+        eigenvalue lambda, used only as the estimate the shift is placed
+        above: mu = lambda (1 + k (n + 1) u) for k in SHIFT_MARGINS, one
+        Cholesky try each (`verified_cholesky`) until one succeeds. C's
+        upper triangle survives dsyevr, which overwrites only the lower one
+        and the diagonal (kept aside), so a try needs no copy of C; a retry
+        forms C again. Proof: a successful factorization proves
+        lambda_max(A^T A) <= bound (`verified_cholesky`), so
+        sigma_max(A) <= sqrt(bound). W / top differs from A by a rounding of
+        each entry, at most u |A_ij| / (1 - u) plus 2^-1075 where it
+        underflows, so sigma_max(W / top) <= sigma_max(A) + u ||A||_F /
+        (1 - u) + n 2^-1075; as ||A||_F <= sqrt(n) sigma_max(A) and
+        sigma_max(A) >= 1 (A holds an entry 1), that is at most
+        sigma_max(A) (1 + 2 sqrt(n) u). The remaining 4u of `_sigma_factor`
+        covers the roundings of the square root and the two products, so
+        upper = top * sqrt(bound) * `_sigma_factor(n)` >= sigma_max(W); an
+        overflow makes it inf, which stays a bound. The proof is loose by
+        the allowance it adds up: at most about (n + 1) n u / 2 relative,
+        whatever W's spectrum, since the two trace terms share C's trace
+        between them, and about a quarter of that (4e-14 to 8e-14 at
+        n = 64) on `low_rank` gradients, where the row-sum bound takes the
+        Cholesky term. PROOF_SIDE (129) is the largest side where
+        `_proof_looseness`, the worst case at the last margin, is within
+        PROOF_RTOL (1e-12), the t = 1 certificates' budget.
+
+        v is two inverse-iteration steps (Ipsen 1997) on the same factor
+        L L^T of mu I - C: L L^T y = start, L L^T x = y / ||y||,
+        v = x / ||x|| (dpotrs). Each step scales the components off v_1 by
+        about (mu - lambda_1) / (mu - lambda_i). The start, sin(1..side), is
+        dense and no integer stencil is orthogonal to it, as (1, -2, 1) is to
+        an affine ramp. Only v comes from A^T A, and its error enters the
+        score at second order. value = top ||A v|| <= sigma_max(W) is
+        attained by the atom u v^T, u = A v / ||A v||, and
+        `select_gradient_greedy` checks it against upper, which is raised to
+        value if the rounding of value ever put it above.
+
+        The SVD path runs above PROOF_SIDE, where the proof would be looser
+        than PROOF_RTOL, and where dsyevr fails or every try's factorization
+        does: `_svd_sup`, with the bits it has always had.
+
+        A W = 0, or one with an entry that is not finite, gets unit factors,
+        value 0 and upper max|W| (0, inf or NaN; the last two fail the
+        selection). Every 2-norm is `math.sqrt(x.dot(x))`, numpy's own 1-D
+        norm without `np.linalg.norm`'s wrapper: the same bits.
+        """
+        n = self.side
+        W = np.asarray(w, dtype=float).reshape(n, n)
+        if n > PROOF_SIDE:
+            return self._svd_sup(W)
+        top = float(np.abs(W).max())
+        if top == 0.0 or not math.isfinite(top):
+            return 0.0, _unit_atom(n), top
+        A = W / top
+        C = A.T @ A  # exactly symmetric (syrk)
+        diagonal = C.diagonal().copy()
+        # C.T is C in Fortran order; dsyevr overwrites its upper triangle,
+        # which is C's lower one, and the diagonal
+        lam, _, _, _, info = dsyevr(
+            C.T, compute_v=0, range="I", il=n, iu=n, overwrite_a=1
+        )
+        if info == 0:
+            for k in SHIFT_MARGINS:
+                mu = lam[0] * (1.0 + k * (n + 1) * _U)
+                x, bound = verified_cholesky(C, diagonal, mu, self._inverse_iteration)
+                if x is not None:
+                    value, atom = _top_pair(A, x, top)
+                    upper = top * math.sqrt(bound) * _sigma_factor(n)
+                    return value, atom, max(upper, value)
+                np.matmul(A.T, A, out=C)  # the failed try overwrote C
+        return self._svd_sup(W)
+
+    def _inverse_iteration(self, factor: np.ndarray) -> np.ndarray:
+        """Two solves from the start on the Cholesky factor L of mu I - C:
+        L L^T y = start, L L^T x = y / ||y||."""
+        y, _ = dpotrs(factor, self._start, lower=1)
+        x, _ = dpotrs(factor, y / math.sqrt(y.dot(y)), lower=1)
+        return x
+
+    def _svd_sup(self, W: np.ndarray):
+        """(value, atom, upper) for W: s_1 from a values-only SVD (LAPACK
+        gesdd), v from inverse iteration.
 
         upper = max(s_1, ||W v||) * (1 + c * side * eps) with
         c = SVD_ERROR_FACTOR. The margin is a heuristic, not a proven bound:
@@ -303,46 +519,45 @@ class RankOneDictionary:
         4 * side is a guess at it. The tests check upper against sigma_max
         from eigvalsh(W^T W) and from spectra known by construction.
 
-        v is two inverse-iteration steps (Ipsen 1997) on one LU factorization
-        (dgesv, then dgetrs): with A = W / s_1, which makes them scale-free,
-        and M = A^T A - mu I for mu = 1 + c * side * eps, just above A^T A's
-        top eigenvalue, M y = start, M x = y / ||y|| and v = x / ||x||. Each
-        step scales the components off v_1 by about
-        (mu - lambda_1) / (mu - lambda_i). The start, sin(1..side), is dense
-        and no integer stencil is orthogonal to it, as (1, -2, 1) is to an
-        affine ramp. Only v comes from A^T A, and its error enters the score
-        at second order. value = ||W v|| <= sigma_max(W) is attained by the
-        atom u v^T, u = W v / ||W v||, and `select_gradient_greedy` checks it
-        against upper. A W = 0, or an s_1 that overflows, gets unit factors,
-        value 0 and upper s_1; an exactly singular M raises
-        WeaknessCertificationError.
-
-        Every 2-norm is `math.sqrt(x.dot(x))`, numpy's own 1-D norm without
-        `np.linalg.norm`'s wrapper: the same bits.
+        v is two inverse-iteration steps on one LU factorization (dgesv,
+        then dgetrs): with A = W / s_1, which makes them scale-free, and
+        M = A^T A - mu I for mu = 1 + c * side * eps, just above A^T A's top
+        eigenvalue, M y = start, M x = y / ||y|| and v = x / ||x||. A W = 0,
+        or an s_1 that overflows, gets unit factors, value 0 and upper s_1;
+        an exactly singular M raises WeaknessCertificationError.
         """
         n = self.side
-        W = np.asarray(w, dtype=float).reshape(n, n)
         s1 = float(np.linalg.svd(W, compute_uv=False)[0])
         if s1 == 0.0 or not math.isfinite(s1):
-            e1 = np.zeros(n)
-            e1[0] = 1.0
-            return 0.0, Atom(-1, 1, (e1, e1.copy())), s1
+            return 0.0, _unit_atom(n), s1
         A = W / s1
         M = A.T @ A
         M.flat[:: n + 1] -= 1.0 + SVD_ERROR_FACTOR * n * _EPS
-        start = self._start
         # A.T @ A is exactly symmetric (syrk), so M.T is M in Fortran order,
         # which dgesv factors in place
-        lu, piv, x, info = dgesv(M.T, start, overwrite_a=True)
+        lu, piv, x, info = dgesv(M.T, self._start, overwrite_a=True)
         if info != 0:
             raise WeaknessCertificationError(f"shifted system is singular (dgesv {info})")
         x, _ = dgetrs(lu, piv, x / math.sqrt(x.dot(x)))
-        v = x / math.sqrt(x.dot(x))
-        Av = A @ v
-        norm = math.sqrt(Av.dot(Av))
-        value = s1 * norm
+        value, atom = _top_pair(A, x, s1)
         upper = max(s1, value) * (1.0 + SVD_ERROR_FACTOR * n * _EPS)
-        return value, Atom(-1, 1, (Av / norm, v)), upper
+        return value, atom, upper
+
+
+def _unit_atom(n: int) -> Atom:
+    """The atom e_1 e_1^T, with factors that share no memory."""
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    return Atom(-1, 1, (e1, e1.copy()))
+
+
+def _top_pair(A: np.ndarray, x: np.ndarray, scale: float):
+    """(value, atom) for v = x / ||x||: the atom u v^T with u = A v / ||A v||
+    and value = scale * ||A v||."""
+    v = x / math.sqrt(x.dot(x))
+    Av = A @ v
+    norm = math.sqrt(Av.dot(Av))
+    return scale * norm, Atom(-1, 1, (Av / norm, v))
 
 
 Dictionary = FiniteDictionary | RankOneDictionary
@@ -362,10 +577,13 @@ def select_gradient_greedy(
     shift = <direction, G>, which is constant over the dictionary, so it
     moves score and reference but not the selected atom. For finite
     dictionaries the argmax is exact (ratio 1); for rank-one the reference
-    is the SVD's widened s_1, and the selection fails loudly when the
-    weakness cannot be certified against it. The slack is relative because
-    the score's roundoff and the rank-one margin, about
-    4 * side * eps * sigma_max, grow with the scale of the sup.
+    is `RankOneDictionary.certified_sup`'s upper bound, proven at sides up
+    to PROOF_SIDE, and the selection fails loudly when the weakness cannot
+    be certified against it. The slack is relative because the score's
+    roundoff and the rank-one margin grow with the scale of the sup: the
+    proof is loose by at most PROOF_RTOL * sigma_max (about
+    (side + 1) side u / 2 relative), the SVD path's margin is
+    4 * side * eps * sigma_max.
     """
     if not (0.0 < weakness <= 1.0):
         raise ValueError(f"weakness must be in (0, 1], got {weakness}")

@@ -7,12 +7,14 @@ rather than a tautology. `count_calls` is the objective wrapper that every
 call-count test shares.
 
 The bitwise oracles (`min_norm_solve_wrapped`, `rank_one_sup_wrapped`,
-`rank_one_realize_wrapped`, `relaxed_coefficients_wrapped`) are the same
-arithmetic written through numpy's Python-level wrappers (np.dot,
-np.linalg.norm, np.append), where the package calls the array methods and
-ufuncs those wrappers end in. The package must agree with them bit for bit.
-`rank_one_realize_wrapped` is np.outer, which `RankOneDictionary.realize`
-still calls: it guards any later change there. `span_hessian_wrapped` is a
+`rank_one_proof_sup_wrapped`, `rank_one_realize_wrapped`,
+`relaxed_coefficients_wrapped`) are the same arithmetic written through
+numpy's Python-level wrappers (np.dot, np.linalg.norm, np.append), where the
+package calls the array methods and ufuncs those wrappers end in; they call
+the same LAPACK and BLAS kernels. The package must agree with them bit for
+bit. `rank_one_proof_sup_wrapped` also writes the proof's bound out again
+from its terms. `rank_one_realize_wrapped` is np.outer, which
+`RankOneDictionary.realize` still calls: it guards any later change there. `span_hessian_wrapped` is a
 norm power's span Hessian recomputed from its point, with np.outer, where
 the package builds it from the point's own evaluation.
 
@@ -25,7 +27,8 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgetrs
+from scipy.linalg.blas import dtrmv
+from scipy.linalg.lapack import dgesv, dgetrs, dpotrf, dpotrs, dsyevr
 
 
 def count_calls(obj, log):
@@ -323,8 +326,9 @@ def min_norm_solve_wrapped(directions, residual):
 
 
 def rank_one_sup_wrapped(w, n, shift_factor):
-    """`RankOneDictionary.certified_sup` through np.linalg.norm: (value, u, v, upper) for the n x n W = reshape(w) from
-    a values-only SVD and two inverse-iteration steps on A^T A - mu I, with
+    """`RankOneDictionary.certified_sup`'s SVD path through np.linalg.norm:
+    (value, u, v, upper) for the n x n W = reshape(w) from a values-only SVD
+    and two inverse-iteration steps on A^T A - mu I, with
     mu = 1 + shift_factor * n * eps, from sin(1..n). Covers W != 0 with a
     finite s_1 only."""
     start = np.sin(np.arange(1.0, n + 1.0))
@@ -343,6 +347,58 @@ def rank_one_sup_wrapped(w, n, shift_factor):
     value = s1 * norm
     upper = max(s1, value) * (1.0 + shift_factor * n * eps)
     return value, Av / norm, v, upper
+
+
+def rank_one_proof_sup_wrapped(w, n, margins):
+    """`RankOneDictionary.certified_sup`'s proof path through numpy's
+    wrappers: (value, u, v, upper) for the n x n W = reshape(w), or None
+    when every shift margin's factorization fails. A = W / max|W|; lambda
+    from dsyevr on A^T A; per margin k, the Cholesky factor L of
+    fl(mu I - A^T A) at mu = lambda (1 + k (n + 1) u); v from two solves on
+    it, from sin(1..n); and upper = max|W| sqrt(B) (1 + (2 sqrt(n) + 4) u),
+    raised to value, where B is mu plus gamma_n ||A||_F^2, gamma_{n+1} times
+    the smaller of Rump's trace bound and the largest row sum of |L| |L|^T,
+    and u mu / (1 - u), times 1 + 8u. Covers W != 0 with finite entries
+    only."""
+    u = float(np.finfo(float).eps) / 2.0
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
+    W = np.asarray(w, dtype=float).reshape(n, n)
+    top = float(np.max(np.abs(W)))
+    A = W / top
+    C = np.dot(A.T, A)
+    diagonal = np.diagonal(C).copy()
+    lam, _, _, _, info = dsyevr(C.T, compute_v=0, range="I", il=n, iu=n, overwrite_a=1)
+    assert info == 0
+    for k in margins:
+        mu = lam[0] * (1.0 + k * (n + 1) * u)
+        shifted = mu - diagonal
+        M = -C
+        np.fill_diagonal(M, shifted)
+        L, info = dpotrf(M.T, lower=1, overwrite_a=1, clean=0)
+        if info != 0:
+            C = np.dot(A.T, A)
+            continue
+        y, _ = dpotrs(L, np.sin(np.arange(1.0, n + 1.0)), lower=1)
+        x, _ = dpotrs(L, y / np.linalg.norm(y), lower=1)
+        v = x / np.linalg.norm(x)
+        Av = np.dot(A, v)
+        norm = float(np.linalg.norm(Av))
+        value = top * norm
+        F = np.abs(L)
+        rows = dtrmv(F, dtrmv(F, np.ones(n), lower=1, trans=1), lower=1)
+        rows = float(np.max(rows)) / (1.0 - gamma(n)) ** 2
+        summed = 1.0 - gamma(n - 1)
+        frobenius = float(np.sum(diagonal)) / ((1.0 - gamma(n)) * summed)
+        trace = float(np.sum(shifted)) / (summed * (1.0 - gamma(n + 1)))
+        cholesky = gamma(n + 1) * (rows if rows < trace else trace)
+        allowance = gamma(n) * frobenius + cholesky + u / (1.0 - u) * mu
+        bound = (mu + allowance) * (1.0 + 8.0 * u)
+        upper = top * math.sqrt(bound) * (1.0 + (2.0 * math.sqrt(n) + 4.0) * u)
+        return value, Av / norm, v, max(upper, value)
+    return None
 
 
 def rank_one_realize_wrapped(sign, u, v):

@@ -192,6 +192,39 @@ def test_chebyshev_merges_repeated_atoms():
     assert len(trace.terms()) <= 2
 
 
+class _ReplayingRankOne(RankOneDictionary):
+    """A rank-one dictionary that answers its third query with its first
+    answer's atom, at value and upper 0: an atom colinear with the first
+    basis column, not the last."""
+
+    def __init__(self, side):
+        super().__init__(side)
+        self.answers = []
+
+    def certified_sup(self, w):
+        if len(self.answers) == 2:
+            answer = (0.0, self.answers[0][1], 0.0)
+        else:
+            answer = super().certified_sup(w)
+        self.answers.append(answer)
+        return answer
+
+
+def test_rank_one_merge_records_the_matched_columns_coefficient():
+    # W = diag(3, 2, 1): steps 1 and 2 add e_1 e_1^T and e_2 e_2^T with
+    # coefficients 3 and 2; step 3 selects e_1 e_1^T again, which merges into
+    # column 0, so its lambda is column 0's coefficient, not the last one's
+    dic = _ReplayingRankOne(3)
+    obj = make_least_squares(np.diag([3.0, 2.0, 1.0]).ravel())
+    trace = run_greedy(obj, dic, 1.0, Chebyshev(), StopRule(max_m=3, sup_tol=-1.0))
+    assert trace.iterations == 3
+    assert len(trace.atoms) == 2
+    second, merged = trace.records[1], trace.records[2]
+    assert merged.coefficients is second.coefficients
+    assert merged.lam == second.coefficients[0] == pytest.approx(3.0, rel=1e-14)
+    assert second.coefficients[1] == pytest.approx(2.0, rel=1e-14)
+
+
 def _fixed_point_run(weakness=1.0, max_m=24):
     # lp_approx n=64 instance 1001: atoms 1-8 are new, the eighth completes
     # the planted target, and from m = 9 on every selection merges into the
@@ -681,7 +714,10 @@ _CALLS = {
         "prescribed": (21, 21),
     },
     "low_rank": {
-        "wcga": (16, 16),
+        # rank 2: from m = 3 on E is about 1e-32 and each selection is the top
+        # pair of a roundoff gradient, so whether one merges into the span
+        # follows the bits of the selection; with the proof path none does
+        "wcga": (21, 21),
         "wrga": (21, 21),
         "wgafr": (21, 21),
         "best_step": (21, 21),

@@ -11,6 +11,9 @@ from hypothesis.extra.numpy import arrays
 
 from greedyopt import dictionaries
 from greedyopt.dictionaries import (
+    PROOF_RTOL,
+    PROOF_SIDE,
+    SHIFT_MARGINS,
     Atom,
     FiniteDictionary,
     LR_NORM_BLOCK,
@@ -24,6 +27,7 @@ from greedyopt.dictionaries import (
     select_gradient_greedy,
     synthesis_l1,
     unit_columns,
+    verified_cholesky,
 )
 from greedyopt.algorithms import (
     BestStep,
@@ -38,6 +42,7 @@ from oracles import (
     brute_force_sup,
     known_spectrum,
     lr_unit_check_scaled,
+    rank_one_proof_sup_wrapped,
     rank_one_realize_wrapped,
     rank_one_sup_wrapped,
     sigma_max_eigvalsh,
@@ -391,11 +396,12 @@ def test_sup_symmetry():
 # ---------------------------------------------------------------------------
 # rank-one top singular pair
 #
-# certified_sup takes s_1 from a values-only SVD and v from one shifted
-# inverse-iteration solve on (W / s_1)^T (W / s_1); every check compares
-# against an oracle that does not call the SVD: a spectrum known by
-# construction or the eigenproblem of W^T W. (The test_power_* names predate
-# the SVD.)
+# certified_sup proves its upper bound by a verified Cholesky factorization
+# of a shifted (W / max|W|)^T (W / max|W|) at sides up to PROOF_SIDE, and
+# takes s_1 from a values-only SVD above; v comes from two inverse-iteration
+# solves. Every check compares against an oracle that does not share the
+# path: a spectrum known by construction, the eigenproblem of W^T W, or
+# np.linalg.svd. (The test_power_* names predate both.)
 
 
 def _rank_one_sup(w):
@@ -454,6 +460,16 @@ def test_rank_one_sup_known_spectrum():
         assert 1.0 - abs(float(u @ u_ref[:, 0])) <= 1e-8
         assert 1.0 - abs(float(v @ v_ref[:, 0])) <= 1e-8
         assert float(u @ (w @ v)) == pytest.approx(sigma, rel=1e-12)
+    # a flat spectrum at side 128, below PROOF_SIDE: every singular pair is
+    # a top one, and the proof, at its loosest here, certifies at t = 1
+    w = known_spectrum(np.full(128, 2.0), 3)[0]
+    u, v, sigma, upper = _rank_one_sup(w)
+    assert sigma == pytest.approx(2.0, rel=1e-12)
+    assert upper >= 2.0
+    assert upper >= sigma_max_eigvalsh(w)
+    assert float(u @ (w @ v)) == pytest.approx(sigma, rel=1e-12)
+    cert = select_gradient_greedy(RankOneDictionary(128), w.ravel(), 1.0)
+    assert cert.ratio >= 1.0 - 1e-12
 
 
 def _spectra(side, seed):
@@ -562,11 +578,12 @@ def _bits(*values):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_rank_one_sup_and_realize_are_their_wrapped_expressions_bit_for_bit(seed):
     # value, u, v and upper, and the atom's vector for both signs: the bits
-    # of the same arithmetic through np.linalg.norm and np.outer, on the
-    # structured and the known-spectrum matrices
+    # of the same arithmetic through numpy's wrappers and np.outer, on the
+    # structured and the known-spectrum matrices; the proof path's twin at
+    # sides up to PROOF_SIDE, the SVD path's above
     cases = [(name, w) for name, w, _ in _structured(seed)]
     cases += [(name, w) for name, w, _ in _spectra(16, seed) if name != "zero"]
-    for side, top in ((5, 2.0), (64, 2.0), (64, 1e6)):
+    for side, top in ((5, 2.0), (64, 2.0), (64, 1e6), (PROOF_SIDE + 1, 2.0)):
         s = np.linspace(top, 0.1, side)
         cases.append((f"known spectrum {side} {top:g}", known_spectrum(s, seed)[0]))
     for name, w in cases:
@@ -574,11 +591,183 @@ def test_rank_one_sup_and_realize_are_their_wrapped_expressions_bit_for_bit(seed
         dic = RankOneDictionary(side)
         value, atom, upper = dic.certified_sup(w.ravel())
         u, v = atom.factors
-        expected = rank_one_sup_wrapped(w.ravel(), side, dictionaries.SVD_ERROR_FACTOR)
+        if side <= PROOF_SIDE:
+            expected = rank_one_proof_sup_wrapped(w.ravel(), side, SHIFT_MARGINS)
+        else:
+            expected = rank_one_sup_wrapped(w.ravel(), side, dictionaries.SVD_ERROR_FACTOR)
         assert _bits(value, u, v, upper) == _bits(*expected), name
         for sign in (1, -1):
             got = dic.realize(Atom(-1, sign, atom.factors))
             assert _bits(got) == _bits(rank_one_realize_wrapped(sign, u, v)), name
+
+
+def _failing_dpotrf(monkeypatch, failures):
+    """Make dictionaries' dpotrf report a failed pivot on its first
+    `failures` calls; returns the list of calls made."""
+    calls = []
+    real = dictionaries.dpotrf
+
+    def dpotrf(a, **kwargs):
+        calls.append(a.shape)
+        if len(calls) <= failures:
+            return a, 1
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(dictionaries, "dpotrf", dpotrf)
+    return calls
+
+
+@pytest.mark.parametrize("side", [1, 4, 16, 64])
+def test_rank_one_failed_proof_falls_back_to_the_svd_path_bit_for_bit(monkeypatch, side):
+    # every shift margin's factorization fails: the answer is the SVD
+    # path's, with its bits
+    w = np.random.default_rng(side).standard_normal(side * side)
+    calls = _failing_dpotrf(monkeypatch, len(SHIFT_MARGINS))
+    value, atom, upper = RankOneDictionary(side).certified_sup(w)
+    assert len(calls) == len(SHIFT_MARGINS)
+    expected = rank_one_sup_wrapped(w, side, dictionaries.SVD_ERROR_FACTOR)
+    assert _bits(value, *atom.factors, upper) == _bits(*expected)
+
+
+def test_rank_one_failed_estimate_falls_back_to_the_svd_path_bit_for_bit(monkeypatch):
+    def dsyevr(a, **kwargs):  # an eigensolver that did not converge
+        return np.zeros(1), np.zeros((0, 0)), 0, np.zeros(0, dtype=np.int32), 1
+
+    monkeypatch.setattr(dictionaries, "dsyevr", dsyevr)
+    calls = _failing_dpotrf(monkeypatch, 0)
+    w = np.random.default_rng(7).standard_normal(64)
+    value, atom, upper = RankOneDictionary(8).certified_sup(w)
+    assert calls == []
+    expected = rank_one_sup_wrapped(w, 8, dictionaries.SVD_ERROR_FACTOR)
+    assert _bits(value, *atom.factors, upper) == _bits(*expected)
+
+
+@pytest.mark.parametrize("failures", range(1, len(SHIFT_MARGINS)))
+def test_rank_one_retry_takes_the_next_shift_margin(monkeypatch, failures):
+    # a failed try forms C again and factors at the next margin: the bits of
+    # the proof path started at that margin
+    w = known_spectrum(np.linspace(1.0, 0.1, 16), 4)[0].ravel()
+    calls = _failing_dpotrf(monkeypatch, failures)
+    value, atom, upper = RankOneDictionary(16).certified_sup(w)
+    assert len(calls) == failures + 1
+    expected = rank_one_proof_sup_wrapped(w, 16, SHIFT_MARGINS[failures:])
+    assert _bits(value, *atom.factors, upper) == _bits(*expected)
+
+
+def test_proof_side_is_where_the_worst_case_looseness_reaches_the_budget():
+    # derived from the bound, not from a workload: about (n + 1) n u / 2
+    looseness = dictionaries._proof_looseness
+    assert looseness(PROOF_SIDE) <= PROOF_RTOL < looseness(PROOF_SIDE + 1)
+    assert 120 <= PROOF_SIDE <= 135
+    u = np.finfo(float).eps / 2.0
+    for n in (8, 64, PROOF_SIDE, 256):
+        assert looseness(n) == pytest.approx((n + 1) * n * u / 2.0, rel=0.1)
+
+
+def _cholesky_cases():
+    """(name, A) scaled to max|A| = 1, with known singular values: flat,
+    clustered, rank one and a linear spectrum, at sides 2 to 128."""
+    for side in (2, 16, 64, 128):
+        clustered = 1.0 - 1e-6 * np.arange(side)
+        clustered[max(side // 4, 1) :] = 0.5
+        rank_one = np.zeros(side)
+        rank_one[0] = 1.0
+        spectra = {"flat": np.ones(side), "clustered": clustered,
+                   "rank one": rank_one, "linear": np.linspace(1.0, 0.01, side)}
+        for kind, s in spectra.items():
+            a = known_spectrum(s, side)[0]
+            yield f"{kind} {side}", a / np.abs(a).max()
+
+
+def _try_cholesky(a, mu):
+    c = a.T @ a
+    return verified_cholesky(c, c.diagonal().copy(), mu)
+
+
+def test_verified_cholesky_fails_below_the_top_eigenvalue_and_proves_above_it():
+    # with lambda = sigma_max(A)^2 and the proof's relative allowance
+    # a = 2 * _proof_looseness(n): a shift below lambda by the allowance, or
+    # by half, must fail; one above lambda_max(C) by the allowance must
+    # succeed and prove lambda <= bound <= (mu + a lambda)(1 + 1e-15). At
+    # lambda_max(C) itself floating-point Cholesky may succeed or fail; a
+    # success must still prove a true bound
+    for name, a in _cholesky_cases():
+        n = a.shape[0]
+        lam = float(np.linalg.svd(a, compute_uv=False)[0]) ** 2
+        top_c = float(np.linalg.eigvalsh(a.T @ a)[-1])
+        allowance = 2.0 * dictionaries._proof_looseness(n)
+        for mu in (lam * (1.0 - 2.0 * allowance), 0.5 * lam):
+            assert _try_cholesky(a, mu) == (None, math.inf), name
+        for mu in (top_c, float(np.nextafter(top_c, 0.0))):
+            _, bound = _try_cholesky(a, mu)
+            assert bound >= lam, name
+        mu = top_c * (1.0 + allowance)
+        _, bound = _try_cholesky(a, mu)
+        assert lam <= bound <= (mu + allowance * lam) * (1.0 + 1e-15), name
+
+
+def test_verified_cholesky_solves_on_the_factor_then_overwrites_it():
+    # solve sees the factor L of mu I - C in the lower triangle of the
+    # Fortran-ordered c.T, before the proof overwrites it with |L|
+    a = known_spectrum(np.linspace(1.0, 0.1, 8), 0)[0]
+    c = a.T @ a
+    mu = 1.0 + 1e-6
+    seen = []
+
+    def solve(factor):
+        seen.append(np.tril(factor))
+        return "solved"
+
+    work = c.copy()
+    solved, bound = verified_cholesky(work, c.diagonal().copy(), mu, solve)
+    assert solved == "solved" and 1.0 <= bound
+    (low,) = seen
+    assert np.allclose(low @ low.T, mu * np.eye(8) - c, rtol=0.0, atol=1e-14)
+    assert np.array_equal(np.tril(work.T), np.abs(low))
+
+
+def test_row_sum_bound_is_above_the_largest_row_sum():
+    # F F^T for nonnegative lower-triangular F: the bound is at or above
+    # its largest row sum, so above its spectral radius (eigvalsh), and
+    # within a few roundings of it
+    rng = np.random.default_rng(9)
+    for n in (1, 5, 64):
+        f = np.tril(rng.random((n, n))) + np.eye(n)
+        rows = float((f @ f.T).sum(axis=1).max())
+        bound = dictionaries._row_sum_bound(np.asfortranarray(f))
+        assert float(np.linalg.eigvalsh(f @ f.T)[-1]) <= rows <= bound
+        assert bound <= rows * (1.0 + 1e-13)
+
+
+def _drawn_w(kind, side, seed, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        w = rng.standard_normal((side, side))
+    else:
+        s = np.ones(side)
+        if kind == "clustered":
+            s = 1.0 - 1e-9 * np.arange(side)
+            s[max(side // 4, 1) :] = np.linspace(0.5, 0.01, side - max(side // 4, 1))
+        elif kind == "rank-deficient":
+            s[rng.integers(1, side + 1) :] = 0.0
+        w = known_spectrum(s, seed)[0]
+    return scale * w
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    side=st.integers(1, PROOF_SIDE),
+    kind=st.sampled_from(["flat", "clustered", "rank-deficient", "random"]),
+    seed=st.integers(0, 2**16),
+    exponent=st.integers(-300, 300),
+)
+def test_rank_one_proof_bounds_sigma_max_and_certifies_at_t_one(side, kind, seed, exponent):
+    w = _drawn_w(kind, side, seed, 10.0**exponent)
+    value, atom, upper = RankOneDictionary(side).certified_sup(w.ravel())
+    assert value <= upper
+    assert upper >= float(np.linalg.svd(w, compute_uv=False)[0])
+    cert = select_gradient_greedy(RankOneDictionary(side), w.ravel(), 1.0)
+    assert 1.0 - cert.ratio <= 1e-12
 
 
 def test_rank_one_row_orthogonal_to_v1_finds_v1():
@@ -601,10 +790,17 @@ def test_rank_one_overflowing_sup_raises():
 
 
 def test_rank_one_singular_shifted_system_raises(monkeypatch):
+    # the SVD path's shifted system: above PROOF_SIDE, and at side 4 once
+    # every Cholesky try has failed
     def singular(a, b, **kwargs):  # dgesv's report of a zero pivot U[0, 0]
         return a, np.zeros(len(b), dtype=np.int32), b, 1
 
     monkeypatch.setattr(dictionaries, "dgesv", singular)
+    side = PROOF_SIDE + 1
+    w = np.random.default_rng(4).standard_normal(side * side)
+    with pytest.raises(WeaknessCertificationError):
+        RankOneDictionary(side).certified_sup(w)
+    _failing_dpotrf(monkeypatch, len(SHIFT_MARGINS))
     w = np.random.default_rng(4).standard_normal(16)
     with pytest.raises(WeaknessCertificationError):
         RankOneDictionary(4).certified_sup(w)

@@ -158,28 +158,44 @@ def test_output_digest_verify_line_hashes_what_verify_prints():
 GATE_LISTING = ROOT / "tests" / "output_digests_gate.txt"
 
 
-def test_output_digest_gate_matrix_is_the_lp_wcga_and_stress_runs(monkeypatch):
+def test_output_digest_gate_is_every_run_but_the_cs_and_low_rank_workloads(monkeypatch):
+    # the small instances and their variants (130 runs), the shipped configs
+    # (3), the lp_wcga workload instances (78) and the stress family (132),
+    # then the six gen lines and the verify line
     monkeypatch.setattr(sys, "path", list(sys.path))
     names = [name for name, _ in output_digests.gate(ROOT)]
-    assert len(names) == 78 + 132
+    everything = [name for name, _ in output_digests.matrix(ROOT)]
+    left_out = ("cs_wcga_", "cs_wgafr_", "low_rank_wrga_")
+    assert names == [name for name in everything if not name.startswith(left_out)]
+    configs = sorted(path.stem for path in (ROOT / "configs").glob("*.json"))
+    assert len(names) == 130 + len(configs) + 78 + 132
     assert sum(name.startswith("lp_wcga_") for name in names) == 78
+    assert sum(name.startswith("stress_") for name in names) == 132
+    assert set(configs) <= set(names)
     recorded = GATE_LISTING.read_text(encoding="utf-8").splitlines()
     assert recorded[0].startswith("build {")
-    assert [line.split()[0] for line in recorded[1:]] == names
+    gen = [name for name, _ in output_digests.gen_matrix()]
+    assert [line.split()[0] for line in recorded[1:]] == names + gen + ["verify"]
+    assert [line.split()[1] for line in recorded[-7:]] == ["gen"] * 6 + ["stdout"]
 
 
 def test_gate_outputs_are_byte_identical_to_the_committed_listing(
     monkeypatch, tmp_path
 ):
-    # the lp wcga workload instances and the stress family, whose span
-    # solves take Newton steps and reach every fallback, must write the
-    # bytes the committed listing names. Other numpy, scipy, BLAS, C
-    # library or Python builds may round differently: there the test skips
+    # the gate's runs, whose span solves take Newton steps and reach every
+    # fallback among them, the files gen writes and what verify prints must
+    # have the bytes the committed listing names. Other numpy, scipy, BLAS,
+    # C library or Python builds may round differently: there the test skips
     # and names both builds. On the recorded build a mismatch fails
     build, *expected = GATE_LISTING.read_text(encoding="utf-8").splitlines()
     here = output_digests.build_line()
     if here != build:
         pytest.skip(f"the gate listing was recorded on {build}, this is {here}")
     monkeypatch.setattr(sys, "path", list(sys.path))
+    from greedyopt.cli import main as cli_main
+
     runs = output_digests.gate(ROOT)
-    assert list(output_digests.run_lines(runs, tmp_path)) == expected
+    lines = list(output_digests.run_lines(runs, tmp_path))
+    lines += output_digests.gen_lines(cli_main, tmp_path)
+    lines.append(f"verify stdout {output_digests.verify_digest(cli_main)}")
+    assert lines == expected

@@ -20,9 +20,11 @@ DIR/<name>/.
 
 prints the gate listing instead: a `build` line (`build_line`: the numpy
 and scipy versions, their BLAS builds and the BLAS kernels chosen for this
-CPU, the C library and Python), then the lines of the runs in `GATE`, the
-lp `wcga` workload instances and the stress family. `tests/test_tools.py`
-recomputes the committed copy on the build it names.
+CPU, the C library and Python), then the lines of the runs `gate` picks (the
+small instances and their variants, the shipped configs, the lp `wcga`
+workload instances and the stress family: every run but the cs and
+`low_rank_wrga` workload instances), the `gen` lines and the `verify` line.
+`tests/test_tools.py` recomputes the committed copy on the build it names.
 """
 from __future__ import annotations
 
@@ -63,9 +65,11 @@ VARIANTS = {"power": dict(weakness_exponent=0.5), "gaptol": dict(gap_tol=1e-6)}
 # lp `wcga` near the roundoff floor: Newton misses and the L-BFGS-B passes run.
 STRESS = dict(r=(1.5, 3.0, 4.0, 6.0), q=(1.2, 1.5, 2.0), n=(16, 64), s=(2, 8))
 VERIFY = ["verify", "--seed", "0"]
-# the run-name prefixes of the gate listing: the groups a span solve's
-# Newton steps reach, which run in about 1.5 s
-GATE = ("lp_wcga_", "stress_")
+# the run-name prefixes of the gate listing besides the shipped configs: the
+# small instances and their variants, and the groups a span solve's Newton
+# steps reach; with the configs, gen and verify they take about 7 s. The cs
+# and low_rank_wrga workload instances (about 32 s) stay in the full listing
+GATE = (*(f"{name}_" for name in INSTANCES), "lp_wcga_", "stress_")
 
 
 def matrix(root: Path):
@@ -109,8 +113,14 @@ def gen_matrix():
 
 
 def gate(root: Path):
-    """(name, config) for the runs of the gate listing, in matrix order."""
-    return [(name, config) for name, config in matrix(root) if name.startswith(GATE)]
+    """(name, config) for the runs of the gate listing, in matrix order:
+    the runs named by a GATE prefix and the shipped configs."""
+    configs = {path.stem for path in (root / "configs").glob("*.json")}
+    return [
+        (name, config)
+        for name, config in matrix(root)
+        if name.startswith(GATE) or name in configs
+    ]
 
 
 def run_lines(runs, out: Path):
@@ -123,6 +133,18 @@ def run_lines(runs, out: Path):
         paths = (result.trace_path, result.summary_path)
         digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
         yield " ".join([name, result.summary["stopping_reason"], *digests])
+
+
+def gen_lines(cli_main, out: Path):
+    """Per small instance: `gen_<name>`, the word gen and the sha256 of each
+    file `cli_main(["gen", ...])` wrote under out/gen_<name>/, in file-name
+    order; SystemExit if gen fails."""
+    for name, gen_argv in gen_matrix():
+        if cli_main(["gen", *gen_argv, "--out", str(out / name), "--quiet"]) != 0:
+            raise SystemExit(f"gen failed for {name}")
+        paths = sorted((out / name).iterdir())
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+        yield " ".join([name, "gen", *digests])
 
 
 def _blas_cores() -> dict:
@@ -184,7 +206,7 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=HERE)
     parser.add_argument("--keep", type=Path)
     parser.add_argument("--gate", action="store_true",
-                        help="print the build line and the GATE runs only")
+                        help="print the build line, then the gate's runs, gen and verify")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.root.resolve() / "src"))
     from greedyopt.cli import main as cli_main
@@ -194,16 +216,8 @@ def main(argv=None) -> int:
         if args.gate:
             print(build_line(), flush=True)
         runs = gate(args.root) if args.gate else matrix(args.root)
-        for line in run_lines(runs, out):
+        for line in itertools.chain(run_lines(runs, out), gen_lines(cli_main, out)):
             print(line, flush=True)
-        if args.gate:
-            return 0
-        for name, gen_argv in gen_matrix():
-            if cli_main(["gen", *gen_argv, "--out", str(out / name), "--quiet"]) != 0:
-                raise SystemExit(f"gen failed for {name}")
-            paths = sorted((out / name).iterdir())
-            digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
-            print(name, "gen", *digests, flush=True)
     print("verify", "stdout", verify_digest(cli_main), flush=True)
     return 0
 
