@@ -8,9 +8,13 @@ an upper bound on the sup of <w, g> over the dictionary. A finite dictionary
 is searched exactly (upper == value). The rank-one one, at sides up to
 PROOF_SIDE, proves upper >= sigma_max(W) by one verified Cholesky
 factorization (`verified_cholesky`) of a shifted (W / max|W|)^T (W / max|W|)
-and takes its atom from two solves on the same factor; above PROOF_SIDE it
-takes s_1 from a values-only SVD, widened by a backward-error margin, and
-its atom from one shifted inverse-iteration solve.
+and takes its atom from two solves on the same factor. The shift is placed
+above an estimate of the top eigenvalue: above SKETCH_WIDTH a Rayleigh-Ritz
+value on SKETCH_WIDTH of W's columns (`_sketch_estimate`), when they hold
+W's energy, as they do on a gradient of rank at most SKETCH_WIDTH;
+otherwise, or when its try fails, dsyevr's. Above PROOF_SIDE it takes s_1
+from a values-only SVD, widened by a backward-error margin, and its atom
+from one shifted inverse-iteration solve.
 """
 from __future__ import annotations
 
@@ -21,10 +25,16 @@ from typing import Iterable, Optional
 
 import numpy as np
 from scipy.linalg.blas import dtrmv
-from scipy.linalg.lapack import dgesv, dgetrs, dpotrf, dpotrs, dsyevr
+from scipy.linalg.lapack import dgeqrf, dgesv, dgetrs, dorgqr, dpotrf, dpotrs, dsyevr
 
 from .objectives import Objective, lr_norm
 
+# columns of A the rank-one proof's shift estimate orthonormalizes, at
+# sides above it (`_sketch_estimate`): twice the planted rank of the
+# low_rank_wrga workload, 8, which bounds its gradients' rank
+SKETCH_WIDTH = 16
+# the share of ||A||_F^2 the sketch must hold for its estimate to be taken
+SKETCH_ENERGY = 1.0 - 1e-8
 # relative, 100 times PROOF_RTOL, the rank-one bound's largest looseness at
 # t = 1; see select_gradient_greedy
 WEAKNESS_SLACK = 1e-10
@@ -213,10 +223,11 @@ class SelectionCertificate:
     score: <w, realize(atom)> - shift for the selected atom.
     reference: an upper bound on sup_g <w, g> - shift over the dictionary:
         the exact sup for finite dictionaries; for rank-one a proven bound
-        on sigma_max (a verified Cholesky factorization) at sides up to
-        PROOF_SIDE, and the SVD's s_1 widened by a backward-error margin
-        above. For wrga (shift = <w, G>) it bounds the Frank-Wolfe duality
-        gap.
+        on sigma_max (a verified Cholesky factorization, shifted above a
+        Ritz value on a column sketch of W or above dsyevr's top
+        eigenvalue) at sides up to PROOF_SIDE, and the SVD's s_1 widened by
+        a backward-error margin above. For wrga (shift = <w, G>) it bounds
+        the Frank-Wolfe duality gap.
     ratio: score / reference (1.0 when the reference is 0).
     vector: realize(atom), the vector the score was computed from, which
         the greedy drivers step along instead of realizing the atom again.
@@ -429,13 +440,29 @@ class RankOneDictionary:
         and the atom u v^T with value = ||W v||.
 
         At sides n <= PROOF_SIDE upper is proven. With top = max|W| and
-        A = fl(W / top), C = A^T A is one syrk, and `dsyevr` gives C's top
-        eigenvalue lambda, used only as the estimate the shift is placed
-        above: mu = lambda (1 + k (n + 1) u) for k in SHIFT_MARGINS, one
-        Cholesky try each (`verified_cholesky`) until one succeeds. C's
-        upper triangle survives dsyevr, which overwrites only the lower one
-        and the diagonal (kept aside), so a try needs no copy of C; a retry
-        forms C again. Proof: a successful factorization proves
+        A = fl(W / top), C = A^T A is one syrk. An estimate lambda of C's
+        top eigenvalue places the shift, mu = lambda (1 + k (n + 1) u), one
+        Cholesky try each (`verified_cholesky`) until one succeeds; the
+        estimates come from `_shift_estimates`. Above SKETCH_WIDTH (16) the
+        first is a Rayleigh-Ritz value on SKETCH_WIDTH evenly spaced columns
+        of A (`_sketch_estimate`), tried at the first margin, when those
+        columns hold all but 1e-8 of ||A||_F^2. Then `dsyevr` gives C's top
+        eigenvalue, tried at each k in SHIFT_MARGINS. C's upper triangle
+        survives dsyevr, which overwrites only the lower one and the
+        diagonal (kept aside), so a try needs no copy of C; a retry forms C
+        again. An estimate only places the shift: one that is too low fails
+        its try, and the proof below does not depend on where it came from.
+
+        A `low_rank` gradient of planted rank up to SKETCH_WIDTH passes the
+        sketch's screen: W = 2 (F - G) for the planted F, and each atom is a
+        top singular pair of an earlier gradient, so it lies in F's column
+        and row spaces, and so do G and W; W's rank is at most the planted
+        rank, 8 on the `low_rank_wrga` workload, and its Ritz value is exact
+        to roundoff. A
+        full-rank W is screened out and pays the sketch on top of dsyevr:
+        about 30, 15 and 9 % more per call at sides 32, 64 and 128.
+
+        Proof: a successful factorization proves
         lambda_max(A^T A) <= bound (`verified_cholesky`), so
         sigma_max(A) <= sqrt(bound). W / top differs from A by a rounding of
         each entry, at most u |A_ij| / (1 - u) plus 2^-1075 where it
@@ -466,8 +493,8 @@ class RankOneDictionary:
         value if the rounding of value ever put it above.
 
         The SVD path runs above PROOF_SIDE, where the proof would be looser
-        than PROOF_RTOL, and where dsyevr fails or every try's factorization
-        does: `_svd_sup`, with the bits it has always had.
+        than PROOF_RTOL, and where dsyevr fails or every dsyevr try's
+        factorization does: `_svd_sup`, with the bits it has always had.
 
         A W = 0, or one with an entry that is not finite, gets unit factors,
         value 0 and upper max|W| (0, inf or NaN; the last two fail the
@@ -482,22 +509,17 @@ class RankOneDictionary:
         if top == 0.0 or not math.isfinite(top):
             return 0.0, _unit_atom(n), top
         A = W / top
+        sketched = _sketch_estimate(A)
         C = A.T @ A  # exactly symmetric (syrk)
         diagonal = C.diagonal().copy()
-        # C.T is C in Fortran order; dsyevr overwrites its upper triangle,
-        # which is C's lower one, and the diagonal
-        lam, _, _, _, info = dsyevr(
-            C.T, compute_v=0, range="I", il=n, iu=n, overwrite_a=1
-        )
-        if info == 0:
-            for k in SHIFT_MARGINS:
-                mu = lam[0] * (1.0 + k * (n + 1) * _U)
-                x, bound = verified_cholesky(C, diagonal, mu, self._inverse_iteration)
-                if x is not None:
-                    value, atom = _top_pair(A, x, top)
-                    upper = top * math.sqrt(bound) * _sigma_factor(n)
-                    return value, atom, max(upper, value)
-                np.matmul(A.T, A, out=C)  # the failed try overwrote C
+        for lam, k in _shift_estimates(C, diagonal, sketched):
+            mu = lam * (1.0 + k * (n + 1) * _U)
+            x, bound = verified_cholesky(C, diagonal, mu, self._inverse_iteration)
+            if x is not None:
+                value, atom = _top_pair(A, x, top)
+                upper = top * math.sqrt(bound) * _sigma_factor(n)
+                return value, atom, max(upper, value)
+            np.matmul(A.T, A, out=C)  # the failed try overwrote C
         return self._svd_sup(W)
 
     def _inverse_iteration(self, factor: np.ndarray) -> np.ndarray:
@@ -542,6 +564,61 @@ class RankOneDictionary:
         value, atom = _top_pair(A, x, s1)
         upper = max(s1, value) * (1.0 + SVD_ERROR_FACTOR * n * _EPS)
         return value, atom, upper
+
+
+def _shift_estimates(C: np.ndarray, diagonal: np.ndarray, sketched: Optional[float]):
+    """(lambda, k) per Cholesky try of `RankOneDictionary.certified_sup`:
+    an estimate lambda of C's top eigenvalue, for C = fl(A^T A) with its
+    diagonal kept aside, and the shift margin k to place the try above it.
+
+    The sketch's estimate (`_sketch_estimate`), if there is one, comes
+    first, at the first margin. Then `dsyevr`'s, at each margin in turn:
+    C.T is C in Fortran order, and dsyevr overwrites its upper triangle,
+    which is C's lower one, and the diagonal. The caller forms C again
+    after each failed try."""
+    if sketched is not None:
+        yield sketched, SHIFT_MARGINS[0]
+    n = len(diagonal)
+    lam, _, _, _, info = dsyevr(C.T, compute_v=0, range="I", il=n, iu=n, overwrite_a=1)
+    if info == 0:
+        for k in SHIFT_MARGINS:
+            yield lam[0], k
+
+
+def _sketch_estimate(A: np.ndarray) -> Optional[float]:
+    """A Rayleigh-Ritz estimate of lambda_max(A^T A) for an n x n A from
+    SKETCH_WIDTH evenly spaced columns of A (Halko, Martinsson & Tropp,
+    "Finding structure with randomness", SIAM Review 2011); None when they
+    miss A's energy, or when n <= SKETCH_WIDTH, where they would be all of
+    A.
+
+    Q is an orthonormal basis of the picked columns (dgeqrf, dorgqr) and
+    B = Q^T A. The estimate is the top eigenvalue of the SKETCH_WIDTH-square
+    B B^T = Q^T A A^T Q (dsyevr), which in exact arithmetic is at most
+    lambda_max(A A^T) = lambda_max(A^T A), and equal to it when range(Q)
+    holds A's range. tr(B B^T) = ||B||_F^2 is the part of ||A||_F^2 that
+    lies in range(Q): below SKETCH_ENERGY ||A||_F^2 the columns miss some
+    of A's range, and no estimate is taken. A W of rank at most
+    SKETCH_WIDTH whose picked columns span its range passes, with an
+    estimate exact to roundoff. The caller runs it before it forms A^T A,
+    so its temporaries never sit beside an n x n array other than A."""
+    n = len(A)
+    if n <= SKETCH_WIDTH:
+        return None
+    picked = A.T[(np.arange(SKETCH_WIDTH) * n) // SKETCH_WIDTH]  # A's columns
+    qr, tau, _, _ = dgeqrf(picked.T, overwrite_a=1)
+    B = dorgqr(qr, tau, overwrite_a=1)[0].T @ A
+    # tr(B B^T) as ||B||_F^2: gram.trace() here left about one 55-byte
+    # block per selection traced to the end of a low_rank_wrga run, +5 KB
+    # on its tracemalloc peak
+    b, a = B.ravel(), A.ravel()
+    if b.dot(b) < SKETCH_ENERGY * a.dot(a):
+        return None
+    gram = B @ B.T  # exactly symmetric (syrk)
+    lam, _, _, _, info = dsyevr(
+        gram, compute_v=0, range="I", il=SKETCH_WIDTH, iu=SKETCH_WIDTH, overwrite_a=1
+    )
+    return float(lam[0]) if info == 0 else None
 
 
 def _unit_atom(n: int) -> Atom:

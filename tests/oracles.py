@@ -10,10 +10,11 @@ The bitwise oracles (`min_norm_solve_wrapped`, `rank_one_sup_wrapped`,
 `rank_one_proof_sup_wrapped`, `rank_one_realize_wrapped`,
 `relaxed_coefficients_wrapped`) are the same arithmetic written through
 numpy's Python-level wrappers (np.dot, np.linalg.norm, np.append), where the
-package calls the array methods and ufuncs those wrappers end in; they call
-the same LAPACK and BLAS kernels. The package must agree with them bit for
-bit. `rank_one_proof_sup_wrapped` also writes the proof's bound out again
-from its terms. `rank_one_realize_wrapped` is np.outer, which
+package calls the array methods and ufuncs those wrappers end in, and
+through scipy.linalg's qr and eigh, where it calls their LAPACK routines;
+they call the same LAPACK and BLAS kernels. The package must agree with them
+bit for bit. `rank_one_proof_sup_wrapped` also writes the proof's bound out
+again from its terms. `rank_one_realize_wrapped` is np.outer, which
 `RankOneDictionary.realize` still calls: it guards any later change there. `span_hessian_wrapped` is a
 norm power's span Hessian recomputed from its point, with np.outer, where
 the package builds it from the point's own evaluation.
@@ -27,6 +28,7 @@ import dataclasses
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.blas import dtrmv
 from scipy.linalg.lapack import dgesv, dgetrs, dpotrf, dpotrs, dsyevr
 
@@ -349,11 +351,16 @@ def rank_one_sup_wrapped(w, n, shift_factor):
     return value, Av / norm, v, upper
 
 
-def rank_one_proof_sup_wrapped(w, n, margins):
-    """`RankOneDictionary.certified_sup`'s proof path through numpy's
-    wrappers: (value, u, v, upper) for the n x n W = reshape(w), or None
-    when every shift margin's factorization fails. A = W / max|W|; lambda
-    from dsyevr on A^T A; per margin k, the Cholesky factor L of
+def rank_one_proof_sup_wrapped(w, n, margins, sketch=True):
+    """`RankOneDictionary.certified_sup`'s proof path through numpy's and
+    scipy's wrappers: (value, u, v, upper) for the n x n W = reshape(w), or
+    None when every try's factorization fails. A = W / max|W|. The tries:
+    with sketch and n > 16, the sketch's estimate at margins[0], when it
+    holds A's energy; then dsyevr's estimate on A^T A at each margin. The
+    sketch: Q from scipy.linalg.qr of A's 16 columns floor(i n / 16),
+    B = Q^T A, and lambda the top eigenvalue of B B^T (scipy.linalg.eigh,
+    driver evr, upper triangle), taken when ||B||_F^2 >= (1 - 1e-8)
+    ||A||_F^2. Per try at margin k, the Cholesky factor L of
     fl(mu I - A^T A) at mu = lambda (1 + k (n + 1) u); v from two solves on
     it, from sin(1..n); and upper = max|W| sqrt(B) (1 + (2 sqrt(n) + 4) u),
     raised to value, where B is mu plus gamma_n ||A||_F^2, gamma_{n+1} times
@@ -368,18 +375,26 @@ def rank_one_proof_sup_wrapped(w, n, margins):
     W = np.asarray(w, dtype=float).reshape(n, n)
     top = float(np.max(np.abs(W)))
     A = W / top
-    C = np.dot(A.T, A)
-    diagonal = np.diagonal(C).copy()
-    lam, _, _, _, info = dsyevr(C.T, compute_v=0, range="I", il=n, iu=n, overwrite_a=1)
+    diagonal = np.diagonal(np.dot(A.T, A)).copy()
+    tries = []
+    if sketch and n > 16:
+        picked = np.linspace(0, n, 16, endpoint=False).astype(int)
+        Q = scipy.linalg.qr(A[:, picked], mode="economic")[0]
+        B = np.dot(Q.T, A)
+        if np.dot(B.ravel(), B.ravel()) >= (1.0 - 1e-8) * np.dot(A.ravel(), A.ravel()):
+            lam = scipy.linalg.eigh(np.dot(B, B.T), lower=False, eigvals_only=True,
+                                    subset_by_index=[15, 15], driver="evr")
+            tries.append((float(lam[0]), margins[0]))
+    lam, _, _, _, info = dsyevr(np.dot(A.T, A).T, compute_v=0, range="I", il=n, iu=n)
     assert info == 0
-    for k in margins:
-        mu = lam[0] * (1.0 + k * (n + 1) * u)
+    tries += [(lam[0], k) for k in margins]
+    for lam, k in tries:
+        mu = lam * (1.0 + k * (n + 1) * u)
         shifted = mu - diagonal
-        M = -C
+        M = -np.dot(A.T, A)
         np.fill_diagonal(M, shifted)
         L, info = dpotrf(M.T, lower=1, overwrite_a=1, clean=0)
         if info != 0:
-            C = np.dot(A.T, A)
             continue
         y, _ = dpotrs(L, np.sin(np.arange(1.0, n + 1.0)), lower=1)
         x, _ = dpotrs(L, y / np.linalg.norm(y), lower=1)

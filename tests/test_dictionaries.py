@@ -14,6 +14,7 @@ from greedyopt.dictionaries import (
     PROOF_RTOL,
     PROOF_SIDE,
     SHIFT_MARGINS,
+    SKETCH_WIDTH,
     Atom,
     FiniteDictionary,
     LR_NORM_BLOCK,
@@ -586,6 +587,8 @@ def test_rank_one_sup_and_realize_are_their_wrapped_expressions_bit_for_bit(seed
     for side, top in ((5, 2.0), (64, 2.0), (64, 1e6), (PROOF_SIDE + 1, 2.0)):
         s = np.linspace(top, 0.1, side)
         cases.append((f"known spectrum {side} {top:g}", known_spectrum(s, seed)[0]))
+    for side, rank in ((32, 1), (64, 8), (PROOF_SIDE, SKETCH_WIDTH)):
+        cases.append((f"rank {rank} at {side}", _low_rank(side, rank, seed)))
     for name, w in cases:
         side = w.shape[0]
         dic = RankOneDictionary(side)
@@ -599,6 +602,26 @@ def test_rank_one_sup_and_realize_are_their_wrapped_expressions_bit_for_bit(seed
         for sign in (1, -1):
             got = dic.realize(Atom(-1, sign, atom.factors))
             assert _bits(got) == _bits(rank_one_realize_wrapped(sign, u, v)), name
+
+
+def _low_rank(side, rank, seed):
+    """A side x side W = X Y^T of the given rank, with Gaussian factors."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((side, rank)) @ rng.standard_normal((rank, side))
+
+
+def _recorded_dsyevr(monkeypatch):
+    """Record the shape of each matrix dictionaries' dsyevr is called on;
+    returns the list of shapes."""
+    shapes = []
+    real = dictionaries.dsyevr
+
+    def dsyevr(a, **kwargs):
+        shapes.append(a.shape)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(dictionaries, "dsyevr", dsyevr)
+    return shapes
 
 
 def _failing_dpotrf(monkeypatch, failures):
@@ -654,6 +677,59 @@ def test_rank_one_retry_takes_the_next_shift_margin(monkeypatch, failures):
     assert _bits(value, *atom.factors, upper) == _bits(*expected)
 
 
+@pytest.mark.parametrize("side", [32, 64, 128])
+@pytest.mark.parametrize("rank", [1, 8, SKETCH_WIDTH])
+def test_rank_one_sketch_certifies_low_rank_w_without_the_full_eigensolver(
+    monkeypatch, side, rank
+):
+    # SKETCH_WIDTH columns span a rank <= SKETCH_WIDTH W: its Ritz value
+    # places the first Cholesky try, which proves the bound, and dsyevr
+    # runs only on the sketch's SKETCH_WIDTH-square B B^T
+    w = _low_rank(side, rank, seed=side + rank)
+    shapes = _recorded_dsyevr(monkeypatch)
+    calls = _failing_dpotrf(monkeypatch, 0)
+    value, atom, upper = RankOneDictionary(side).certified_sup(w.ravel())
+    assert calls == [(side, side)]
+    assert shapes == [(SKETCH_WIDTH, SKETCH_WIDTH)]
+    assert value <= upper
+    assert upper >= sigma_max_eigvalsh(w)
+    cert = select_gradient_greedy(RankOneDictionary(side), w.ravel(), 1.0)
+    assert 1.0 - cert.ratio <= 1e-12
+    expected = rank_one_proof_sup_wrapped(w.ravel(), side, SHIFT_MARGINS)
+    assert _bits(value, *atom.factors, upper) == _bits(*expected)
+
+
+@pytest.mark.parametrize("side", [SKETCH_WIDTH + 1, 64, PROOF_SIDE])
+def test_rank_one_full_rank_w_is_screened_out_of_the_sketch(monkeypatch, side):
+    # the picked columns miss most of a Gaussian W's energy: no estimate,
+    # no try, and the answer has the bits of the path without the sketch
+    w = np.random.default_rng(side).standard_normal((side, side))
+    a = w / np.abs(w).max()
+    assert dictionaries._sketch_estimate(a) is None
+    shapes = _recorded_dsyevr(monkeypatch)
+    calls = _failing_dpotrf(monkeypatch, 0)
+    value, atom, upper = RankOneDictionary(side).certified_sup(w.ravel())
+    assert shapes == [(side, side)] and calls == [(side, side)]
+    expected = rank_one_proof_sup_wrapped(w.ravel(), side, SHIFT_MARGINS, sketch=False)
+    assert _bits(value, *atom.factors, upper) == _bits(*expected)
+
+
+def test_rank_one_failed_sketch_try_falls_back_to_the_eigensolver_bit_for_bit(
+    monkeypatch,
+):
+    # the sketch's one try fails: C is formed again, and dsyevr's estimate
+    # places the next try at the first margin, with the bits of the path
+    # without the sketch
+    w = _low_rank(64, 8, seed=3).ravel()
+    shapes = _recorded_dsyevr(monkeypatch)
+    calls = _failing_dpotrf(monkeypatch, 1)
+    value, atom, upper = RankOneDictionary(64).certified_sup(w)
+    assert shapes == [(SKETCH_WIDTH, SKETCH_WIDTH), (64, 64)]
+    assert len(calls) == 2
+    expected = rank_one_proof_sup_wrapped(w, 64, SHIFT_MARGINS, sketch=False)
+    assert _bits(value, *atom.factors, upper) == _bits(*expected)
+
+
 def test_proof_side_is_where_the_worst_case_looseness_reaches_the_budget():
     # derived from the bound, not from a workload: about (n + 1) n u / 2
     looseness = dictionaries._proof_looseness
@@ -706,6 +782,25 @@ def test_verified_cholesky_fails_below_the_top_eigenvalue_and_proves_above_it():
         assert lam <= bound <= (mu + allowance * lam) * (1.0 + 1e-15), name
 
 
+def test_verified_cholesky_bound_covers_a_top_eigenvalue_of_c_below_sigma_max():
+    # side 128, one singular value 1 over 127 at 0.99: fl(A^T A)'s rounding
+    # puts lambda_max(C) below sigma_max(A)^2 (by 8 u on the build that
+    # tests/output_digests_gate.txt names), and Cholesky at a shift there,
+    # or a few ulps below, succeeds on some of them. Every success must
+    # still prove a bound above sigma_max(A)^2, which the shift alone is
+    # not: only the allowance carries it
+    n, u = 128, np.finfo(float).eps / 2.0
+    a = known_spectrum(np.r_[1.0, np.full(n - 1, 0.99)], 15)[0]
+    a /= np.abs(a).max()
+    lam = float(np.linalg.svd(a, compute_uv=False)[0]) ** 2
+    top_c = float(np.linalg.eigvalsh(a.T @ a)[-1])
+    assert top_c < lam
+    bounds = [_try_cholesky(a, top_c * (1.0 - k * u))[1] for k in range(4)]
+    proven = [bound for bound in bounds if bound < math.inf]
+    assert proven
+    assert all(bound >= lam for bound in proven)
+
+
 def test_verified_cholesky_solves_on_the_factor_then_overwrites_it():
     # solve sees the factor L of mu I - C in the lower triangle of the
     # Fortran-ordered c.T, before the proof overwrites it with |L|
@@ -739,7 +834,7 @@ def test_row_sum_bound_is_above_the_largest_row_sum():
         assert bound <= rows * (1.0 + 1e-13)
 
 
-def _drawn_w(kind, side, seed, scale):
+def _drawn_w(kind, side, rank, seed, scale):
     rng = np.random.default_rng(seed)
     if kind == "random":
         w = rng.standard_normal((side, side))
@@ -749,7 +844,7 @@ def _drawn_w(kind, side, seed, scale):
             s = 1.0 - 1e-9 * np.arange(side)
             s[max(side // 4, 1) :] = np.linspace(0.5, 0.01, side - max(side // 4, 1))
         elif kind == "rank-deficient":
-            s[rng.integers(1, side + 1) :] = 0.0
+            s[rank:] = 0.0
         w = known_spectrum(s, seed)[0]
     return scale * w
 
@@ -758,11 +853,16 @@ def _drawn_w(kind, side, seed, scale):
 @given(
     side=st.integers(1, PROOF_SIDE),
     kind=st.sampled_from(["flat", "clustered", "rank-deficient", "random"]),
+    rank=st.integers(1, 2 * SKETCH_WIDTH),
     seed=st.integers(0, 2**16),
     exponent=st.integers(-300, 300),
 )
-def test_rank_one_proof_bounds_sigma_max_and_certifies_at_t_one(side, kind, seed, exponent):
-    w = _drawn_w(kind, side, seed, 10.0**exponent)
+def test_rank_one_proof_bounds_sigma_max_and_certifies_at_t_one(
+    side, kind, rank, seed, exponent
+):
+    # a rank-deficient W of rank up to SKETCH_WIDTH reaches the sketch
+    # above that side, one of higher rank is screened out of it
+    w = _drawn_w(kind, side, rank, seed, 10.0**exponent)
     value, atom, upper = RankOneDictionary(side).certified_sup(w.ravel())
     assert value <= upper
     assert upper >= float(np.linalg.svd(w, compute_uv=False)[0])

@@ -158,19 +158,26 @@ def test_output_digest_verify_line_hashes_what_verify_prints():
 GATE_LISTING = ROOT / "tests" / "output_digests_gate.txt"
 
 
-def test_output_digest_gate_is_every_run_but_the_cs_and_low_rank_workloads(monkeypatch):
+def test_output_digest_gate_is_every_run_but_the_cs_and_later_low_rank_workloads(
+    monkeypatch,
+):
     # the small instances and their variants (130 runs), the shipped configs
-    # (3), the lp_wcga workload instances (78) and the stress family (132),
-    # then the six gen lines and the verify line
+    # (3), the lp_wcga workload instances (78), the stress family (132) and
+    # the low_rank_wrga instances of workload seed 0 (32, side 64), then the
+    # six gen lines and the verify line
     monkeypatch.setattr(sys, "path", list(sys.path))
     names = [name for name, _ in output_digests.gate(ROOT)]
     everything = [name for name, _ in output_digests.matrix(ROOT)]
+    low_rank = [f"low_rank_wrga_{seed}" for seed in range(32)]
     left_out = ("cs_wcga_", "cs_wgafr_", "low_rank_wrga_")
-    assert names == [name for name in everything if not name.startswith(left_out)]
+    assert names == [
+        name for name in everything if not name.startswith(left_out) or name in low_rank
+    ]
     configs = sorted(path.stem for path in (ROOT / "configs").glob("*.json"))
-    assert len(names) == 130 + len(configs) + 78 + 132
+    assert len(names) == 130 + len(configs) + 78 + 132 + 32
     assert sum(name.startswith("lp_wcga_") for name in names) == 78
     assert sum(name.startswith("stress_") for name in names) == 132
+    assert [name for name in names if name.startswith("low_rank_wrga_")] == low_rank
     assert set(configs) <= set(names)
     recorded = GATE_LISTING.read_text(encoding="utf-8").splitlines()
     assert recorded[0].startswith("build {")

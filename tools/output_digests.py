@@ -22,8 +22,9 @@ prints the gate listing instead: a `build` line (`build_line`: the numpy
 and scipy versions, their BLAS builds and the BLAS kernels chosen for this
 CPU, the C library and Python), then the lines of the runs `gate` picks (the
 small instances and their variants, the shipped configs, the lp `wcga`
-workload instances and the stress family: every run but the cs and
-`low_rank_wrga` workload instances), the `gen` lines and the `verify` line.
+workload instances, the stress family and the `low_rank_wrga` workload
+instances of workload seed 0: every run but the cs workload instances and
+the other `low_rank_wrga` ones), the `gen` lines and the `verify` line.
 `tests/test_tools.py` recomputes the committed copy on the build it names.
 """
 from __future__ import annotations
@@ -65,11 +66,16 @@ VARIANTS = {"power": dict(weakness_exponent=0.5), "gaptol": dict(gap_tol=1e-6)}
 # lp `wcga` near the roundoff floor: Newton misses and the L-BFGS-B passes run.
 STRESS = dict(r=(1.5, 3.0, 4.0, 6.0), q=(1.2, 1.5, 2.0), n=(16, 64), s=(2, 8))
 VERIFY = ["verify", "--seed", "0"]
-# the run-name prefixes of the gate listing besides the shipped configs: the
-# small instances and their variants, and the groups a span solve's Newton
-# steps reach; with the configs, gen and verify they take about 7 s. The cs
-# and low_rank_wrga workload instances (about 32 s) stay in the full listing
+# the run-name prefixes of the gate listing besides the shipped configs and
+# GATE_WORKLOAD_SEED's runs: the small instances and their variants, and the
+# groups a span solve's Newton steps reach
 GATE = (*(f"{name}_" for name in INSTANCES), "lp_wcga_", "stress_")
+# the workload seed whose low_rank_wrga instances the gate listing also
+# takes: the gate's only rank-one runs above side 16, whose selections take
+# the sketch estimate. With the configs, gen and verify the gate takes about
+# 10 s; the cs workload instances and the other low_rank_wrga ones (about
+# 30 s) stay in the full listing
+GATE_WORKLOAD_SEED = 0
 
 
 def matrix(root: Path):
@@ -114,12 +120,16 @@ def gen_matrix():
 
 def gate(root: Path):
     """(name, config) for the runs of the gate listing, in matrix order:
-    the runs named by a GATE prefix and the shipped configs."""
-    configs = {path.stem for path in (root / "configs").glob("*.json")}
+    the runs named by a GATE prefix, the shipped configs and the
+    low_rank_wrga instances of workload seed GATE_WORKLOAD_SEED."""
+    runs = list(matrix(root))  # which puts benchmarks/ on sys.path
+    from workloads import WORKLOADS, instance_seeds
+
+    names = {path.stem for path in (root / "configs").glob("*.json")}
+    seeds = instance_seeds(WORKLOADS["low_rank_wrga"], GATE_WORKLOAD_SEED)
+    names.update(f"low_rank_wrga_{seed}" for seed in seeds)
     return [
-        (name, config)
-        for name, config in matrix(root)
-        if name.startswith(GATE) or name in configs
+        (name, config) for name, config in runs if name.startswith(GATE) or name in names
     ]
 
 
